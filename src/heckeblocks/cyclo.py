@@ -2,7 +2,9 @@
 
 Elements are kept in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1),
 reduced modulo the N-th cyclotomic polynomial.  Mixed-conductor arithmetic
-lifts both operands to the least common multiple conductor first.
+lifts both operands to the least common multiple conductor first.  Descent
+to a subring Z[zeta_m] applies an exact rational left inverse of the lift
+map, built once per (m, N), and re-lifts the result to check membership.
 
 The module also provides roots of unity in exponent form, K-cyclotomic
 polynomials (minimal polynomials of roots of unity over a cyclotomic field
@@ -13,12 +15,12 @@ prime ideals of Z[zeta_N] above a rational prime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 import sympy
 from sympy import Poly, Symbol
-from sympy.polys.specialpolys import cyclotomic_poly
 
 __all__ = [
     "CycInt",
@@ -29,7 +31,6 @@ __all__ = [
     "prime_handle",
     "in_prime_ideal",
     "cyclotomic_value_at_one",
-    "kcyc_degree_and_value",
     "is_p_essential_factor",
 ]
 
@@ -43,8 +44,43 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _phi_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
-    return tuple(int(c) for c in Poly(cyclotomic_poly(n, _T), _T).all_coeffs()[::-1])
+    """Coefficients of the n-th cyclotomic polynomial, ascending degree.
+
+    Phi_1 = x - 1; Phi_rp(x) = Phi_r(x^p) / Phi_r(x) for a prime p not
+    dividing r; and Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    phi, rad, rest, p = [-1, 1], 1, n, 2
+    while rest > 1:
+        if rest % p == 0:
+            phi = _exact_quotient(_at_power(phi, p), phi)
+            rad *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return tuple(_at_power(phi, n // rad))
+
+
+def _at_power(coeffs: list[int], k: int) -> list[int]:
+    """Coefficients of c(x^k) from those of c(x), ascending."""
+    out = [0] * ((len(coeffs) - 1) * k + 1)
+    out[::k] = coeffs
+    return out
+
+
+def _exact_quotient(coeffs: list[int], divisor: tuple[int, ...]) -> list[int]:
+    """Quotient of coeffs (ascending) by a monic divisor that divides it
+    exactly (the remainder is not checked)."""
+    work = list(coeffs)
+    deg = len(divisor) - 1
+    quotient = [0] * (len(work) - deg)
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            quotient[i - deg] = c
+            for j, dc in enumerate(divisor):
+                work[i - deg + j] -= c * dc
+    return quotient
 
 
 def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
@@ -117,12 +153,15 @@ class CycInt:
             return self
         if self.conductor % conductor:
             raise ValueError("can only descend to a divisor of the conductor")
-        sol = _descend_solve(conductor, self.conductor, self.coeffs)
-        if sol is None:
-            raise ValueError(
-                f"element of Z[zeta_{self.conductor}] is not in Z[zeta_{conductor}]"
-            )
-        return CycInt(conductor, sol)
+        den, left = _descent_map(conductor, self.conductor)
+        values = [sum(c * self.coeffs[j] for j, c in row) for row in left]
+        if all(v % den == 0 for v in values):
+            down = CycInt(conductor, [v // den for v in values])
+            if down.lift(self.conductor).coeffs == self.coeffs:
+                return down
+        raise ValueError(
+            f"element of Z[zeta_{self.conductor}] is not in Z[zeta_{conductor}]"
+        )
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -244,29 +283,41 @@ class CycInt:
 
 
 @lru_cache(maxsize=None)
-def _lift_matrix(m: int, n: int):
-    """Columns: power basis of Z[zeta_m] written in the basis of Z[zeta_n]."""
-    cols = []
-    for i in range(euler_phi(m)):
-        cols.append(CycInt.zeta(m, i).lift(n).coeffs)
-    return sympy.Matrix(list(zip(*cols)))
+def _descent_map(m: int, n: int):
+    """Exact left inverse of the lift Z[zeta_m] -> Z[zeta_n], as integer
+    rows of sparse (index, coefficient) pairs over a common denominator.
 
-
-def _descend_solve(m: int, n: int, coeffs) -> tuple[int, ...] | None:
-    mat = _lift_matrix(m, n)
-    rhs = sympy.Matrix(list(coeffs))
-    try:
-        sol = mat.solve_least_squares(rhs) if mat.rows != mat.cols else mat.solve(rhs)
-    except Exception:
-        return None
-    if mat * sol != rhs:
-        return None
-    out = []
-    for v in sol:
-        if v != int(v):
-            return None
-        out.append(int(v))
-    return tuple(out)
+    Gauss-Jordan over the rationals on [L^T | I], L the lift matrix, turns
+    L^T into a reduced echelon form R = E L^T whose pivot columns P are the
+    identity; then L[P] = E^-T, so x = E^T y[P] recovers x from y = L x."""
+    k, rows = euler_phi(m), euler_phi(n)
+    aug = [
+        [Fraction(c) for c in CycInt.zeta(m, i).lift(n).coeffs]
+        + [Fraction(int(i == j)) for j in range(k)]
+        for i in range(k)
+    ]
+    pivots = []
+    for c in range(rows):
+        top = len(pivots)
+        if top == k:
+            break
+        r = next((r for r in range(top, k) if aug[r][c]), None)
+        if r is None:
+            continue
+        aug[top], aug[r] = aug[r], aug[top]
+        lead = aug[top][c]
+        aug[top] = [x / lead for x in aug[top]]
+        for r in range(k):
+            if r != top and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[top])]
+        pivots.append(c)
+    e = [row[rows:] for row in aug]
+    den = lcm(*(x.denominator for row in e for x in row))
+    return den, tuple(
+        tuple((pivots[i], int(e[i][j] * den)) for i in range(k) if e[i][j])
+        for j in range(k)
+    )
 
 
 @dataclass(frozen=True)
@@ -354,20 +405,21 @@ class KCyclotomic:
 
     def value_at_one(self) -> CycInt:
         """Psi(1) = prod_{s in O} (1 - zeta_d^s), as an element of Z[zeta_m]."""
-        m, d = self.field_conductor, self.root.order
-        big = lcm(m, d)
-        acc = CycInt.rational(1)
-        for s in self.orbit():
-            acc = acc * (CycInt.rational(1) - CycInt.zeta(d, s).lift(big))
-        return acc.descend(m)
+        return _psi_value_at_one(self)
 
     def inverse_root(self) -> "KCyclotomic":
         """The K-cyclotomic polynomial whose roots are the inverses."""
         return KCyclotomic.of(self.field_conductor, self.root.inverse())
 
 
-def kcyc_degree_and_value(psi: KCyclotomic) -> tuple[int, CycInt]:
-    return psi.degree, psi.value_at_one()
+@lru_cache(maxsize=None)
+def _psi_value_at_one(psi: KCyclotomic) -> CycInt:
+    m, d = psi.field_conductor, psi.root.order
+    big = lcm(m, d)
+    acc = CycInt.rational(1)
+    for s in psi.orbit():
+        acc = acc * (CycInt.rational(1) - CycInt.zeta(d, s).lift(big))
+    return acc.descend(m)
 
 
 @dataclass(frozen=True)
@@ -387,7 +439,7 @@ def prime_handle(p: int, conductor: int) -> PrimeIdealHandle:
     if conductor == 1:
         # Degenerate convention: membership reduces to divisibility by p.
         return PrimeIdealHandle(p, 1, (0, 1))
-    poly = Poly(cyclotomic_poly(conductor, _T), _T, modulus=p)
+    poly = Poly(_phi_coeffs(conductor)[::-1], _T, modulus=p)
     factors = []
     for fac, _mult in poly.factor_list()[1]:
         coeffs = [int(c) % p for c in fac.all_coeffs()[::-1]]

@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _SEARCH_BOXES = (1, 2, 4, 8, 16, 32, 64)
+# Candidate vectors one search may examine; the shipped groups need at
+# most ~1.6k, and G7's full boxes would hold 129^8.
+_SEARCH_BUDGET = 100_000
 _AA_ROUNDS = 5
 
 
@@ -95,15 +98,17 @@ def _check_sizes(ps: list[Partition]):
 
 
 def meet(p1: Partition, p2: Partition) -> Partition:
-    """Common refinement: pairwise part intersections."""
+    """Common refinement: indices grouped by their pair of part numbers."""
     _check_sizes([p1, p2])
-    parts = []
-    for a in p1.parts:
-        for b in p2.parts:
-            common = set(a) & set(b)
-            if common:
-                parts.append(common)
-    return Partition.of(parts, p1.size)
+    label = {}
+    for k, part in enumerate(p2.parts):
+        for i in part:
+            label[i] = k
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, part in enumerate(p1.parts):
+        for i in part:
+            groups.setdefault((k, label[i]), []).append(i)
+    return Partition.of(list(groups.values()), p1.size)
 
 
 def join(ps: list[Partition]) -> Partition:
@@ -180,10 +185,19 @@ def _p_essential_normals(g: GroupDatum, p: int) -> set[IntVector]:
 
 def _admissible_specs(g: GroupDatum, on, off):
     """Deterministic vectors lying on every hyperplane of `on` and off
-    every hyperplane of `off`, in growing boxes, lexicographic order."""
+    every hyperplane of `off`, in growing boxes, lexicographic order.
+
+    Raises RuntimeError once _SEARCH_BUDGET candidates have been examined."""
     m = g.slot_count
+    examined = 0
     for box in _SEARCH_BOXES:
         for n in itertools.product(range(-box, box + 1), repeat=m):
+            examined += 1
+            if examined > _SEARCH_BUDGET:
+                raise RuntimeError(
+                    f"specialization search for {g.name} exceeded "
+                    f"{_SEARCH_BUDGET} candidates"
+                )
             if box > 1 and max((abs(x) for x in n), default=0) <= box // 2:
                 continue  # already visited in a smaller box
             if any(sum(a * b for a, b in zip(h, n)) for h in on):
@@ -236,8 +250,13 @@ def _heuristic_blocks(
 def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:
     """Candidate blocks away from every essential hyperplane.
 
-    The result is a guaranteed coarsening of the true block partition;
-    equality needs external minimality evidence (the stored tables)."""
+    The seed part holds the characters with stored Schur data whose
+    coefficient xi has norm divisible by p; meets with the group p-blocks
+    and with the a + A partitions at the tried specializations can only
+    split it, and every other character stays a singleton.  The result is
+    therefore no guaranteed coarsening of the true blocks: on G7, whose
+    payload covers 3 of 42 characters, it is 42 singletons, finer than the
+    stored 29-part baseline.  Only the stored tables are authoritative."""
     size = len(g.characters)
     if g.group_order % p:
         return Partition.singletons(size)

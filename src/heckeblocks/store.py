@@ -137,9 +137,17 @@ def load(path) -> GroupDatum:
                 ):
                     report.append(f"normal {normal} has nonzero orbit sums")
                 hp = Hyperplane(normal)
-            tables.append(
-                HyperplaneTable(hp, blocks, frozenset(tdoc.get("primes", [])))
-            )
+            primes = tdoc.get("primes", [])
+            if not isinstance(primes, list) or not all(
+                type(p) is int and p > 1 and g.group_order % p == 0
+                for p in primes
+            ):
+                report.append(
+                    f"primes {primes!r} are not integers > 1 dividing the "
+                    f"group order {g.group_order}"
+                )
+                primes = []
+            tables.append(HyperplaneTable(hp, blocks, frozenset(primes)))
         if tables and not seen_baseline:
             report.append("hyperplane tables lack the no-hyperplane baseline")
         g.hyperplane_tables = tuple(tables)

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: ring laws, norms, prime handles, and the
 fast p-essentiality criterion against a norm oracle."""
 
+import cmath
 import random
 import time
 from math import gcd
@@ -8,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, Symbol, cyclotomic_poly
 
 from heckeblocks.cyclo import (
     CycInt,
@@ -19,6 +21,7 @@ from heckeblocks.cyclo import (
     in_prime_ideal,
     is_p_essential_factor,
     prime_handle,
+    _phi_coeffs,
 )
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12, 24]
@@ -66,6 +69,30 @@ def test_lift_descend_roundtrip():
 def test_descend_rejects_foreign_elements():
     with pytest.raises(ValueError):
         CycInt.zeta(12).descend(4)
+
+
+@pytest.mark.parametrize("m,n", [(3, 12), (4, 12), (5, 15), (4, 20)])
+def test_descend_where_the_lift_needs_reduction(m, n):
+    # oracle: an element of Z[zeta_n] lies in Z[zeta_m] exactly when every
+    # automorphism zeta_n -> zeta_n^t with t = 1 mod m fixes it
+    fixing = [t for t in range(1, n) if gcd(t, n) == 1 and t % m == 1]
+    rng = random.Random(m * 100 + n)
+    for _ in range(100):
+        a = random_cycint(rng, m)
+        assert a.lift(n).descend(m) == a
+        b = random_cycint(rng, n)
+        if all(b.galois_conjugate(t) == b for t in fixing):
+            assert b.descend(m).lift(n) == b
+        else:
+            with pytest.raises(ValueError):
+                b.descend(m)
+
+
+def test_phi_coeffs_match_sympy():
+    x = Symbol("x")
+    for n in range(1, 200):
+        expected = Poly(cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert list(_phi_coeffs(n)) == [int(c) for c in expected], n
 
 
 def test_mixed_conductor_equality():
@@ -161,6 +188,24 @@ def test_kcyclotomic_over_q_value_matches_integer_cyclotomic():
         psi = KCyclotomic.of(1, RootOfUnity.of(d, 1))
         assert psi.degree == euler_phi(d)
         assert psi.value_at_one() == CycInt.rational(cyclotomic_value_at_one(d))
+
+
+def complex_value(a: CycInt) -> complex:
+    return sum(c * cmath.exp(2j * cmath.pi * k / a.conductor)
+               for k, c in enumerate(a.coeffs))
+
+
+def test_value_at_one_matches_complex_product():
+    for m in (1, 3, 4, 12):
+        for d in range(2, 40):
+            psi = KCyclotomic.of(m, RootOfUnity.of(d, 1))
+            expected = 1
+            for s in psi.orbit():
+                expected *= 1 - cmath.exp(2j * cmath.pi * s / d)
+            value = psi.value_at_one()
+            assert value.conductor == m
+            assert abs(complex_value(value) - expected) < 1e-9 * max(
+                1, abs(expected)), (m, d)
 
 
 def test_phi1_is_rejected():

@@ -1,5 +1,7 @@
 """Partition lattice operations and both Rouquier-block computation paths."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from heckeblocks.engine import (
     Hyperplane,
     Specialization,
     blocks_no_hyperplane,
+    _admissible_specs,
     blocks_one_hyperplane,
     hyperplanes_containing,
     join,
@@ -53,6 +56,8 @@ def refines(p1, p2):
 def test_meet_refines_both_and_join_coarsens_both(p1, p2):
     m = meet(p1, p2)
     j = join([p1, p2])
+    pairwise = [set(a) & set(b) for a in p1.parts for b in p2.parts]
+    assert m == Partition.of(pairwise, SIZE)
     assert refines(m, p1) and refines(m, p2)
     assert refines(p1, j) and refines(p2, j)
     assert meet(p1, p1) == p1 == join([p1, p1])
@@ -157,3 +162,15 @@ def test_heuristic_path_without_schur_payload_meets_group_blocks(g4):
     # p-block meet, which keeps everything singleton
     assert blocks_no_hyperplane(g4, 3) == Partition.singletons(7)
     assert blocks_no_hyperplane(g4, 2) == Partition.singletons(7)
+
+
+@pytest.mark.parametrize("group", ["g4", "g7"])
+def test_specialization_search_is_bounded(group, request):
+    # a hyperplane required both on and off admits no vector at all
+    g = request.getfixturevalue(group)
+    normal = next(t.normal for t in g.hyperplane_tables if t.normal)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="exceeded"):
+        for _ in _admissible_specs(g, on=[normal], off=[normal]):
+            pass
+    assert time.monotonic() - start < 5.0

@@ -126,6 +126,19 @@ def test_corruption_transport_mismatch(db_copy):
                           for line in report)
 
 
+@pytest.mark.parametrize("primes", ["23", [2, "3"], [5], [True], 3])
+def test_corruption_bad_table_primes(db_copy, runner, primes):
+    path = rewrite(
+        db_copy, "g4.json",
+        lambda d: d["hyperplane_tables"][1].__setitem__("primes", primes),
+    )
+    with pytest.raises(StoreError) as err:
+        load(path)
+    assert any("primes" in line for line in err.value.report)
+    result = runner.invoke(main, ["verify-db", str(path)])
+    assert result.exit_code == 5
+
+
 def test_store_error_collects_reports(db_copy):
     path = rewrite(
         db_copy, "g4.json",
