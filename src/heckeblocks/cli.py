@@ -121,8 +121,7 @@ def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
         hit = [t.hyperplane for t in hyperplanes_containing(g.hyperplane_tables, spec)]
         blocks = rouquier_from_tables(g, spec)
     else:
-        stored = g.schur_elements or {}
-        if not all(c in stored for c in g.characters):
+        if not g.has_full_schur:
             click.echo(
                 f"full Schur payload not stored for {group}", err=True
             )
@@ -132,7 +131,7 @@ def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
         normals = set()
         for p in sorted(bad_primes(g, n)):
             for c in g.characters:
-                normals |= essential_monomials(stored[c], p)
+                normals |= essential_monomials(g.schur_elements[c], p)
         hit = [
             Hyperplane(v) for v in sorted(normals)
             if sum(a * b for a, b in zip(v, n)) == 0

@@ -5,11 +5,15 @@ reduced modulo the N-th cyclotomic polynomial.  Mixed-conductor arithmetic
 lifts both operands to the least common multiple conductor first.  Descent
 to a subring Z[zeta_m] applies an exact rational left inverse of the lift
 map, built once per (m, N), and re-lifts the result to check membership.
+The norm is the product of the Galois conjugates.
 
 The module also provides roots of unity in exponent form, K-cyclotomic
 polynomials (minimal polynomials of roots of unity over a cyclotomic field
-K = Q(zeta_m), stored as a Galois orbit of root exponents), and handles for
-prime ideals of Z[zeta_N] above a rational prime.
+K = Q(zeta_m), stored as a Galois orbit of root exponents), handles for
+prime ideals of Z[zeta_N] above a rational prime, and the small integer
+number theory all of this needs (trial-division factorisation, primality,
+Euler's totient).  Everything is plain integer code except prime_handle,
+which imports sympy on first use to factor Phi_N over GF(p).
 """
 
 from __future__ import annotations
@@ -19,27 +23,56 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import sympy
-from sympy import Poly, Symbol
-
 __all__ = [
     "CycInt",
     "RootOfUnity",
     "KCyclotomic",
     "PrimeIdealHandle",
     "euler_phi",
+    "factorint",
+    "isprime",
     "prime_handle",
     "in_prime_ideal",
     "cyclotomic_value_at_one",
     "is_p_essential_factor",
 ]
 
-_T = Symbol("T")
+# Every trial divisor of factorint is below this.
+_TRIAL_BOUND = 1 << 20
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorisation {p: exponent} of n >= 1, by trial division.
+
+    Raises ValueError when a cofactor of at least _TRIAL_BOUND**2 has no
+    prime factor below _TRIAL_BOUND, rather than search further."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        if p >= _TRIAL_BOUND:
+            raise ValueError(f"{n} has no prime factor below {_TRIAL_BOUND}")
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def isprime(n: int) -> bool:
+    """Primality by factorint; ValueError past its bound."""
+    return n > 1 and factorint(n) == {n: 1}
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return int(sympy.totient(n))
+    out = 1
+    for p, k in factorint(n).items():
+        out *= (p - 1) * p ** (k - 1)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -258,14 +291,14 @@ class CycInt:
     # -- norm ---------------------------------------------------------------
 
     def norm(self) -> int:
-        """Field norm over Q, as the resultant Res(Phi_N, a(T))."""
-        if self.conductor == 1:
-            return self.coeffs[0]
-        if self.is_zero():
-            return 0
-        phi = Poly(_phi_coeffs(self.conductor)[::-1], _T)
-        f = Poly(self.coeffs[::-1], _T)
-        return int(phi.resultant(f))
+        """Field norm over Q: the product of the images under
+        zeta_N -> zeta_N^t for every t coprime to N."""
+        n = self.conductor
+        acc = self
+        for t in range(2, n):
+            if gcd(t, n) == 1:
+                acc = acc * self.galois_conjugate(t)
+        return acc.as_int()
 
     # -- comparison ----------------------------------------------------------
 
@@ -434,12 +467,16 @@ class PrimeIdealHandle:
 
 @lru_cache(maxsize=None)
 def prime_handle(p: int, conductor: int) -> PrimeIdealHandle:
-    if not sympy.isprime(p):
+    """Handle of a prime of Z[zeta_N] over p; sympy is imported here only,
+    on first use, to factor Phi_N over GF(p)."""
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
     if conductor == 1:
         # Degenerate convention: membership reduces to divisibility by p.
         return PrimeIdealHandle(p, 1, (0, 1))
-    poly = Poly(_phi_coeffs(conductor)[::-1], _T, modulus=p)
+    from sympy import Poly, Symbol
+
+    poly = Poly(_phi_coeffs(conductor)[::-1], Symbol("T"), modulus=p)
     factors = []
     for fac, _mult in poly.factor_list()[1]:
         coeffs = [int(c) % p for c in fac.all_coeffs()[::-1]]
@@ -472,7 +509,7 @@ def cyclotomic_value_at_one(n: int) -> int:
     """Phi_n(1) for n >= 2: p when n is a power of the prime p, else 1."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    primes = sympy.factorint(n)
+    primes = factorint(n)
     if len(primes) == 1:
         return next(iter(primes))
     return 1

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-import sympy
-
 from .cyclo import (
     CycInt,
     KCyclotomic,
     RootOfUnity,
     euler_phi,
+    factorint,
     is_p_essential_factor,
+    isprime,
 )
 from .lattice import IntVector, primitive_part
 
@@ -110,6 +110,13 @@ class GroupDatum:
             raise ValueError("character labels must be unique")
 
     @property
+    def has_full_schur(self) -> bool:
+        """Whether a Schur element is stored for every character."""
+        return self.schur_elements is not None and all(
+            c in self.schur_elements for c in self.characters
+        )
+
+    @property
     def slot_count(self) -> int:
         return sum(e for _, e in self.orbits)
 
@@ -166,12 +173,23 @@ class SchurElement:
 class SpecializedSchur:
     """A Schur element after u_(C,j) -> y^(n_(C,j)): a Laurent polynomial
 
-    psi_coeff * y^y_power * prod Psi_i(y^delta_i)^mult_i  with delta_i != 0.
+    psi_coeff * y^y_power * prod Psi_i(y^delta_i)^mult_i  with delta_i != 0,
+
+    where psi_coeff = xi * prod Psi_k(1)^mult_k over the factors whose
+    monomial vanishes at n; it is multiplied out only when read.
     """
 
-    psi_coeff: CycInt
+    xi: CycInt
     y_power: int
     terms: tuple[tuple[KCyclotomic, int, int], ...]  # (psi, delta, mult)
+    constants: tuple[tuple[KCyclotomic, int], ...]  # (psi, mult), delta = 0
+
+    @property
+    def psi_coeff(self) -> CycInt:
+        coeff = self.xi
+        for psi, mult in self.constants:
+            coeff = coeff * psi.value_at_one() ** mult
+        return coeff
 
 
 def sign_canonical(v: IntVector) -> IntVector:
@@ -349,26 +367,21 @@ def essential_monomials(s: SchurElement, p: int) -> set[IntVector]:
     }
 
 
-def _primes_dividing(n: int) -> list[int]:
-    return sorted(sympy.factorint(n))
-
-
 def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
     """Normals of the p-essential hyperplanes (p = 0: all bad primes).
 
     Prefers the full Schur payload; falls back to stored hyperplane tables.
+    Divisibility of the group order is tested before primality, so no
+    argument larger than the group order is ever factorised.
     """
     if p != 0:
-        if not sympy.isprime(p) or g.group_order % p:
+        if p <= 1 or g.group_order % p or not isprime(p):
             raise BadPrimeArgument("The number p should divide the order of the group")
         primes = [p]
     else:
-        primes = _primes_dividing(g.group_order)
+        primes = sorted(factorint(g.group_order))
     normals: set[IntVector] = set()
-    have_full_schur = g.schur_elements is not None and all(
-        c in g.schur_elements for c in g.characters
-    )
-    if have_full_schur:
+    if g.has_full_schur:
         for c in g.characters:
             for q in primes:
                 normals |= essential_monomials(g.schur_elements[c], q)
@@ -389,16 +402,15 @@ def specialize(g: GroupDatum, s: SchurElement, n: IntVector) -> SpecializedSchur
     """Image of the Schur element under u_(C,j) -> y^(n_(C,j))."""
     if len(n) != g.slot_count:
         raise ValueError("specialization vector has wrong length")
-    coeff = s.xi
     y_power = sum(a * b for a, b in zip(s.lead, n))
-    terms = []
+    terms, constants = [], []
     for fac in s.factors:
         delta = sum(a * b for a, b in zip(fac.monomial, n))
         if delta == 0:
-            coeff = coeff * fac.psi.value_at_one() ** fac.mult
+            constants.append((fac.psi, fac.mult))
         else:
             terms.append((fac.psi, delta, fac.mult))
-    return SpecializedSchur(coeff, y_power, tuple(terms))
+    return SpecializedSchur(s.xi, y_power, tuple(terms), tuple(constants))
 
 
 def a_and_A(g: GroupDatum, sp: SpecializedSchur) -> tuple[Fraction, Fraction]:
@@ -417,15 +429,13 @@ def a_and_A(g: GroupDatum, sp: SpecializedSchur) -> tuple[Fraction, Fraction]:
 
 def bad_primes(g: GroupDatum, n: IntVector) -> set[int]:
     """Primes p with some specialized coefficient psi_chi in a prime above p."""
-    if g.schur_elements is None or not all(
-        c in g.schur_elements for c in g.characters
-    ):
+    if not g.has_full_schur:
         raise ValueError(f"full Schur payload required for {g.name}")
     out: set[int] = set()
     for c in g.characters:
         sp = specialize(g, g.schur_elements[c], n)
         nrm = abs(sp.psi_coeff.norm())
-        out |= set(sympy.factorint(nrm))
+        out |= set(factorint(nrm))
     return out
 
 

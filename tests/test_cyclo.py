@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 from sympy import Poly, Symbol, cyclotomic_poly
 
 from heckeblocks.cyclo import (
@@ -18,7 +19,9 @@ from heckeblocks.cyclo import (
     RootOfUnity,
     cyclotomic_value_at_one,
     euler_phi,
+    factorint,
     in_prime_ideal,
+    isprime,
     is_p_essential_factor,
     prime_handle,
     _phi_coeffs,
@@ -95,6 +98,28 @@ def test_phi_coeffs_match_sympy():
         assert list(_phi_coeffs(n)) == [int(c) for c in expected], n
 
 
+def test_factorint_isprime_euler_phi_match_sympy():
+    for n in range(1, 2000):
+        assert factorint(n) == sympy.factorint(n), n
+        assert euler_phi(n) == sympy.totient(n), n
+    for n in range(-5, 2000):
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_factorint_stops_at_its_trial_bound():
+    p = sympy.nextprime(1 << 20)
+    q = sympy.nextprime(p)
+    # a prime cofactor below the bound squared is recognised
+    assert factorint(6 * p) == {2: 1, 3: 1, p: 1}
+    assert isprime(p) and not isprime(p * 2)
+    start = time.monotonic()
+    with pytest.raises(ValueError):
+        factorint(p * q)
+    with pytest.raises(ValueError):
+        isprime(p * q)
+    assert time.monotonic() - start < 1.0
+
+
 def test_mixed_conductor_equality():
     assert CycInt.zeta(6) == CycInt.rational(1) + CycInt.zeta(3)
     assert CycInt.zeta(4) != CycInt.zeta(8)
@@ -143,6 +168,31 @@ def test_norm_multiplicativity_on_random_pairs():
         n = rng.choice(CONDUCTORS)
         a, b = random_cycint(rng, n), random_cycint(rng, n)
         assert (a * b).norm() == a.norm() * b.norm()
+
+
+def resultant_norm(a: CycInt) -> int:
+    """Independent norm oracle: Res(Phi_N, a(x)) through sympy."""
+    x = Symbol("x")
+    phi = Poly(_phi_coeffs(a.conductor)[::-1], x)
+    return int(phi.resultant(Poly(a.coeffs[::-1], x)))
+
+
+def test_norm_matches_resultant_oracle():
+    rng = random.Random(29)
+    for n in CONDUCTORS:
+        for _ in range(30):
+            a = random_cycint(rng, n)
+            if not a.is_zero():
+                assert a.norm() == resultant_norm(a), a
+        assert CycInt(n, [0] * euler_phi(n)).norm() == 0
+    sweep = {
+        KCyclotomic.of(m, RootOfUnity.of(d, e))
+        for m in SWEEP_FIELDS for d in range(2, 61) for e in range(1, d)
+        if gcd(e, d) == 1
+    }
+    for psi in sweep:
+        value = psi.value_at_one()
+        assert value.norm() == resultant_norm(value), psi
 
 
 def test_norm_of_rationals_and_units():

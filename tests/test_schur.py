@@ -2,6 +2,7 @@
 essential monomials, and the a/A invariants against a brute-force Laurent
 expansion."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -14,6 +15,7 @@ from heckeblocks.schur import (
     SchurDataError,
     SchurFactorX,
     a_and_A,
+    bad_primes,
     essential_hyperplanes,
     essential_monomials,
     generic_singleton,
@@ -244,6 +246,17 @@ def test_specialization_at_zero_recovers_group_order_over_degree(g7):
         assert sp.terms == ()
         assert sp.psi_coeff == CycInt.rational(g7.group_order // s.char.degree)
         assert a_and_A(g7, sp) == (Fraction(0), Fraction(0))
+
+
+def test_bad_primes_on_a_full_payload(g7):
+    # G7 cut down to the characters with stored Schur data has a full payload
+    g = replace(g7, characters=tuple(g7.schur_elements))
+    assert g.has_full_schur and not g7.has_full_schur
+    with pytest.raises(ValueError):
+        bad_primes(g7, (0,) * 8)
+    # at n = 0 the coefficients are |G| / chi(1) = 144, 72, 48
+    assert bad_primes(g, (0,) * 8) == {2, 3}
+    assert bad_primes(g, (2, -1, 1, 0, -1, 3, -2, -1)) <= {2, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@
 command-line surface with its exit-code contract."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import heckeblocks
 from heckeblocks.cli import main
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
@@ -172,6 +178,45 @@ def test_cli_essential_hyperplanes_bad_prime(runner):
     assert result.exit_code == 2
     assert "Error, The number p should divide the order of the group" \
         in result.output
+
+
+@pytest.mark.parametrize("prime", ["1", "-3", "1000000000000000000000007"])
+def test_cli_prime_outside_the_group_order_exits_two_quickly(runner, prime):
+    start = time.monotonic()
+    result = runner.invoke(main, ["essential-hyperplanes", "G4", "-p", prime])
+    assert time.monotonic() - start < 1.0
+    assert result.exit_code == 2
+    assert "Error, The number p should divide the order of the group" \
+        in result.output
+
+
+# Runs the CLI in a fresh interpreter and reports at exit whether sympy
+# was ever imported.
+_SYMPY_PROBE = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print('sympy loaded:', 'sympy' in sys.modules))\n"
+    "from heckeblocks.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize("args", [
+    ["all-blocks", "G7"],
+    ["rouquier-blocks", "G4", "--path", "tables", "--exponents", "0,1,2"],
+    ["essential-hyperplanes", "G4", "-p", "0"],
+    ["verify-db"],
+])
+def test_cli_table_queries_never_import_sympy(args):
+    env = dict(os.environ)
+    src = str(Path(heckeblocks.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _SYMPY_PROBE, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "sympy loaded: False"
 
 
 def test_cli_all_blocks_name_mode(runner):
