@@ -20,7 +20,7 @@ from .engine import (
     blocks_one_hyperplane,
     join,
     meet,
-    rouquier_from_schur,
+    rouquier_blocks,
     rouquier_from_tables,
 )
 from .groupblocks import CharacterTable, Partition, p_blocks

@@ -7,13 +7,7 @@ import sys
 
 import click
 
-from .engine import (
-    Hyperplane,
-    Specialization,
-    hyperplanes_containing,
-    rouquier_from_schur,
-    rouquier_from_tables,
-)
+from .engine import Hyperplane, Specialization, rouquier_blocks
 from .groupblocks import Partition
 from .schur import BadPrimeArgument, essential_hyperplanes
 from .store import StoreError, load, load_group, verify_db
@@ -112,31 +106,12 @@ def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
             f"{group} needs {g.slot_count} exponents, got {len(n)}", err=True
         )
         sys.exit(EXIT_BAD_ARITY)
-    spec = Specialization(n)
+    try:
+        hit, blocks = rouquier_blocks(g, Specialization(n), which)
+    except ValueError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_MISSING_PAYLOAD)
     names = g.slot_names()
-    if which == "tables":
-        if g.hyperplane_tables is None:
-            click.echo(f"no hyperplane tables stored for {group}", err=True)
-            sys.exit(EXIT_MISSING_PAYLOAD)
-        hit = [t.hyperplane for t in hyperplanes_containing(g.hyperplane_tables, spec)]
-        blocks = rouquier_from_tables(g, spec)
-    else:
-        if not g.has_full_schur:
-            click.echo(
-                f"full Schur payload not stored for {group}", err=True
-            )
-            sys.exit(EXIT_MISSING_PAYLOAD)
-        from .schur import bad_primes, essential_monomials
-
-        normals = set()
-        for p in sorted(bad_primes(g, n)):
-            for c in g.characters:
-                normals |= essential_monomials(g.schur_elements[c], p)
-        hit = [
-            Hyperplane(v) for v in sorted(normals)
-            if sum(a * b for a, b in zip(v, n)) == 0
-        ]
-        blocks = rouquier_from_schur(g, spec)
     rendered = ", ".join(h.render(names) for h in hit)
     click.echo(f"Essential hyperplanes hit: {rendered or 'none'}")
     click.echo(_render_partition(g, blocks, display))

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import CycInt, RootOfUnity
-from .engine import Hyperplane, HyperplaneTable, join
-from .groupblocks import Partition
-from .lattice import IntVector, primitive_part
+from .engine import Hyperplane, HyperplaneTable
+from .groupblocks import Partition, join
+from .lattice import IntVector
 from .schur import CharLabel, GroupDatum, SchurElement, SchurFactorX
 
 __all__ = [
@@ -72,34 +72,28 @@ def transport_blocks(link: CliffordLink, parent_blocks: Partition) -> Partition:
     share a block when some parent block meets both induction images."""
     if parent_blocks.size != len(link.parent_characters):
         raise ValueError("partition does not match the link's parent")
-    n_child = len(link.child_characters)
     rows = link.induction_indices()
     # child i ~ child j <=> some parent part meets Ind(i) and Ind(j)
-    parts: list[list[int]] = [[i] for i in range(1, n_child + 1)]
-    seeds = [Partition.of(parts, n_child)]
-    for block in parent_blocks.parts:
-        touched = [
-            child for child, parents in rows if set(parents) & set(block)
-        ]
-        if touched:
-            seeds.append(
-                Partition.of(
-                    [touched] + [[i] for i in range(1, n_child + 1)
-                                 if i not in touched],
-                    n_child,
-                )
-            )
-    return join(seeds)
+    touched = (
+        [child for child, parents in rows if set(parents) & set(block)]
+        for block in parent_blocks.parts
+    )
+    return Partition.generated_by(touched, len(link.child_characters))
 
 
-def _restrict_normal(link: CliffordLink, normal: IntVector, child_slots: int
-                     ) -> IntVector:
+def _restrict(link: CliffordLink, exps: IntVector, child_slots: int,
+              den: int = 1) -> tuple[IntVector, RootOfUnity]:
+    """Push the monomial x^(exps/den) through parameter_spec: a slot entry
+    adds its exponent to the child slot, a root entry multiplies its power
+    into the returned twist."""
     out = [0] * child_slots
-    for coeff, entry in zip(normal, link.parameter_spec):
-        kind, payload = entry
+    twist = RootOfUnity.one()
+    for c, (kind, payload) in zip(exps, link.parameter_spec):
         if kind == "slot":
-            out[payload] += coeff
-    return tuple(out)
+            out[payload] += c
+        elif c:
+            twist = twist * _root_power(payload, c, den)
+    return tuple(out), twist
 
 
 def descend_hyperplanes(
@@ -111,36 +105,28 @@ def descend_hyperplanes(
     primitivized and deduplicated, joining blocks that collide."""
     n_child = len(link.child_characters)
     baseline_parts: list[Partition] = []
-    ordered: list[IntVector] = []
-    by_normal: dict[IntVector, list[Partition]] = {}
+    by_normal: dict[IntVector, list[Partition]] = {}  # in first-seen order
     primes: dict[IntVector, set[int]] = {}
     for table in parent_tables:
         moved = transport_blocks(link, table.blocks)
         if table.hyperplane is None:
             baseline_parts.insert(0, moved)
             continue
-        restricted = _restrict_normal(link, table.normal, child_slots)
-        prim, content = primitive_part(restricted)
-        if content == 0:
+        restricted, _ = _restrict(link, table.normal, child_slots)
+        if not any(restricted):
             baseline_parts.append(moved)
             continue
-        h = Hyperplane.of(prim)
-        if h.normal not in by_normal:
-            ordered.append(h.normal)
-            by_normal[h.normal] = []
-            primes[h.normal] = set()
-        by_normal[h.normal].append(moved)
-        primes[h.normal] |= set(table.primes)
+        h = Hyperplane.of(restricted)
+        by_normal.setdefault(h.normal, []).append(moved)
+        primes.setdefault(h.normal, set()).update(table.primes)
     baseline = (
         join(baseline_parts) if baseline_parts else Partition.singletons(n_child)
     )
     out = [HyperplaneTable(None, baseline, frozenset())]
-    for normal in ordered:
+    for normal, moved_blocks in by_normal.items():
         out.append(
             HyperplaneTable(
-                Hyperplane(normal),
-                join(by_normal[normal]),
-                frozenset(primes[normal]),
+                Hyperplane(normal), join(moved_blocks), frozenset(primes[normal])
             )
         )
     return out
@@ -160,29 +146,16 @@ def transport_schur_x(
     lead_den: int = 1,
 ):
     """Specialize an x-form parent Schur element along parameter_spec."""
-    lead_twist = RootOfUnity.one()
-    new_lead = [0] * child_slots
-    for c, entry in zip(lead_x, link.parameter_spec):
-        kind, payload = entry
-        if kind == "slot":
-            new_lead[payload] += c
-        elif c:
-            lead_twist = lead_twist * _root_power(payload, c, lead_den)
-    new_coeff = coeff * lead_twist.as_cycint()
+    new_lead, lead_twist = _restrict(link, lead_x, child_slots, lead_den)
     new_factors = []
     for fac in factors:
-        twist = fac.twist
-        num = [0] * child_slots
-        for c, entry in zip(fac.exps_numerator, link.parameter_spec):
-            kind, payload = entry
-            if kind == "slot":
-                num[payload] += c
-            elif c:
-                twist = twist * _root_power(payload, c, fac.exps_denominator)
-        new_factors.append(
-            SchurFactorX(fac.cyc_index, tuple(num), fac.exps_denominator, twist)
+        num, twist = _restrict(
+            link, fac.exps_numerator, child_slots, fac.exps_denominator
         )
-    return new_coeff, tuple(new_lead), lead_den, new_factors
+        new_factors.append(SchurFactorX(
+            fac.cyc_index, num, fac.exps_denominator, fac.twist * twist
+        ))
+    return coeff * lead_twist.as_cycint(), new_lead, lead_den, new_factors
 
 
 def validate_schur_scaling(

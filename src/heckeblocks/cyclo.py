@@ -407,6 +407,12 @@ def _orbit_multipliers(m: int, d: int) -> tuple[int, ...]:
                          if gcd(t, big) == 1 and t % m == 1 % m}))
 
 
+@lru_cache(maxsize=None)
+def _orbit(m: int, d: int, e: int) -> tuple[int, ...]:
+    """Sorted exponents of the Galois orbit of zeta_d^e over Q(zeta_m)."""
+    return tuple(sorted({e * t % d for t in _orbit_multipliers(m, d)}))
+
+
 @dataclass(frozen=True)
 class KCyclotomic:
     """Minimal polynomial over K = Q(zeta_m) of a root of unity of order >= 2.
@@ -428,9 +434,7 @@ class KCyclotomic:
         return KCyclotomic(field_conductor, RootOfUnity(d, min(orbit)))
 
     def orbit(self) -> tuple[int, ...]:
-        d = self.root.order
-        mults = _orbit_multipliers(self.field_conductor, d)
-        return tuple(sorted({self.root.exponent * t % d for t in mults}))
+        return _orbit(self.field_conductor, self.root.order, self.root.exponent)
 
     @property
     def degree(self) -> int:

@@ -1,10 +1,12 @@
-"""Partition algebra and the two Rouquier-block computation paths.
+"""The two Rouquier-block computation paths.
 
 The table path joins stored per-hyperplane block partitions for the
 hyperplanes a specialization lies on.  The Schur path re-derives those
 partitions from factorized Schur elements: coefficient divisibility,
 group-theoretic p-blocks, and the constancy of a + A across deterministic
-test specializations.
+test specializations.  rouquier_blocks answers a query along either path.
+The partition lattice (Partition, meet, join) lives in groupblocks and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groupblocks import Partition, p_blocks
-from .lattice import IntVector, primitive_part
+from .groupblocks import Partition, join, meet, p_blocks
+from .lattice import IntVector, dot, primitive_part
 from .schur import (
     GroupDatum,
     a_and_A,
     bad_primes,
     essential_monomials,
+    essential_normals,
     sign_canonical,
     specialize,
 )
@@ -30,10 +33,10 @@ __all__ = [
     "meet",
     "join",
     "hyperplanes_containing",
+    "rouquier_blocks",
     "rouquier_from_tables",
     "blocks_no_hyperplane",
     "blocks_one_hyperplane",
-    "rouquier_from_schur",
 ]
 
 _SEARCH_BOXES = (1, 2, 4, 8, 16, 32, 64)
@@ -58,7 +61,7 @@ class Hyperplane:
         return Hyperplane(sign_canonical(prim))
 
     def contains(self, n: IntVector) -> bool:
-        return sum(a * b for a, b in zip(self.normal, n)) == 0
+        return dot(self.normal, n) == 0
 
     def render(self, slot_names: list[str]) -> str:
         out = []
@@ -91,51 +94,6 @@ class Specialization:
     n: IntVector
 
 
-def _check_sizes(ps: list[Partition]):
-    sizes = {p.size for p in ps}
-    if len(sizes) > 1:
-        raise ValueError("partitions are over different index sets")
-
-
-def meet(p1: Partition, p2: Partition) -> Partition:
-    """Common refinement: indices grouped by their pair of part numbers."""
-    _check_sizes([p1, p2])
-    label = {}
-    for k, part in enumerate(p2.parts):
-        for i in part:
-            label[i] = k
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, part in enumerate(p1.parts):
-        for i in part:
-            groups.setdefault((k, label[i]), []).append(i)
-    return Partition.of(list(groups.values()), p1.size)
-
-
-def join(ps: list[Partition]) -> Partition:
-    """Finest common coarsening, by union-find over all parts."""
-    if not ps:
-        raise ValueError("join of no partitions")
-    _check_sizes(ps)
-    size = ps[0].size
-    parent = list(range(size + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in ps:
-        for part in p.parts:
-            root = find(part[0])
-            for i in part[1:]:
-                parent[find(i)] = root
-    groups: dict[int, list[int]] = {}
-    for i in range(1, size + 1):
-        groups.setdefault(find(i), []).append(i)
-    return Partition.of(list(groups.values()), size)
-
-
 def hyperplanes_containing(
     tables, spec: Specialization
 ) -> list[HyperplaneTable]:
@@ -155,32 +113,45 @@ def _baseline_table(g: GroupDatum) -> HyperplaneTable:
     raise ValueError(f"{g.name} tables lack the no-hyperplane baseline")
 
 
+def rouquier_blocks(
+    g: GroupDatum, spec: Specialization, path: str = "tables"
+) -> tuple[list[Hyperplane], Partition]:
+    """The essential hyperplanes the specialization lies on, and its
+    Rouquier blocks, each computed once.
+
+    path "tables": the hyperplanes of the stored tables, and the join of
+    the baseline blocks with their blocks.  path "schur": the p-essential
+    hyperplanes over the bad primes p of the specialization, and the join
+    over those primes of the heuristic blocks off every hyperplane and on
+    each hit one.  Raises ValueError when the path's data is not stored."""
+    if path == "tables":
+        baseline = _baseline_table(g)
+        hit = hyperplanes_containing(g.hyperplane_tables, spec)
+        blocks = join([baseline.blocks] + [t.blocks for t in hit])
+        return [t.hyperplane for t in hit], blocks
+    if path != "schur":
+        raise ValueError(f"unknown path {path!r}")
+    primes = sorted(bad_primes(g, spec.n))
+    hit: set[IntVector] = set()
+    parts = [Partition.singletons(len(g.characters))]
+    for p in primes:
+        parts.append(blocks_no_hyperplane(g, p))
+        for normal in sorted(essential_normals(g, [p])):
+            if dot(normal, spec.n) == 0:
+                hit.add(normal)
+                parts.append(blocks_one_hyperplane(g, p, Hyperplane(normal)))
+    return [Hyperplane(v) for v in sorted(hit)], join(parts)
+
+
 def rouquier_from_tables(g: GroupDatum, spec: Specialization) -> Partition:
     """Join of the baseline blocks with the blocks of every essential
     hyperplane the specialization lies on."""
-    baseline = _baseline_table(g)
-    hit = hyperplanes_containing(g.hyperplane_tables, spec)
-    return join([baseline.blocks] + [t.blocks for t in hit])
+    return rouquier_blocks(g, spec)[1]
 
 
 # ---------------------------------------------------------------------------
 # heuristic path from Schur data
 # ---------------------------------------------------------------------------
-
-
-def _available_schur(g: GroupDatum) -> dict[int, object]:
-    """1-based index -> SchurElement for the characters with stored data."""
-    stored = g.schur_elements or {}
-    return {
-        i + 1: stored[c] for i, c in enumerate(g.characters) if c in stored
-    }
-
-
-def _p_essential_normals(g: GroupDatum, p: int) -> set[IntVector]:
-    normals: set[IntVector] = set()
-    for s in _available_schur(g).values():
-        normals |= essential_monomials(s, p)
-    return normals
 
 
 def _admissible_specs(g: GroupDatum, on, off):
@@ -200,9 +171,9 @@ def _admissible_specs(g: GroupDatum, on, off):
                 )
             if box > 1 and max((abs(x) for x in n), default=0) <= box // 2:
                 continue  # already visited in a smaller box
-            if any(sum(a * b for a, b in zip(h, n)) for h in on):
+            if any(dot(h, n) for h in on):
                 continue
-            if any(sum(a * b for a, b in zip(h, n)) == 0 for h in off):
+            if any(dot(h, n) == 0 for h in off):
                 continue
             yield n
 
@@ -211,24 +182,19 @@ def _aa_partition(g: GroupDatum, avail: dict, n: IntVector) -> Partition:
     """Characters grouped by equal a + A at the specialization n; characters
     without Schur data stay singletons."""
     sums: dict[object, list[int]] = {}
-    size = len(g.characters)
-    leftover = []
-    for i in range(1, size + 1):
-        if i in avail:
-            a, big_a = a_and_A(g, specialize(g, avail[i], n))
-            sums.setdefault(a + big_a, []).append(i)
-        else:
-            leftover.append([i])
-    return Partition.of(list(sums.values()) + leftover, size)
+    for i, s in avail.items():
+        a, big_a = a_and_A(g, specialize(g, s, n))
+        sums.setdefault(a + big_a, []).append(i)
+    return Partition.generated_by(sums.values(), len(g.characters))
 
 
-def _heuristic_blocks(
-    g: GroupDatum, p: int, seed: Partition, on, off
-) -> Partition:
-    """Steps 2-3 of the heuristic: meet with the group p-blocks, then with
-    a+A partitions over admissible specializations until stable."""
-    avail = _available_schur(g)
-    current = seed
+def _heuristic_blocks(g: GroupDatum, p: int, seed: list[int], on, off
+                      ) -> Partition:
+    """Steps 2-3 of the heuristic, from the seed part (every other
+    character a singleton): meet with the group p-blocks, then with a+A
+    partitions over admissible specializations until stable."""
+    avail = g.stored_schur()
+    current = Partition.generated_by([seed], len(g.characters))
     if g.character_table is not None:
         current = meet(current, p_blocks(g.character_table, p))
     specs = _admissible_specs(g, on, off)
@@ -257,50 +223,24 @@ def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:
     therefore no guaranteed coarsening of the true blocks: on G7, whose
     payload covers 3 of 42 characters, it is 42 singletons, finer than the
     stored 29-part baseline.  Only the stored tables are authoritative."""
-    size = len(g.characters)
     if g.group_order % p:
-        return Partition.singletons(size)
-    avail = _available_schur(g)
-    heavy = [i for i, s in avail.items() if abs(s.xi.norm()) % p == 0]
-    seed = Partition.of(
-        ([heavy] if heavy else [])
-        + [[i] for i in range(1, size + 1) if i not in heavy],
-        size,
-    )
-    off = _p_essential_normals(g, p)
-    return _heuristic_blocks(g, p, seed, on=[], off=off)
+        return Partition.singletons(len(g.characters))
+    heavy = [
+        i for i, s in g.stored_schur().items() if abs(s.xi.norm()) % p == 0
+    ]
+    return _heuristic_blocks(g, p, heavy, on=[], off=essential_normals(g, [p]))
 
 
 def blocks_one_hyperplane(g: GroupDatum, p: int, h: Hyperplane) -> Partition:
     """Candidate blocks on a single essential hyperplane, joined with the
     no-hyperplane blocks."""
-    size = len(g.characters)
     if g.group_order % p:
-        return Partition.singletons(size)
-    avail = _available_schur(g)
+        return Partition.singletons(len(g.characters))
     normal = sign_canonical(h.normal)
     core = [
-        i for i, s in avail.items() if normal in essential_monomials(s, p)
+        i for i, s in g.stored_schur().items()
+        if normal in essential_monomials(s, p)
     ]
-    seed = Partition.of(
-        ([core] if core else [])
-        + [[i] for i in range(1, size + 1) if i not in core],
-        size,
-    )
-    off = _p_essential_normals(g, p) - {normal}
-    lam3 = _heuristic_blocks(g, p, seed, on=[normal], off=off)
+    off = essential_normals(g, [p]) - {normal}
+    lam3 = _heuristic_blocks(g, p, core, on=[normal], off=off)
     return join([lam3, blocks_no_hyperplane(g, p)])
-
-
-def rouquier_from_schur(g: GroupDatum, spec: Specialization) -> Partition:
-    """Blocks of the cyclotomic specialization along the Schur path: join
-    over the bad primes of the per-hyperplane candidate blocks."""
-    size = len(g.characters)
-    primes = sorted(bad_primes(g, spec.n))
-    parts = [Partition.singletons(size)]
-    for p in primes:
-        parts.append(blocks_no_hyperplane(g, p))
-        for normal in sorted(_p_essential_normals(g, p)):
-            if sum(a * b for a, b in zip(normal, spec.n)) == 0:
-                parts.append(blocks_one_hyperplane(g, p, Hyperplane(normal)))
-    return join(parts)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 __all__ = [
     "IntVector",
     "LatticeMorphism",
+    "dot",
     "primitive_part",
     "bezout_cofactors",
     "associated_morphism",
@@ -46,7 +48,7 @@ class LatticeMorphism:
     def apply(self, v: IntVector) -> IntVector:
         if len(v) != self.cols:
             raise ValueError("vector length does not match morphism domain")
-        return tuple(sum(r * x for r, x in zip(row, v)) for row in self.matrix)
+        return tuple(dot(row, v) for row in self.matrix)
 
     def is_surjective(self) -> bool:
         if self.rows > self.cols:
@@ -54,6 +56,11 @@ class LatticeMorphism:
         _, s, _ = _smith(self.matrix)
         divisors = [s[i][i] for i in range(self.rows)]
         return all(abs(d) == 1 for d in divisors)
+
+
+def dot(u: IntVector, v: IntVector) -> int:
+    """Standard inner product of two exponent vectors."""
+    return sum(map(mul, u, v))
 
 
 def primitive_part(v: IntVector) -> tuple[IntVector, int]:
@@ -183,10 +190,8 @@ def _smith(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    columns = list(zip(*b))
+    return tuple(tuple(dot(row, col) for col in columns) for row in a)
 
 
 def _kernel_basis(a: Matrix) -> list[IntVector]:

@@ -28,7 +28,7 @@ from .cyclo import (
     is_p_essential_factor,
     isprime,
 )
-from .lattice import IntVector, primitive_part
+from .lattice import IntVector, dot, primitive_part
 
 __all__ = [
     "CharLabel",
@@ -44,6 +44,7 @@ __all__ = [
     "validate",
     "value_at_one",
     "essential_monomials",
+    "essential_normals",
     "essential_hyperplanes",
     "specialize",
     "a_and_A",
@@ -116,6 +117,13 @@ class GroupDatum:
             c in self.schur_elements for c in self.characters
         )
 
+    def stored_schur(self) -> dict[int, "SchurElement"]:
+        """1-based character index -> Schur element, for the characters
+        with stored Schur data."""
+        stored = self.schur_elements or {}
+        return {i + 1: stored[c] for i, c in enumerate(self.characters)
+                if c in stored}
+
     @property
     def slot_count(self) -> int:
         return sum(e for _, e in self.orbits)
@@ -132,9 +140,6 @@ class GroupDatum:
             out.append(range(start, start + e))
             start += e
         return out
-
-    def char_index(self, label: CharLabel) -> int:
-        return self.characters.index(label)
 
 
 @dataclass(frozen=True)
@@ -206,11 +211,14 @@ def _orbit_sums(g: GroupDatum, v: IntVector) -> list[int]:
     return [sum(v[i] for i in rng) for rng in g.orbit_ranges()]
 
 
-def _slot_root(g: GroupDatum, slot: int, q: int) -> RootOfUnity:
-    """The root-of-unity part of x_(C,j)^(1/q): zeta_(q e_C)^j."""
-    ci, j = g.slots()[slot]
-    e = g.orbits[ci][1]
-    return RootOfUnity.of(q * e, j)
+def _slot_twist(g: GroupDatum, exps: IntVector, q: int) -> RootOfUnity:
+    """The root-of-unity part of x^(exps/q), where each x_(C,j)^(1/q)
+    contributes zeta_(q e_C)^j."""
+    twist = RootOfUnity.one()
+    for c, (ci, j) in zip(exps, g.slots()):
+        if c:
+            twist = twist * (RootOfUnity.of(q * g.orbits[ci][1], j) ** c)
+    return twist
 
 
 def normalize_x_to_v(
@@ -231,11 +239,7 @@ def normalize_x_to_v(
     if any((mu * c) % lead_den for c in lead_x):
         raise SchurDataError("leading monomial has non-integral v-exponents")
     lead = [mu * c // lead_den for c in lead_x]
-    lead_twist = RootOfUnity.one()
-    for slot, c in enumerate(lead_x):
-        if c:
-            lead_twist = lead_twist * (_slot_root(g, slot, lead_den) ** c)
-    xi = xi * lead_twist.as_cycint()
+    xi = xi * _slot_twist(g, lead_x, lead_den).as_cycint()
 
     collected: dict[tuple[KCyclotomic, IntVector], int] = {}
     for fac in factors:
@@ -248,10 +252,7 @@ def normalize_x_to_v(
         b_prim, content = primitive_part(b)
         if content == 0:
             raise SchurDataError("factor with trivial monomial")
-        rho = fac.twist
-        for slot, c in enumerate(w):
-            if c:
-                rho = rho * (_slot_root(g, slot, q) ** c)
+        rho = fac.twist * _slot_twist(g, w, q)
         # Phi_n(rho * T^content) = rho^phi(n) * prod_(tau in S) (T - tau)
         xi = xi * (rho.as_cycint() ** euler_phi(n))
         big = content * lcm(n, rho.order)
@@ -317,10 +318,9 @@ def _canonical_factor(psi: KCyclotomic, mono: IntVector):
 
 
 def value_at_one(g: GroupDatum, s: SchurElement) -> CycInt:
-    acc = s.xi
-    for fac in s.factors:
-        acc = acc * fac.psi.value_at_one() ** fac.mult
-    return acc
+    """s_chi(1): at the zero specialization every monomial vanishes, so the
+    whole element is the specialized coefficient."""
+    return specialize(g, s, (0,) * g.slot_count).psi_coeff
 
 
 def validate(g: GroupDatum, s: SchurElement) -> list[str]:
@@ -367,6 +367,17 @@ def essential_monomials(s: SchurElement, p: int) -> set[IntVector]:
     }
 
 
+def essential_normals(g: GroupDatum, primes) -> set[IntVector]:
+    """Union of essential_monomials over the stored Schur elements at the
+    given primes; characters without Schur data add nothing."""
+    return {
+        normal
+        for s in g.stored_schur().values()
+        for p in primes
+        for normal in essential_monomials(s, p)
+    }
+
+
 def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
     """Normals of the p-essential hyperplanes (p = 0: all bad primes).
 
@@ -380,32 +391,27 @@ def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
         primes = [p]
     else:
         primes = sorted(factorint(g.group_order))
-    normals: set[IntVector] = set()
     if g.has_full_schur:
-        for c in g.characters:
-            for q in primes:
-                normals |= essential_monomials(g.schur_elements[c], q)
-    elif g.hyperplane_tables is not None:
-        for table in g.hyperplane_tables:
-            if table.normal is None:
-                continue
-            if p == 0 or p in table.primes:
-                normals.add(sign_canonical(table.normal))
-    else:
+        return sorted(essential_normals(g, primes))
+    if g.hyperplane_tables is None:
         raise ValueError(
             f"no Schur payload or hyperplane tables stored for {g.name}"
         )
-    return sorted(normals)
+    return sorted({
+        sign_canonical(table.normal)
+        for table in g.hyperplane_tables
+        if table.normal is not None and (p == 0 or p in table.primes)
+    })
 
 
 def specialize(g: GroupDatum, s: SchurElement, n: IntVector) -> SpecializedSchur:
     """Image of the Schur element under u_(C,j) -> y^(n_(C,j))."""
     if len(n) != g.slot_count:
         raise ValueError("specialization vector has wrong length")
-    y_power = sum(a * b for a, b in zip(s.lead, n))
+    y_power = dot(s.lead, n)
     terms, constants = [], []
     for fac in s.factors:
-        delta = sum(a * b for a, b in zip(fac.monomial, n))
+        delta = dot(fac.monomial, n)
         if delta == 0:
             constants.append((fac.psi, fac.mult))
         else:
@@ -430,7 +436,7 @@ def a_and_A(g: GroupDatum, sp: SpecializedSchur) -> tuple[Fraction, Fraction]:
 def bad_primes(g: GroupDatum, n: IntVector) -> set[int]:
     """Primes p with some specialized coefficient psi_chi in a prime above p."""
     if not g.has_full_schur:
-        raise ValueError(f"full Schur payload required for {g.name}")
+        raise ValueError(f"full Schur payload not stored for {g.name}")
     out: set[int] = set()
     for c in g.characters:
         sp = specialize(g, g.schur_elements[c], n)

@@ -90,13 +90,17 @@ def _parse_link(doc) -> CliffordLink:
     )
 
 
+# What a malformed document raises past the explicit checks: a missing key,
+# an entry of the wrong type, a list too short, an unparsable value.
+_MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError)
+
+
 def load(path) -> GroupDatum:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise StoreError(path, [f"cannot parse: {exc}"]) from exc
-    report: list[str] = []
     try:
         g = GroupDatum(
             name=doc["name"],
@@ -106,8 +110,50 @@ def load(path) -> GroupDatum:
             orbits=tuple((o[0], int(o[1])) for o in doc["orbits"]),
             characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
         )
-    except (KeyError, ValueError) as exc:
+        if any(e < 1 for _, e in g.orbits):
+            raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
+    except _MALFORMED as exc:
         raise StoreError(path, [f"bad header: {exc}"]) from exc
+    report: list[str] = []
+    try:
+        report.extend(_shape_report(doc, g))
+        if not report:
+            _load_sections(doc, g, report)
+    except _MALFORMED as exc:
+        report.append(f"malformed entry: {type(exc).__name__}: {exc}")
+    if report:
+        raise StoreError(path, report)
+    return g
+
+
+def _shape_report(doc, g: GroupDatum) -> list[str]:
+    """The lengths and types the sections rely on: every normal is a list
+    of one int per slot, every character-table row has one entry per
+    class."""
+    report = []
+    for tdoc in doc.get("hyperplane_tables", []):
+        normal = tdoc.get("normal")
+        if normal is not None and (
+            not isinstance(normal, list) or len(normal) != g.slot_count
+            or not all(type(c) is int for c in normal)
+        ):
+            report.append(
+                f"normal {normal!r} is not a list of {g.slot_count} integers"
+            )
+    if "character_table" in doc:
+        tdoc = doc["character_table"]
+        classes = len(tdoc["class_sizes"])
+        for i, row in enumerate(tdoc["values"]):
+            if len(row) != classes:
+                report.append(
+                    f"character table row {i} does not have {classes} entries"
+                )
+    return report
+
+
+def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
+    """Parse and check the optional sections into g, appending every
+    violation found to report."""
     size = len(g.characters)
 
     if "hyperplane_tables" in doc:
@@ -126,7 +172,7 @@ def load(path) -> GroupDatum:
                 seen_baseline = True
                 hp = None
             else:
-                normal = tuple(int(c) for c in normal)
+                normal = tuple(normal)
                 prim, content = primitive_part(normal)
                 if content != 1 or sign_canonical(normal) != normal:
                     report.append(
@@ -217,10 +263,6 @@ def load(path) -> GroupDatum:
             report.append("link child characters disagree with the datum")
         links.append(link)
     g.clifford_links = tuple(links)
-
-    if report:
-        raise StoreError(path, report)
-    return g
 
 
 def load_group(name: str, db_dir=None) -> GroupDatum:

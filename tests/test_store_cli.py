@@ -145,6 +145,45 @@ def test_corruption_bad_table_primes(db_copy, runner, primes):
     assert result.exit_code == 5
 
 
+# Each mutation once escaped store.load as a raw exception or loaded
+# silently; every one must end in StoreError, and the CLI in exit 5.
+_MALFORMED = {
+    "table without blocks": (
+        "g4.json", lambda d: d["hyperplane_tables"][1].pop("blocks")),
+    "normal of the wrong length": (
+        "g4.json",
+        lambda d: d["hyperplane_tables"][1].__setitem__("normal", [1, -1])),
+    "non-numeric table entry": (
+        "g4.json",
+        lambda d: d["character_table"]["values"][1].__setitem__(1, "x")),
+    "table row one entry short": (
+        "g4.json", lambda d: d["character_table"]["values"][1].pop()),
+    "empty orbit": ("g4.json", lambda d: d.__setitem__("orbits", [["c", 0]])),
+    "schur factor without cyc": (
+        "g7.json",
+        lambda d: d["schur_x"]["phi{1,0}"]["factors"][0].pop("cyc")),
+    "link without parent": (
+        "g4.json", lambda d: d["clifford_links"][0].pop("parent")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_document_ends_in_store_error(db_copy, runner, monkeypatch,
+                                                case):
+    name, mutate = _MALFORMED[case]
+    path = rewrite(db_copy, name, mutate)
+    with pytest.raises(StoreError) as err:
+        load(path)
+    assert err.value.report
+    result = runner.invoke(main, ["verify-db", str(path)])
+    assert result.exit_code == 5
+    monkeypatch.setenv("HECKE_DB", str(db_copy))
+    group = name.removesuffix(".json").upper()
+    zeros = ",".join("0" * (8 if group == "G7" else 3))
+    result = runner.invoke(main, ["rouquier-blocks", group, "--exponents", zeros])
+    assert result.exit_code == 5
+
+
 def test_store_error_collects_reports(db_copy):
     path = rewrite(
         db_copy, "g4.json",
@@ -272,6 +311,55 @@ def test_cli_schur_path_requires_full_payload(runner):
          "--path", "schur"],
     )
     assert result.exit_code == 3
+
+
+@pytest.fixture()
+def g7_schur_db(tmp_path):
+    """G7 cut down to its three characters with Schur data: a full Schur
+    payload, no hyperplane tables and no links."""
+    doc = json.loads((Path(heckeblocks.__file__).parent / "data" / "g7.json")
+                     .read_text())
+    doc["characters"] = list(doc["schur_x"])
+    del doc["hyperplane_tables"]
+    (tmp_path / "g7.json").write_text(json.dumps(doc))
+    return tmp_path
+
+
+_G7_SCHUR_HIT_AT_ZERO = (
+    "Essential hyperplanes hit: c_0-c_1=0, c_0-c_2=0, b_0-b_1=0, b_0-b_2=0, "
+    "a_0-a_1-2b_0+b_1+b_2-2c_0+c_1+c_2=0, a_0-a_1-b_0-b_1+2b_2-c_0+2c_1-c_2=0, "
+    "a_0-a_1-b_0+2b_1-b_2-c_0-c_1+2c_2=0, a_0-a_1-b_1+b_2+c_1-c_2=0, "
+    "a_0-a_1=0, a_0-a_1+b_1-b_2-c_1+c_2=0, a_0-a_1+b_0-b_1+c_0-c_2=0, "
+    "a_0-a_1+b_0-b_2+c_0-c_1=0, a_0-a_1+2b_0-b_1-b_2+2c_0-c_1-c_2=0"
+)
+
+
+@pytest.mark.parametrize("exponents, expected", [
+    ("0,0,0,0,0,0,0,0", [_G7_SCHUR_HIT_AT_ZERO, "[[1,2,3]]"]),
+    ("2,-1,1,0,-1,3,-2,-1", [
+        "Essential hyperplanes hit: a_0-a_1-b_0+2b_1-b_2-c_0-c_1+2c_2=0",
+        "[[1],[2],[3]]",
+    ]),
+])
+def test_cli_schur_path_end_to_end(runner, g7_schur_db, monkeypatch,
+                                   exponents, expected):
+    monkeypatch.setenv("HECKE_DB", str(g7_schur_db))
+    original = heckeblocks.schur.bad_primes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heckeblocks") and \
+                vars(module).get("bad_primes") is original:
+            monkeypatch.setattr(module, "bad_primes", counted)
+    result = runner.invoke(main, ["rouquier-blocks", "G7", "--path", "schur",
+                                  "--display", "index", "--exponents", exponents])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == expected
+    assert len(calls) == 1  # the bad primes are computed once per query
 
 
 def test_cli_unknown_group_exits_three(runner):
