@@ -44,7 +44,7 @@ class CliffordLink:
         for child_label, parents in self.induction:
             if child_label not in self.child_characters:
                 raise ValueError(f"unknown child character {child_label}")
-            if self.cyclic_order % len(parents):
+            if not parents or self.cyclic_order % len(parents):
                 raise ValueError(
                     f"induction row size {len(parents)} does not divide "
                     f"the cyclic order {self.cyclic_order}"

@@ -12,12 +12,13 @@ polynomials (minimal polynomials of roots of unity over a cyclotomic field
 K = Q(zeta_m), stored as a Galois orbit of root exponents), handles for
 prime ideals of Z[zeta_N] above a rational prime, and the small integer
 number theory all of this needs (trial-division factorisation, primality,
-Euler's totient).  Everything is plain integer code except prime_handle,
-which imports sympy on first use to factor Phi_N over GF(p).
+Euler's totient).  Everything is plain integer code; prime_handle factors
+Phi_N over GF(p) by equal-degree splitting.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -469,43 +470,147 @@ class PrimeIdealHandle:
     local_factor: tuple[int, ...]  # ascending coefficients, monic, in [0, p)
 
 
+# Random candidates tried for one equal-degree split before giving up; a
+# candidate fails to split with probability at most 5/9 (p = 3, two factors).
+_SPLIT_ATTEMPTS = 64
+
+
 @lru_cache(maxsize=None)
 def prime_handle(p: int, conductor: int) -> PrimeIdealHandle:
-    """Handle of a prime of Z[zeta_N] over p; sympy is imported here only,
-    on first use, to factor Phi_N over GF(p)."""
+    """Handle of a prime of Z[zeta_N] over p: the lexicographically least
+    of the monic irreducible factors of Phi_N over GF(p)."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     if conductor == 1:
         # Degenerate convention: membership reduces to divisibility by p.
         return PrimeIdealHandle(p, 1, (0, 1))
-    from sympy import Poly, Symbol
+    return PrimeIdealHandle(p, conductor, min(_phi_factors_mod_p(p, conductor)))
 
-    poly = Poly(_phi_coeffs(conductor)[::-1], Symbol("T"), modulus=p)
+
+def _phi_factors_mod_p(p: int, n: int, attempts: int = _SPLIT_ATTEMPTS
+                       ) -> list[tuple[int, ...]]:
+    """The distinct monic irreducible factors of Phi_n over GF(p), as
+    ascending coefficient tuples, in no particular order.
+
+    With n = p^k m and p not dividing m, Phi_n = Phi_m^phi(p^k) mod p, and
+    Phi_m is squarefree mod p with every irreducible factor of degree
+    f = ord_m(p).  Equal-degree splitting (Cantor-Zassenhaus, with the
+    trace; see _split_candidate) separates them.  Raises RuntimeError when
+    one split fails `attempts` times."""
+    m = n
+    while m % p == 0:
+        m //= p
+    f, power = 1, p % m
+    while power != 1 % m:
+        power = power * p % m
+        f += 1
+    rng = random.Random(p * n)  # fixes the work done, not the factors
+    todo = [[c % p for c in _phi_coeffs(m)]]
     factors = []
-    for fac, _mult in poly.factor_list()[1]:
-        coeffs = [int(c) % p for c in fac.all_coeffs()[::-1]]
-        factors.append(tuple(coeffs))
-    return PrimeIdealHandle(p, conductor, min(factors))
+    while todo:
+        g = todo.pop()
+        if len(g) - 1 == f:
+            factors.append(tuple(g))
+            continue
+        for _ in range(attempts):
+            h = _gcd_mod_p(g, _split_candidate(g, m, f, p, rng), p)
+            if 1 < len(h) < len(g):
+                todo += [h, _divmod_mod_p(g, h, p)[0]]
+                break
+        else:
+            raise RuntimeError(
+                f"no split of a factor of Phi_{n} mod {p} in {attempts} attempts"
+            )
+    return factors
 
 
-def _poly_rem_mod_p(coeffs: list[int], divisor: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of coeffs (ascending) by a monic divisor over GF(p)."""
-    work = [c % p for c in coeffs]
+def _split_candidate(g: list[int], m: int, f: int, p: int,
+                     rng: random.Random) -> list[int]:
+    """A polynomial whose gcd with g is a proper factor of g with
+    probability at least 4/9.
+
+    For a random a mod g, the trace t = a + a^p + ... + a^(p^(f-1)) is a
+    uniform element of GF(p) modulo each irreducible factor of g,
+    independently; the candidate is t for p = 2 and t^((p-1)/2) - 1 for
+    odd p.  Since g divides x^m - 1 and a has coefficients in GF(p), the
+    Frobenius power a^(p^i) is a(x^(p^i)), an exponent permutation mod
+    x^m - 1."""
+    a = [rng.randrange(p) for _ in range(len(g) - 1)]
+    trace = [0] * m
+    step = 1
+    for _ in range(f):
+        for k, c in enumerate(a):
+            trace[k * step % m] += c
+        step = step * p % m
+    t = _divmod_mod_p(trace, g, p)[1]
+    if p == 2:
+        return t
+    out, k = [1], (p - 1) // 2
+    while k:
+        if k & 1:
+            out = _mul_mod_p(out, t, g, p)
+        t = _mul_mod_p(t, t, g, p)
+        k >>= 1
+    out = out or [0]
+    out[0] = (out[0] - 1) % p
+    return _trim(out)
+
+
+# Polynomials over GF(p) are coefficient lists, ascending, without trailing
+# zeros (the zero polynomial is []).
+
+
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _divmod_mod_p(coeffs, divisor, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of coeffs (ascending, any integers) by a monic
+    divisor over GF(p)."""
+    work = list(coeffs)
     deg = len(divisor) - 1
+    quotient = [0] * max(len(work) - deg, 0)
     for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
+        c = work[i] % p
         if c:
-            for j in range(deg + 1):
-                work[i - deg + j] = (work[i - deg + j] - c * divisor[j]) % p
-    return work[:deg]
+            quotient[i - deg] = c
+            for j in range(deg):
+                work[i - deg + j] -= c * divisor[j]
+    return quotient, _trim([c % p for c in work[:deg]])
+
+
+def _mul_mod_p(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    """a * b mod the monic g over GF(p)."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _divmod_mod_p(prod, g, p)[1]
+
+
+def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic greatest common divisor over GF(p) of a non-zero a and b."""
+    while b:
+        a, b = b, _divmod_mod_p(a, _monic(b, p), p)[1]
+    return _monic(a, p)
+
+
+def _monic(a: list[int], p: int) -> list[int]:
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
 
 
 def in_prime_ideal(a: CycInt, h: PrimeIdealHandle) -> bool:
+    """Whether a lies in the prime ideal of h: the remainder of a, written
+    over the handle's conductor, by the local factor is zero over GF(p).
+    The element's conductor must divide the handle's."""
     a = a.lift(lcm(a.conductor, h.conductor))
     if a.conductor != h.conductor:
         raise ValueError("conductor of the element must divide the handle's")
-    rem = _poly_rem_mod_p(list(a.coeffs), h.local_factor, h.rational_prime)
-    return all(c == 0 for c in rem)
+    return not _divmod_mod_p(a.coeffs, h.local_factor, h.rational_prime)[1]
 
 
 @lru_cache(maxsize=None)

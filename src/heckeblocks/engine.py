@@ -135,11 +135,12 @@ def rouquier_blocks(
     hit: set[IntVector] = set()
     parts = [Partition.singletons(len(g.characters))]
     for p in primes:
+        normals = essential_normals(g, [p])
         parts.append(blocks_no_hyperplane(g, p))
-        for normal in sorted(essential_normals(g, [p])):
+        for normal in sorted(normals):
             if dot(normal, spec.n) == 0:
                 hit.add(normal)
-                parts.append(blocks_one_hyperplane(g, p, Hyperplane(normal)))
+                parts.append(_hyperplane_blocks(g, p, normal, normals))
     return [Hyperplane(v) for v in sorted(hit)], join(parts)
 
 
@@ -234,13 +235,19 @@ def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:
 def blocks_one_hyperplane(g: GroupDatum, p: int, h: Hyperplane) -> Partition:
     """Candidate blocks on a single essential hyperplane, joined with the
     no-hyperplane blocks."""
+    normal = sign_canonical(h.normal)
+    on_h = _hyperplane_blocks(g, p, normal, essential_normals(g, [p]))
+    return join([on_h, blocks_no_hyperplane(g, p)])
+
+
+def _hyperplane_blocks(g: GroupDatum, p: int, normal: IntVector,
+                       normals: set[IntVector]) -> Partition:
+    """blocks_one_hyperplane before the join with the no-hyperplane blocks,
+    for a sign-canonical normal among normals = essential_normals(g, [p])."""
     if g.group_order % p:
         return Partition.singletons(len(g.characters))
-    normal = sign_canonical(h.normal)
     core = [
         i for i, s in g.stored_schur().items()
         if normal in essential_monomials(s, p)
     ]
-    off = essential_normals(g, [p]) - {normal}
-    lam3 = _heuristic_blocks(g, p, core, on=[normal], off=off)
-    return join([lam3, blocks_no_hyperplane(g, p)])
+    return _heuristic_blocks(g, p, core, on=[normal], off=normals - {normal})

@@ -50,7 +50,10 @@ def default_db_dir() -> Path:
 def _cycint(doc) -> CycInt:
     if isinstance(doc, int):
         return CycInt.rational(doc)
-    return CycInt(doc["conductor"], doc["coeffs"])
+    conductor, coeffs = doc["conductor"], doc["coeffs"]
+    if type(conductor) is not int or not all(type(c) is int for c in coeffs):
+        raise TypeError(f"cyclotomic integer {doc!r} needs int entries")
+    return CycInt(conductor, coeffs)
 
 
 def _root(doc) -> RootOfUnity:
@@ -76,6 +79,8 @@ def _parse_link(doc) -> CliffordLink:
             spec.append(("root", _root(payload)))
         else:
             raise ValueError(f"bad parameter_spec entry {entry!r}")
+    if not all(isinstance(doc[k], str) for k in ("parent", "child")):
+        raise TypeError("link parent and child must be group names")
     return CliffordLink(
         parent=doc["parent"],
         child=doc["child"],
@@ -112,6 +117,8 @@ def load(path) -> GroupDatum:
         )
         if any(e < 1 for _, e in g.orbits):
             raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
+        if not all(isinstance(s, str) for s in (g.name, *(o for o, _ in g.orbits))):
+            raise TypeError("group and orbit names must be strings")
     except _MALFORMED as exc:
         raise StoreError(path, [f"bad header: {exc}"]) from exc
     report: list[str] = []

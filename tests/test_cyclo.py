@@ -25,6 +25,7 @@ from heckeblocks.cyclo import (
     is_p_essential_factor,
     prime_handle,
     _phi_coeffs,
+    _phi_factors_mod_p,
 )
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12, 24]
@@ -283,6 +284,43 @@ def test_in_prime_ideal_basics():
     h2 = prime_handle(2, 3)  # 2 is inert in Z[zeta3]
     assert in_prime_ideal(CycInt.rational(2), h2)
     assert not in_prime_ideal(CycInt.rational(1) - CycInt.zeta(3), h2)
+
+
+def test_prime_handle_matches_sympy_factor_list():
+    # Independent oracle: sympy's factorisation of Phi_N over GF(p).
+    x = Symbol("x")
+    own_seconds = 0.0
+    for p in (2, 3, 5, 7, 11, 13):
+        # N = p^k and N divisible by p are in range (49 = 7^2)
+        for n in range(2, 50):
+            phi = Poly(cyclotomic_poly(n, x), x, modulus=p)
+            expected = sorted(
+                tuple(int(c) % p for c in fac.all_coeffs()[::-1])
+                for fac, _mult in phi.factor_list()[1]
+            )
+            start = time.monotonic()
+            factors = _phi_factors_mod_p(p, n)
+            own_seconds += time.monotonic() - start
+            assert sorted(factors) == expected, (p, n)
+            factor = prime_handle(p, n).local_factor
+            assert factor == expected[0], (p, n)
+            assert phi.rem(Poly(factor[::-1], x, modulus=p)).is_zero, (p, n)
+            m = n
+            while m % p == 0:
+                m //= p
+            order = next(f for f in range(1, m + 1) if (p ** f - 1) % m == 0)
+            assert len(factor) - 1 == order, (p, n)
+    # the oracle itself takes about 1 s on the same pairs
+    assert own_seconds < 0.5
+
+
+def test_factor_splitting_is_bounded():
+    # Phi_7 is two cubics over GF(2) and Phi_13 four cubics over GF(3): both
+    # need a split, so no attempt at all must raise
+    for p, n in ((2, 7), (3, 13)):
+        assert len(_phi_factors_mod_p(p, n)) == euler_phi(n) // 3
+        with pytest.raises(RuntimeError, match="attempts"):
+            _phi_factors_mod_p(p, n, attempts=0)
 
 
 def test_conductor_one_handle_is_divisibility():

@@ -1,16 +1,21 @@
 """Database loading, validation (including seeded corruptions), and the
 command-line surface with its exit-code contract."""
 
+import copy
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heckeblocks
 from heckeblocks.cli import main
@@ -164,6 +169,19 @@ _MALFORMED = {
         lambda d: d["schur_x"]["phi{1,0}"]["factors"][0].pop("cyc")),
     "link without parent": (
         "g4.json", lambda d: d["clifford_links"][0].pop("parent")),
+    # found by the mutation test below
+    "float conductor": (
+        "g4.json",
+        lambda d: d["character_table"]["values"][4][5].__setitem__(
+            "conductor", 1.5)),
+    "empty induction row": (
+        "g6.json",
+        lambda d: d["clifford_links"][0]["induction"][12].__setitem__(1, [])),
+    "link parent not a name": (
+        "g4.json", lambda d: d["clifford_links"][0].__setitem__("parent", {})),
+    "group name not a string": ("g7.json", lambda d: d.__setitem__("name", {})),
+    "orbit name not a string": (
+        "g4.json", lambda d: d.__setitem__("orbits", [[7, 3]])),
 }
 
 
@@ -182,6 +200,66 @@ def test_malformed_document_ends_in_store_error(db_copy, runner, monkeypatch,
     zeros = ",".join("0" * (8 if group == "G7" else 3))
     result = runner.invoke(main, ["rouquier-blocks", group, "--exponents", zeros])
     assert result.exit_code == 5
+
+
+def _node_paths(node, path=()):
+    """Every path into a JSON document, the root excluded."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_SHIPPED = {path.name: json.loads(path.read_text())
+            for path in sorted(default_db_dir().glob("*.json"))}
+_TARGETS = [(name, path) for name, doc in _SHIPPED.items()
+            for path in _node_paths(doc)]
+_OTHER_TYPES = [None, "x", 1.5, -7, True, [], {}, [1, "x"], {"k": 0}]
+
+
+@st.composite
+def _mutated_document(draw):
+    """A shipped document with one key dropped, one value replaced by one
+    of another type, or one list truncated."""
+    name, path = draw(st.sampled_from(_TARGETS))
+    doc = copy.deepcopy(_SHIPPED[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, node = path[-1], parent[path[-1]]
+    kinds = ["drop", "retype"] + (["truncate"] if isinstance(node, list) and node else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from(
+            [v for v in _OTHER_TYPES if type(v) is not type(node)]))
+    else:
+        parent[key] = node[:draw(st.integers(0, len(node) - 1))]
+    return name, doc
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True)
+@given(_mutated_document())
+def test_mutated_documents_load_or_raise_store_error(mutated):
+    name, doc = mutated
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Path(tmp)
+        for other, shipped in _SHIPPED.items():
+            (db / other).write_text(json.dumps(doc if other == name else shipped))
+        try:
+            load(db / name)
+        except StoreError:
+            pass
+        group = name.removesuffix(".json").upper()
+        zeros = ",".join("0" * (8 if group == "G7" else 3))
+        for args in (["verify-db"], ["all-blocks", group],
+                     ["rouquier-blocks", group, "--exponents", zeros],
+                     ["essential-hyperplanes", group, "-p", "2"]):
+            result = runner.invoke(main, args, env={"HECKE_DB": tmp})
+            assert result.exit_code in (0, 2, 3, 4, 5), (args, result.exception)
 
 
 def test_store_error_collects_reports(db_copy):
@@ -229,6 +307,18 @@ def test_cli_prime_outside_the_group_order_exits_two_quickly(runner, prime):
         in result.output
 
 
+def _run_fresh(code, *args):
+    """Run Python code in a fresh interpreter with the package importable."""
+    env = dict(os.environ)
+    src = str(Path(heckeblocks.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 # Runs the CLI in a fresh interpreter and reports at exit whether sympy
 # was ever imported.
 _SYMPY_PROBE = (
@@ -244,18 +334,38 @@ _SYMPY_PROBE = (
     ["rouquier-blocks", "G4", "--path", "tables", "--exponents", "0,1,2"],
     ["essential-hyperplanes", "G4", "-p", "0"],
     ["verify-db"],
+    # G4 stores no Schur payload, so this one exits 3
+    ["rouquier-blocks", "G4", "--path", "schur", "--exponents", "0,1,2"],
 ])
 def test_cli_table_queries_never_import_sympy(args):
-    env = dict(os.environ)
-    src = str(Path(heckeblocks.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", _SYMPY_PROBE, *args],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
+    result = _run_fresh(_SYMPY_PROBE, *args)
+    assert result.returncode == (3 if "schur" in args else 0), result.stderr
     assert result.stdout.splitlines()[-1] == "sympy loaded: False"
+
+
+# p-blocks and the Schur-path heuristic on G4 in an interpreter where any
+# import of sympy fails.
+_NO_SYMPY_BLOCKS = (
+    "import json, sys\n"
+    "sys.modules['sympy'] = None\n"
+    "from heckeblocks.engine import blocks_no_hyperplane\n"
+    "from heckeblocks.groupblocks import p_blocks\n"
+    "from heckeblocks.store import load_group\n"
+    "g4 = load_group('G4')\n"
+    "for p in (2, 3):\n"
+    "    print(json.dumps([p_blocks(g4.character_table, p).as_lists(),\n"
+    "                      blocks_no_hyperplane(g4, p).as_lists()]))\n"
+)
+
+
+def test_p_blocks_and_heuristic_run_without_sympy():
+    result = _run_fresh(_NO_SYMPY_BLOCKS)
+    assert result.returncode == 0, result.stderr
+    singletons = [[i] for i in range(1, 8)]
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [
+        [[[1, 2, 3, 4, 5, 6, 7]], singletons],
+        [[[1, 2, 3], [4, 5, 6], [7]], singletons],
+    ]
 
 
 def test_cli_all_blocks_name_mode(runner):
@@ -344,22 +454,35 @@ _G7_SCHUR_HIT_AT_ZERO = (
 def test_cli_schur_path_end_to_end(runner, g7_schur_db, monkeypatch,
                                    exponents, expected):
     monkeypatch.setenv("HECKE_DB", str(g7_schur_db))
-    original = heckeblocks.schur.bad_primes
-    calls = []
+    originals = {
+        "blocks_no_hyperplane": heckeblocks.engine.blocks_no_hyperplane,
+        "essential_normals": heckeblocks.schur.essential_normals,
+        "bad_primes": heckeblocks.schur.bad_primes,
+    }
+    calls = {name: [] for name in originals}
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name):
+        def counted(*args):
+            result = originals[name](*args)
+            calls[name].append((args[1:], result))
+            return result
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("heckeblocks") and \
-                vars(module).get("bad_primes") is original:
-            monkeypatch.setattr(module, "bad_primes", counted)
+    for name, original in originals.items():
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("heckeblocks") and \
+                    vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting(name))
     result = runner.invoke(main, ["rouquier-blocks", "G7", "--path", "schur",
                                   "--display", "index", "--exponents", exponents])
     assert result.exit_code == 0, result.output
     assert result.output.splitlines() == expected
-    assert len(calls) == 1  # the bad primes are computed once per query
+    # the bad primes once per query, the no-hyperplane blocks once per prime
+    [(_, primes)] = calls["bad_primes"]
+    assert [args for args, _ in calls["blocks_no_hyperplane"]] == \
+        [(p,) for p in sorted(primes)]
+    # once for the hyperplanes hit, once inside blocks_no_hyperplane
+    assert len(calls["essential_normals"]) == 2 * len(primes)
 
 
 def test_cli_unknown_group_exits_three(runner):
