@@ -40,7 +40,26 @@ def _render_partition(g, partition: Partition, display: str) -> str:
     return json.dumps(names, separators=(",", ":"))
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group, with usage errors exiting EXIT_BAD_ARITY as the
+    README says; click's own code for them, 2, is an invalid prime here."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exits_bad_arity(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exits_bad_arity(super().invoke, ctx)
+
+
+def _usage_exits_bad_arity(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_BAD_ARITY
+        raise
+
+
+@click.group(cls=_Commands)
 def main():
     """Rouquier blocks of cyclotomic Hecke algebras from stored data."""
 

@@ -11,7 +11,6 @@ re-exported here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .groupblocks import Partition, join, meet, p_blocks
@@ -40,8 +39,10 @@ __all__ = [
 ]
 
 _SEARCH_BOXES = (1, 2, 4, 8, 16, 32, 64)
-# Candidate vectors one search may examine; the shipped groups need at
-# most ~1.6k, and G7's full boxes would hold 129^8.
+# Ambient box points one specialization search may pass, walked or
+# skipped as part of a dropped prefix.  The shipped searches (G4, G6, G7 at
+# p = 2, 3) pass at most 1553 before their last vector used; G7's full
+# boxes would hold 129^8.
 _SEARCH_BUDGET = 100_000
 _AA_ROUNDS = 5
 
@@ -157,26 +158,74 @@ def rouquier_from_tables(g: GroupDatum, spec: Specialization) -> Partition:
 
 def _admissible_specs(g: GroupDatum, on, off):
     """Deterministic vectors lying on every hyperplane of `on` and off
-    every hyperplane of `off`, in growing boxes, lexicographic order.
+    every hyperplane of `off`.
 
-    Raises RuntimeError once _SEARCH_BUDGET candidates have been examined."""
+    Order: for b in _SEARCH_BOXES, the points of [-b, b]^m that lie outside
+    the previous box [-b/2, b/2]^m (box 1 keeps all of [-1, 1]^m), in
+    lexicographic order; the admissible vectors come out exactly as a
+    filter over that enumeration would yield them.  The points are walked
+    depth first over the coordinates with the partial dot product of every
+    normal, so a prefix is dropped once it decides a normal the wrong way
+    (the normal's remaining coefficients are 0), and the last coordinate
+    with a nonzero coefficient in on[0] is solved for, not enumerated.
+
+    Raises RuntimeError once more than _SEARCH_BUDGET ambient points have
+    been passed, a dropped prefix counting every point below it; so the
+    error comes after the same vectors as under the filter."""
     m = g.slot_count
+    normals, n_on = [*on, *off], len(on)
+    columns = [[h[k] for h in normals] for k in range(m)]
+    last = [max((k for k, c in enumerate(h) if c), default=-1)
+            for h in normals]
+    decided = [[] for _ in range(m + 1)]  # normals fixed once k are set
+    for i, k in enumerate(last):
+        decided[k + 1].append(i)
+    solved = last[0] if n_on else -1
+    vector = [0] * m
     examined = 0
-    for box in _SEARCH_BOXES:
-        for n in itertools.product(range(-box, box + 1), repeat=m):
-            examined += 1
-            if examined > _SEARCH_BUDGET:
-                raise RuntimeError(
-                    f"specialization search for {g.name} exceeded "
-                    f"{_SEARCH_BUDGET} candidates"
-                )
-            if box > 1 and max((abs(x) for x in n), default=0) <= box // 2:
-                continue  # already visited in a smaller box
-            if any(dot(h, n) for h in on):
-                continue
-            if any(dot(h, n) == 0 for h in off):
-                continue
-            yield n
+
+    def spend(points):
+        nonlocal examined
+        examined += points
+        if examined > _SEARCH_BUDGET:
+            raise RuntimeError(
+                f"specialization search for {g.name} exceeded "
+                f"{_SEARCH_BUDGET} candidates"
+            )
+
+    def walk(k, sums, outer):
+        """Points of the current box below the prefix vector[:k]; sums
+        holds the prefix's dot product with every normal."""
+        points = width ** (m - k)
+        for i in decided[k]:
+            if (sums[i] == 0) != (i < n_on):
+                spend(points)
+                return
+        if k == m:
+            spend(1)
+            if outer:  # a point of the previous box was yielded there
+                yield tuple(vector)
+            return
+        points //= width  # below each value of coordinate k
+        xs = range(-box, box + 1)
+        if k == solved:  # on[0] is 0 for exactly one value here
+            x, r = divmod(-sums[0], columns[k][0])
+            if r or abs(x) > box:
+                spend(width * points)
+                return
+            spend((x + box) * points)
+            xs = (x,)
+        for x in xs:
+            vector[k] = x
+            yield from walk(k + 1, [s + c * x for s, c in
+                                    zip(sums, columns[k])],
+                            outer or abs(x) > inner)
+        if k == solved:
+            spend((box - x) * points)
+
+    for box in _SEARCH_BOXES:  # walk reads box, width and inner
+        width, inner = 2 * box + 1, box // 2
+        yield from walk(0, [0] * len(normals), box == 1)
 
 
 def _aa_partition(g: GroupDatum, avail: dict, n: IntVector) -> Partition:

@@ -47,8 +47,16 @@ def default_db_dir() -> Path:
     return Path(env) if env else _DATA_DIR
 
 
+def _int(x) -> int:
+    """x, which must be an int: a float, a string or a bool is not
+    truncated or converted but rejected."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def _cycint(doc) -> CycInt:
-    if isinstance(doc, int):
+    if type(doc) is int:
         return CycInt.rational(doc)
     conductor, coeffs = doc["conductor"], doc["coeffs"]
     if type(conductor) is not int or not all(type(c) is int for c in coeffs):
@@ -57,14 +65,14 @@ def _cycint(doc) -> CycInt:
 
 
 def _root(doc) -> RootOfUnity:
-    return RootOfUnity.of(int(doc[0]), int(doc[1]))
+    return RootOfUnity.of(_int(doc[0]), _int(doc[1]))
 
 
 def _parse_factor(doc) -> SchurFactorX:
     return SchurFactorX(
-        cyc_index=int(doc["cyc"]),
-        exps_numerator=tuple(int(c) for c in doc["num"]),
-        exps_denominator=int(doc.get("den", 1)),
+        cyc_index=_int(doc["cyc"]),
+        exps_numerator=tuple(_int(c) for c in doc["num"]),
+        exps_denominator=_int(doc.get("den", 1)),
         twist=_root(doc["twist"]) if "twist" in doc else RootOfUnity.one(),
     )
 
@@ -74,7 +82,7 @@ def _parse_link(doc) -> CliffordLink:
     for entry in doc["parameter_spec"]:
         kind, payload = entry
         if kind == "slot":
-            spec.append(("slot", int(payload)))
+            spec.append(("slot", _int(payload)))
         elif kind == "root":
             spec.append(("root", _root(payload)))
         else:
@@ -84,7 +92,7 @@ def _parse_link(doc) -> CliffordLink:
     return CliffordLink(
         parent=doc["parent"],
         child=doc["child"],
-        cyclic_order=int(doc["cyclic_order"]),
+        cyclic_order=_int(doc["cyclic_order"]),
         parameter_spec=tuple(spec),
         parent_characters=tuple(CharLabel.parse(c) for c in doc["parent_characters"]),
         child_characters=tuple(CharLabel.parse(c) for c in doc["child_characters"]),
@@ -109,10 +117,10 @@ def load(path) -> GroupDatum:
     try:
         g = GroupDatum(
             name=doc["name"],
-            field_conductor=int(doc["field_conductor"]),
-            mu_order=int(doc["mu_order"]),
-            group_order=int(doc["group_order"]),
-            orbits=tuple((o[0], int(o[1])) for o in doc["orbits"]),
+            field_conductor=_int(doc["field_conductor"]),
+            mu_order=_int(doc["mu_order"]),
+            group_order=_int(doc["group_order"]),
+            orbits=tuple((o[0], _int(o[1])) for o in doc["orbits"]),
             characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
         )
         if any(e < 1 for _, e in g.orbits):
@@ -207,14 +215,14 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
 
     if "character_table" in doc:
         tdoc = doc["character_table"]
-        conductor = int(tdoc["conductor"])
+        conductor = _int(tdoc["conductor"])
         values = tuple(
             tuple(_cycint(v).lift(conductor) for v in row)
             for row in tdoc["values"]
         )
         table = CharacterTable(
             conductor=conductor,
-            class_sizes=tuple(int(s) for s in tdoc["class_sizes"]),
+            class_sizes=tuple(_int(s) for s in tdoc["class_sizes"]),
             values=values,
             class_order_labels=tuple(tdoc["class_orders"])
             if "class_orders" in tdoc else None,
@@ -245,9 +253,9 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
                     g,
                     label,
                     _cycint(sdoc["coeff"]),
-                    tuple(int(c) for c in sdoc["lead"]),
+                    tuple(_int(c) for c in sdoc["lead"]),
                     [_parse_factor(f) for f in sdoc["factors"]],
-                    lead_den=int(sdoc.get("lead_den", 1)),
+                    lead_den=_int(sdoc.get("lead_den", 1)),
                 )
             except ValueError as exc:
                 report.append(f"{name}: {exc}")

@@ -1,12 +1,16 @@
 """Partition lattice operations and both Rouquier-block computation paths."""
 
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeblocks import engine
 from heckeblocks.engine import (
+    _SEARCH_BOXES,
+    _SEARCH_BUDGET,
     Hyperplane,
     Specialization,
     blocks_no_hyperplane,
@@ -18,6 +22,8 @@ from heckeblocks.engine import (
     rouquier_from_tables,
 )
 from heckeblocks.groupblocks import Partition
+from heckeblocks.lattice import dot
+from heckeblocks.schur import essential_normals
 from heckeblocks.store import load_group
 
 
@@ -174,3 +180,105 @@ def test_specialization_search_is_bounded(group, request):
         for _ in _admissible_specs(g, on=[normal], off=[normal]):
             pass
     assert time.monotonic() - start < 5.0
+
+
+# ---------------------------------------------------------------------------
+# the specialisation search against the ambient-box filter it replaced
+# ---------------------------------------------------------------------------
+
+
+def _brute_force_specs(g, on, off):
+    """Deterministic vectors lying on every hyperplane of `on` and off
+    every hyperplane of `off`, in growing boxes, lexicographic order.
+
+    Raises RuntimeError once _SEARCH_BUDGET candidates have been examined."""
+    m = g.slot_count
+    examined = 0
+    for box in _SEARCH_BOXES:
+        for n in itertools.product(range(-box, box + 1), repeat=m):
+            examined += 1
+            if examined > _SEARCH_BUDGET:
+                raise RuntimeError(
+                    f"specialization search for {g.name} exceeded "
+                    f"{_SEARCH_BUDGET} candidates"
+                )
+            if box > 1 and max((abs(x) for x in n), default=0) <= box // 2:
+                continue  # already visited in a smaller box
+            if any(dot(h, n) for h in on):
+                continue
+            if any(dot(h, n) == 0 for h in off):
+                continue
+            yield n
+
+
+def _first(search, count=20):
+    """Up to count vectors of a search, and whether it raised first."""
+    out = []
+    try:
+        for n in search:
+            out.append(n)
+            if len(out) == count:
+                return out, False
+    except RuntimeError as exc:
+        assert "exceeded" in str(exc)
+        return out, True
+    return out, False
+
+
+def _stored_normals(g):
+    return [t.normal for t in g.hyperplane_tables if t.normal]
+
+
+def _assert_same_search(g, on, off):
+    walked = _first(_admissible_specs(g, on, off))
+    assert walked == _first(_brute_force_specs(g, on, off)), (g.name, on)
+
+
+@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
+def test_search_order_matches_oracle_on_schur_and_table_normals(name):
+    """Every search the heuristic makes on the shipped Schur data (no
+    hyperplane, or one p-essential normal off the others), and every stored
+    table normal with the other stored normals off."""
+    g = load_group(name)
+    for p in (2, 3):
+        normals = essential_normals(g, [p])
+        _assert_same_search(g, [], normals)
+        for h in sorted(normals):
+            _assert_same_search(g, [h], normals - {h})
+    stored = _stored_normals(g)
+    for h in stored:
+        _assert_same_search(g, [h], [x for x in stored if x != h])
+
+
+@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
+def test_search_order_matches_oracle_on_pairs_of_normals(name, monkeypatch):
+    """Two stored normals on, in both orders (the first is the one solved
+    for), the others off.  Most pairs admit fewer than 20 vectors, and the
+    oracle takes ~0.3 s to reach the full budget, so both searches run
+    under a budget of 2000 points and must also raise at the same place."""
+    monkeypatch.setattr(engine, "_SEARCH_BUDGET", 2000)
+    monkeypatch.setitem(globals(), "_SEARCH_BUDGET", 2000)
+    g = load_group(name)
+    stored = _stored_normals(g)
+    for h1, h2 in itertools.permutations(stored, 2):
+        _assert_same_search(g, [h1, h2], [x for x in stored if x not in (h1, h2)])
+
+
+def test_search_budget_raises_after_the_oracle_prefix(g7, monkeypatch):
+    monkeypatch.setattr(engine, "_SEARCH_BUDGET", 1000)
+    monkeypatch.setitem(globals(), "_SEARCH_BUDGET", 1000)
+    h = (1, -1, 0, 0, 0, 0, 0, 0)
+    off = essential_normals(g7, [2]) - {h}
+    walked, raised = _first(_admissible_specs(g7, [h], off), count=1000)
+    assert walked and raised
+    assert (walked, raised) == _first(_brute_force_specs(g7, [h], off), 1000)
+
+
+def test_search_makes_no_dot_call(g7, monkeypatch):
+    def no_dot(u, v):
+        raise AssertionError("lattice.dot called in the search")
+
+    monkeypatch.setattr(engine, "dot", no_dot)
+    normals = essential_normals(g7, [2])
+    h = (1, -1, 0, 0, 0, 0, 0, 0)
+    assert len(_first(_admissible_specs(g7, [h], normals - {h}))[0]) == 20

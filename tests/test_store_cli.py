@@ -182,6 +182,14 @@ _MALFORMED = {
     "group name not a string": ("g7.json", lambda d: d.__setitem__("name", {})),
     "orbit name not a string": (
         "g4.json", lambda d: d.__setitem__("orbits", [[7, 3]])),
+    # numbers must be ints: int() would truncate 24.9 to 24 and load
+    "fractional group order": (
+        "g4.json", lambda d: d.__setitem__("group_order", 24.9)),
+    "boolean orbit size": (
+        "g4.json", lambda d: d.__setitem__("orbits", [["c", True]])),
+    "float lead_den": (
+        "g7.json",
+        lambda d: d["schur_x"]["phi{1,0}"].__setitem__("lead_den", 1.0)),
 }
 
 
@@ -307,6 +315,31 @@ def test_cli_prime_outside_the_group_order_exits_two_quickly(runner, prime):
         in result.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (["rouquier-blocks", "G4", "--exponents", "0,1,2", "--display", "foo"],
+     "Invalid value for '--display'"),
+    (["rouquier-blocks", "G4"], "Missing option '--exponents'"),
+    (["essential-hyperplanes", "G4", "-p", "x"],
+     "'x' is not a valid integer"),
+    (["no-such-command"], "No such command 'no-such-command'"),
+], ids=["bad display", "missing exponents", "non-integer prime",
+        "unknown command"])
+def test_cli_usage_errors_exit_four(runner, args, message):
+    # the README gives 4 to malformed arguments and 2 to an invalid prime
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert "Usage:" in result.stderr and message in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"], ["rouquier-blocks", "--help"], ["verify-db", "--help"],
+])
+def test_cli_help_exits_zero(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0 and "Usage:" in result.stdout
+
+
 def _run_fresh(code, *args):
     """Run Python code in a fresh interpreter with the package importable."""
     env = dict(os.environ)
@@ -317,6 +350,13 @@ def _run_fresh(code, *args):
         [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_cli_usage_error_exit_code_reaches_the_process():
+    result = _run_fresh("from heckeblocks.cli import main; main()",
+                        "rouquier-blocks", "G4")
+    assert result.returncode == 4
+    assert "Missing option '--exponents'" in result.stderr
 
 
 # Runs the CLI in a fresh interpreter and reports at exit whether sympy
