@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import re
 import sys
-
-import click
+from typing import NoReturn
 
 from .engine import Hyperplane, Specialization, rouquier_blocks
 from .groupblocks import Partition
 from .schur import BadPrimeArgument, essential_hyperplanes
-from .store import StoreError, load, load_group, verify_db
+from .store import StoreError, load_group, verify_db
 
 EXIT_BAD_PRIME = 2
 EXIT_MISSING_PAYLOAD = 3
@@ -18,16 +20,19 @@ EXIT_BAD_ARITY = 4
 EXIT_VALIDATION = 5
 
 
+def _fail(message: str, code: int) -> NoReturn:
+    print(message, file=sys.stderr)
+    sys.exit(code)
+
+
 def _load(group: str):
     try:
         return load_group(group)
     except FileNotFoundError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_MISSING_PAYLOAD)
+        _fail(str(exc), EXIT_MISSING_PAYLOAD)
     except StoreError as exc:
-        for line in exc.report:
-            click.echo(f"{exc.path}: {line}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        _fail("\n".join(f"{exc.path}: {line}" for line in exc.report),
+              EXIT_VALIDATION)
 
 
 def _render_partition(g, partition: Partition, display: str) -> str:
@@ -40,77 +45,51 @@ def _render_partition(g, partition: Partition, display: str) -> str:
     return json.dumps(names, separators=(",", ":"))
 
 
-class _Commands(click.Group):
-    """The command group, with usage errors exiting EXIT_BAD_ARITY as the
-    README says; click's own code for them, 2, is an invalid prime here."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_BAD_ARITY, as the
+    README says; argparse's own code for them, 2, is an invalid prime here.
+    An argument that starts like a negative number, such as the exponents
+    "-1,0,1", is a value, not an unknown option."""
 
-    def make_context(self, *args, **kwargs):
-        return _usage_exits_bad_arity(super().make_context, *args, **kwargs)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, add_help=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
 
-    def invoke(self, ctx):
-        return _usage_exits_bad_arity(super().invoke, ctx)
-
-
-def _usage_exits_bad_arity(call, *args, **kwargs):
-    try:
-        return call(*args, **kwargs)
-    except click.UsageError as exc:
-        exc.exit_code = EXIT_BAD_ARITY
-        raise
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_ARITY, f"{self.prog}: error: {message}\n")
 
 
-@click.group(cls=_Commands)
-def main():
-    """Rouquier blocks of cyclotomic Hecke algebras from stored data."""
-
-
-@main.command("essential-hyperplanes")
-@click.argument("group")
-@click.option("--prime", "-p", default=0, type=int, show_default=True,
-              help="0 lists the hyperplanes for every bad prime.")
 def cli_essential_hyperplanes(group: str, prime: int):
     """List the p-essential hyperplanes of GROUP, one per line."""
     g = _load(group)
     try:
         normals = essential_hyperplanes(g, prime)
     except BadPrimeArgument as exc:
-        click.echo(f"Error, {exc}", err=True)
-        sys.exit(EXIT_BAD_PRIME)
+        _fail(f"Error, {exc}", EXIT_BAD_PRIME)
     except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_MISSING_PAYLOAD)
+        _fail(str(exc), EXIT_MISSING_PAYLOAD)
     names = g.slot_names()
     for normal in normals:
-        click.echo(Hyperplane(normal).render(names))
+        print(Hyperplane(normal).render(names))
 
 
-@main.command("all-blocks")
-@click.argument("group")
-@click.option("--display", type=click.Choice(["index", "name"]),
-              default="name", show_default=True)
 def cli_all_blocks(group: str, display: str):
     """Print the stored block partition for every essential hyperplane."""
     g = _load(group)
     if g.hyperplane_tables is None:
-        click.echo(f"no hyperplane tables stored for {group}", err=True)
-        sys.exit(EXIT_MISSING_PAYLOAD)
+        _fail(f"no hyperplane tables stored for {group}", EXIT_MISSING_PAYLOAD)
     names = g.slot_names()
     for table in g.hyperplane_tables:
         if table.hyperplane is None:
-            click.echo("No essential hyperplane")
+            print("No essential hyperplane")
         else:
-            click.echo(table.hyperplane.render(names))
-        click.echo(_render_partition(g, table.blocks, display))
+            print(table.hyperplane.render(names))
+        print(_render_partition(g, table.blocks, display))
 
 
-@main.command("rouquier-blocks")
-@click.argument("group")
-@click.option("--exponents", required=True,
-              help="comma-separated integers n_(C,j), one per slot")
-@click.option("--path", "which", type=click.Choice(["tables", "schur"]),
-              default="tables", show_default=True)
-@click.option("--display", type=click.Choice(["index", "name"]),
-              default="name", show_default=True)
 def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
     """Rouquier blocks of the cyclotomic specialization with the given
     exponents."""
@@ -118,35 +97,75 @@ def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
     try:
         n = tuple(int(tok) for tok in exponents.split(","))
     except ValueError:
-        click.echo(f"cannot parse exponents {exponents!r}", err=True)
-        sys.exit(EXIT_BAD_ARITY)
+        _fail(f"cannot parse exponents {exponents!r}", EXIT_BAD_ARITY)
     if len(n) != g.slot_count:
-        click.echo(
-            f"{group} needs {g.slot_count} exponents, got {len(n)}", err=True
-        )
-        sys.exit(EXIT_BAD_ARITY)
+        _fail(f"{group} needs {g.slot_count} exponents, got {len(n)}",
+              EXIT_BAD_ARITY)
     try:
         hit, blocks = rouquier_blocks(g, Specialization(n), which)
     except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_MISSING_PAYLOAD)
+        _fail(str(exc), EXIT_MISSING_PAYLOAD)
     names = g.slot_names()
     rendered = ", ".join(h.render(names) for h in hit)
-    click.echo(f"Essential hyperplanes hit: {rendered or 'none'}")
-    click.echo(_render_partition(g, blocks, display))
+    print(f"Essential hyperplanes hit: {rendered or 'none'}")
+    print(_render_partition(g, blocks, display))
 
 
-@main.command("verify-db")
-@click.argument("paths", nargs=-1, type=click.Path(exists=True))
-def cli_verify_db(paths):
+def cli_verify_db(paths: list[str]):
     """Validate database files (default: the shipped database)."""
-    ok, report = verify_db(list(paths) or None)
+    ok, report = verify_db(paths or None)
     if ok:
-        click.echo("ok")
+        print("ok")
         return
     for line in report:
-        click.echo(line)
+        print(line)
     sys.exit(EXIT_VALIDATION)
+
+
+def _existing_path(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(prog=prog, description=main.__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    def display_option(sub):
+        sub.add_argument("--display", choices=["index", "name"],
+                         default="name", help="[default: %(default)s]")
+
+    sub = command("essential-hyperplanes", cli_essential_hyperplanes)
+    sub.add_argument("group", metavar="GROUP")
+    sub.add_argument("--prime", "-p", type=int, default=0,
+                     help="0 lists the hyperplanes for every bad prime. "
+                          "[default: %(default)s]")
+    sub = command("all-blocks", cli_all_blocks)
+    sub.add_argument("group", metavar="GROUP")
+    display_option(sub)
+    sub = command("rouquier-blocks", cli_rouquier_blocks)
+    sub.add_argument("group", metavar="GROUP")
+    sub.add_argument("--exponents", required=True,
+                     help="comma-separated integers n_(C,j), one per slot")
+    sub.add_argument("--path", dest="which", choices=["tables", "schur"],
+                     default="tables", help="[default: %(default)s]")
+    display_option(sub)
+    sub = command("verify-db", cli_verify_db)
+    sub.add_argument("paths", metavar="PATHS", nargs="*", type=_existing_path)
+    return parser
+
+
+def main(args=None, prog_name: str = "heckeblocks"):
+    """Rouquier blocks of cyclotomic Hecke algebras from stored data."""
+    options = vars(_parser(prog_name).parse_args(args))
+    options.pop("run")(**options)
 
 
 if __name__ == "__main__":

@@ -176,7 +176,9 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
         seen_baseline = False
         for tdoc in doc["hyperplane_tables"]:
             try:
-                blocks = Partition.of(tdoc["blocks"], size)
+                blocks = Partition.of(
+                    [[_int(i) for i in part] for part in tdoc["blocks"]], size
+                )
             except ValueError as exc:
                 report.append(str(exc))
                 continue

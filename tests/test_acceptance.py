@@ -6,22 +6,16 @@ import shutil
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from heckeblocks.clifford import descend_hyperplanes, transport_blocks
-from heckeblocks.cli import main
 from heckeblocks.engine import join
 from heckeblocks.groupblocks import Partition, p_blocks
 from heckeblocks.schur import CharLabel, essential_monomials
 from heckeblocks.store import default_db_dir, load_group, verify_db
 
+from cli_runner import invoke
 from test_groupblocks import coset_enumeration
 from test_schur import PRINTED_G6, PRINTED_G7, restrict_b_to_zero
-
-
-@pytest.fixture(scope="module")
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +33,9 @@ def g7():
     return load_group("G7")
 
 
-def timed_invoke(runner, args, limit=1.0):
+def timed_invoke(args, limit=1.0):
     start = time.monotonic()
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert time.monotonic() - start < limit, args
     return result
 
@@ -49,7 +43,7 @@ def timed_invoke(runner, args, limit=1.0):
 # criterion 1 -----------------------------------------------------------------
 
 
-def test_essential_hyperplanes_exact(runner):
+def test_essential_hyperplanes_exact():
     all_six = {
         "c_1-c_2=0", "c_0-c_1=0", "c_0-c_2=0",
         "2c_0-c_1-c_2=0", "c_0-2c_1+c_2=0", "c_0+c_1-2c_2=0",
@@ -59,12 +53,10 @@ def test_essential_hyperplanes_exact(runner):
         ("2", all_six),
         ("3", {"c_1-c_2=0", "c_0-c_1=0", "c_0-c_2=0"}),
     ):
-        result = timed_invoke(runner, ["essential-hyperplanes", "G4",
-                                       "--prime", p])
+        result = timed_invoke(["essential-hyperplanes", "G4", "--prime", p])
         assert result.exit_code == 0
         assert set(result.output.splitlines()) == expected
-    result = timed_invoke(runner, ["essential-hyperplanes", "G4",
-                                   "--prime", "5"])
+    result = timed_invoke(["essential-hyperplanes", "G4", "--prime", "5"])
     assert result.exit_code == 2
     assert result.output.splitlines() == [
         "Error, The number p should divide the order of the group"
@@ -74,8 +66,8 @@ def test_essential_hyperplanes_exact(runner):
 # criterion 2 -----------------------------------------------------------------
 
 
-def test_all_blocks_exact(runner):
-    result = timed_invoke(runner, ["all-blocks", "G4", "--display", "index"])
+def test_all_blocks_exact():
+    result = timed_invoke(["all-blocks", "G4", "--display", "index"])
     assert result.exit_code == 0
     assert result.output.splitlines() == [
         "No essential hyperplane",
@@ -98,9 +90,8 @@ def test_all_blocks_exact(runner):
 # criterion 3 -----------------------------------------------------------------
 
 
-def test_rouquier_blocks_exact(runner):
+def test_rouquier_blocks_exact():
     result = timed_invoke(
-        runner,
         ["rouquier-blocks", "G4", "--exponents", "0,1,2",
          "--display", "index"],
     )
@@ -111,9 +102,8 @@ def test_rouquier_blocks_exact(runner):
 # criterion 4 -----------------------------------------------------------------
 
 
-def test_group_algebra_limit(runner, g4):
+def test_group_algebra_limit(g4):
     result = timed_invoke(
-        runner,
         ["rouquier-blocks", "G4", "--exponents", "0,0,0",
          "--display", "index"],
     )

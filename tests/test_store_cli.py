@@ -13,13 +13,13 @@ from datetime import timedelta
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckeblocks
-from heckeblocks.cli import main
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
+
+from cli_runner import invoke
 
 
 @pytest.fixture()
@@ -138,7 +138,7 @@ def test_corruption_transport_mismatch(db_copy):
 
 
 @pytest.mark.parametrize("primes", ["23", [2, "3"], [5], [True], 3])
-def test_corruption_bad_table_primes(db_copy, runner, primes):
+def test_corruption_bad_table_primes(db_copy, primes):
     path = rewrite(
         db_copy, "g4.json",
         lambda d: d["hyperplane_tables"][1].__setitem__("primes", primes),
@@ -146,7 +146,7 @@ def test_corruption_bad_table_primes(db_copy, runner, primes):
     with pytest.raises(StoreError) as err:
         load(path)
     assert any("primes" in line for line in err.value.report)
-    result = runner.invoke(main, ["verify-db", str(path)])
+    result = invoke(["verify-db", str(path)])
     assert result.exit_code == 5
 
 
@@ -190,23 +190,28 @@ _MALFORMED = {
     "float lead_den": (
         "g7.json",
         lambda d: d["schur_x"]["phi{1,0}"].__setitem__("lead_den", 1.0)),
+    "boolean block index": (
+        "g4.json",
+        lambda d: d["hyperplane_tables"][0]["blocks"][0].__setitem__(0, True)),
+    "float block index": (
+        "g4.json",
+        lambda d: d["hyperplane_tables"][0]["blocks"][1].__setitem__(0, 2.0)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_malformed_document_ends_in_store_error(db_copy, runner, monkeypatch,
-                                                case):
+def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
     name, mutate = _MALFORMED[case]
     path = rewrite(db_copy, name, mutate)
     with pytest.raises(StoreError) as err:
         load(path)
     assert err.value.report
-    result = runner.invoke(main, ["verify-db", str(path)])
+    result = invoke(["verify-db", str(path)])
     assert result.exit_code == 5
     monkeypatch.setenv("HECKE_DB", str(db_copy))
     group = name.removesuffix(".json").upper()
     zeros = ",".join("0" * (8 if group == "G7" else 3))
-    result = runner.invoke(main, ["rouquier-blocks", group, "--exponents", zeros])
+    result = invoke(["rouquier-blocks", group, "--exponents", zeros])
     assert result.exit_code == 5
 
 
@@ -229,7 +234,8 @@ _OTHER_TYPES = [None, "x", 1.5, -7, True, [], {}, [1, "x"], {"k": 0}]
 @st.composite
 def _mutated_document(draw):
     """A shipped document with one key dropped, one value replaced by one
-    of another type, or one list truncated."""
+    of another type, or one list truncated, and whether an int was replaced
+    by a float, a string or a bool."""
     name, path = draw(st.sampled_from(_TARGETS))
     doc = copy.deepcopy(_SHIPPED[name])
     parent = doc
@@ -242,17 +248,19 @@ def _mutated_document(draw):
         del parent[key]
     elif kind == "retype":
         parent[key] = draw(st.sampled_from(
-            [v for v in _OTHER_TYPES if type(v) is not type(node)]))
+            [v for v in _OTHER_TYPES if type(v) is not type(node)]
+            + ([float(node)] if type(node) is int else [])))
     else:
         parent[key] = node[:draw(st.integers(0, len(node) - 1))]
-    return name, doc
+    retyped_int = kind == "retype" and type(node) is int and \
+        type(parent[key]) in (float, str, bool)
+    return name, doc, retyped_int
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True)
 @given(_mutated_document())
 def test_mutated_documents_load_or_raise_store_error(mutated):
-    name, doc = mutated
-    runner = CliRunner()
+    name, doc, retyped_int = mutated
     with tempfile.TemporaryDirectory() as tmp:
         db = Path(tmp)
         for other, shipped in _SHIPPED.items():
@@ -261,12 +269,15 @@ def test_mutated_documents_load_or_raise_store_error(mutated):
             load(db / name)
         except StoreError:
             pass
+        else:
+            # every int is read exactly: 2.0, "2" and true are not 2 or 1
+            assert not retyped_int, "a retyped int loaded"
         group = name.removesuffix(".json").upper()
         zeros = ",".join("0" * (8 if group == "G7" else 3))
         for args in (["verify-db"], ["all-blocks", group],
                      ["rouquier-blocks", group, "--exponents", zeros],
                      ["essential-hyperplanes", group, "-p", "2"]):
-            result = runner.invoke(main, args, env={"HECKE_DB": tmp})
+            result = invoke(args, env={"HECKE_DB": tmp})
             assert result.exit_code in (0, 2, 3, 4, 5), (args, result.exception)
 
 
@@ -285,30 +296,25 @@ def test_store_error_collects_reports(db_copy):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def test_cli_essential_hyperplanes_listing(runner):
-    result = runner.invoke(main, ["essential-hyperplanes", "G4", "--prime", "3"])
+def test_cli_essential_hyperplanes_listing():
+    result = invoke(["essential-hyperplanes", "G4", "--prime", "3"])
     assert result.exit_code == 0
     assert result.output.splitlines() == [
         "c_1-c_2=0", "c_0-c_1=0", "c_0-c_2=0",
     ]
 
 
-def test_cli_essential_hyperplanes_bad_prime(runner):
-    result = runner.invoke(main, ["essential-hyperplanes", "G4", "--prime", "5"])
+def test_cli_essential_hyperplanes_bad_prime():
+    result = invoke(["essential-hyperplanes", "G4", "--prime", "5"])
     assert result.exit_code == 2
     assert "Error, The number p should divide the order of the group" \
         in result.output
 
 
 @pytest.mark.parametrize("prime", ["1", "-3", "1000000000000000000000007"])
-def test_cli_prime_outside_the_group_order_exits_two_quickly(runner, prime):
+def test_cli_prime_outside_the_group_order_exits_two_quickly(prime):
     start = time.monotonic()
-    result = runner.invoke(main, ["essential-hyperplanes", "G4", "-p", prime])
+    result = invoke(["essential-hyperplanes", "G4", "-p", prime])
     assert time.monotonic() - start < 1.0
     assert result.exit_code == 2
     assert "Error, The number p should divide the order of the group" \
@@ -317,27 +323,35 @@ def test_cli_prime_outside_the_group_order_exits_two_quickly(runner, prime):
 
 @pytest.mark.parametrize("args, message", [
     (["rouquier-blocks", "G4", "--exponents", "0,1,2", "--display", "foo"],
-     "Invalid value for '--display'"),
-    (["rouquier-blocks", "G4"], "Missing option '--exponents'"),
-    (["essential-hyperplanes", "G4", "-p", "x"],
-     "'x' is not a valid integer"),
-    (["no-such-command"], "No such command 'no-such-command'"),
+     "argument --display: invalid choice: 'foo'"),
+    (["rouquier-blocks", "G4"],
+     "the following arguments are required: --exponents"),
+    (["essential-hyperplanes", "G4", "-p", "x"], "invalid int value: 'x'"),
+    (["no-such-command"], "invalid choice: 'no-such-command'"),
 ], ids=["bad display", "missing exponents", "non-integer prime",
         "unknown command"])
-def test_cli_usage_errors_exit_four(runner, args, message):
+def test_cli_usage_errors_exit_four(args, message):
     # the README gives 4 to malformed arguments and 2 to an invalid prime
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 4
     assert result.stdout == ""
-    assert "Usage:" in result.stderr and message in result.stderr
+    assert "usage: heckeblocks" in result.stderr and message in result.stderr
 
 
 @pytest.mark.parametrize("args", [
     ["--help"], ["rouquier-blocks", "--help"], ["verify-db", "--help"],
 ])
-def test_cli_help_exits_zero(runner, args):
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0 and "Usage:" in result.stdout
+def test_cli_help_exits_zero(args):
+    result = invoke(args)
+    assert result.exit_code == 0 and "usage: heckeblocks" in result.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-db", "/no/such/file.json"], [],
+], ids=["missing verify-db path", "no command"])
+def test_cli_usage_errors_without_a_query_exit_four(args):
+    result = invoke(args)
+    assert result.exit_code == 4 and result.stdout == ""
 
 
 def _run_fresh(code, *args):
@@ -356,14 +370,25 @@ def test_cli_usage_error_exit_code_reaches_the_process():
     result = _run_fresh("from heckeblocks.cli import main; main()",
                         "rouquier-blocks", "G4")
     assert result.returncode == 4
-    assert "Missing option '--exponents'" in result.stderr
+    assert "the following arguments are required: --exponents" \
+        in result.stderr
 
 
 # Runs the CLI in a fresh interpreter and reports at exit whether sympy
-# was ever imported.
-_SYMPY_PROBE = (
-    "import atexit, sys\n"
-    "atexit.register(lambda: print('sympy loaded:', 'sympy' in sys.modules))\n"
+# was ever imported, and which modules the request imported from
+# site-packages. Modules already loaded at start-up, such as those a .pth
+# file imports, do not count.
+_IMPORT_PROBE = (
+    "import atexit, os, sys, sysconfig\n"
+    "before = set(sys.modules)\n"
+    "paths = [sysconfig.get_path(k) for k in ('purelib', 'platlib')]\n"
+    "roots = tuple(path + os.sep for path in paths)\n"
+    "def report():\n"
+    "    print('sympy loaded:', 'sympy' in sys.modules)\n"
+    "    print('site-packages modules:', sorted(\n"
+    "        name for name, m in list(sys.modules.items()) if name not in before\n"
+    "        and (getattr(m, '__file__', None) or '').startswith(roots)))\n"
+    "atexit.register(report)\n"
     "from heckeblocks.cli import main\n"
     "main()\n"
 )
@@ -378,9 +403,10 @@ _SYMPY_PROBE = (
     ["rouquier-blocks", "G4", "--path", "schur", "--exponents", "0,1,2"],
 ])
 def test_cli_table_queries_never_import_sympy(args):
-    result = _run_fresh(_SYMPY_PROBE, *args)
+    result = _run_fresh(_IMPORT_PROBE, *args)
     assert result.returncode == (3 if "schur" in args else 0), result.stderr
-    assert result.stdout.splitlines()[-1] == "sympy loaded: False"
+    assert result.stdout.splitlines()[-2:] == [
+        "sympy loaded: False", "site-packages modules: []"]
 
 
 # p-blocks and the Schur-path heuristic on G4 in an interpreter where any
@@ -408,8 +434,8 @@ def test_p_blocks_and_heuristic_run_without_sympy():
     ]
 
 
-def test_cli_all_blocks_name_mode(runner):
-    result = runner.invoke(main, ["all-blocks", "G4"])
+def test_cli_all_blocks_name_mode():
+    result = invoke(["all-blocks", "G4"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[0] == "No essential hyperplane"
@@ -419,9 +445,9 @@ def test_cli_all_blocks_name_mode(runner):
     )
 
 
-def test_cli_index_and_name_modes_agree(runner):
-    by_index = runner.invoke(main, ["all-blocks", "G6", "--display", "index"])
-    by_name = runner.invoke(main, ["all-blocks", "G6", "--display", "name"])
+def test_cli_index_and_name_modes_agree():
+    by_index = invoke(["all-blocks", "G6", "--display", "index"])
+    by_name = invoke(["all-blocks", "G6", "--display", "name"])
     assert by_index.exit_code == by_name.exit_code == 0
     g6 = load_group("G6")
     names = [c.render() for c in g6.characters]
@@ -438,9 +464,8 @@ def test_cli_index_and_name_modes_agree(runner):
     assert translated == by_name.output.splitlines()
 
 
-def test_cli_rouquier_blocks_and_arity(runner):
-    result = runner.invoke(
-        main,
+def test_cli_rouquier_blocks_and_arity():
+    result = invoke(
         ["rouquier-blocks", "G4", "--exponents", "0,1,2", "--display", "index"],
     )
     assert result.exit_code == 0
@@ -448,15 +473,26 @@ def test_cli_rouquier_blocks_and_arity(runner):
         "Essential hyperplanes hit: c_0-2c_1+c_2=0",
         "[[1],[2,5,7],[3],[4],[6]]",
     ]
-    result = runner.invoke(main, ["rouquier-blocks", "G4", "--exponents", "0,1"])
+    result = invoke(["rouquier-blocks", "G4", "--exponents", "0,1"])
     assert result.exit_code == 4
-    result = runner.invoke(main, ["rouquier-blocks", "G4", "--exponents", "a,b,c"])
+    result = invoke(["rouquier-blocks", "G4", "--exponents", "a,b,c"])
     assert result.exit_code == 4
 
 
-def test_cli_schur_path_requires_full_payload(runner):
-    result = runner.invoke(
-        main,
+@pytest.mark.parametrize("exponents", [
+    ["--exponents", "-1,0,1"], ["--exponents=-1,0,1"],
+], ids=["separate", "attached"])
+def test_cli_exponents_may_start_with_a_minus(exponents):
+    result = invoke(["rouquier-blocks", "G4", *exponents, "--display", "index"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "Essential hyperplanes hit: c_0-2c_1+c_2=0",
+        "[[1],[2,5,7],[3],[4],[6]]",
+    ]
+
+
+def test_cli_schur_path_requires_full_payload():
+    result = invoke(
         ["rouquier-blocks", "G7", "--exponents", "0,0,0,0,0,0,0,0",
          "--path", "schur"],
     )
@@ -491,8 +527,8 @@ _G7_SCHUR_HIT_AT_ZERO = (
         "[[1],[2],[3]]",
     ]),
 ])
-def test_cli_schur_path_end_to_end(runner, g7_schur_db, monkeypatch,
-                                   exponents, expected):
+def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
+                                   expected):
     monkeypatch.setenv("HECKE_DB", str(g7_schur_db))
     originals = {
         "blocks_no_hyperplane": heckeblocks.engine.blocks_no_hyperplane,
@@ -513,8 +549,8 @@ def test_cli_schur_path_end_to_end(runner, g7_schur_db, monkeypatch,
             if module_name.startswith("heckeblocks") and \
                     vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counting(name))
-    result = runner.invoke(main, ["rouquier-blocks", "G7", "--path", "schur",
-                                  "--display", "index", "--exponents", exponents])
+    result = invoke(["rouquier-blocks", "G7", "--path", "schur",
+                     "--display", "index", "--exponents", exponents])
     assert result.exit_code == 0, result.output
     assert result.output.splitlines() == expected
     # the bad primes once per query, the no-hyperplane blocks once per prime
@@ -525,30 +561,30 @@ def test_cli_schur_path_end_to_end(runner, g7_schur_db, monkeypatch,
     assert len(calls["essential_normals"]) == 2 * len(primes)
 
 
-def test_cli_unknown_group_exits_three(runner):
-    result = runner.invoke(main, ["all-blocks", "G99"])
+def test_cli_unknown_group_exits_three():
+    result = invoke(["all-blocks", "G99"])
     assert result.exit_code == 3
 
 
-def test_cli_verify_db_ok_and_corrupt(runner, db_copy):
-    result = runner.invoke(main, ["verify-db"])
+def test_cli_verify_db_ok_and_corrupt(db_copy):
+    result = invoke(["verify-db"])
     assert result.exit_code == 0 and result.output.strip() == "ok"
     path = rewrite(
         db_copy, "g4.json",
         lambda d: d["hyperplane_tables"][1].__setitem__("normal", [0, 1, 1]),
     )
-    result = runner.invoke(main, ["verify-db", str(path)])
+    result = invoke(["verify-db", str(path)])
     assert result.exit_code == 5 and result.output.strip()
 
 
-def test_cli_honours_hecke_db_env(runner, db_copy, monkeypatch):
+def test_cli_honours_hecke_db_env(db_copy, monkeypatch):
     rewrite(
         db_copy, "g4.json",
         lambda d: d.__setitem__("group_order", 24) or
         d["hyperplane_tables"].pop(),
     )
     monkeypatch.setenv("HECKE_DB", str(db_copy))
-    result = runner.invoke(main, ["all-blocks", "G4", "--display", "index"])
+    result = invoke(["all-blocks", "G4", "--display", "index"])
     assert result.exit_code == 0
     # the env-modified copy lost its last table
     assert len(result.output.splitlines()) == 12
