@@ -9,7 +9,7 @@ Blocks and essential hyperplanes push down along the link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import CycInt, RootOfUnity
 from .engine import Hyperplane, HyperplaneTable
@@ -29,8 +29,7 @@ __all__ = [
 SpecEntry = tuple
 
 
-@dataclass(frozen=True)
-class CliffordLink:
+class _CliffordLinkFields(NamedTuple):
     parent: str
     child: str
     cyclic_order: int
@@ -39,7 +38,14 @@ class CliffordLink:
     child_characters: tuple[CharLabel, ...]
     induction: tuple[tuple[CharLabel, tuple[CharLabel, ...]], ...]
 
-    def __post_init__(self):
+
+class CliffordLink(_CliffordLinkFields):
+    """A descent link; construction checks every induction row."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         seen: set[CharLabel] = set()
         for child_label, parents in self.induction:
             if child_label not in self.child_characters:
@@ -55,6 +61,7 @@ class CliffordLink:
                 if p in seen:
                     raise ValueError(f"parent character {p} in two rows")
                 seen.add(p)
+        return self
 
     def induction_indices(self) -> list[tuple[int, tuple[int, ...]]]:
         """Rows as 1-based (child index, parent indices)."""
@@ -187,4 +194,4 @@ def validate_schur_scaling(
 
 
 def _factor_key(fac):
-    return (fac.monomial, fac.psi.root.order, fac.psi.root.exponent, fac.mult)
+    return (fac.monomial, fac.psi.root, fac.mult)

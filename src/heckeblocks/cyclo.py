@@ -19,10 +19,10 @@ Phi_N over GF(p) by equal-degree splitting.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 __all__ = [
     "CycInt",
@@ -354,9 +354,11 @@ def _descent_map(m: int, n: int):
     )
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """zeta_order^exponent in lowest terms: gcd(exponent, order) = 1."""
+class RootOfUnity(NamedTuple):
+    """zeta_order^exponent in lowest terms: gcd(exponent, order) = 1.
+
+    Built by of(), which reduces to that form; the constructor does not
+    check it."""
 
     order: int
     exponent: int
@@ -375,12 +377,6 @@ class RootOfUnity:
     @staticmethod
     def one() -> "RootOfUnity":
         return RootOfUnity(1, 0)
-
-    def __post_init__(self):
-        if self.order < 1 or not (0 <= self.exponent < max(self.order, 1)):
-            raise ValueError("root of unity not in canonical form")
-        if self.order > 1 and gcd(self.exponent, self.order) != 1:
-            raise ValueError("root of unity not in canonical form")
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         n = lcm(self.order, other.order)
@@ -414,8 +410,7 @@ def _orbit(m: int, d: int, e: int) -> tuple[int, ...]:
     return tuple(sorted({e * t % d for t in _orbit_multipliers(m, d)}))
 
 
-@dataclass(frozen=True)
-class KCyclotomic:
+class KCyclotomic(NamedTuple):
     """Minimal polynomial over K = Q(zeta_m) of a root of unity of order >= 2.
 
     Represented by the field conductor and the root; the polynomial is
@@ -460,8 +455,7 @@ def _psi_value_at_one(psi: KCyclotomic) -> CycInt:
     return acc.descend(m)
 
 
-@dataclass(frozen=True)
-class PrimeIdealHandle:
+class PrimeIdealHandle(NamedTuple):
     """One prime ideal of Z[zeta_N] over p, named by an irreducible factor
     of Phi_N over the p-element field (lexicographically least)."""
 

@@ -11,7 +11,7 @@ re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groupblocks import Partition, join, meet, p_blocks
 from .lattice import IntVector, dot, primitive_part
@@ -47,8 +47,7 @@ _SEARCH_BUDGET = 100_000
 _AA_ROUNDS = 5
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """An essential hyperplane, named by its primitive sign-canonical
     normal vector."""
 
@@ -75,8 +74,7 @@ class Hyperplane:
         return "".join(out) + "=0"
 
 
-@dataclass(frozen=True)
-class HyperplaneTable:
+class HyperplaneTable(NamedTuple):
     """Stored Rouquier blocks for one essential hyperplane (hyperplane=None
     is the no-essential-hyperplane baseline), with the primes for which the
     hyperplane is essential."""
@@ -90,8 +88,7 @@ class HyperplaneTable:
         return None if self.hyperplane is None else self.hyperplane.normal
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(NamedTuple):
     n: IntVector
 
 

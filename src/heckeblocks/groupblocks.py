@@ -10,8 +10,8 @@ partition under the Galois action on the table rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cyclo import CycInt, in_prime_ideal, prime_handle
 
@@ -19,8 +19,7 @@ __all__ = ["CharacterTable", "Partition", "meet", "join", "central_character",
            "p_blocks", "galois_close"]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """A set partition of the 1-based character index set, in canonical
     form: each part sorted, parts ordered by least element."""
 
@@ -114,8 +113,7 @@ def join(ps: list[Partition]) -> Partition:
     )
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Ordinary character table; rows follow GroupDatum.characters."""
 
     conductor: int
@@ -172,15 +170,14 @@ def _conj(v: CycInt, sigma: int, n: int) -> CycInt:
 
 
 def galois_close(t: CharacterTable, pi: Partition) -> Partition:
-    """Finest coarsening of pi stable under the Galois row permutations."""
-    perms = _row_permutations(t)
-    current = pi
-    while True:
-        images = [current.permuted(perm) for perm in perms]
-        closed = join([current, *images])
-        if closed == current:
-            return current
-        current = closed
+    """Finest coarsening of pi stable under the Galois row permutations.
+
+    The permutations are those of every sigma in (Z/N)^x, the whole group,
+    identity included.  So the join J of the images of pi coarsens pi; J
+    is stable, since sigma only permutes the images; and every stable
+    coarsening C of pi coarsens each image sigma pi (C = sigma C), hence
+    J."""
+    return join([pi.permuted(perm) for perm in _row_permutations(t)])
 
 
 def p_blocks(t: CharacterTable, p: int) -> Partition:

@@ -9,9 +9,9 @@ specializations are decomposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 __all__ = [
     "IntVector",
@@ -29,8 +29,7 @@ IntVector = tuple[int, ...]
 Matrix = tuple[IntVector, ...]
 
 
-@dataclass(frozen=True)
-class LatticeMorphism:
+class LatticeMorphism(NamedTuple):
     """An integer matrix acting on exponent vectors (rows = image coords)."""
 
     matrix: Matrix

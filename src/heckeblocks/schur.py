@@ -15,9 +15,9 @@ K-irreducible pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .cyclo import (
     CycInt,
@@ -62,8 +62,7 @@ class BadPrimeArgument(ValueError):
     """Raised when a prime argument does not divide the group order."""
 
 
-@dataclass(frozen=True, order=True)
-class CharLabel:
+class CharLabel(NamedTuple):
     """An irreducible character phi_{d,b}, disambiguated by 0-3 primes."""
 
     degree: int
@@ -87,12 +86,13 @@ class CharLabel:
         return self.render()
 
 
-@dataclass
-class GroupDatum:
+class GroupDatum(NamedTuple):
     """Static data of one complex reflection group and its Hecke algebra.
 
-    Slots are indexed by (orbit, j) pairs flattened in orbit order; display
-    letters run a, b, c, ... with subscripts 0 .. e_C - 1.
+    Immutable; store.load builds each one once, from the header and its
+    parsed sections.  Slots are indexed by (orbit, j) pairs flattened in
+    orbit order; display letters run a, b, c, ... with subscripts
+    0 .. e_C - 1.
     """
 
     name: str
@@ -105,10 +105,6 @@ class GroupDatum:
     character_table: object | None = None  # groupblocks.CharacterTable
     hyperplane_tables: tuple | None = None  # engine.HyperplaneTable, ...
     clifford_links: tuple = ()
-
-    def __post_init__(self):
-        if len(set(self.characters)) != len(self.characters):
-            raise ValueError("character labels must be unique")
 
     @property
     def has_full_schur(self) -> bool:
@@ -141,9 +137,12 @@ class GroupDatum:
             start += e
         return out
 
+    def orbit_sums(self, v: IntVector) -> list[int]:
+        """The sum of v's entries over the slots of each orbit."""
+        return [sum(v[i] for i in rng) for rng in self.orbit_ranges()]
 
-@dataclass(frozen=True)
-class SchurFactorX:
+
+class SchurFactorX(NamedTuple):
     """One printed factor Phi_n(monomial) in the parameters x_(C,j).
 
     The monomial is exps_numerator / exps_denominator; a denominator q > 1
@@ -156,8 +155,7 @@ class SchurFactorX:
     twist: RootOfUnity = RootOfUnity.one()
 
 
-@dataclass(frozen=True)
-class SchurFactorV:
+class SchurFactorV(NamedTuple):
     """Psi(M)^mult with Psi K-cyclotomic and M a primitive monomial whose
     exponents sum to zero over every orbit."""
 
@@ -166,16 +164,14 @@ class SchurFactorV:
     mult: int = 1
 
 
-@dataclass
-class SchurElement:
+class SchurElement(NamedTuple):
     char: CharLabel
     xi: CycInt
     lead: IntVector
     factors: tuple[SchurFactorV, ...]
 
 
-@dataclass
-class SpecializedSchur:
+class SpecializedSchur(NamedTuple):
     """A Schur element after u_(C,j) -> y^(n_(C,j)): a Laurent polynomial
 
     psi_coeff * y^y_power * prod Psi_i(y^delta_i)^mult_i  with delta_i != 0,
@@ -205,10 +201,6 @@ def sign_canonical(v: IntVector) -> IntVector:
         if x < 0:
             return tuple(-y for y in v)
     return tuple(v)
-
-
-def _orbit_sums(g: GroupDatum, v: IntVector) -> list[int]:
-    return [sum(v[i] for i in rng) for rng in g.orbit_ranges()]
 
 
 def _slot_twist(g: GroupDatum, exps: IntVector, q: int) -> RootOfUnity:
@@ -255,12 +247,12 @@ def normalize_x_to_v(
         rho = fac.twist * _slot_twist(g, w, q)
         # Phi_n(rho * T^content) = rho^phi(n) * prod_(tau in S) (T - tau)
         xi = xi * (rho.as_cycint() ** euler_phi(n))
-        big = content * lcm(n, rho.order)
-        roots = []
-        for k in range(big):
-            tau = RootOfUnity.of(big, k)
-            if (rho * tau**content).order == n:
-                roots.append(tau)
+        # tau = zeta_big^k gives rho * tau^content = zeta_ell^(r + k)
+        ell = lcm(n, rho.order)
+        r = rho.exponent * (ell // rho.order)
+        big = content * ell
+        roots = [RootOfUnity.of(big, k) for k in range(big)
+                 if ell // gcd(r + k, ell) == n]
         if len(roots) != content * euler_phi(n):
             raise AssertionError("root-set enumeration miscounted")
         if any(t.is_one() for t in roots):
@@ -269,7 +261,7 @@ def normalize_x_to_v(
             )
         remaining = set(roots)
         while remaining:
-            tau = min(remaining, key=lambda t: (t.order, t.exponent))
+            tau = min(remaining)
             psi = KCyclotomic.of(m, tau)
             orbit = {RootOfUnity.of(tau.order, s) for s in psi.orbit()}
             if not orbit <= remaining:
@@ -290,8 +282,7 @@ def normalize_x_to_v(
         ) from exc
     out = tuple(
         SchurFactorV(psi, mono, mult) for (psi, mono), mult in sorted(
-            collected.items(), key=lambda kv: (kv[0][1], kv[0][0].root.order,
-                                               kv[0][0].root.exponent)
+            collected.items(), key=lambda kv: (kv[0][1], kv[0][0].root)
         )
     )
     return SchurElement(char, xi, tuple(lead), out)
@@ -332,14 +323,14 @@ def validate(g: GroupDatum, s: SchurElement) -> list[str]:
     if len(s.lead) != g.slot_count:
         bad.append("leading exponent vector has wrong length")
         return bad
-    for ci, total in enumerate(_orbit_sums(g, s.lead)):
+    for ci, total in enumerate(g.orbit_sums(s.lead)):
         if total:
             bad.append(f"leading exponents do not sum to zero on orbit {ci}")
     for fac in s.factors:
         prim, content = primitive_part(fac.monomial)
         if content != 1:
             bad.append(f"monomial {fac.monomial} is not primitive")
-        if any(_orbit_sums(g, fac.monomial)):
+        if any(g.orbit_sums(fac.monomial)):
             bad.append(f"monomial {fac.monomial} has nonzero orbit sums")
         if fac.psi.root.order < 2:
             bad.append("factor of root order 1")

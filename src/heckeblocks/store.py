@@ -123,6 +123,8 @@ def load(path) -> GroupDatum:
             orbits=tuple((o[0], _int(o[1])) for o in doc["orbits"]),
             characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
         )
+        if len(set(g.characters)) != len(g.characters):
+            raise ValueError("character labels must be unique")
         if any(e < 1 for _, e in g.orbits):
             raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
         if not all(isinstance(s, str) for s in (g.name, *(o for o, _ in g.orbits))):
@@ -133,12 +135,12 @@ def load(path) -> GroupDatum:
     try:
         report.extend(_shape_report(doc, g))
         if not report:
-            _load_sections(doc, g, report)
+            sections = _load_sections(doc, g, report)
     except _MALFORMED as exc:
         report.append(f"malformed entry: {type(exc).__name__}: {exc}")
     if report:
         raise StoreError(path, report)
-    return g
+    return g._replace(**sections)
 
 
 def _shape_report(doc, g: GroupDatum) -> list[str]:
@@ -166,10 +168,12 @@ def _shape_report(doc, g: GroupDatum) -> list[str]:
     return report
 
 
-def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
-    """Parse and check the optional sections into g, appending every
-    violation found to report."""
+def _load_sections(doc, g: GroupDatum, report: list[str]) -> dict:
+    """Parse and check the optional sections of g's document, appending
+    every violation found to report; returns the parsed sections by
+    GroupDatum field name."""
     size = len(g.characters)
+    sections = {}
 
     if "hyperplane_tables" in doc:
         tables = []
@@ -195,9 +199,7 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
                     report.append(
                         f"normal {normal} not primitive sign-canonical"
                     )
-                if any(
-                    sum(normal[i] for i in rng) for rng in g.orbit_ranges()
-                ):
+                if any(g.orbit_sums(normal)):
                     report.append(f"normal {normal} has nonzero orbit sums")
                 hp = Hyperplane(normal)
             primes = tdoc.get("primes", [])
@@ -213,7 +215,7 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
             tables.append(HyperplaneTable(hp, blocks, frozenset(primes)))
         if tables and not seen_baseline:
             report.append("hyperplane tables lack the no-hyperplane baseline")
-        g.hyperplane_tables = tuple(tables)
+        sections["hyperplane_tables"] = tuple(tables)
 
     if "character_table" in doc:
         tdoc = doc["character_table"]
@@ -241,7 +243,7 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
                     report.append(
                         f"table degree mismatch for {c.render()}"
                     )
-        g.character_table = table
+        sections["character_table"] = table
 
     if "schur_x" in doc:
         elements = {}
@@ -265,7 +267,7 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
             bad = validate(g, element)
             report.extend(f"{name}: {msg}" for msg in bad)
             elements[label] = element
-        g.schur_elements = elements
+        sections["schur_elements"] = elements
 
     links = []
     for ldoc in doc.get("clifford_links", []):
@@ -279,7 +281,8 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> None:
         elif link.child_characters != g.characters:
             report.append("link child characters disagree with the datum")
         links.append(link)
-    g.clifford_links = tuple(links)
+    sections["clifford_links"] = tuple(links)
+    return sections
 
 
 def load_group(name: str, db_dir=None) -> GroupDatum:

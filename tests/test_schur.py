@@ -2,7 +2,6 @@
 essential monomials, and the a/A invariants against a brute-force Laurent
 expansion."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -250,7 +249,7 @@ def test_specialization_at_zero_recovers_group_order_over_degree(g7):
 
 def test_bad_primes_on_a_full_payload(g7):
     # G7 cut down to the characters with stored Schur data has a full payload
-    g = replace(g7, characters=tuple(g7.schur_elements))
+    g = g7._replace(characters=tuple(g7.schur_elements))
     assert g.has_full_schur and not g7.has_full_schur
     with pytest.raises(ValueError):
         bad_primes(g7, (0,) * 8)

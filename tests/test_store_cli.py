@@ -196,6 +196,14 @@ _MALFORMED = {
     "float block index": (
         "g4.json",
         lambda d: d["hyperplane_tables"][0]["blocks"][1].__setitem__(0, 2.0)),
+    # checks that run in store.load, not when a value is constructed
+    "duplicate character label": (
+        "g4.json",
+        lambda d: d["characters"].__setitem__(1, d["characters"][0])),
+    "root of order zero": (
+        "g7.json",
+        lambda d: d["schur_x"]["phi{1,0}"]["factors"][0].__setitem__(
+            "twist", [0, 1])),
 }
 
 
@@ -407,6 +415,26 @@ def test_cli_table_queries_never_import_sympy(args):
     assert result.returncode == (3 if "schur" in args else 0), result.stderr
     assert result.stdout.splitlines()[-2:] == [
         "sympy loaded: False", "site-packages modules: []"]
+
+
+# Runs the CLI in a fresh interpreter and prints at exit which of
+# dataclasses and inspect the request imported, beyond those loaded at
+# start-up.
+_DATACLASSES_PROBE = (
+    "import atexit, sys\n"
+    "before = set(sys.modules)\n"
+    "atexit.register(lambda: print('added:', sorted(\n"
+    "    {'dataclasses', 'inspect'} & set(sys.modules) - before)))\n"
+    "from heckeblocks.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize("args", [["all-blocks", "G7"], ["verify-db"]])
+def test_cli_does_not_import_dataclasses(args):
+    result = _run_fresh(_DATACLASSES_PROBE, *args)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "added: []"
 
 
 # p-blocks and the Schur-path heuristic on G4 in an interpreter where any
