@@ -31,6 +31,7 @@ from .schur import (
     SchurFactorV,
     SchurFactorX,
     a_and_A,
+    aa_weight,
     bad_primes,
     essential_hyperplanes,
     essential_monomials,

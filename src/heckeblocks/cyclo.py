@@ -118,15 +118,17 @@ def _exact_quotient(coeffs: list[int], divisor: tuple[int, ...]) -> list[int]:
 
 
 def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
-    """Remainder of a coefficient list (ascending) modulo the monic Phi_n."""
+    """Remainder of a coefficient list (ascending) modulo the monic Phi_n;
+    each step touches only the nonzero lower terms of Phi_n."""
     phi = _phi_coeffs(n)
     deg = len(phi) - 1
+    lower = [(j - deg, pc) for j, pc in enumerate(phi[:deg]) if pc]
     work = list(coeffs)
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            for j, pc in enumerate(phi):
-                work[i - deg + j] -= c * pc
+            for j, pc in lower:
+                work[i + j] -= c * pc
     work = work[:deg]
     work += [0] * (deg - len(work))
     return tuple(work)
@@ -147,6 +149,16 @@ class CycInt:
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
+    @staticmethod
+    def _reduced(conductor: int, coeffs: tuple[int, ...]) -> "CycInt":
+        """An element from a tuple of phi(conductor) ints already in the
+        reduced basis, as _reduce_mod_phi and the ring operations on
+        reduced operands give it; no checks."""
+        out = object.__new__(CycInt)
+        object.__setattr__(out, "conductor", conductor)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CycInt is immutable")
 
@@ -154,14 +166,14 @@ class CycInt:
 
     @staticmethod
     def rational(r: int) -> "CycInt":
-        return CycInt(1, (int(r),))
+        return CycInt._reduced(1, (int(r),))
 
     @staticmethod
     def zeta(order: int, exponent: int = 1) -> "CycInt":
         exponent %= order
         coeffs = [0] * (order)
         coeffs[exponent] = 1
-        return CycInt(order, _reduce_mod_phi(coeffs, order))
+        return CycInt._reduced(order, _reduce_mod_phi(coeffs, order))
 
     # -- representation ----------------------------------------------------
 
@@ -176,7 +188,7 @@ class CycInt:
         for i, c in enumerate(self.coeffs):
             if c:
                 out[(i * step) % conductor] += c
-        return CycInt(conductor, _reduce_mod_phi(out, conductor))
+        return CycInt._reduced(conductor, _reduce_mod_phi(out, conductor))
 
     def descend(self, conductor: int) -> "CycInt":
         """Rewrite in Z[zeta_m] for a divisor m of the conductor.
@@ -190,7 +202,7 @@ class CycInt:
         den, left = _descent_map(conductor, self.conductor)
         values = [sum(c * self.coeffs[j] for j, c in row) for row in left]
         if all(v % den == 0 for v in values):
-            down = CycInt(conductor, [v // den for v in values])
+            down = CycInt._reduced(conductor, tuple(v // den for v in values))
             if down.lift(self.conductor).coeffs == self.coeffs:
                 return down
         raise ValueError(
@@ -227,12 +239,13 @@ class CycInt:
         if other is NotImplemented:
             return NotImplemented
         a, b, n = self._pair(other)
-        return CycInt(n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycInt._reduced(n, tuple([x + y for x, y
+                                         in zip(a.coeffs, b.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt(self.conductor, tuple(-c for c in self.coeffs))
+        return self._scaled(-1)
 
     def __sub__(self, other):
         other = CycInt._coerce(other)
@@ -247,6 +260,10 @@ class CycInt:
         other = CycInt._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.conductor == 1:
+            return self._scaled(other.coeffs[0])
+        if self.conductor == 1:
+            return other._scaled(self.coeffs[0])
         a, b, n = self._pair(other)
         prod = [0] * (2 * len(a.coeffs))
         for i, x in enumerate(a.coeffs):
@@ -254,19 +271,31 @@ class CycInt:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         prod[i + j] += x * y
-        return CycInt(n, _reduce_mod_phi(prod, n))
+        return CycInt._reduced(n, _reduce_mod_phi(prod, n))
 
     __rmul__ = __mul__
 
+    def _scaled(self, c: int) -> "CycInt":
+        return CycInt._reduced(self.conductor,
+                               tuple([c * x for x in self.coeffs]))
+
     def __pow__(self, k: int):
+        """Square and multiply from the lowest set bit of k: no product
+        with 1 and no squaring past the highest bit, so x ** 1 is x."""
         if k < 0:
             raise ValueError("negative powers are not defined in Z[zeta_N]")
-        result = CycInt.rational(1)
+        if k == 0:
+            return CycInt.rational(1)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 
@@ -276,7 +305,8 @@ class CycInt:
             raise ZeroDivisionError
         if any(c % d for c in self.coeffs):
             raise ValueError(f"inexact division by {d}")
-        return CycInt(self.conductor, tuple(c // d for c in self.coeffs))
+        return CycInt._reduced(self.conductor,
+                               tuple([c // d for c in self.coeffs]))
 
     def galois_conjugate(self, t: int) -> "CycInt":
         """Image under zeta_N -> zeta_N^t, gcd(t, N) = 1."""
@@ -287,7 +317,7 @@ class CycInt:
         for i, c in enumerate(self.coeffs):
             if c:
                 out[(i * t) % n] += c
-        return CycInt(n, _reduce_mod_phi(out, n))
+        return CycInt._reduced(n, _reduce_mod_phi(out, n))
 
     # -- norm ---------------------------------------------------------------
 

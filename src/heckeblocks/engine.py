@@ -17,12 +17,11 @@ from .groupblocks import Partition, join, meet, p_blocks
 from .lattice import IntVector, dot, primitive_part
 from .schur import (
     GroupDatum,
-    a_and_A,
+    aa_weight,
     bad_primes,
     essential_monomials,
     essential_normals,
     sign_canonical,
-    specialize,
 )
 
 __all__ = [
@@ -225,22 +224,31 @@ def _admissible_specs(g: GroupDatum, on, off):
         yield from walk(0, [0] * len(normals), box == 1)
 
 
-def _aa_partition(g: GroupDatum, avail: dict, n: IntVector) -> Partition:
+def _aa_partition(g: GroupDatum, weights: dict[int, IntVector],
+                  n: IntVector) -> Partition:
     """Characters grouped by equal a + A at the specialization n; characters
-    without Schur data stay singletons."""
-    sums: dict[object, list[int]] = {}
-    for i, s in avail.items():
-        a, big_a = a_and_A(g, specialize(g, s, n))
-        sums.setdefault(a + big_a, []).append(i)
+    with no entry in weights stay singletons.
+
+    weights maps a character index to schur.aa_weight of its Schur
+    element, and mu * (a + A) at n is dot(w, n), so no specialized element
+    is built.  Grouping by schur.a_and_A of schur.specialize gives the same
+    partition; tests/test_engine.py keeps that as the oracle."""
+    sums: dict[int, list[int]] = {}
+    for i, w in weights.items():
+        sums.setdefault(dot(w, n), []).append(i)
     return Partition.generated_by(sums.values(), len(g.characters))
 
 
 def _heuristic_blocks(g: GroupDatum, p: int, seed: list[int], on, off
                       ) -> Partition:
-    """Steps 2-3 of the heuristic, from the seed part (every other
-    character a singleton): meet with the group p-blocks, then with a+A
-    partitions over admissible specializations until stable."""
-    avail = g.stored_schur()
+    """Steps 2-3 of the heuristic, from the seed part (characters with
+    stored Schur data; every other character a singleton): meet with the
+    group p-blocks, then with a+A partitions over admissible
+    specializations until stable."""
+    # Meets only split parts, and every character outside the seed starts
+    # as a singleton, so only the seed's a + A values can change the result.
+    stored = g.stored_schur()
+    weights = {i: aa_weight(stored[i]) for i in seed}
     current = Partition.generated_by([seed], len(g.characters))
     if g.character_table is not None:
         current = meet(current, p_blocks(g.character_table, p))
@@ -248,7 +256,7 @@ def _heuristic_blocks(g: GroupDatum, p: int, seed: list[int], on, off
     used = 0
     stable_since = 0
     for n in specs:
-        refined = meet(current, _aa_partition(g, avail, n))
+        refined = meet(current, _aa_partition(g, weights, n))
         used += 1
         stable_since = stable_since + 1 if refined == current else 0
         current = refined

@@ -66,7 +66,7 @@ class Partition(NamedTuple):
 
     @property
     def size(self) -> int:
-        return sum(len(p) for p in self.parts)
+        return sum(map(len, self.parts))
 
     def part_of(self, index: int) -> tuple[int, ...]:
         for part in self.parts:
@@ -83,31 +83,32 @@ class Partition(NamedTuple):
         )
 
 
-def _check_sizes(ps: list[Partition]):
-    sizes = {p.size for p in ps}
-    if len(sizes) > 1:
-        raise ValueError("partitions are over different index sets")
-
-
 def meet(p1: Partition, p2: Partition) -> Partition:
-    """Common refinement: indices grouped by their pair of part numbers."""
-    _check_sizes([p1, p2])
-    label = {}
-    for k, part in enumerate(p2.parts):
-        for i in part:
-            label[i] = k
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, part in enumerate(p1.parts):
-        for i in part:
-            groups.setdefault((k, label[i]), []).append(i)
-    return Partition.of(list(groups.values()), p1.size)
+    """Common refinement: indices grouped by their pair of part numbers.
+
+    One pass over 1..size in increasing order: each part is built sorted
+    and the parts come out ordered by least element, so the result is
+    canonical as it stands (as in Partition.generated_by)."""
+    size = p1.size
+    if p2.size != size:
+        raise ValueError("partitions are over different index sets")
+    key = [0] * (size + 1)  # part numbers k1, k2 as k1 + k2 * len(p1.parts)
+    for scale, p in ((1, p1), (len(p1.parts), p2)):
+        for k, part in enumerate(p.parts):
+            for i in part:
+                key[i] += k * scale
+    groups: dict[int, list[int]] = {}
+    for i in range(1, size + 1):
+        groups.setdefault(key[i], []).append(i)
+    return Partition(tuple([tuple(part) for part in groups.values()]))
 
 
 def join(ps: list[Partition]) -> Partition:
     """Finest common coarsening."""
     if not ps:
         raise ValueError("join of no partitions")
-    _check_sizes(ps)
+    if len({p.size for p in ps}) > 1:
+        raise ValueError("partitions are over different index sets")
     return Partition.generated_by(
         (part for p in ps for part in p.parts), ps[0].size
     )

@@ -48,6 +48,7 @@ __all__ = [
     "essential_hyperplanes",
     "specialize",
     "a_and_A",
+    "aa_weight",
     "bad_primes",
     "generic_singleton",
 ]
@@ -246,7 +247,7 @@ def normalize_x_to_v(
             raise SchurDataError("factor with trivial monomial")
         rho = fac.twist * _slot_twist(g, w, q)
         # Phi_n(rho * T^content) = rho^phi(n) * prod_(tau in S) (T - tau)
-        xi = xi * (rho.as_cycint() ** euler_phi(n))
+        xi = xi * (rho ** euler_phi(n)).as_cycint()
         # tau = zeta_big^k gives rho * tau^content = zeta_ell^(r + k)
         ell = lcm(n, rho.order)
         r = rho.exponent * (ell // rho.order)
@@ -412,7 +413,11 @@ def specialize(g: GroupDatum, s: SchurElement, n: IntVector) -> SpecializedSchur
 
 def a_and_A(g: GroupDatum, sp: SpecializedSchur) -> tuple[Fraction, Fraction]:
     """Valuation and degree of the specialized element in the x-scale
-    (y = x^(1/mu))."""
+    (y = x^(1/mu)).
+
+    Their sum is linear in the specialization: mu * (a + A) at n is
+    <aa_weight(s), n>.  The Schur-path heuristic groups characters by that
+    dot product and calls neither this function nor specialize."""
     val = sp.y_power
     deg = sp.y_power
     for psi, delta, mult in sp.terms:
@@ -422,6 +427,22 @@ def a_and_A(g: GroupDatum, sp: SpecializedSchur) -> tuple[Fraction, Fraction]:
         else:
             deg += span
     return Fraction(val, g.mu_order), Fraction(deg, g.mu_order)
+
+
+def aa_weight(s: SchurElement) -> IntVector:
+    """The integer vector w with mu * (a + A) = <w, n> at every
+    specialization n, namely
+
+        w = 2 * lead + sum over the factors of mult * deg(Psi) * M.
+
+    At n, Psi(y^delta)^mult with delta = <M, n> spans mult * deg * |delta|
+    powers of y: it adds mult * deg * delta to the valuation when delta < 0
+    and to the degree when delta > 0, so to their sum in either case (and
+    nothing when delta = 0).  The y^lead term adds <lead, n> to both."""
+    coeffs = (2, *(fac.mult * fac.psi.degree for fac in s.factors))
+    # row j: lead[j] and the j-th entry of every factor's monomial
+    rows = zip(s.lead, *(fac.monomial for fac in s.factors))
+    return tuple(dot(coeffs, row) for row in rows)
 
 
 def bad_primes(g: GroupDatum, n: IntVector) -> set[int]:

@@ -23,7 +23,7 @@ from heckeblocks.engine import (
 )
 from heckeblocks.groupblocks import Partition
 from heckeblocks.lattice import dot
-from heckeblocks.schur import essential_normals
+from heckeblocks.schur import a_and_A, aa_weight, essential_normals, specialize
 from heckeblocks.store import load_group
 
 
@@ -282,3 +282,65 @@ def test_search_makes_no_dot_call(g7, monkeypatch):
     normals = essential_normals(g7, [2])
     h = (1, -1, 0, 0, 0, 0, 0, 0)
     assert len(_first(_admissible_specs(g7, [h], normals - {h}))[0]) == 20
+
+
+# ---------------------------------------------------------------------------
+# the a + A grouping against specialized Schur elements
+# ---------------------------------------------------------------------------
+
+
+def _aa_partition_by_specialization(g, n):
+    """Characters grouped by equal a + A, read off the specialized Schur
+    elements of every stored character (the grouping aa_weight replaced)."""
+    sums = {}
+    for i, s in g.stored_schur().items():
+        a, big_a = a_and_A(g, specialize(g, s, n))
+        sums.setdefault(a + big_a, []).append(i)
+    return Partition.generated_by(sums.values(), len(g.characters))
+
+
+def _g7_searches(g7):
+    """(p, on, off) of every search the heuristic makes on G7: no
+    hyperplane, and each p-essential normal with the others off."""
+    out = []
+    for p in (2, 3):
+        normals = essential_normals(g7, [p])
+        out.append((p, [], normals))
+        out += [(p, [h], normals - {h}) for h in sorted(normals)]
+    return out
+
+
+def test_aa_partition_matches_specialized_a_plus_A(g7):
+    weights = {i: aa_weight(s) for i, s in g7.stored_schur().items()}
+    searches = _g7_searches(g7)
+    assert len(searches) == 2 + 13
+    merged = 0
+    for p, on, off in searches:
+        vectors, raised = _first(_admissible_specs(g7, on, off))
+        assert len(vectors) == 20 and not raised
+        for n in vectors:
+            expected = _aa_partition_by_specialization(g7, n)
+            assert engine._aa_partition(g7, weights, n) == expected, (p, on, n)
+            merged += len(expected.parts) < len(g7.characters)
+    assert merged  # some vector puts two characters in one part
+
+
+@pytest.mark.parametrize("name", ["G4", "G7"])
+def test_heuristic_blocks_match_specialized_grouping(name, monkeypatch):
+    """Every heuristic job, with the a + A grouping of all stored
+    characters from specialized elements in place of the seed's weights."""
+    g = load_group(name)
+
+    def jobs():
+        out = []
+        for p in (2, 3, 5):
+            out.append(blocks_no_hyperplane(g, p))
+            for h in sorted(essential_normals(g, [p])):
+                out.append(blocks_one_hyperplane(g, p, Hyperplane(h)))
+        return out
+
+    fast = jobs()
+    monkeypatch.setattr(
+        engine, "_aa_partition",
+        lambda g, weights, n: _aa_partition_by_specialization(g, n))
+    assert jobs() == fast

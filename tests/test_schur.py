@@ -2,18 +2,21 @@
 essential monomials, and the a/A invariants against a brute-force Laurent
 expansion."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 from heckeblocks.cyclo import CycInt, RootOfUnity
+from heckeblocks.lattice import dot
 from heckeblocks.schur import (
     BadPrimeArgument,
     CharLabel,
     SchurDataError,
     SchurFactorX,
     a_and_A,
+    aa_weight,
     bad_primes,
     essential_hyperplanes,
     essential_monomials,
@@ -223,11 +226,17 @@ def laurent_expand(g, sp):
     return poly
 
 
-@pytest.mark.parametrize("n", [
+LAURENT_VECTORS = [
     (0, 1, 2, 0, 1, 2, 0, 1),
     (1, 0, 0, 0, 0, 0, 0, 0),
     (2, -1, 1, 0, -1, 3, -2, -1),
-])
+]
+_rng = random.Random(20070)
+RANDOM_VECTORS = [tuple(_rng.randint(-4, 4) for _ in range(8))
+                  for _ in range(30)]
+
+
+@pytest.mark.parametrize("n", LAURENT_VECTORS)
 def test_a_and_A_match_laurent_expansion(g7, n):
     for s in rep_elements(g7):
         sp = specialize(g7, s, n)
@@ -236,6 +245,15 @@ def test_a_and_A_match_laurent_expansion(g7, n):
         a, big_a = a_and_A(g7, sp)
         assert a == Fraction(min(poly), g7.mu_order)
         assert big_a == Fraction(max(poly), g7.mu_order)
+
+
+@pytest.mark.parametrize("n", LAURENT_VECTORS + RANDOM_VECTORS)
+def test_aa_weight_matches_laurent_expansion(g7, n):
+    # y = x^(1/mu), so mu * (a + A) is the sum of the least and the greatest
+    # y-power of the expanded element
+    for s in g7.schur_elements.values():
+        poly = laurent_expand(g7, specialize(g7, s, n))
+        assert dot(aa_weight(s), n) == min(poly) + max(poly), (s.char, n)
 
 
 def test_specialization_at_zero_recovers_group_order_over_degree(g7):
