@@ -2,11 +2,11 @@
 
 The table path joins stored per-hyperplane block partitions for the
 hyperplanes a specialization lies on.  The Schur path re-derives those
-partitions from factorized Schur elements: coefficient divisibility,
-group-theoretic p-blocks, and the constancy of a + A across deterministic
-test specializations.  rouquier_blocks answers a query along either path.
-The partition lattice (Partition, meet, join) lives in groupblocks and is
-re-exported here.
+partitions from factorized Schur elements: a seed set of characters, chosen
+by coefficient divisibility, split by the group-theoretic p-blocks and by
+a + A at deterministic test specializations.  rouquier_blocks answers a
+query along either path.  Partition, meet and join live in groupblocks and
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -224,44 +224,33 @@ def _admissible_specs(g: GroupDatum, on, off):
         yield from walk(0, [0] * len(normals), box == 1)
 
 
-def _aa_partition(g: GroupDatum, weights: dict[int, IntVector],
-                  n: IntVector) -> Partition:
-    """Characters grouped by equal a + A at the specialization n; characters
-    with no entry in weights stay singletons.
-
-    weights maps a character index to schur.aa_weight of its Schur
-    element, and mu * (a + A) at n is dot(w, n), so no specialized element
-    is built.  Grouping by schur.a_and_A of schur.specialize gives the same
-    partition; tests/test_engine.py keeps that as the oracle."""
-    sums: dict[int, list[int]] = {}
-    for i, w in weights.items():
-        sums.setdefault(dot(w, n), []).append(i)
-    return Partition.generated_by(sums.values(), len(g.characters))
-
-
 def _heuristic_blocks(g: GroupDatum, p: int, seed: list[int], on, off
                       ) -> Partition:
-    """Steps 2-3 of the heuristic, from the seed part (characters with
-    stored Schur data; every other character a singleton): meet with the
-    group p-blocks, then with a+A partitions over admissible
-    specializations until stable."""
-    # Meets only split parts, and every character outside the seed starts
-    # as a singleton, so only the seed's a + A values can change the result.
+    """Steps 2-3 of the heuristic: the seed part (characters with stored
+    Schur data; every other character a singleton) split by the group
+    p-blocks, then by a + A at admissible specializations until stable,
+    after at least _AA_ROUNDS of them; RuntimeError if the search ends.
+
+    A seed character's key is its p-block number, if a character table is
+    stored, then dot(aa_weight, n) = mu * (a + A) per vector n; equal keys
+    make a part.  Keys only refine, so a vector leaves the partition stable
+    exactly when the number of distinct keys stays the same."""
     stored = g.stored_schur()
     weights = {i: aa_weight(stored[i]) for i in seed}
-    current = Partition.generated_by([seed], len(g.characters))
+    keys: dict[int, tuple[int, ...]] = dict.fromkeys(seed, ())
     if g.character_table is not None:
-        current = meet(current, p_blocks(g.character_table, p))
-    specs = _admissible_specs(g, on, off)
-    used = 0
-    stable_since = 0
-    for n in specs:
-        refined = meet(current, _aa_partition(g, weights, n))
-        used += 1
-        stable_since = stable_since + 1 if refined == current else 0
-        current = refined
-        if used >= _AA_ROUNDS and stable_since >= 1:
-            return current
+        blocks = p_blocks(g.character_table, p).parts
+        keys = {i: (k,) for k, b in enumerate(blocks) for i in b if i in keys}
+    count = len(set(keys.values()))
+    for used, n in enumerate(_admissible_specs(g, on, off), start=1):
+        for i, w in weights.items():
+            keys[i] += (dot(w, n),)
+        before, count = count, len(set(keys.values()))
+        if used >= _AA_ROUNDS and count == before:
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for i, key in keys.items():
+                parts.setdefault(key, []).append(i)
+            return Partition.generated_by(parts.values(), len(g.characters))
     raise RuntimeError(
         f"no admissible specialization for {g.name} at p={p} within the "
         f"search bound"
@@ -272,12 +261,12 @@ def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:
     """Candidate blocks away from every essential hyperplane.
 
     The seed part holds the characters with stored Schur data whose
-    coefficient xi has norm divisible by p; meets with the group p-blocks
-    and with the a + A partitions at the tried specializations can only
-    split it, and every other character stays a singleton.  The result is
-    therefore no guaranteed coarsening of the true blocks: on G7, whose
-    payload covers 3 of 42 characters, it is 42 singletons, finer than the
-    stored 29-part baseline.  Only the stored tables are authoritative."""
+    coefficient xi has norm divisible by p; the group p-blocks and a + A
+    at the tried specializations can only split it, and every other
+    character stays a singleton.  The result is therefore no guaranteed
+    coarsening of the true blocks: on G7, whose payload covers 3 of 42
+    characters, it is 42 singletons, finer than the stored 29-part
+    baseline.  Only the stored tables are authoritative."""
     if g.group_order % p:
         return Partition.singletons(len(g.characters))
     heavy = [

@@ -311,6 +311,8 @@ def _g7_searches(g7):
 
 
 def test_aa_partition_matches_specialized_a_plus_A(g7):
+    """Grouping by dot(aa_weight(s), n), as the heuristic keys characters,
+    against grouping by a + A of the specialized elements."""
     weights = {i: aa_weight(s) for i, s in g7.stored_schur().items()}
     searches = _g7_searches(g7)
     assert len(searches) == 2 + 13
@@ -319,28 +321,152 @@ def test_aa_partition_matches_specialized_a_plus_A(g7):
         vectors, raised = _first(_admissible_specs(g7, on, off))
         assert len(vectors) == 20 and not raised
         for n in vectors:
+            sums = {}
+            for i, w in weights.items():
+                sums.setdefault(dot(w, n), []).append(i)
+            got = Partition.generated_by(sums.values(), len(g7.characters))
             expected = _aa_partition_by_specialization(g7, n)
-            assert engine._aa_partition(g7, weights, n) == expected, (p, on, n)
+            assert got == expected, (p, on, n)
             merged += len(expected.parts) < len(g7.characters)
     assert merged  # some vector puts two characters in one part
 
 
+# ---------------------------------------------------------------------------
+# the keyed heuristic against the meet loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _heuristic_by_meets(g, p, seed, on, off):
+    """The heuristic as a loop of partition meets: the seed part (every
+    other character a singleton) meets the group p-blocks, then the a + A
+    grouping of specialized elements at each admissible vector, for
+    _AA_ROUNDS vectors and then until a meet changes nothing.
+
+    Returns the partition, or None when the search raised or ended first,
+    and the number of vectors used."""
+    current = Partition.generated_by([seed], len(g.characters))
+    if g.character_table is not None:
+        current = meet(current, engine.p_blocks(g.character_table, p))
+    used = 0
+    try:
+        for n in engine._admissible_specs(g, on, off):
+            refined = meet(current, _aa_partition_by_specialization(g, n))
+            used += 1
+            if used >= engine._AA_ROUNDS and refined == current:
+                return current, used
+            current = refined
+    except RuntimeError as exc:
+        assert "exceeded" in str(exc)
+    return None, used
+
+
+def _heuristic_keyed(g, p, seed, on, off, monkeypatch):
+    """engine._heuristic_blocks, and the number of vectors it took from
+    the search; None in place of the partition when it raised."""
+    search, taken = engine._admissible_specs, []
+
+    def counted(*args):
+        for n in search(*args):
+            taken.append(n)
+            yield n
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_admissible_specs", counted)
+        try:
+            blocks = engine._heuristic_blocks(g, p, seed, on, off)
+        except RuntimeError:
+            blocks = None
+    return blocks, len(taken)
+
+
+def _heuristic_calls(g, monkeypatch):
+    """(p, seed, on, off) of every _heuristic_blocks call made by the
+    no-hyperplane and one-hyperplane jobs at p = 2, 3 and 5."""
+    calls, real = [], engine._heuristic_blocks
+
+    def record(g, p, seed, on, off):
+        calls.append((p, list(seed), list(on), set(off)))
+        return real(g, p, seed, on, off)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_heuristic_blocks", record)
+        for p in (2, 3, 5):
+            blocks_no_hyperplane(g, p)
+            for h in sorted(essential_normals(g, [p])):
+                blocks_one_hyperplane(g, p, Hyperplane(h))
+    return calls
+
+
 @pytest.mark.parametrize("name", ["G4", "G7"])
 def test_heuristic_blocks_match_specialized_grouping(name, monkeypatch):
-    """Every heuristic job, with the a + A grouping of all stored
-    characters from specialized elements in place of the seed's weights."""
+    """Every heuristic call of every job gives the meet loop's partition
+    after the same number of vectors.  Under search budgets of 300 and
+    1000 points some G7 calls run out of vectors: both then raise, having
+    used the same vectors."""
     g = load_group(name)
+    calls = _heuristic_calls(g, monkeypatch)
+    assert len(calls) == (28 if name == "G7" else 2)
+    raised = {}
+    for budget in (_SEARCH_BUDGET, 1000, 300):
+        monkeypatch.setattr(engine, "_SEARCH_BUDGET", budget)
+        for call in calls:
+            keyed = _heuristic_keyed(g, *call, monkeypatch)
+            assert keyed == _heuristic_by_meets(g, *call), (budget, call)
+            raised[budget] = raised.get(budget, 0) + (keyed[0] is None)
+    assert raised[_SEARCH_BUDGET] == 0
+    if name == "G7":
+        assert 0 < raised[1000] < len(calls) and 0 < raised[300] < len(calls)
 
-    def jobs():
-        out = []
-        for p in (2, 3, 5):
-            out.append(blocks_no_hyperplane(g, p))
-            for h in sorted(essential_normals(g, [p])):
-                out.append(blocks_one_hyperplane(g, p, Hyperplane(h)))
-        return out
 
-    fast = jobs()
-    monkeypatch.setattr(
-        engine, "_aa_partition",
-        lambda g, weights, n: _aa_partition_by_specialization(g, n))
-    assert jobs() == fast
+def test_heuristic_blocks_key_by_group_p_blocks(g7, monkeypatch):
+    """The p-block step, which the shipped data never exercises with more
+    than one seed character (G4 has a character table and no Schur data,
+    G7 the reverse): G7 with stand-in p-blocks that keep its three stored
+    characters 1, 28 and 39 together or split one or two of them off."""
+    calls = [c for c in _heuristic_calls(g7, monkeypatch) if len(c[1]) > 1]
+    assert calls
+    for blocks in ([[1, 39], [2, 28]], [[1, 28, 39]], [[28, 39]]):
+        stand_in = Partition.generated_by(blocks, len(g7.characters))
+        monkeypatch.setattr(engine, "p_blocks", lambda t, p: stand_in)
+        g = g7._replace(character_table="stand-in table")
+        block_of = {i: k for k, part in enumerate(stand_in.parts)
+                    for i in part}
+        for call in calls:
+            keyed = _heuristic_keyed(g, *call, monkeypatch)
+            assert keyed == _heuristic_by_meets(g, *call), (blocks, call)
+            for part in keyed[0].parts:  # none crosses a stand-in block
+                assert len({block_of[i] for i in part}) == 1, (blocks, call)
+
+
+# D_FIFTH is orthogonal to the first four vectors of the search on H_MERGE at
+# p = 2 and not to the fifth
+H_MERGE = (1, -1, 2, -1, -1, 2, -1, -1)
+D_FIFTH = (-1, -1, 0, 0, 0, -1, 0, 0)
+
+
+@pytest.mark.parametrize("case, together, used", [
+    ("equal", True, 5), ("opposite", False, 5), ("split-at-fifth", False, 6),
+])
+def test_heuristic_blocks_on_stand_in_weights(g7, monkeypatch, case,
+                                              together, used):
+    """Stored characters 1 and 39 on H_MERGE, where their own weights put
+    them in one part, with w = aa_weight of character 1 and a stand-in
+    weight for 39: w itself; -w, whose a + A has the opposite sign
+    wherever it is nonzero (grouping by absolute value would keep the two
+    together); and w + D_FIFTH, which only the fifth vector splits off, so
+    a sixth is needed to see the partition stable."""
+    stored = g7.stored_schur()
+    w = aa_weight(stored[1])
+    off = essential_normals(g7, [2]) - {H_MERGE}
+    assert blocks_one_hyperplane(g7, 2, Hyperplane(H_MERGE)).part_of(1) == (
+        1, 28, 39)
+    first = _first(_admissible_specs(g7, [H_MERGE], off), 5)[0]
+    assert [dot(D_FIFTH, n) != 0 for n in first] == [False] * 4 + [True]
+    other = {"equal": w, "opposite": tuple(-x for x in w),
+             "split-at-fifth": tuple(map(sum, zip(w, D_FIFTH)))}[case]
+    monkeypatch.setattr(engine, "aa_weight",
+                        lambda s: w if s is stored[1] else other)
+    blocks, taken = _heuristic_keyed(g7, 2, [1, 39], [H_MERGE], off,
+                                     monkeypatch)
+    assert blocks.part_of(39) == ((1, 39) if together else (39,))
+    assert taken == used
