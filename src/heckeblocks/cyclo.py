@@ -18,11 +18,12 @@ Phi_N over GF(p) by equal-degree splitting.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # random and fractions load only where they are used
+    import random
 
 __all__ = [
     "CycInt",
@@ -354,6 +355,7 @@ def _descent_map(m: int, n: int):
     Gauss-Jordan over the rationals on [L^T | I], L the lift matrix, turns
     L^T into a reduced echelon form R = E L^T whose pivot columns P are the
     identity; then L[P] = E^-T, so x = E^T y[P] recovers x from y = L x."""
+    from fractions import Fraction
     k, rows = euler_phi(m), euler_phi(n)
     aug = [
         [Fraction(c) for c in CycInt.zeta(m, i).lift(n).coeffs]
@@ -528,7 +530,8 @@ def _phi_factors_mod_p(p: int, n: int, attempts: int = _SPLIT_ATTEMPTS
     while power != 1 % m:
         power = power * p % m
         f += 1
-    rng = random.Random(p * n)  # fixes the work done, not the factors
+    from random import Random
+    rng = Random(p * n)  # fixes the work done, not the factors
     todo = [[c % p for c in _phi_coeffs(m)]]
     factors = []
     while todo:

@@ -15,9 +15,8 @@ K-irreducible pieces.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import (
     CycInt,
@@ -30,6 +29,8 @@ from .cyclo import (
 )
 from .lattice import IntVector, dot, primitive_part
 
+if TYPE_CHECKING:  # fractions loads only where a_and_A uses it
+    from fractions import Fraction
 __all__ = [
     "CharLabel",
     "GroupDatum",
@@ -417,7 +418,8 @@ def a_and_A(g: GroupDatum, sp: SpecializedSchur) -> tuple[Fraction, Fraction]:
 
     Their sum is linear in the specialization: mu * (a + A) at n is
     <aa_weight(s), n>.  The Schur-path heuristic groups characters by that
-    dot product and calls neither this function nor specialize."""
+    weight and calls neither this function nor specialize."""
+    from fractions import Fraction
     val = sp.y_power
     deg = sp.y_power
     for psi, delta, mult in sp.terms:

@@ -1,7 +1,8 @@
 """Partition lattice operations and both Rouquier-block computation paths."""
 
 import itertools
-import time
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,22 +10,21 @@ from hypothesis import strategies as st
 
 from heckeblocks import engine
 from heckeblocks.engine import (
-    _SEARCH_BOXES,
-    _SEARCH_BUDGET,
     Hyperplane,
     Specialization,
     blocks_no_hyperplane,
-    _admissible_specs,
     blocks_one_hyperplane,
     hyperplanes_containing,
     join,
     meet,
     rouquier_from_tables,
 )
-from heckeblocks.groupblocks import Partition
+from heckeblocks.groupblocks import Partition, p_blocks
 from heckeblocks.lattice import dot
 from heckeblocks.schur import a_and_A, aa_weight, essential_normals, specialize
 from heckeblocks.store import load_group
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_schur.json"
 
 
 @pytest.fixture(scope="module")
@@ -163,28 +163,29 @@ def test_one_hyperplane_blocks_on_difference_hyperplane(g7):
     assert blocks.part_of(1) != blocks.part_of(39)
 
 
-def test_heuristic_path_without_schur_payload_meets_group_blocks(g4):
-    # G4 ships no Schur payload: the heuristic degenerates to the group
-    # p-block meet, which keeps everything singleton
-    assert blocks_no_hyperplane(g4, 3) == Partition.singletons(7)
-    assert blocks_no_hyperplane(g4, 2) == Partition.singletons(7)
+def test_heuristic_path_without_schur_payload_meets_group_blocks(
+        g4, monkeypatch):
+    # G4 ships no Schur payload: the seed is empty, so every character
+    # stays a singleton, before the group p-blocks or any a + A weight is
+    # computed
+    def fail(*args):
+        raise AssertionError("computed for a seed of fewer than two")
 
-
-@pytest.mark.parametrize("group", ["g4", "g7"])
-def test_specialization_search_is_bounded(group, request):
-    # a hyperplane required both on and off admits no vector at all
-    g = request.getfixturevalue(group)
-    normal = next(t.normal for t in g.hyperplane_tables if t.normal)
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="exceeded"):
-        for _ in _admissible_specs(g, on=[normal], off=[normal]):
-            pass
-    assert time.monotonic() - start < 5.0
+    monkeypatch.setattr(engine, "p_blocks", fail)
+    monkeypatch.setattr(engine, "aa_weight", fail)
+    for p in (2, 3):
+        assert blocks_no_hyperplane(g4, p) == Partition.singletons(7)
 
 
 # ---------------------------------------------------------------------------
-# the specialisation search against the ambient-box filter it replaced
+# the sampled specialisation search, kept as an independent oracle
 # ---------------------------------------------------------------------------
+
+_SEARCH_BOXES = (1, 2, 4, 8, 16, 32, 64)
+# ambient box points one search may examine; the searches below examine at
+# most 1800 for their first 20 vectors
+_SEARCH_BUDGET = 100_000
+_AA_ROUNDS = 5
 
 
 def _brute_force_specs(g, on, off):
@@ -211,87 +212,18 @@ def _brute_force_specs(g, on, off):
             yield n
 
 
-def _first(search, count=20):
-    """Up to count vectors of a search, and whether it raised first."""
-    out = []
-    try:
-        for n in search:
-            out.append(n)
-            if len(out) == count:
-                return out, False
-    except RuntimeError as exc:
-        assert "exceeded" in str(exc)
-        return out, True
-    return out, False
-
-
-def _stored_normals(g):
-    return [t.normal for t in g.hyperplane_tables if t.normal]
-
-
-def _assert_same_search(g, on, off):
-    walked = _first(_admissible_specs(g, on, off))
-    assert walked == _first(_brute_force_specs(g, on, off)), (g.name, on)
-
-
-@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
-def test_search_order_matches_oracle_on_schur_and_table_normals(name):
-    """Every search the heuristic makes on the shipped Schur data (no
-    hyperplane, or one p-essential normal off the others), and every stored
-    table normal with the other stored normals off."""
-    g = load_group(name)
-    for p in (2, 3):
-        normals = essential_normals(g, [p])
-        _assert_same_search(g, [], normals)
-        for h in sorted(normals):
-            _assert_same_search(g, [h], normals - {h})
-    stored = _stored_normals(g)
-    for h in stored:
-        _assert_same_search(g, [h], [x for x in stored if x != h])
-
-
-@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
-def test_search_order_matches_oracle_on_pairs_of_normals(name, monkeypatch):
-    """Two stored normals on, in both orders (the first is the one solved
-    for), the others off.  Most pairs admit fewer than 20 vectors, and the
-    oracle takes ~0.3 s to reach the full budget, so both searches run
-    under a budget of 2000 points and must also raise at the same place."""
-    monkeypatch.setattr(engine, "_SEARCH_BUDGET", 2000)
-    monkeypatch.setitem(globals(), "_SEARCH_BUDGET", 2000)
-    g = load_group(name)
-    stored = _stored_normals(g)
-    for h1, h2 in itertools.permutations(stored, 2):
-        _assert_same_search(g, [h1, h2], [x for x in stored if x not in (h1, h2)])
-
-
-def test_search_budget_raises_after_the_oracle_prefix(g7, monkeypatch):
-    monkeypatch.setattr(engine, "_SEARCH_BUDGET", 1000)
-    monkeypatch.setitem(globals(), "_SEARCH_BUDGET", 1000)
-    h = (1, -1, 0, 0, 0, 0, 0, 0)
-    off = essential_normals(g7, [2]) - {h}
-    walked, raised = _first(_admissible_specs(g7, [h], off), count=1000)
-    assert walked and raised
-    assert (walked, raised) == _first(_brute_force_specs(g7, [h], off), 1000)
-
-
-def test_search_makes_no_dot_call(g7, monkeypatch):
-    def no_dot(u, v):
-        raise AssertionError("lattice.dot called in the search")
-
-    monkeypatch.setattr(engine, "dot", no_dot)
-    normals = essential_normals(g7, [2])
-    h = (1, -1, 0, 0, 0, 0, 0, 0)
-    assert len(_first(_admissible_specs(g7, [h], normals - {h}))[0]) == 20
-
-
-# ---------------------------------------------------------------------------
-# the a + A grouping against specialized Schur elements
-# ---------------------------------------------------------------------------
+def _oracle_specs(g, p, normal=None):
+    """The admissible vectors of a heuristic call: on the hyperplane of
+    `normal`, if given, and off every other p-essential hyperplane."""
+    normals = essential_normals(g, [p])
+    if normal is None:
+        return _brute_force_specs(g, [], normals)
+    return _brute_force_specs(g, [normal], normals - {normal})
 
 
 def _aa_partition_by_specialization(g, n):
     """Characters grouped by equal a + A, read off the specialized Schur
-    elements of every stored character (the grouping aa_weight replaced)."""
+    elements of every stored character."""
     sums = {}
     for i, s in g.stored_schur().items():
         a, big_a = a_and_A(g, specialize(g, s, n))
@@ -299,94 +231,59 @@ def _aa_partition_by_specialization(g, n):
     return Partition.generated_by(sums.values(), len(g.characters))
 
 
-def _g7_searches(g7):
-    """(p, on, off) of every search the heuristic makes on G7: no
-    hyperplane, and each p-essential normal with the others off."""
-    out = []
-    for p in (2, 3):
-        normals = essential_normals(g7, [p])
-        out.append((p, [], normals))
-        out += [(p, [h], normals - {h}) for h in sorted(normals)]
-    return out
+def _heuristic_by_meets(g, p, seed, normal=None,
+                        grouping=_aa_partition_by_specialization):
+    """The heuristic as a loop of partition meets over sampled vectors:
+    the seed part (every other character a singleton) meets the group
+    p-blocks, then grouping(g, n) at each admissible vector n, for
+    _AA_ROUNDS vectors and then until a meet changes nothing."""
+    current = Partition.generated_by([seed], len(g.characters))
+    if g.character_table is not None:
+        current = meet(current, p_blocks(g.character_table, p))
+    for used, n in enumerate(_oracle_specs(g, p, normal), start=1):
+        refined = meet(current, grouping(g, n))
+        if used >= _AA_ROUNDS and refined == current:
+            return current
+        current = refined
+    raise AssertionError("the oracle search ran out of vectors")
 
 
 def test_aa_partition_matches_specialized_a_plus_A(g7):
-    """Grouping by dot(aa_weight(s), n), as the heuristic keys characters,
-    against grouping by a + A of the specialized elements."""
+    """Grouping by dot(aa_weight(s), n) against grouping by a + A of the
+    specialized elements, at the first 20 admissible vectors of every
+    heuristic call on G7."""
     weights = {i: aa_weight(s) for i, s in g7.stored_schur().items()}
-    searches = _g7_searches(g7)
+    searches = [(p, h) for p in (2, 3)
+                for h in [None, *sorted(essential_normals(g7, [p]))]]
     assert len(searches) == 2 + 13
     merged = 0
-    for p, on, off in searches:
-        vectors, raised = _first(_admissible_specs(g7, on, off))
-        assert len(vectors) == 20 and not raised
+    for p, h in searches:
+        vectors = list(itertools.islice(_oracle_specs(g7, p, h), 20))
+        assert len(vectors) == 20
         for n in vectors:
             sums = {}
             for i, w in weights.items():
                 sums.setdefault(dot(w, n), []).append(i)
             got = Partition.generated_by(sums.values(), len(g7.characters))
             expected = _aa_partition_by_specialization(g7, n)
-            assert got == expected, (p, on, n)
+            assert got == expected, (p, h, n)
             merged += len(expected.parts) < len(g7.characters)
     assert merged  # some vector puts two characters in one part
 
 
 # ---------------------------------------------------------------------------
-# the keyed heuristic against the meet loop it replaced
+# the exact a + A key against the meet loop over sampled vectors
 # ---------------------------------------------------------------------------
 
 
-def _heuristic_by_meets(g, p, seed, on, off):
-    """The heuristic as a loop of partition meets: the seed part (every
-    other character a singleton) meets the group p-blocks, then the a + A
-    grouping of specialized elements at each admissible vector, for
-    _AA_ROUNDS vectors and then until a meet changes nothing.
-
-    Returns the partition, or None when the search raised or ended first,
-    and the number of vectors used."""
-    current = Partition.generated_by([seed], len(g.characters))
-    if g.character_table is not None:
-        current = meet(current, engine.p_blocks(g.character_table, p))
-    used = 0
-    try:
-        for n in engine._admissible_specs(g, on, off):
-            refined = meet(current, _aa_partition_by_specialization(g, n))
-            used += 1
-            if used >= engine._AA_ROUNDS and refined == current:
-                return current, used
-            current = refined
-    except RuntimeError as exc:
-        assert "exceeded" in str(exc)
-    return None, used
-
-
-def _heuristic_keyed(g, p, seed, on, off, monkeypatch):
-    """engine._heuristic_blocks, and the number of vectors it took from
-    the search; None in place of the partition when it raised."""
-    search, taken = engine._admissible_specs, []
-
-    def counted(*args):
-        for n in search(*args):
-            taken.append(n)
-            yield n
-
-    with monkeypatch.context() as m:
-        m.setattr(engine, "_admissible_specs", counted)
-        try:
-            blocks = engine._heuristic_blocks(g, p, seed, on, off)
-        except RuntimeError:
-            blocks = None
-    return blocks, len(taken)
-
-
 def _heuristic_calls(g, monkeypatch):
-    """(p, seed, on, off) of every _heuristic_blocks call made by the
+    """(p, seed, normal) of every _heuristic_blocks call made by the
     no-hyperplane and one-hyperplane jobs at p = 2, 3 and 5."""
     calls, real = [], engine._heuristic_blocks
 
-    def record(g, p, seed, on, off):
-        calls.append((p, list(seed), list(on), set(off)))
-        return real(g, p, seed, on, off)
+    def record(g, p, seed, normal=None):
+        calls.append((p, list(seed), normal))
+        return real(g, p, seed, normal)
 
     with monkeypatch.context() as m:
         m.setattr(engine, "_heuristic_blocks", record)
@@ -397,25 +294,39 @@ def _heuristic_calls(g, monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["G4", "G7"])
+@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
 def test_heuristic_blocks_match_specialized_grouping(name, monkeypatch):
-    """Every heuristic call of every job gives the meet loop's partition
-    after the same number of vectors.  Under search budgets of 300 and
-    1000 points some G7 calls run out of vectors: both then raise, having
-    used the same vectors."""
+    """Every heuristic call of every job gives the meet loop's partition."""
     g = load_group(name)
     calls = _heuristic_calls(g, monkeypatch)
-    assert len(calls) == (28 if name == "G7" else 2)
-    raised = {}
-    for budget in (_SEARCH_BUDGET, 1000, 300):
-        monkeypatch.setattr(engine, "_SEARCH_BUDGET", budget)
-        for call in calls:
-            keyed = _heuristic_keyed(g, *call, monkeypatch)
-            assert keyed == _heuristic_by_meets(g, *call), (budget, call)
-            raised[budget] = raised.get(budget, 0) + (keyed[0] is None)
-    assert raised[_SEARCH_BUDGET] == 0
-    if name == "G7":
-        assert 0 < raised[1000] < len(calls) and 0 < raised[300] < len(calls)
+    assert len(calls) == {"G4": 2, "G6": 2, "G7": 28}[name]
+    for call in calls:
+        assert engine._heuristic_blocks(g, *call) == \
+            _heuristic_by_meets(g, *call), call
+
+
+def test_golden_jobs_match_the_meet_loop(monkeypatch):
+    """Every recorded Schur-path job gives its recorded partition, and so
+    does the same job with the meet loop in place of the exact key."""
+    golden = json.loads(GOLDEN.read_text())["partitions"]
+    assert len(golden) == 20
+    groups = {name: load_group(name) for name in ("G4", "G7")}
+
+    def run(kind, g, p, normal):
+        if kind == "p_blocks":
+            return p_blocks(g.character_table, p)
+        if kind == "no_hyperplane":
+            return blocks_no_hyperplane(g, p)
+        h = Hyperplane(tuple(map(int, normal[0].split(","))))
+        return blocks_one_hyperplane(g, p, h)
+
+    for key, expected in golden.items():
+        kind, name, p, *normal = key.split("/")
+        g, p = groups[name], int(p)
+        assert run(kind, g, p, normal).as_lists() == expected, key
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_heuristic_blocks", _heuristic_by_meets)
+            assert run(kind, g, p, normal).as_lists() == expected, key
 
 
 def test_heuristic_blocks_key_by_group_p_blocks(g7, monkeypatch):
@@ -428,45 +339,89 @@ def test_heuristic_blocks_key_by_group_p_blocks(g7, monkeypatch):
     for blocks in ([[1, 39], [2, 28]], [[1, 28, 39]], [[28, 39]]):
         stand_in = Partition.generated_by(blocks, len(g7.characters))
         monkeypatch.setattr(engine, "p_blocks", lambda t, p: stand_in)
+        monkeypatch.setitem(globals(), "p_blocks", lambda t, p: stand_in)
         g = g7._replace(character_table="stand-in table")
         block_of = {i: k for k, part in enumerate(stand_in.parts)
                     for i in part}
         for call in calls:
-            keyed = _heuristic_keyed(g, *call, monkeypatch)
+            keyed = engine._heuristic_blocks(g, *call)
             assert keyed == _heuristic_by_meets(g, *call), (blocks, call)
-            for part in keyed[0].parts:  # none crosses a stand-in block
+            for part in keyed.parts:  # none crosses a stand-in block
                 assert len({block_of[i] for i in part}) == 1, (blocks, call)
 
 
-# D_FIFTH is orthogonal to the first four vectors of the search on H_MERGE at
-# p = 2 and not to the fifth
+# H_MERGE is relevant at p = 2, where the shipped weights put characters 1,
+# 28 and 39 in one part on it.  D_FIFTH is orthogonal to the first four
+# admissible vectors on H_MERGE and not to the fifth; D_BLIND to the first
+# five, since each of them has n[1] = 0.  Neither is parallel to H_MERGE.
 H_MERGE = (1, -1, 2, -1, -1, 2, -1, -1)
 D_FIFTH = (-1, -1, 0, 0, 0, -1, 0, 0)
+D_BLIND = (0, 1, 0, 0, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("case, together, used", [
-    ("equal", True, 5), ("opposite", False, 5), ("split-at-fifth", False, 6),
-])
-def test_heuristic_blocks_on_stand_in_weights(g7, monkeypatch, case,
-                                              together, used):
-    """Stored characters 1 and 39 on H_MERGE, where their own weights put
-    them in one part, with w = aa_weight of character 1 and a stand-in
-    weight for 39: w itself; -w, whose a + A has the opposite sign
-    wherever it is nonzero (grouping by absolute value would keep the two
-    together); and w + D_FIFTH, which only the fifth vector splits off, so
-    a sixth is needed to see the partition stable."""
+def _stand_in_weights(g7, monkeypatch, other):
+    """Patch engine.aa_weight to give character 1 its own weight w and
+    character 39 other(w); return the grouping of characters 1 and 39 by
+    a + A under those weights, for the meet-loop oracle."""
     stored = g7.stored_schur()
     w = aa_weight(stored[1])
-    off = essential_normals(g7, [2]) - {H_MERGE}
+    weights = {1: w, 39: other(w)}
+    monkeypatch.setattr(engine, "aa_weight",
+                        lambda s: weights[1 if s is stored[1] else 39])
+
+    def grouping(g, n):
+        sums = {}
+        for i, v in weights.items():
+            sums.setdefault(dot(v, n), []).append(i)
+        return Partition.generated_by(sums.values(), len(g.characters))
+
+    return grouping
+
+
+def _shifted(d):
+    return lambda w: tuple(x + c for x, c in zip(w, d))
+
+
+@pytest.mark.parametrize("case, together", [
+    ("equal", True), ("opposite", False), ("split-at-fifth", False),
+    ("multiple-of-h", True),
+])
+def test_heuristic_blocks_on_stand_in_weights(g7, monkeypatch, case,
+                                              together):
+    """Stored characters 1 and 39 on H_MERGE, with w = aa_weight of
+    character 1 and a stand-in weight for 39: w itself; -w, whose a + A
+    has the opposite sign wherever it is nonzero (grouping by absolute
+    value would keep the two together); w + D_FIFTH, which the meet loop
+    splits off only at the fifth vector; and w - 3 * H_MERGE, whose a + A
+    equals w's everywhere on H_MERGE.  The exact key and the meet loop
+    agree on all four."""
     assert blocks_one_hyperplane(g7, 2, Hyperplane(H_MERGE)).part_of(1) == (
         1, 28, 39)
-    first = _first(_admissible_specs(g7, [H_MERGE], off), 5)[0]
+    first = list(itertools.islice(_oracle_specs(g7, 2, H_MERGE), 5))
     assert [dot(D_FIFTH, n) != 0 for n in first] == [False] * 4 + [True]
-    other = {"equal": w, "opposite": tuple(-x for x in w),
-             "split-at-fifth": tuple(map(sum, zip(w, D_FIFTH)))}[case]
-    monkeypatch.setattr(engine, "aa_weight",
-                        lambda s: w if s is stored[1] else other)
-    blocks, taken = _heuristic_keyed(g7, 2, [1, 39], [H_MERGE], off,
-                                     monkeypatch)
+    other = {"equal": lambda w: w,
+             "opposite": lambda w: tuple(-x for x in w),
+             "split-at-fifth": _shifted(D_FIFTH),
+             "multiple-of-h": _shifted(tuple(-3 * c for c in H_MERGE)),
+             }[case]
+    grouping = _stand_in_weights(g7, monkeypatch, other)
+    blocks = engine._heuristic_blocks(g7, 2, [1, 39], H_MERGE)
     assert blocks.part_of(39) == ((1, 39) if together else (39,))
-    assert taken == used
+    assert blocks == _heuristic_by_meets(g7, 2, [1, 39], H_MERGE, grouping)
+
+
+def test_exact_key_splits_what_the_sampled_vectors_merge(g7, monkeypatch):
+    """The change from sampled vectors to the exact key: with weights w and
+    w + D_BLIND, the two a + A agree at the first five admissible vectors
+    on H_MERGE, so the meet loop stops after five rounds with 1 and 39 in
+    one part.  They differ at most vectors of H_MERGE, since D_BLIND is not
+    parallel to it, and the exact key splits them."""
+    first = list(itertools.islice(_oracle_specs(g7, 2, H_MERGE), 5))
+    assert [dot(D_BLIND, n) for n in first] == [0] * 5
+    assert any(D_BLIND[k] * H_MERGE[0] != D_BLIND[0] * H_MERGE[k]
+               for k in range(len(H_MERGE)))
+    grouping = _stand_in_weights(g7, monkeypatch, _shifted(D_BLIND))
+    sampled = _heuristic_by_meets(g7, 2, [1, 39], H_MERGE, grouping)
+    assert sampled.part_of(39) == (1, 39)
+    exact = engine._heuristic_blocks(g7, 2, [1, 39], H_MERGE)
+    assert exact.part_of(39) == (39,)

@@ -362,14 +362,15 @@ def test_cli_usage_errors_without_a_query_exit_four(args):
     assert result.exit_code == 4 and result.stdout == ""
 
 
-def _run_fresh(code, *args):
-    """Run Python code in a fresh interpreter with the package importable."""
+def _run_fresh(code, *args, site=True):
+    """Run Python code in a fresh interpreter with the package importable;
+    site=False starts it with -S, without the site module."""
     env = dict(os.environ)
     src = str(Path(heckeblocks.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *([] if site else ["-S"]), "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
 
@@ -435,6 +436,24 @@ def test_cli_does_not_import_dataclasses(args):
     result = _run_fresh(_DATACLASSES_PROBE, *args)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "added: []"
+
+
+# Runs the CLI in a fresh interpreter and prints at exit which of fractions,
+# decimal and random are loaded.  It runs without the site module, because
+# the .pth files site reads may import any of them before the request.
+_STDLIB_PROBE = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print('loaded:', sorted(\n"
+    "    {'fractions', 'decimal', 'random'} & set(sys.modules))))\n"
+    "from heckeblocks.cli import main\n"
+    "main()\n"
+)
+
+
+def test_cli_table_query_loads_no_fractions_or_random():
+    result = _run_fresh(_STDLIB_PROBE, "all-blocks", "G4", site=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "loaded: []"
 
 
 # p-blocks and the Schur-path heuristic on G4 in an interpreter where any
@@ -585,8 +604,8 @@ def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
     [(_, primes)] = calls["bad_primes"]
     assert [args for args, _ in calls["blocks_no_hyperplane"]] == \
         [(p,) for p in sorted(primes)]
-    # once for the hyperplanes hit, once inside blocks_no_hyperplane
-    assert len(calls["essential_normals"]) == 2 * len(primes)
+    # the p-essential normals once per prime, to find the hyperplanes hit
+    assert len(calls["essential_normals"]) == len(primes)
 
 
 def test_cli_unknown_group_exits_three():
