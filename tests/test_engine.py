@@ -382,19 +382,20 @@ def _shifted(d):
     return lambda w: tuple(x + c for x, c in zip(w, d))
 
 
-@pytest.mark.parametrize("case, together", [
-    ("equal", True), ("opposite", False), ("split-at-fifth", False),
-    ("multiple-of-h", True),
+@pytest.mark.parametrize("case, together, used", [
+    ("equal", True, 5), ("opposite", False, 5), ("split-at-fifth", False, 6),
+    ("multiple-of-h", True, 5),
 ])
 def test_heuristic_blocks_on_stand_in_weights(g7, monkeypatch, case,
-                                              together):
+                                              together, used):
     """Stored characters 1 and 39 on H_MERGE, with w = aa_weight of
     character 1 and a stand-in weight for 39: w itself; -w, whose a + A
     has the opposite sign wherever it is nonzero (grouping by absolute
     value would keep the two together); w + D_FIFTH, which the meet loop
     splits off only at the fifth vector; and w - 3 * H_MERGE, whose a + A
     equals w's everywhere on H_MERGE.  The exact key and the meet loop
-    agree on all four."""
+    agree on all four; the meet loop takes `used` vectors, a sixth for
+    w + D_FIFTH to see the partition stable after the fifth splits it."""
     assert blocks_one_hyperplane(g7, 2, Hyperplane(H_MERGE)).part_of(1) == (
         1, 28, 39)
     first = list(itertools.islice(_oracle_specs(g7, 2, H_MERGE), 5))
@@ -404,10 +405,16 @@ def test_heuristic_blocks_on_stand_in_weights(g7, monkeypatch, case,
              "split-at-fifth": _shifted(D_FIFTH),
              "multiple-of-h": _shifted(tuple(-3 * c for c in H_MERGE)),
              }[case]
-    grouping = _stand_in_weights(g7, monkeypatch, other)
+    grouping, taken = _stand_in_weights(g7, monkeypatch, other), []
+
+    def counted(g, n):
+        taken.append(n)
+        return grouping(g, n)
+
     blocks = engine._heuristic_blocks(g7, 2, [1, 39], H_MERGE)
     assert blocks.part_of(39) == ((1, 39) if together else (39,))
-    assert blocks == _heuristic_by_meets(g7, 2, [1, 39], H_MERGE, grouping)
+    assert blocks == _heuristic_by_meets(g7, 2, [1, 39], H_MERGE, counted)
+    assert len(taken) == used
 
 
 def test_exact_key_splits_what_the_sampled_vectors_merge(g7, monkeypatch):
