@@ -15,14 +15,7 @@ from typing import NamedTuple
 
 from .groupblocks import Partition, join, meet, p_blocks
 from .lattice import IntVector, dot, primitive_part
-from .schur import (
-    GroupDatum,
-    aa_weight,
-    bad_primes,
-    essential_monomials,
-    essential_normals,
-    sign_canonical,
-)
+from .schur import GroupDatum, bad_primes, essential_normals, sign_canonical
 
 __all__ = [
     "Hyperplane",
@@ -163,10 +156,10 @@ def _heuristic_blocks(g: GroupDatum, p: int, seed: list[int],
     if g.character_table is not None:
         for b, part in enumerate(p_blocks(g.character_table, p).parts):
             block.update((i, b) for i in part if i in block)
-    stored = g.stored_schur()
+    facts = g.stored_facts()
     parts: dict[tuple[int, IntVector], list[int]] = {}
     for i in seed:
-        w = aa_weight(stored[i])
+        w = facts[i].weight
         if normal is not None:
             hk, wk = next((c, x) for c, x in zip(normal, w) if c)
             w = tuple(hk * x - wk * c for x, c in zip(w, normal))
@@ -183,11 +176,11 @@ def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:
     result is therefore no guaranteed coarsening of the true blocks: on
     G7, whose payload covers 3 of 42 characters, it is 42 singletons,
     finer than the stored 29-part baseline.  Only the stored tables are
-    authoritative."""
+    authoritative.  The norms, weights and essential monomials come from
+    g.schur_facts, which store.load computes once per datum."""
     if g.group_order % p:
         return Partition.singletons(len(g.characters))
-    stored = g.stored_schur().items()
-    heavy = [i for i, s in stored if abs(s.xi.norm()) % p == 0]
+    heavy = [i for i, f in g.stored_facts().items() if f.norm % p == 0]
     return _heuristic_blocks(g, p, heavy)
 
 
@@ -203,6 +196,6 @@ def _hyperplane_blocks(g: GroupDatum, p: int, normal: IntVector) -> Partition:
     for a sign-canonical normal."""
     if g.group_order % p:
         return Partition.singletons(len(g.characters))
-    core = [i for i, s in g.stored_schur().items()
-            if normal in essential_monomials(s, p)]
+    core = [i for i, f in g.stored_facts().items()
+            if (p, normal) in f.essential]
     return _heuristic_blocks(g, p, core, normal)

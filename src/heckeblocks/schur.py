@@ -37,6 +37,7 @@ __all__ = [
     "SchurFactorX",
     "SchurFactorV",
     "SchurElement",
+    "SchurFacts",
     "SpecializedSchur",
     "SchurDataError",
     "BadPrimeArgument",
@@ -50,6 +51,7 @@ __all__ = [
     "specialize",
     "a_and_A",
     "aa_weight",
+    "schur_facts",
     "bad_primes",
     "generic_singleton",
 ]
@@ -92,9 +94,10 @@ class GroupDatum(NamedTuple):
     """Static data of one complex reflection group and its Hecke algebra.
 
     Immutable; store.load builds each one once, from the header and its
-    parsed sections.  Slots are indexed by (orbit, j) pairs flattened in
-    orbit order; display letters run a, b, c, ... with subscripts
-    0 .. e_C - 1.
+    parsed sections, schur_facts included.  That index is keyed by
+    CharLabel, like schur_elements, so _replace(characters=...) cuts stay
+    correct.  Slots are indexed by (orbit, j) pairs flattened in orbit
+    order; display letters run a, b, c, ... with subscripts 0 .. e_C - 1.
     """
 
     name: str
@@ -104,6 +107,7 @@ class GroupDatum(NamedTuple):
     orbits: tuple[tuple[str, int], ...]
     characters: tuple[CharLabel, ...]
     schur_elements: dict | None = None  # CharLabel -> SchurElement
+    schur_facts: dict | None = None  # CharLabel -> SchurFacts
     character_table: object | None = None  # groupblocks.CharacterTable
     hyperplane_tables: tuple | None = None  # engine.HyperplaneTable, ...
     clifford_links: tuple = ()
@@ -118,9 +122,11 @@ class GroupDatum(NamedTuple):
     def stored_schur(self) -> dict[int, "SchurElement"]:
         """1-based character index -> Schur element, for the characters
         with stored Schur data."""
-        stored = self.schur_elements or {}
-        return {i + 1: stored[c] for i, c in enumerate(self.characters)
-                if c in stored}
+        return _by_index(self.characters, self.schur_elements)
+
+    def stored_facts(self) -> dict[int, "SchurFacts"]:
+        """1-based character index -> SchurFacts, likewise."""
+        return _by_index(self.characters, self.schur_facts)
 
     @property
     def slot_count(self) -> int:
@@ -142,6 +148,11 @@ class GroupDatum(NamedTuple):
     def orbit_sums(self, v: IntVector) -> list[int]:
         """The sum of v's entries over the slots of each orbit."""
         return [sum(v[i] for i in rng) for rng in self.orbit_ranges()]
+
+
+def _by_index(characters, by_label: dict | None) -> dict:
+    return {i + 1: by_label[c] for i, c in enumerate(characters)
+            if c in by_label} if by_label else {}
 
 
 class SchurFactorX(NamedTuple):
@@ -171,6 +182,17 @@ class SchurElement(NamedTuple):
     xi: CycInt
     lead: IntVector
     factors: tuple[SchurFactorV, ...]
+
+
+class SchurFacts(NamedTuple):
+    """What the Schur path reads of one element s: |N(xi)|, aa_weight(s),
+    and the pairs (p, M), M in essential_monomials(s, p), for the primes p
+    dividing |G|.  A validated s has no p-essential factor at other p:
+    s(1) = |G| / chi(1) would then have norm divisible by p."""
+
+    norm: int
+    weight: IntVector
+    essential: frozenset[tuple[int, IntVector]]
 
 
 class SpecializedSchur(NamedTuple):
@@ -362,13 +384,10 @@ def essential_monomials(s: SchurElement, p: int) -> set[IntVector]:
 
 def essential_normals(g: GroupDatum, primes) -> set[IntVector]:
     """Union of essential_monomials over the stored Schur elements at the
-    given primes; characters without Schur data add nothing."""
-    return {
-        normal
-        for s in g.stored_schur().values()
-        for p in primes
-        for normal in essential_monomials(s, p)
-    }
+    given primes, read off g.schur_facts; characters without Schur data
+    add nothing."""
+    return {normal for f in g.stored_facts().values()
+            for p, normal in f.essential if p in primes}
 
 
 def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
@@ -445,6 +464,13 @@ def aa_weight(s: SchurElement) -> IntVector:
     # row j: lead[j] and the j-th entry of every factor's monomial
     rows = zip(s.lead, *(fac.monomial for fac in s.factors))
     return tuple(dot(coeffs, row) for row in rows)
+
+
+def schur_facts(g: GroupDatum, s: SchurElement) -> SchurFacts:
+    """The SchurFacts of s; store.load computes them once per element."""
+    return SchurFacts(abs(s.xi.norm()), aa_weight(s), frozenset(
+        (p, normal) for p in factorint(g.group_order)
+        for normal in essential_monomials(s, p)))
 
 
 def bad_primes(g: GroupDatum, n: IntVector) -> set[int]:

@@ -2,7 +2,8 @@
 
 One group per UTF-8 JSON file.  Loading validates everything the theory
 demands (factor shapes, value at v=1, partition well-formedness, link
-consistency) before any query is answered.
+consistency) and computes GroupDatum.schur_facts before any query is
+answered; verify_db also runs p_blocks' character-table checks.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ import os
 from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
-from .cyclo import CycInt, RootOfUnity
+from .cyclo import CycInt, RootOfUnity, factorint
 from .engine import Hyperplane, HyperplaneTable
-from .groupblocks import CharacterTable, Partition
+from .groupblocks import CharacterTable, Partition, p_blocks
 from .lattice import primitive_part
 from .schur import (
     CharLabel,
     GroupDatum,
     SchurFactorX,
     normalize_x_to_v,
+    schur_facts,
     sign_canonical,
     validate,
 )
@@ -268,6 +270,8 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> dict:
             report.extend(f"{name}: {msg}" for msg in bad)
             elements[label] = element
         sections["schur_elements"] = elements
+        sections["schur_facts"] = {
+            label: schur_facts(g, s) for label, s in elements.items()}
 
     links = []
     for ldoc in doc.get("clifford_links", []):
@@ -331,7 +335,8 @@ def _cross_check_links(groups: dict[str, GroupDatum]) -> list[str]:
 
 
 def verify_db(paths=None) -> tuple[bool, list[str]]:
-    """Validate a set of database files plus their cross-file links."""
+    """Validate a set of database files plus their cross-file links, and
+    run p_blocks on each character table at each prime dividing |G|."""
     if not paths:
         base = default_db_dir()
         paths = sorted(base.glob("*.json"))
@@ -347,5 +352,10 @@ def verify_db(paths=None) -> tuple[bool, list[str]]:
                 report.append(str(exc))
             continue
         groups[g.name] = g
+        try:  # p_blocks' ValueError names the corrupt row and class
+            for p in factorint(g.group_order) if g.character_table else ():
+                p_blocks(g.character_table, p)
+        except (*_MALFORMED, ArithmeticError) as exc:
+            report.append(f"{path}: character table: {exc}")
     report.extend(_cross_check_links(groups))
     return not report, report

@@ -2,13 +2,15 @@
 
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeblocks import engine
+from heckeblocks import engine, schur
+from heckeblocks.cyclo import CycInt
 from heckeblocks.engine import (
     Hyperplane,
     Specialization,
@@ -21,7 +23,13 @@ from heckeblocks.engine import (
 )
 from heckeblocks.groupblocks import Partition, p_blocks
 from heckeblocks.lattice import dot
-from heckeblocks.schur import a_and_A, aa_weight, essential_normals, specialize
+from heckeblocks.schur import (
+    SchurFacts,
+    a_and_A,
+    aa_weight,
+    essential_normals,
+    specialize,
+)
 from heckeblocks.store import load_group
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_schur.json"
@@ -163,18 +171,31 @@ def test_one_hyperplane_blocks_on_difference_hyperplane(g7):
     assert blocks.part_of(1) != blocks.part_of(39)
 
 
+class _Unreadable:
+    """A stand-in weight that fails wherever the heuristic would use it."""
+
+    def __hash__(self):
+        raise AssertionError("weight read for a seed of fewer than two")
+
+    __iter__ = __hash__
+
+
 def test_heuristic_path_without_schur_payload_meets_group_blocks(
         g4, monkeypatch):
     # G4 ships no Schur payload: the seed is empty, so every character
     # stays a singleton, before the group p-blocks or any a + A weight is
-    # computed
+    # read.  The same holds for a one-character seed: G4 with a stand-in
+    # index whose one entry is heavy at every p (norm 0) and whose weight
+    # fails when used.
     def fail(*args):
         raise AssertionError("computed for a seed of fewer than two")
 
     monkeypatch.setattr(engine, "p_blocks", fail)
-    monkeypatch.setattr(engine, "aa_weight", fail)
-    for p in (2, 3):
-        assert blocks_no_hyperplane(g4, p) == Partition.singletons(7)
+    unread = SchurFacts(0, _Unreadable(), frozenset())
+    one_seed = g4._replace(schur_facts={g4.characters[0]: unread})
+    for g in (g4, one_seed):
+        for p in (2, 3):
+            assert blocks_no_hyperplane(g, p) == Partition.singletons(7)
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +332,47 @@ def test_golden_jobs_match_the_meet_loop(monkeypatch):
     golden = json.loads(GOLDEN.read_text())["partitions"]
     assert len(golden) == 20
     groups = {name: load_group(name) for name in ("G4", "G7")}
-
-    def run(kind, g, p, normal):
-        if kind == "p_blocks":
-            return p_blocks(g.character_table, p)
-        if kind == "no_hyperplane":
-            return blocks_no_hyperplane(g, p)
-        h = Hyperplane(tuple(map(int, normal[0].split(","))))
-        return blocks_one_hyperplane(g, p, h)
-
     for key, expected in golden.items():
-        kind, name, p, *normal = key.split("/")
-        g, p = groups[name], int(p)
-        assert run(kind, g, p, normal).as_lists() == expected, key
+        assert _run_golden(groups, key).as_lists() == expected, key
         with monkeypatch.context() as m:
             m.setattr(engine, "_heuristic_blocks", _heuristic_by_meets)
-            assert run(kind, g, p, normal).as_lists() == expected, key
+            assert _run_golden(groups, key).as_lists() == expected, key
+
+
+def _run_golden(groups, key):
+    """The job a golden_schur.json key names, on the loaded groups."""
+    kind, name, p, *normal = key.split("/")
+    g, p = groups[name], int(p)
+    if kind == "p_blocks":
+        return p_blocks(g.character_table, p)
+    if kind == "no_hyperplane":
+        return blocks_no_hyperplane(g, p)
+    h = Hyperplane(tuple(map(int, normal[0].split(","))))
+    return blocks_one_hyperplane(g, p, h)
+
+
+def test_heuristic_jobs_read_the_loaded_index(monkeypatch):
+    """The 18 heuristic jobs of golden_schur.json give their recorded
+    partitions with CycInt.norm, essential_monomials and aa_weight raising
+    once the groups are loaded: the Schur path reads g.schur_facts and
+    recomputes none of them per call."""
+    golden = json.loads(GOLDEN.read_text())["partitions"]
+    jobs = {k: v for k, v in golden.items() if not k.startswith("p_blocks/")}
+    assert len(jobs) == 18
+    groups = {name: load_group(name) for name in ("G4", "G7")}
+
+    def fail(*args):
+        raise AssertionError("Schur fact recomputed after load")
+
+    monkeypatch.setattr(CycInt, "norm", fail)
+    for name in ("essential_monomials", "aa_weight"):
+        original = getattr(schur, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("heckeblocks") and \
+                    vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, fail)
+    for key, expected in jobs.items():
+        assert _run_golden(groups, key).as_lists() == expected, key
 
 
 def test_heuristic_blocks_key_by_group_p_blocks(g7, monkeypatch):
@@ -359,15 +405,15 @@ D_FIFTH = (-1, -1, 0, 0, 0, -1, 0, 0)
 D_BLIND = (0, 1, 0, 0, 0, 0, 0, 0)
 
 
-def _stand_in_weights(g7, monkeypatch, other):
-    """Patch engine.aa_weight to give character 1 its own weight w and
-    character 39 other(w); return the grouping of characters 1 and 39 by
-    a + A under those weights, for the meet-loop oracle."""
-    stored = g7.stored_schur()
-    w = aa_weight(stored[1])
+def _stand_in_weights(g7, other):
+    """G7 whose index keeps character 1's weight w and gives character 39
+    the weight other(w), with the grouping of characters 1 and 39 by a + A
+    under those weights, for the meet-loop oracle."""
+    w = aa_weight(g7.stored_schur()[1])
     weights = {1: w, 39: other(w)}
-    monkeypatch.setattr(engine, "aa_weight",
-                        lambda s: weights[1 if s is stored[1] else 39])
+    label = g7.characters[39 - 1]
+    facts = {**g7.schur_facts,
+             label: g7.schur_facts[label]._replace(weight=weights[39])}
 
     def grouping(g, n):
         sums = {}
@@ -375,7 +421,7 @@ def _stand_in_weights(g7, monkeypatch, other):
             sums.setdefault(dot(v, n), []).append(i)
         return Partition.generated_by(sums.values(), len(g.characters))
 
-    return grouping
+    return g7._replace(schur_facts=facts), grouping
 
 
 def _shifted(d):
@@ -386,8 +432,7 @@ def _shifted(d):
     ("equal", True, 5), ("opposite", False, 5), ("split-at-fifth", False, 6),
     ("multiple-of-h", True, 5),
 ])
-def test_heuristic_blocks_on_stand_in_weights(g7, monkeypatch, case,
-                                              together, used):
+def test_heuristic_blocks_on_stand_in_weights(g7, case, together, used):
     """Stored characters 1 and 39 on H_MERGE, with w = aa_weight of
     character 1 and a stand-in weight for 39: w itself; -w, whose a + A
     has the opposite sign wherever it is nonzero (grouping by absolute
@@ -405,19 +450,19 @@ def test_heuristic_blocks_on_stand_in_weights(g7, monkeypatch, case,
              "split-at-fifth": _shifted(D_FIFTH),
              "multiple-of-h": _shifted(tuple(-3 * c for c in H_MERGE)),
              }[case]
-    grouping, taken = _stand_in_weights(g7, monkeypatch, other), []
+    (g, grouping), taken = _stand_in_weights(g7, other), []
 
     def counted(g, n):
         taken.append(n)
         return grouping(g, n)
 
-    blocks = engine._heuristic_blocks(g7, 2, [1, 39], H_MERGE)
+    blocks = engine._heuristic_blocks(g, 2, [1, 39], H_MERGE)
     assert blocks.part_of(39) == ((1, 39) if together else (39,))
-    assert blocks == _heuristic_by_meets(g7, 2, [1, 39], H_MERGE, counted)
+    assert blocks == _heuristic_by_meets(g, 2, [1, 39], H_MERGE, counted)
     assert len(taken) == used
 
 
-def test_exact_key_splits_what_the_sampled_vectors_merge(g7, monkeypatch):
+def test_exact_key_splits_what_the_sampled_vectors_merge(g7):
     """The change from sampled vectors to the exact key: with weights w and
     w + D_BLIND, the two a + A agree at the first five admissible vectors
     on H_MERGE, so the meet loop stops after five rounds with 1 and 39 in
@@ -427,8 +472,8 @@ def test_exact_key_splits_what_the_sampled_vectors_merge(g7, monkeypatch):
     assert [dot(D_BLIND, n) for n in first] == [0] * 5
     assert any(D_BLIND[k] * H_MERGE[0] != D_BLIND[0] * H_MERGE[k]
                for k in range(len(H_MERGE)))
-    grouping = _stand_in_weights(g7, monkeypatch, _shifted(D_BLIND))
-    sampled = _heuristic_by_meets(g7, 2, [1, 39], H_MERGE, grouping)
+    g, grouping = _stand_in_weights(g7, _shifted(D_BLIND))
+    sampled = _heuristic_by_meets(g, 2, [1, 39], H_MERGE, grouping)
     assert sampled.part_of(39) == (1, 39)
-    exact = engine._heuristic_blocks(g7, 2, [1, 39], H_MERGE)
+    exact = engine._heuristic_blocks(g, 2, [1, 39], H_MERGE)
     assert exact.part_of(39) == (39,)

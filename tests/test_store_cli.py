@@ -17,6 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckeblocks
+from heckeblocks.cyclo import factorint
+from heckeblocks.engine import (
+    Hyperplane,
+    blocks_no_hyperplane,
+    blocks_one_hyperplane,
+)
+from heckeblocks.schur import aa_weight, essential_monomials, essential_normals
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
 from cli_runner import invoke
@@ -119,6 +126,25 @@ def test_corruption_root_order_one_factor(db_copy):
     )
     ok, report = verify_db([path])
     assert not ok and any("root order 1" in line for line in report)
+
+
+@pytest.mark.parametrize("row, column, value, message", [
+    # 1 * (-1) / 2 at the class of size 1: not an algebraic integer
+    (3, 1, -1, "central character not integral"),
+    # rows 2 and 3 are Galois conjugates; zeta_3 in place of zeta_3^2 makes
+    # row 3 equal to row 2 at that class, so row 2's image is missing
+    (2, 3, {"conductor": 3, "coeffs": [0, 1]}, "Galois image row not found"),
+], ids=["non-integral-central-character", "missing-galois-image"])
+def test_corruption_character_table(db_copy, row, column, value, message):
+    def mutate(doc):
+        doc["character_table"]["values"][row][column] = value
+
+    path = rewrite(db_copy, "g4.json", mutate)
+    load(path)  # loading leaves the table checks to verify-db and p_blocks
+    ok, report = verify_db([path])
+    assert not ok and any(message in line for line in report)
+    result = invoke(["verify-db", str(path)])
+    assert result.exit_code == 5 and message in result.output
 
 
 def test_corruption_transport_mismatch(db_copy):
@@ -606,6 +632,33 @@ def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
         [(p,) for p in sorted(primes)]
     # the p-essential normals once per prime, to find the hyperplanes hit
     assert len(calls["essential_normals"]) == len(primes)
+
+
+def test_schur_index_agrees_with_recomputation(g7_schur_db):
+    """Every indexed norm, weight and essential set of G4, G6, G7 and the
+    cut G7 database equals its recomputation, and G7 cut by _replace reads
+    the same entries, by label, as the cut database loaded fresh."""
+    g7, cut = load_group("G7"), load(g7_schur_db / "g7.json")
+    for g in (load_group("G4"), load_group("G6"), g7, cut):
+        elements = g.schur_elements or {}
+        assert set(g.schur_facts or {}) == set(elements)
+        primes = set(factorint(g.group_order))
+        for label, s in elements.items():
+            facts = g.schur_facts[label]
+            assert facts.norm == abs(s.xi.norm())
+            assert facts.weight == aa_weight(s)
+            assert {p for p, _ in facts.essential} <= primes
+            for p in sorted(primes) + [5, 7, 11]:
+                assert {h for q, h in facts.essential if q == p} == \
+                    essential_monomials(s, p), (label, p)
+    assert len(g7.schur_facts) == 3
+    by_replace = g7._replace(characters=tuple(g7.schur_elements))
+    for p in (2, 3, 5):
+        assert blocks_no_hyperplane(by_replace, p) == \
+            blocks_no_hyperplane(cut, p)
+        for h in sorted(essential_normals(cut, [p])):
+            assert blocks_one_hyperplane(by_replace, p, Hyperplane(h)) == \
+                blocks_one_hyperplane(cut, p, Hyperplane(h))
 
 
 def test_cli_unknown_group_exits_three():
