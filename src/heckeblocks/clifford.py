@@ -129,14 +129,9 @@ def descend_hyperplanes(
     baseline = (
         join(baseline_parts) if baseline_parts else Partition.singletons(n_child)
     )
-    out = [HyperplaneTable(None, baseline, frozenset())]
-    for normal, moved_blocks in by_normal.items():
-        out.append(
-            HyperplaneTable(
-                Hyperplane(normal), join(moved_blocks), frozenset(primes[normal])
-            )
-        )
-    return out
+    return [HyperplaneTable(None, baseline, frozenset())] + [
+        HyperplaneTable(Hyperplane(h), join(moved), frozenset(primes[h]))
+        for h, moved in by_normal.items()]
 
 
 def _root_power(root: RootOfUnity, num: int, den: int) -> RootOfUnity:

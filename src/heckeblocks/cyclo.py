@@ -35,6 +35,7 @@ __all__ = [
     "isprime",
     "prime_handle",
     "in_prime_ideal",
+    "residue",
     "cyclotomic_value_at_one",
     "is_p_essential_factor",
 ]
@@ -630,14 +631,20 @@ def _monic(a: list[int], p: int) -> list[int]:
     return [c * inverse % p for c in a]
 
 
-def in_prime_ideal(a: CycInt, h: PrimeIdealHandle) -> bool:
-    """Whether a lies in the prime ideal of h: the remainder of a, written
-    over the handle's conductor, by the local factor is zero over GF(p).
-    The element's conductor must divide the handle's."""
+def residue(a: CycInt, h: PrimeIdealHandle) -> tuple[int, ...]:
+    """The image of a in the residue field of h's prime ideal P: the
+    remainder of a, written over the handle's conductor, by the local factor
+    over GF(p).  The map is additive, so a = b mod P exactly when their
+    residues are equal.  The element's conductor must divide the handle's."""
     a = a.lift(lcm(a.conductor, h.conductor))
     if a.conductor != h.conductor:
         raise ValueError("conductor of the element must divide the handle's")
-    return not _divmod_mod_p(a.coeffs, h.local_factor, h.rational_prime)[1]
+    return tuple(_divmod_mod_p(a.coeffs, h.local_factor, h.rational_prime)[1])
+
+
+def in_prime_ideal(a: CycInt, h: PrimeIdealHandle) -> bool:
+    """Whether a lies in the prime ideal of h: its residue is zero."""
+    return not residue(a, h)
 
 
 @lru_cache(maxsize=None)

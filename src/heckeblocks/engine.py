@@ -104,7 +104,9 @@ def rouquier_blocks(
     the baseline blocks with their blocks.  path "schur": the p-essential
     hyperplanes over the bad primes p of the specialization, and the join
     over those primes of the heuristic blocks off every hyperplane and on
-    each hit one.  Raises ValueError when the path's data is not stored."""
+    each hit one.  Raises ValueError when the path's data is not stored or
+    spec has not one exponent per slot."""
+    g.check_exponents(spec.n)
     if path == "tables":
         baseline = _baseline_table(g)
         hit = hyperplanes_containing(g.hyperplane_tables, spec)

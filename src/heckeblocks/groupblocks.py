@@ -2,10 +2,11 @@
 group from its character table.
 
 Partition and its lattice (meet, join and the union-find behind join) live
-here; engine and clifford import them.  Two characters lie in the same
-p-block when their central characters agree modulo a prime ideal above p;
-it suffices to test one deterministic prime ideal and close the resulting
-partition under the Galois action on the table rows.
+here; engine and clifford import them.  Partition.of validates outside
+input; derived partitions come from a key or from Partition.generated_by.
+Two characters lie in the same p-block when their central characters agree
+modulo a prime ideal above p; it suffices to test one deterministic prime
+ideal and close the resulting partition under the Galois action on rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .cyclo import CycInt, in_prime_ideal, prime_handle
+from .cyclo import CycInt, prime_handle, residue
 
 __all__ = ["CharacterTable", "Partition", "meet", "join", "central_character",
            "p_blocks", "galois_close"]
@@ -27,14 +28,10 @@ class Partition(NamedTuple):
 
     @staticmethod
     def of(parts, size: int) -> "Partition":
-        canon = tuple(sorted((tuple(sorted(set(p))) for p in parts if p),
-                             key=lambda part: part[0]))
-        seen: list[int] = []
-        for part in canon:
-            seen.extend(part)
-        if sorted(seen) != list(range(1, size + 1)):
+        parts = [list(p) for p in parts]
+        if sorted(i for p in parts for i in p) != list(range(1, size + 1)):
             raise ValueError(f"parts do not partition 1..{size}: {parts}")
-        return Partition(canon)
+        return Partition.generated_by(parts, size)
 
     @staticmethod
     def singletons(size: int) -> "Partition":
@@ -80,11 +77,6 @@ class Partition(NamedTuple):
 
     def as_lists(self) -> list[list[int]]:
         return [list(p) for p in self.parts]
-
-    def permuted(self, perm: dict[int, int]) -> "Partition":
-        return Partition.of(
-            [[perm[i] for i in part] for part in self.parts], self.size
-        )
 
 
 def meet(p1: Partition, p2: Partition) -> Partition:
@@ -158,51 +150,40 @@ def central_character(t: CharacterTable, chi_index: int, class_index: int) -> Cy
 def _row_permutations(t: CharacterTable) -> list[dict[int, int]]:
     """1-based row permutations induced by Gal(Q(zeta_N)/Q)."""
     n = t.conductor
-    rows = {tuple(v.lift(n).coeffs for v in row): i
-            for i, row in enumerate(t.values)}
-    perms = []
-    for sigma in range(1, n + 1):
-        if gcd(sigma, n) != 1:
-            continue
-        perm = {}
-        for i, row in enumerate(t.values):
-            key = tuple(_conj(v, sigma, n).coeffs for v in row)
-            if key not in rows:
-                raise ValueError("corrupt table: Galois image row not found")
-            perm[i + 1] = rows[key] + 1
-        perms.append(perm)
-    return perms
-
-
-def _conj(v: CycInt, sigma: int, n: int) -> CycInt:
-    return v.lift(n).galois_conjugate(sigma)
+    lifted = [tuple(v.lift(n) for v in row) for row in t.values]
+    rows = {tuple(v.coeffs for v in r): i + 1 for i, r in enumerate(lifted)}
+    if len(rows) != t.n_chars:
+        raise ValueError("corrupt table: two rows are equal")
+    try:
+        return [{i + 1: rows[tuple(v.galois_conjugate(s).coeffs for v in row)]
+                 for i, row in enumerate(lifted)}
+                for s in range(1, n + 1) if gcd(s, n) == 1]
+    except KeyError:
+        raise ValueError("corrupt table: Galois image row not found") from None
 
 
 def galois_close(t: CharacterTable, pi: Partition) -> Partition:
     """Finest coarsening of pi stable under the Galois row permutations.
 
     The permutations are those of every sigma in (Z/N)^x, the whole group,
-    identity included.  So the join J of the images of pi coarsens pi; J
+    identity included.  So the join J of the images of pi coarsens pi and
     is stable, since sigma only permutes the images; and every stable
-    coarsening C of pi coarsens each image sigma pi (C = sigma C), hence
-    J."""
-    return join([pi.permuted(perm) for perm in _row_permutations(t)])
+    coarsening C of pi coarsens each image sigma pi (C = sigma C), hence J."""
+    return Partition.generated_by(
+        [[perm[i] for i in part] for perm in _row_permutations(t)
+         for part in pi.parts if len(part) > 1], pi.size)
 
 
 def p_blocks(t: CharacterTable, p: int) -> Partition:
-    """Blocks of the p-modular group algebra via central-character
-    congruences at one prime ideal above p, then Galois closure."""
+    """Blocks of the p-modular group algebra: the characters grouped by the
+    residues of their central characters at one prime ideal P above p
+    (equal residues mean congruence mod P), then Galois closure."""
     if t.group_order % p:
         return Partition.singletons(t.n_chars)
     handle = prime_handle(p, t.conductor)
-    groups: list[tuple[list[CycInt], list[int]]] = []
+    groups: dict[tuple, list[int]] = {}
     for chi in range(t.n_chars):
-        omegas = [central_character(t, chi, c) for c in range(len(t.class_sizes))]
-        for ref, members in groups:
-            if all(in_prime_ideal(a - b, handle) for a, b in zip(omegas, ref)):
-                members.append(chi + 1)
-                break
-        else:
-            groups.append((omegas, [chi + 1]))
-    rough = Partition.of([members for _, members in groups], t.n_chars)
-    return galois_close(t, rough)
+        key = tuple(residue(central_character(t, chi, c), handle)
+                    for c in range(len(t.class_sizes)))
+        groups.setdefault(key, []).append(chi + 1)
+    return galois_close(t, Partition.generated_by(groups.values(), t.n_chars))

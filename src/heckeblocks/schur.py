@@ -132,6 +132,12 @@ class GroupDatum(NamedTuple):
     def slot_count(self) -> int:
         return sum(e for _, e in self.orbits)
 
+    def check_exponents(self, n: IntVector) -> None:
+        """Raise ValueError unless n has one exponent per slot."""
+        if len(n) != self.slot_count:
+            raise ValueError(f"{self.name} needs {self.slot_count} "
+                             f"exponents, got {len(n)}")
+
     def slots(self) -> list[tuple[int, int]]:
         return [(ci, j) for ci, (_, e) in enumerate(self.orbits) for j in range(e)]
 
@@ -418,8 +424,7 @@ def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
 
 def specialize(g: GroupDatum, s: SchurElement, n: IntVector) -> SpecializedSchur:
     """Image of the Schur element under u_(C,j) -> y^(n_(C,j))."""
-    if len(n) != g.slot_count:
-        raise ValueError("specialization vector has wrong length")
+    g.check_exponents(n)
     y_power = dot(s.lead, n)
     terms, constants = [], []
     for fac in s.factors:
@@ -474,14 +479,21 @@ def schur_facts(g: GroupDatum, s: SchurElement) -> SchurFacts:
 
 
 def bad_primes(g: GroupDatum, n: IntVector) -> set[int]:
-    """Primes p with some specialized coefficient psi_chi in a prime above p."""
+    """Primes p with some specialized coefficient psi_chi in a prime above
+    p.  psi_chi is xi * prod Psi(1)^mult over the factors with <M, n> = 0;
+    the norm is multiplicative, and N(Psi(1)) is a power of Phi_d(1), d the
+    root order: p when d is a power of p, else 1.  So the primes are those
+    of the indexed N(xi) and each p of an indexed (p, M) with <M, n> = 0.
+    All of them occur at n = 0, where a validated psi_chi is |G| / chi(1),
+    so only the primes of |G| are tested."""
     if not g.has_full_schur:
         raise ValueError(f"full Schur payload not stored for {g.name}")
+    g.check_exponents(n)
+    primes = factorint(g.group_order)
     out: set[int] = set()
-    for c in g.characters:
-        sp = specialize(g, g.schur_elements[c], n)
-        nrm = abs(sp.psi_coeff.norm())
-        out |= set(factorint(nrm))
+    for f in g.stored_facts().values():
+        out.update(p for p in primes if f.norm % p == 0)
+        out.update(p for p, m in f.essential if dot(m, n) == 0)
     return out
 
 

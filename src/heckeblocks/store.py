@@ -127,6 +127,8 @@ def load(path) -> GroupDatum:
         )
         if len(set(g.characters)) != len(g.characters):
             raise ValueError("character labels must be unique")
+        if any(c.degree < 1 for c in g.characters):
+            raise ValueError("character degrees must be at least 1")
         if any(e < 1 for _, e in g.orbits):
             raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
         if not all(isinstance(s, str) for s in (g.name, *(o for o, _ in g.orbits))):

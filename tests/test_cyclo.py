@@ -24,6 +24,7 @@ from heckeblocks.cyclo import (
     isprime,
     is_p_essential_factor,
     prime_handle,
+    residue,
     _phi_coeffs,
     _phi_factors_mod_p,
 )
@@ -321,6 +322,20 @@ def test_factor_splitting_is_bounded():
         assert len(_phi_factors_mod_p(p, n)) == euler_phi(n) // 3
         with pytest.raises(RuntimeError, match="attempts"):
             _phi_factors_mod_p(p, n, attempts=0)
+
+
+@given(st.sampled_from([2, 3, 5]),
+       st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+       st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_equal_residues_are_congruence(p, a, b):
+    # conductor 12: 2 and 3 ramify, 5 splits into two primes of degree 2
+    h = prime_handle(p, 12)
+    a, b = CycInt(12, a), CycInt(12, b)
+    assert (residue(a, h) == residue(b, h)) == in_prime_ideal(a - b, h)
+    assert residue(a + b, h) == residue(
+        CycInt(12, list(residue(a, h)) or [0])
+        + CycInt(12, list(residue(b, h)) or [0]), h)
 
 
 def test_conductor_one_handle_is_divisibility():

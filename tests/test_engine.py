@@ -19,6 +19,7 @@ from heckeblocks.engine import (
     hyperplanes_containing,
     join,
     meet,
+    rouquier_blocks,
     rouquier_from_tables,
 )
 from heckeblocks.groupblocks import Partition, p_blocks
@@ -152,6 +153,19 @@ def test_rouquier_from_tables_respects_baseline(g7):
 # ---------------------------------------------------------------------------
 # heuristic (Schur) path on the partial G7 payload
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", ["tables", "schur"])
+@pytest.mark.parametrize("n", [(5, 5), (5, 5, 5, 5)])
+def test_wrong_length_exponents_are_rejected(g4, g7, path, n):
+    # dot zips and truncates, so a short vector used to hit (1,-1,0) and a
+    # long one every hyperplane; the Schur path is run on G7 cut to its
+    # Schur characters, which has the full payload
+    with pytest.raises(ValueError, match=f"^G4 needs 3 exponents, got {len(n)}$"):
+        rouquier_blocks(g4, Specialization(n), path)
+    cut = g7._replace(characters=tuple(g7.schur_elements))
+    with pytest.raises(ValueError, match=f"^G7 needs 8 exponents, got {len(n)}$"):
+        rouquier_blocks(cut, Specialization(n), path)
 
 
 def test_no_hyperplane_blocks_keep_trivial_character_alone(g7):

@@ -1,15 +1,19 @@
 """Group-algebra p-blocks from character tables, checked against a
 from-scratch enumeration of the binary tetrahedral group, plus coset
-enumeration oracles for the shipped group orders."""
+enumeration oracles for the shipped group orders and a pairwise-congruence
+oracle for the residue-keyed p_blocks."""
+
+from math import gcd
 
 import pytest
 
-from heckeblocks.cyclo import CycInt
+from heckeblocks.cyclo import CycInt, in_prime_ideal, prime_handle
 from heckeblocks.groupblocks import (
     CharacterTable,
     Partition,
     central_character,
     galois_close,
+    join,
     p_blocks,
 )
 from heckeblocks.store import load_group
@@ -303,3 +307,104 @@ def test_cyclic_three_table_blocks():
     )
     assert p_blocks(table, 3).as_lists() == [[1, 2, 3]]
     assert p_blocks(table, 2) == Partition.singletons(3)
+
+
+def test_equal_rows_are_rejected():
+    one = CycInt.rational(1)
+    table = CharacterTable(conductor=1, class_sizes=(1, 1),
+                           values=((one, one), (one, one)))
+    with pytest.raises(ValueError, match="two rows are equal"):
+        p_blocks(table, 2)
+
+
+# ---------------------------------------------------------------------------
+# the residue-keyed p_blocks against the pairwise scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_galois_close(t, pi):
+    """The join of the images of pi under every Galois row permutation,
+    each image validated as a partition."""
+    n = t.conductor
+    rows = {tuple(v.lift(n).coeffs for v in row): i
+            for i, row in enumerate(t.values)}
+    images = []
+    for sigma in range(1, n + 1):
+        if gcd(sigma, n) != 1:
+            continue
+        perm = {i + 1: rows[tuple(v.lift(n).galois_conjugate(sigma).coeffs
+                                  for v in row)] + 1
+                for i, row in enumerate(t.values)}
+        images.append(Partition.of(
+            [[perm[i] for i in part] for part in pi.parts], pi.size))
+    return join(images)
+
+
+def _oracle_p_blocks(t, p):
+    """Each character joins the first group whose representative's central
+    characters are congruent to its own at the prime ideal, tested by
+    in_prime_ideal on the differences; then the Galois closure."""
+    if t.group_order % p:
+        return Partition.singletons(t.n_chars)
+    handle = prime_handle(p, t.conductor)
+    groups = []
+    for chi in range(t.n_chars):
+        omegas = [central_character(t, chi, c)
+                  for c in range(len(t.class_sizes))]
+        for ref, members in groups:
+            if all(in_prime_ideal(a - b, handle)
+                   for a, b in zip(omegas, ref)):
+                members.append(chi + 1)
+                break
+        else:
+            groups.append((omegas, [chi + 1]))
+    rough = Partition.of([members for _, members in groups], t.n_chars)
+    return _oracle_galois_close(t, rough)
+
+
+def _cyclic_table(n):
+    """The character table of the cyclic group of order n: chi_k(g^j) is
+    zeta_n^(jk), so sigma in (Z/n)^x sends row k to row sigma * k."""
+    return CharacterTable(
+        conductor=n, class_sizes=(1,) * n,
+        values=tuple(tuple(CycInt.zeta(n, j * k % n) for j in range(n))
+                     for k in range(n)))
+
+
+def _cyclic_three_table():
+    w = CycInt.zeta(3)
+    one = CycInt.rational(1)
+    return CharacterTable(conductor=3, class_sizes=(1, 1, 1), values=(
+        (one, one, one), (one, w, w * w), (one, w * w, w)))
+
+
+_HAND_BUILT = {
+    "cyclic-3": _cyclic_three_table,
+    "C5": lambda: _cyclic_table(5),
+    "C15": lambda: _cyclic_table(15),
+}
+
+
+@pytest.mark.parametrize("name, p", [
+    *[("G4", p) for p in (2, 3, 5, 7)],
+    *[("cyclic-3", p) for p in (2, 3)],
+    *[("C5", p) for p in (2, 3, 5)],
+    *[("C15", p) for p in (2, 3, 5)],
+])
+def test_p_blocks_agree_with_the_pairwise_oracle(g4, name, p):
+    table = g4.character_table if name == "G4" else _HAND_BUILT[name]()
+    assert p_blocks(table, p) == _oracle_p_blocks(table, p)
+
+
+def test_galois_close_agrees_with_the_joined_images():
+    table = _cyclic_table(5)
+    # row k goes to row sigma * k mod 5: {chi_1, chi_4} is an orbit of
+    # sigma = 4 and meets {chi_2, chi_3} under sigma = 2
+    for parts, expected in [
+        ([[1, 2], [3], [4], [5]], [[1, 2, 3, 4, 5]]),
+        ([[1], [2, 5], [3], [4]], [[1], [2, 5], [3, 4]]),
+        ([[1], [2], [3], [4], [5]], [[1], [2], [3], [4], [5]]),
+    ]:
+        pi = Partition.of(parts, 5)
+        assert galois_close(table, pi).as_lists() == expected
+        assert galois_close(table, pi) == _oracle_galois_close(table, pi)

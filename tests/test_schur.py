@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from heckeblocks.cyclo import CycInt, RootOfUnity
+from heckeblocks.cyclo import CycInt, RootOfUnity, factorint
 from heckeblocks.lattice import dot
 from heckeblocks.schur import (
     BadPrimeArgument,
@@ -22,6 +22,7 @@ from heckeblocks.schur import (
     essential_monomials,
     generic_singleton,
     normalize_x_to_v,
+    schur_facts,
     specialize,
     validate,
     value_at_one,
@@ -274,6 +275,51 @@ def test_bad_primes_on_a_full_payload(g7):
     # at n = 0 the coefficients are |G| / chi(1) = 144, 72, 48
     assert bad_primes(g, (0,) * 8) == {2, 3}
     assert bad_primes(g, (2, -1, 1, 0, -1, 3, -2, -1)) <= {2, 3}
+
+
+def _oracle_bad_primes(g, n):
+    """The primes of the norm of every specialized coefficient psi_chi,
+    multiplied out and factorised."""
+    out = set()
+    for c in g.characters:
+        sp = specialize(g, g.schur_elements[c], n)
+        out |= set(factorint(abs(sp.psi_coeff.norm())))
+    return out
+
+
+def _vector_on(normal, rng):
+    """An integer vector orthogonal to the normal."""
+    r = [rng.randint(-4, 4) for _ in normal]
+    return tuple(dot(normal, normal) * x - dot(normal, r) * c
+                 for x, c in zip(r, normal))
+
+
+def test_bad_primes_read_off_the_index_agree_with_the_norms(g7):
+    """On G7 cut to its Schur characters, and on the cut with every xi set
+    to 1 (facts rebuilt), where only the vanishing monomials add primes."""
+    cut = g7._replace(characters=tuple(g7.schur_elements))
+    elements = {c: s._replace(xi=CycInt.rational(1))
+                for c, s in cut.schur_elements.items()}
+    unit = cut._replace(
+        schur_elements=elements,
+        schur_facts={c: schur_facts(cut, s) for c, s in elements.items()})
+    rng = random.Random(13)
+    vectors = [(0,) * 8]
+    vectors += [tuple(rng.randint(-5, 5) for _ in range(8)) for _ in range(50)]
+    normals = sorted({h for f in cut.schur_facts.values()
+                      for _, h in f.essential})
+    vectors += [_vector_on(h, rng) for h in normals]
+    answers = set()
+    for g in (cut, unit):
+        for n in vectors:
+            expected = _oracle_bad_primes(g, n)
+            assert bad_primes(g, n) == expected, n
+            if g is unit:
+                answers.add(frozenset(expected))
+    # the unit variant reaches the monomial branch: no prime at a generic
+    # vector, each prime alone on some normal, both at n = 0
+    assert {frozenset(), frozenset({2}), frozenset({3}),
+            frozenset({2, 3})} <= answers
 
 
 # ---------------------------------------------------------------------------

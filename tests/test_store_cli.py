@@ -176,6 +176,12 @@ def test_corruption_bad_table_primes(db_copy, primes):
     assert result.exit_code == 5
 
 
+def _degree_zero(doc):
+    """G7 with phi{1,0} renamed phi{0,0}, in the label and the schur_x key."""
+    doc["characters"][doc["characters"].index("phi{1,0}")] = "phi{0,0}"
+    doc["schur_x"]["phi{0,0}"] = doc["schur_x"].pop("phi{1,0}")
+
+
 # Each mutation once escaped store.load as a raw exception or loaded
 # silently; every one must end in StoreError, and the CLI in exit 5.
 _MALFORMED = {
@@ -230,6 +236,8 @@ _MALFORMED = {
         "g7.json",
         lambda d: d["schur_x"]["phi{1,0}"]["factors"][0].__setitem__(
             "twist", [0, 1])),
+    # schur.validate divides |G| by the degree: a ZeroDivisionError
+    "degree-zero character": ("g7.json", _degree_zero),
 }
 
 
