@@ -1,4 +1,5 @@
-"""Command-line queries against the shipped (or HECKE_DB) group database."""
+"""Command-line queries against the shipped (or HECKE_DB) group database: the
+commands parse and render, and main alone maps library errors to exit codes."""
 
 from __future__ import annotations
 
@@ -9,30 +10,15 @@ import re
 import sys
 from typing import NoReturn
 
-from .engine import Hyperplane, Specialization, rouquier_blocks
+from .engine import Hyperplane, Specialization, rouquier_blocks, stored_tables
 from .groupblocks import Partition
-from .schur import BadPrimeArgument, essential_hyperplanes
+from .schur import BadExponents, BadPrimeArgument, essential_hyperplanes
 from .store import StoreError, load_group, verify_db
 
 EXIT_BAD_PRIME = 2
 EXIT_MISSING_PAYLOAD = 3
 EXIT_BAD_ARITY = 4
 EXIT_VALIDATION = 5
-
-
-def _fail(message: str, code: int) -> NoReturn:
-    print(message, file=sys.stderr)
-    sys.exit(code)
-
-
-def _load(group: str):
-    try:
-        return load_group(group)
-    except FileNotFoundError as exc:
-        _fail(str(exc), EXIT_MISSING_PAYLOAD)
-    except StoreError as exc:
-        _fail("\n".join(f"{exc.path}: {line}" for line in exc.report),
-              EXIT_VALIDATION)
 
 
 def _render_partition(g, partition: Partition, display: str) -> str:
@@ -64,13 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 def cli_essential_hyperplanes(group: str, prime: int):
     """List the p-essential hyperplanes of GROUP, one per line."""
-    g = _load(group)
-    try:
-        normals = essential_hyperplanes(g, prime)
-    except BadPrimeArgument as exc:
-        _fail(f"Error, {exc}", EXIT_BAD_PRIME)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_MISSING_PAYLOAD)
+    g = load_group(group)
+    normals = essential_hyperplanes(g, prime)
     names = g.slot_names()
     for normal in normals:
         print(Hyperplane(normal).render(names))
@@ -78,11 +59,9 @@ def cli_essential_hyperplanes(group: str, prime: int):
 
 def cli_all_blocks(group: str, display: str):
     """Print the stored block partition for every essential hyperplane."""
-    g = _load(group)
-    if g.hyperplane_tables is None:
-        _fail(f"no hyperplane tables stored for {group}", EXIT_MISSING_PAYLOAD)
+    g = load_group(group)
     names = g.slot_names()
-    for table in g.hyperplane_tables:
+    for table in stored_tables(g):
         if table.hyperplane is None:
             print("No essential hyperplane")
         else:
@@ -93,18 +72,12 @@ def cli_all_blocks(group: str, display: str):
 def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
     """Rouquier blocks of the cyclotomic specialization with the given
     exponents."""
-    g = _load(group)
+    g = load_group(group)
     try:
         n = tuple(int(tok) for tok in exponents.split(","))
     except ValueError:
-        _fail(f"cannot parse exponents {exponents!r}", EXIT_BAD_ARITY)
-    if len(n) != g.slot_count:
-        _fail(f"{group} needs {g.slot_count} exponents, got {len(n)}",
-              EXIT_BAD_ARITY)
-    try:
-        hit, blocks = rouquier_blocks(g, Specialization(n), which)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_MISSING_PAYLOAD)
+        raise BadExponents(f"cannot parse exponents {exponents!r}") from None
+    hit, blocks = rouquier_blocks(g, Specialization(n), which)
     names = g.slot_names()
     rendered = ", ".join(h.render(names) for h in hit)
     print(f"Essential hyperplanes hit: {rendered or 'none'}")
@@ -114,12 +87,9 @@ def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
 def cli_verify_db(paths: list[str]):
     """Validate database files (default: the shipped database)."""
     ok, report = verify_db(paths or None)
-    if ok:
-        print("ok")
-        return
-    for line in report:
-        print(line)
-    sys.exit(EXIT_VALIDATION)
+    print("ok" if ok else "\n".join(report), flush=True)  # sys.exit skips main's
+    if not ok:
+        sys.exit(EXIT_VALIDATION)
 
 
 def _existing_path(path: str) -> str:
@@ -165,7 +135,26 @@ def _parser(prog: str) -> _Parser:
 def main(args=None, prog_name: str = "heckeblocks"):
     """Rouquier blocks of cyclotomic Hecke algebras from stored data."""
     options = vars(_parser(prog_name).parse_args(args))
-    options.pop("run")(**options)
+    try:
+        options.pop("run")(**options)
+        sys.stdout.flush()
+        return
+    except BrokenPipeError:
+        # the reader left (`| head`): as Python's SIGPIPE note says, devnull
+        # takes stdout so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except StoreError as exc:
+        message = "\n".join(f"{exc.path}: {line}" for line in exc.report)
+        code = EXIT_VALIDATION
+    except BadPrimeArgument as exc:
+        message, code = f"Error, {exc}", EXIT_BAD_PRIME
+    except BadExponents as exc:
+        message, code = str(exc), EXIT_BAD_ARITY
+    except (FileNotFoundError, ValueError) as exc:
+        message, code = str(exc), EXIT_MISSING_PAYLOAD
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ __all__ = [
     "meet",
     "join",
     "hyperplanes_containing",
+    "stored_tables",
     "rouquier_blocks",
     "rouquier_from_tables",
     "blocks_no_hyperplane",
@@ -85,10 +86,15 @@ def hyperplanes_containing(
     ]
 
 
-def _baseline_table(g: GroupDatum) -> HyperplaneTable:
+def stored_tables(g: GroupDatum) -> tuple[HyperplaneTable, ...]:
+    """g's stored hyperplane tables; raises ValueError when it has none."""
     if g.hyperplane_tables is None:
         raise ValueError(f"no hyperplane tables stored for {g.name}")
-    for t in g.hyperplane_tables:
+    return g.hyperplane_tables
+
+
+def _baseline_table(g: GroupDatum) -> HyperplaneTable:
+    for t in stored_tables(g):
         if t.hyperplane is None:
             return t
     raise ValueError(f"{g.name} tables lack the no-hyperplane baseline")
@@ -105,7 +111,7 @@ def rouquier_blocks(
     hyperplanes over the bad primes p of the specialization, and the join
     over those primes of the heuristic blocks off every hyperplane and on
     each hit one.  Raises ValueError when the path's data is not stored or
-    spec has not one exponent per slot."""
+    spec has not one exponent per slot (BadExponents)."""
     g.check_exponents(spec.n)
     if path == "tables":
         baseline = _baseline_table(g)

@@ -22,6 +22,7 @@ from .cyclo import (
     CycInt,
     KCyclotomic,
     RootOfUnity,
+    bounded_conductor,
     euler_phi,
     factorint,
     is_p_essential_factor,
@@ -41,6 +42,7 @@ __all__ = [
     "SpecializedSchur",
     "SchurDataError",
     "BadPrimeArgument",
+    "BadExponents",
     "sign_canonical",
     "normalize_x_to_v",
     "validate",
@@ -64,6 +66,10 @@ class SchurDataError(ValueError):
 
 class BadPrimeArgument(ValueError):
     """Raised when a prime argument does not divide the group order."""
+
+
+class BadExponents(ValueError):
+    """Raised when an exponent vector does not have one entry per slot."""
 
 
 class CharLabel(NamedTuple):
@@ -133,10 +139,10 @@ class GroupDatum(NamedTuple):
         return sum(e for _, e in self.orbits)
 
     def check_exponents(self, n: IntVector) -> None:
-        """Raise ValueError unless n has one exponent per slot."""
+        """Raise BadExponents unless n has one exponent per slot."""
         if len(n) != self.slot_count:
-            raise ValueError(f"{self.name} needs {self.slot_count} "
-                             f"exponents, got {len(n)}")
+            raise BadExponents(f"{self.name} needs {self.slot_count} "
+                               f"exponents, got {len(n)}")
 
     def slots(self) -> list[tuple[int, int]]:
         return [(ci, j) for ci, (_, e) in enumerate(self.orbits) for j in range(e)]
@@ -251,7 +257,8 @@ def normalize_x_to_v(
     factors: list[SchurFactorX],
     lead_den: int = 1,
 ) -> SchurElement:
-    """Convert a printed x-form Schur element to canonical v-form."""
+    """Convert a printed x-form Schur element to canonical v-form; raises
+    ValueError before any work that needs a conductor past MAX_CONDUCTOR."""
     mu = g.mu_order
     m = g.field_conductor
     nslots = g.slot_count
@@ -261,7 +268,9 @@ def normalize_x_to_v(
     if any((mu * c) % lead_den for c in lead_x):
         raise SchurDataError("leading monomial has non-integral v-exponents")
     lead = [mu * c // lead_den for c in lead_x]
-    xi = xi * _slot_twist(g, lead_x, lead_den).as_cycint()
+    twist = _slot_twist(g, lead_x, lead_den)
+    bounded_conductor(lcm(m, twist.order, xi.conductor))
+    xi = xi * twist.as_cycint()
 
     collected: dict[tuple[KCyclotomic, IntVector], int] = {}
     for fac in factors:
@@ -275,12 +284,13 @@ def normalize_x_to_v(
         if content == 0:
             raise SchurDataError("factor with trivial monomial")
         rho = fac.twist * _slot_twist(g, w, q)
-        # Phi_n(rho * T^content) = rho^phi(n) * prod_(tau in S) (T - tau)
-        xi = xi * (rho ** euler_phi(n)).as_cycint()
         # tau = zeta_big^k gives rho * tau^content = zeta_ell^(r + k)
         ell = lcm(n, rho.order)
         r = rho.exponent * (ell // rho.order)
         big = content * ell
+        bounded_conductor(lcm(m, big, xi.conductor))
+        # Phi_n(rho * T^content) = rho^phi(n) * prod_(tau in S) (T - tau)
+        xi = xi * (rho ** euler_phi(n)).as_cycint()
         roots = [RootOfUnity.of(big, k) for k in range(big)
                  if ell // gcd(r + k, ell) == n]
         if len(roots) != content * euler_phi(n):
@@ -504,9 +514,8 @@ def generic_singleton(
     hyperplane: IntVector | None = None,
 ) -> bool:
     """Whether the character stays alone in its block: its Schur element
-    avoids the relevant prime ideal(s)."""
-    if abs(s.xi.norm()) % p == 0:
-        return False
-    if hyperplane is None:
-        return True
-    return sign_canonical(hyperplane) not in essential_monomials(s, p)
+    avoids the relevant prime ideal(s), as g.schur_facts records them."""
+    facts = g.schur_facts[s.char]
+    on_essential = hyperplane is not None and (
+        (p, sign_canonical(hyperplane)) in facts.essential)
+    return facts.norm % p != 0 and not on_essential

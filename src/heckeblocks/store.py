@@ -1,9 +1,9 @@
 """JSON persistence and validation of the group database.
 
-One group per UTF-8 JSON file.  Loading validates everything the theory
-demands (factor shapes, value at v=1, partition well-formedness, link
-consistency) and computes GroupDatum.schur_facts before any query is
-answered; verify_db also runs p_blocks' character-table checks.
+One group per UTF-8 JSON file.  load checks each value where it parses it
+(exact ints, shapes, conductors up to MAX_CONDUCTOR, Schur values at v=1,
+partitions, links), reports every violation in one StoreError and computes
+GroupDatum.schur_facts; verify_db adds p_blocks' and cross-file checks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
-from .cyclo import CycInt, RootOfUnity, factorint
+from .cyclo import CycInt, RootOfUnity, bounded_conductor, factorint
 from .engine import Hyperplane, HyperplaneTable
 from .groupblocks import CharacterTable, Partition, p_blocks
 from .lattice import primitive_part
@@ -60,8 +60,8 @@ def _int(x) -> int:
 def _cycint(doc) -> CycInt:
     if type(doc) is int:
         return CycInt.rational(doc)
-    conductor, coeffs = doc["conductor"], doc["coeffs"]
-    if type(conductor) is not int or not all(type(c) is int for c in coeffs):
+    conductor, coeffs = bounded_conductor(_int(doc["conductor"])), doc["coeffs"]
+    if not all(type(c) is int for c in coeffs):
         raise TypeError(f"cyclotomic integer {doc!r} needs int entries")
     return CycInt(conductor, coeffs)
 
@@ -119,7 +119,7 @@ def load(path) -> GroupDatum:
     try:
         g = GroupDatum(
             name=doc["name"],
-            field_conductor=_int(doc["field_conductor"]),
+            field_conductor=bounded_conductor(_int(doc["field_conductor"])),
             mu_order=_int(doc["mu_order"]),
             group_order=_int(doc["group_order"]),
             orbits=tuple((o[0], _int(o[1])) for o in doc["orbits"]),
@@ -137,39 +137,12 @@ def load(path) -> GroupDatum:
         raise StoreError(path, [f"bad header: {exc}"]) from exc
     report: list[str] = []
     try:
-        report.extend(_shape_report(doc, g))
-        if not report:
-            sections = _load_sections(doc, g, report)
+        sections = _load_sections(doc, g, report)
     except _MALFORMED as exc:
         report.append(f"malformed entry: {type(exc).__name__}: {exc}")
     if report:
         raise StoreError(path, report)
     return g._replace(**sections)
-
-
-def _shape_report(doc, g: GroupDatum) -> list[str]:
-    """The lengths and types the sections rely on: every normal is a list
-    of one int per slot, every character-table row has one entry per
-    class."""
-    report = []
-    for tdoc in doc.get("hyperplane_tables", []):
-        normal = tdoc.get("normal")
-        if normal is not None and (
-            not isinstance(normal, list) or len(normal) != g.slot_count
-            or not all(type(c) is int for c in normal)
-        ):
-            report.append(
-                f"normal {normal!r} is not a list of {g.slot_count} integers"
-            )
-    if "character_table" in doc:
-        tdoc = doc["character_table"]
-        classes = len(tdoc["class_sizes"])
-        for i, row in enumerate(tdoc["values"]):
-            if len(row) != classes:
-                report.append(
-                    f"character table row {i} does not have {classes} entries"
-                )
-    return report
 
 
 def _load_sections(doc, g: GroupDatum, report: list[str]) -> dict:
@@ -183,55 +156,57 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> dict:
         tables = []
         seen_baseline = False
         for tdoc in doc["hyperplane_tables"]:
-            try:
-                blocks = Partition.of(
-                    [[_int(i) for i in part] for part in tdoc["blocks"]], size
-                )
-            except ValueError as exc:
-                report.append(str(exc))
-                continue
             normal = tdoc.get("normal")
             if normal is None:
                 if seen_baseline:
                     report.append("duplicate no-hyperplane baseline table")
-                seen_baseline = True
-                hp = None
+                seen_baseline, hp = True, None
+            elif not (isinstance(normal, list) and len(normal) == g.slot_count
+                      and all(type(c) is int for c in normal)):
+                report.append(f"normal {normal!r} is not a list of "
+                              f"{g.slot_count} integers")
+                continue
             else:
                 normal = tuple(normal)
                 prim, content = primitive_part(normal)
                 if content != 1 or sign_canonical(normal) != normal:
-                    report.append(
-                        f"normal {normal} not primitive sign-canonical"
-                    )
+                    report.append(f"normal {normal} not primitive sign-canonical")
                 if any(g.orbit_sums(normal)):
                     report.append(f"normal {normal} has nonzero orbit sums")
                 hp = Hyperplane(normal)
+            try:
+                blocks = Partition.of(
+                    [[_int(i) for i in part] for part in tdoc["blocks"]], size)
+            except ValueError as exc:
+                report.append(str(exc))
+                continue
             primes = tdoc.get("primes", [])
             if not isinstance(primes, list) or not all(
                 type(p) is int and p > 1 and g.group_order % p == 0
                 for p in primes
             ):
-                report.append(
-                    f"primes {primes!r} are not integers > 1 dividing the "
-                    f"group order {g.group_order}"
-                )
+                report.append(f"primes {primes!r} are not integers > 1 "
+                              f"dividing the group order {g.group_order}")
                 primes = []
             tables.append(HyperplaneTable(hp, blocks, frozenset(primes)))
-        if tables and not seen_baseline:
+        if not seen_baseline:
             report.append("hyperplane tables lack the no-hyperplane baseline")
         sections["hyperplane_tables"] = tuple(tables)
 
     if "character_table" in doc:
         tdoc = doc["character_table"]
-        conductor = _int(tdoc["conductor"])
-        values = tuple(
-            tuple(_cycint(v).lift(conductor) for v in row)
-            for row in tdoc["values"]
-        )
+        conductor = bounded_conductor(_int(tdoc["conductor"]))
+        class_sizes = tuple(_int(s) for s in tdoc["class_sizes"])
+        values = []
+        for i, row in enumerate(tdoc["values"]):
+            if len(row) != len(class_sizes):
+                report.append(f"character table row {i} does not have "
+                              f"{len(class_sizes)} entries")
+            values.append(tuple(_cycint(v).lift(conductor) for v in row))
         table = CharacterTable(
             conductor=conductor,
-            class_sizes=tuple(_int(s) for s in tdoc["class_sizes"]),
-            values=values,
+            class_sizes=class_sizes,
+            values=tuple(values),
             class_order_labels=tuple(tdoc["class_orders"])
             if "class_orders" in tdoc else None,
         )
@@ -244,9 +219,7 @@ def _load_sections(doc, g: GroupDatum, report: list[str]) -> dict:
                 report.append("first table row is not the trivial character")
             for i, c in enumerate(g.characters):
                 if values[i][0] != CycInt.rational(c.degree):
-                    report.append(
-                        f"table degree mismatch for {c.render()}"
-                    )
+                    report.append(f"table degree mismatch for {c.render()}")
         sections["character_table"] = table
 
     if "schur_x" in doc:
@@ -347,11 +320,8 @@ def verify_db(paths=None) -> tuple[bool, list[str]]:
     for path in paths:
         try:
             g = load(path)
-        except (StoreError, FileNotFoundError) as exc:
-            if isinstance(exc, StoreError):
-                report.extend(f"{exc.path}: {msg}" for msg in exc.report)
-            else:
-                report.append(str(exc))
+        except StoreError as exc:
+            report.extend(f"{exc.path}: {msg}" for msg in exc.report)
             continue
         groups[g.name] = g
         try:  # p_blocks' ValueError names the corrupt row and class

@@ -23,6 +23,7 @@ from heckeblocks.schur import (
     generic_singleton,
     normalize_x_to_v,
     schur_facts,
+    sign_canonical,
     specialize,
     validate,
     value_at_one,
@@ -175,6 +176,32 @@ def test_trivial_character_is_generic_singleton(g7):
     s = g7.schur_elements[CharLabel.parse("phi{1,0}")]
     for p in (2, 3):
         assert generic_singleton(g7, s, p)
+
+
+def test_generic_singleton_agrees_with_recomputation(g7):
+    """generic_singleton reads the stored SchurFacts; the norm and the
+    essential monomials recomputed from the element give the same answer
+    off every hyperplane, on p-essential ones (either sign) and on others,
+    at primes dividing |G| and not."""
+    normals = sorted({h for s in g7.schur_elements.values() for p in (2, 3)
+                      for h in essential_monomials(s, p)})
+    off = (0, 0, 1, 0, -1, 1, 0, -1)
+    assert off not in normals
+    hyperplanes = [None, off, *normals, *(tuple(-c for c in h) for h in normals)]
+    reasons = set()
+    for s in g7.schur_elements.values():
+        for p in (2, 3, 5, 7):
+            for h in hyperplanes:
+                if abs(s.xi.norm()) % p == 0:
+                    expected, reason = False, "norm"
+                elif h is not None and \
+                        sign_canonical(h) in essential_monomials(s, p):
+                    expected, reason = False, "on"
+                else:
+                    expected, reason = True, "off" if h else "generic"
+                assert generic_singleton(g7, s, p, h) == expected, (s.char, p, h)
+                reasons.add(reason)
+    assert reasons == {"norm", "on", "off", "generic"}
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def _degree_zero(doc):
     doc["schur_x"]["phi{0,0}"] = doc["schur_x"].pop("phi{1,0}")
 
 
+def _lead_past_the_bound(doc):
+    """G7 with mu 12 * 1009 and phi{2,9}' a bare leading monomial over
+    lead_den 1009, whose root of unity has order 3 * 1009."""
+    doc["mu_order"] = 12 * 1009
+    doc["schur_x"]["phi{2,9}'"].update(lead_den=1009, factors=[])
+
+
 # Each mutation once escaped store.load as a raw exception or loaded
 # silently; every one must end in StoreError, and the CLI in exit 5.
 _MALFORMED = {
@@ -238,6 +245,45 @@ _MALFORMED = {
             "twist", [0, 1])),
     # schur.validate divides |G| by the degree: a ZeroDivisionError
     "degree-zero character": ("g7.json", _degree_zero),
+    "empty table list": (
+        "g4.json", lambda d: d.__setitem__("hyperplane_tables", [])),
+    # conductors past MAX_CONDUCTOR: the first three once made load run
+    # past half a minute
+    "schur factor past the conductor bound": (
+        "g7.json",
+        lambda d: d["schur_x"]["phi{1,0}"]["factors"][0].__setitem__(
+            "cyc", 1009)),
+    "table conductor past the bound": (
+        "g4.json",
+        lambda d: d["character_table"].__setitem__("conductor", 2999949)),
+    "field conductor past the bound": (
+        "g7.json", lambda d: d.__setitem__("field_conductor", 12108)),
+    # with no factor to bound it, the leading twist alone took 9 s to load
+    # at mu = 12 * 100003 (2 vCPUs)
+    "leading monomial past the conductor bound": (
+        "g7.json", _lead_past_the_bound),
+    # this one failed fast before: 2999949 does not divide the table's 3
+    "table entry conductor past the bound": (
+        "g4.json",
+        lambda d: d["character_table"]["values"][4][5].__setitem__(
+            "conductor", 2999949)),
+}
+
+# The report line a case must give, where it is pinned.
+_MALFORMED_MESSAGE = {
+    "normal of the wrong length": "normal [1, -1] is not a list of 3 integers",
+    "table row one entry short": "character table row 1 does not have 7 entries",
+    "empty table list": "hyperplane tables lack the no-hyperplane baseline",
+    "schur factor past the conductor bound":
+        "phi{1,0}: conductor 24216 is above 1000",
+    "table conductor past the bound":
+        "malformed entry: ValueError: conductor 2999949 is above 1000",
+    "field conductor past the bound":
+        "bad header: conductor 12108 is above 1000",
+    "table entry conductor past the bound":
+        "malformed entry: ValueError: conductor 2999949 is above 1000",
+    "leading monomial past the conductor bound":
+        "phi{2,9}': conductor 12108 is above 1000",
 }
 
 
@@ -245,9 +291,13 @@ _MALFORMED = {
 def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
     name, mutate = _MALFORMED[case]
     path = rewrite(db_copy, name, mutate)
+    start = time.monotonic()
     with pytest.raises(StoreError) as err:
         load(path)
+    assert time.monotonic() - start < 1.0
     assert err.value.report
+    if case in _MALFORMED_MESSAGE:
+        assert _MALFORMED_MESSAGE[case] in err.value.report
     result = invoke(["verify-db", str(path)])
     assert result.exit_code == 5
     monkeypatch.setenv("HECKE_DB", str(db_copy))
@@ -346,13 +396,6 @@ def test_cli_essential_hyperplanes_listing():
     ]
 
 
-def test_cli_essential_hyperplanes_bad_prime():
-    result = invoke(["essential-hyperplanes", "G4", "--prime", "5"])
-    assert result.exit_code == 2
-    assert "Error, The number p should divide the order of the group" \
-        in result.output
-
-
 @pytest.mark.parametrize("prime", ["1", "-3", "1000000000000000000000007"])
 def test_cli_prime_outside_the_group_order_exits_two_quickly(prime):
     start = time.monotonic()
@@ -396,16 +439,21 @@ def test_cli_usage_errors_without_a_query_exit_four(args):
     assert result.exit_code == 4 and result.stdout == ""
 
 
-def _run_fresh(code, *args, site=True):
-    """Run Python code in a fresh interpreter with the package importable;
-    site=False starts it with -S, without the site module."""
+def _fresh_env():
+    """os.environ with the package importable."""
     env = dict(os.environ)
     src = str(Path(heckeblocks.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_fresh(code, *args, site=True):
+    """Run Python code in a fresh interpreter with the package importable;
+    site=False starts it with -S, without the site module."""
     return subprocess.run(
         [sys.executable, *([] if site else ["-S"]), "-c", code, *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
     )
 
 
@@ -572,14 +620,6 @@ def test_cli_exponents_may_start_with_a_minus(exponents):
     ]
 
 
-def test_cli_schur_path_requires_full_payload():
-    result = invoke(
-        ["rouquier-blocks", "G7", "--exponents", "0,0,0,0,0,0,0,0",
-         "--path", "schur"],
-    )
-    assert result.exit_code == 3
-
-
 @pytest.fixture()
 def g7_schur_db(tmp_path):
     """G7 cut down to its three characters with Schur data: a full Schur
@@ -669,9 +709,67 @@ def test_schur_index_agrees_with_recomputation(g7_schur_db):
                 blocks_one_hyperplane(cut, p, Hyperplane(h))
 
 
-def test_cli_unknown_group_exits_three():
-    result = invoke(["all-blocks", "G99"])
-    assert result.exit_code == 3
+def _drop_tables(doc):
+    del doc["hyperplane_tables"]
+
+
+def _unbalance_normal(doc):
+    doc["hyperplane_tables"][1]["normal"] = [0, 1, 1]
+
+
+# One row per library error the command line maps to an exit code, each run
+# against a copy of the database, rewritten where a row names a file.
+@pytest.mark.parametrize("args, rewritten, code, message", [
+    (["essential-hyperplanes", "G4", "--prime", "5"], None, 2,
+     "Error, The number p should divide the order of the group"),
+    (["all-blocks", "G99"], None, 3, "no database file for G99 in {db}"),
+    (["rouquier-blocks", "G7", "--path", "schur",
+      "--exponents", "0,0,0,0,0,0,0,0"], None, 3,
+     "full Schur payload not stored for G7"),
+    # the datum's name, not the name as typed
+    (["all-blocks", "g7"], ("g7.json", _drop_tables), 3,
+     "no hyperplane tables stored for G7"),
+    (["rouquier-blocks", "G4", "--exponents", "a,b,c"], None, 4,
+     "cannot parse exponents 'a,b,c'"),
+    (["rouquier-blocks", "g4", "--exponents", "1,2"], None, 4,
+     "G4 needs 3 exponents, got 2"),
+    (["all-blocks", "G4"], ("g4.json", _unbalance_normal), 5,
+     "{db}/g4.json: normal (0, 1, 1) has nonzero orbit sums"),
+], ids=["bad prime", "unknown group", "schur path on full G7",
+        "no tables", "unparsable exponents", "wrong arity", "corrupt file"])
+def test_cli_exit_code_and_message(db_copy, monkeypatch, args, rewritten,
+                                   code, message):
+    if rewritten is not None:
+        rewrite(db_copy, *rewritten)
+    monkeypatch.setenv("HECKE_DB", str(db_copy))
+    result = invoke(args)
+    assert result.exception is None
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (code, "", message.format(db=db_copy) + "\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["all-blocks", "G4"],
+    ["all-blocks", "G7", "--display", "name"],
+    ["verify-db", "{db}/g4.json"],
+], ids=["at main's flush", "while printing", "failed verify-db"])
+def test_cli_closed_output_pipe_exits_one_without_traceback(db_copy, args):
+    """A reader that closes its end before reading, as `| head -1` may, with
+    stdout block-buffered (PYTHONUNBUFFERED unset): all-blocks G4 meets the
+    closed pipe at main's flush, all-blocks G7 (8.5 kB) while printing, and
+    verify-db on a corrupt file before it exits 5."""
+    rewrite(db_copy, "g4.json", _unbalance_normal)
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from heckeblocks.cli import main; main()",
+         *(arg.format(db=db_copy) for arg in args)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 def test_cli_verify_db_ok_and_corrupt(db_copy):
