@@ -3,8 +3,9 @@
 Elements are kept in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1),
 reduced modulo the N-th cyclotomic polynomial.  Mixed-conductor arithmetic
 lifts both operands to the least common multiple conductor first.  Descent
-to a subring Z[zeta_m] applies an exact rational left inverse of the lift
-map, built once per (m, N), and re-lifts the result to check membership.
+to a subring Z[zeta_m] applies an exact left inverse of the lift map, kept
+as integer rows over a common denominator and built once per (m, N) by
+fraction-free elimination, and re-lifts the result to check membership.
 The norm is the product of the Galois conjugates.
 
 The module also provides roots of unity in exponent form, K-cyclotomic
@@ -22,7 +23,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-if TYPE_CHECKING:  # random and fractions load only where they are used
+if TYPE_CHECKING:  # random loads only where it is used
     import random
 
 __all__ = [
@@ -366,16 +367,14 @@ def _descent_map(m: int, n: int):
     """Exact left inverse of the lift Z[zeta_m] -> Z[zeta_n], as integer
     rows of sparse (index, coefficient) pairs over a common denominator.
 
-    Gauss-Jordan over the rationals on [L^T | I], L the lift matrix, turns
-    L^T into a reduced echelon form R = E L^T whose pivot columns P are the
-    identity; then L[P] = E^-T, so x = E^T y[P] recovers x from y = L x."""
-    from fractions import Fraction
+    Fraction-free Gauss-Jordan on [L^T | I], L the lift matrix: each row is
+    kept as an integer multiple, by its pivot value, of the row of the
+    reduced echelon form R = E L^T, whose pivot columns P are the identity.
+    Then L[P] = E^-T, so x = E^T y[P] recovers x from y = L x; the common
+    denominator of E is taken at the end."""
     k, rows = euler_phi(m), euler_phi(n)
-    aug = [
-        [Fraction(c) for c in CycInt.zeta(m, i).lift(n).coeffs]
-        + [Fraction(int(i == j)) for j in range(k)]
-        for i in range(k)
-    ]
+    aug = [list(CycInt.zeta(m, i).lift(n).coeffs)
+           + [int(i == j) for j in range(k)] for i in range(k)]
     pivots = []
     for c in range(rows):
         top = len(pivots)
@@ -385,17 +384,23 @@ def _descent_map(m: int, n: int):
         if r is None:
             continue
         aug[top], aug[r] = aug[r], aug[top]
-        lead = aug[top][c]
-        aug[top] = [x / lead for x in aug[top]]
+        pivot_row = aug[top]
+        lead = pivot_row[c]
         for r in range(k):
-            if r != top and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[top])]
+            f = aug[r][c]
+            if r != top and f:
+                row = [lead * x - f * y for x, y in zip(aug[r], pivot_row)]
+                content = gcd(*row)
+                aug[r] = [x // content for x in row]
         pivots.append(c)
+    # row i is lead_i times row i of [R | E], lead_i its pivot entry
+    leads = [row[c] for row, c in zip(aug, pivots)]
     e = [row[rows:] for row in aug]
-    den = lcm(*(x.denominator for row in e for x in row))
+    den = lcm(*(lead // gcd(x, lead)
+                for row, lead in zip(e, leads) for x in row))
     return den, tuple(
-        tuple((pivots[i], int(e[i][j] * den)) for i in range(k) if e[i][j])
+        tuple((pivots[i], e[i][j] * den // leads[i])
+              for i in range(k) if e[i][j])
         for j in range(k)
     )
 
@@ -493,12 +498,16 @@ class KCyclotomic(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _psi_value_at_one(psi: KCyclotomic) -> CycInt:
+    """prod_{s in O} (1 - zeta_d^s) in Z[zeta_m]: each factor is one
+    shift-and-subtract on a coefficient list in Z[x]/(x^L - 1), L =
+    lcm(m, d), which is reduced modulo Phi_L once and then descended."""
     m, d = psi.field_conductor, psi.root.order
     big = lcm(m, d)
-    acc = CycInt.rational(1)
+    acc = [1] + [0] * (big - 1)
     for s in psi.orbit():
-        acc = acc * (CycInt.rational(1) - CycInt.zeta(d, s).lift(big))
-    return acc.descend(m)
+        shift = s * (big // d)
+        acc = [a - b for a, b in zip(acc, acc[-shift:] + acc[:-shift])]
+    return CycInt._reduced(big, _reduce_mod_phi(acc, big)).descend(m)
 
 
 class PrimeIdealHandle(NamedTuple):

@@ -88,16 +88,15 @@ def hyperplanes_containing(
 
 def stored_tables(g: GroupDatum) -> tuple[HyperplaneTable, ...]:
     """g's stored hyperplane tables; raises ValueError when it has none."""
-    if g.hyperplane_tables is None:
-        raise ValueError(f"no hyperplane tables stored for {g.name}")
-    return g.hyperplane_tables
+    return g.stored_tables()
 
 
 def _baseline_table(g: GroupDatum) -> HyperplaneTable:
+    """The no-hyperplane baseline table; store.load accepts no tables
+    section without exactly one."""
     for t in stored_tables(g):
         if t.hyperplane is None:
             return t
-    raise ValueError(f"{g.name} tables lack the no-hyperplane baseline")
 
 
 def rouquier_blocks(

@@ -15,6 +15,7 @@ K-irreducible pieces.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -134,6 +135,13 @@ class GroupDatum(NamedTuple):
         """1-based character index -> SchurFacts, likewise."""
         return _by_index(self.characters, self.schur_facts)
 
+    def stored_tables(self) -> tuple:
+        """The stored hyperplane tables; raises ValueError when the datum
+        has none."""
+        if self.hyperplane_tables is None:
+            raise ValueError(f"no hyperplane tables stored for {self.name}")
+        return self.hyperplane_tables
+
     @property
     def slot_count(self) -> int:
         return sum(e for _, e in self.orbits)
@@ -159,7 +167,7 @@ class GroupDatum(NamedTuple):
 
     def orbit_sums(self, v: IntVector) -> list[int]:
         """The sum of v's entries over the slots of each orbit."""
-        return [sum(v[i] for i in rng) for rng in self.orbit_ranges()]
+        return [sum(v[rng.start:rng.stop]) for rng in self.orbit_ranges()]
 
 
 def _by_index(characters, by_label: dict | None) -> dict:
@@ -223,8 +231,11 @@ class SpecializedSchur(NamedTuple):
 
     @property
     def psi_coeff(self) -> CycInt:
-        coeff = self.xi
+        mults: dict[KCyclotomic, int] = {}
         for psi, mult in self.constants:
+            mults[psi] = mults.get(psi, 0) + mult
+        coeff = self.xi
+        for psi, mult in mults.items():
             coeff = coeff * psi.value_at_one() ** mult
         return coeff
 
@@ -242,11 +253,10 @@ def sign_canonical(v: IntVector) -> IntVector:
 def _slot_twist(g: GroupDatum, exps: IntVector, q: int) -> RootOfUnity:
     """The root-of-unity part of x^(exps/q), where each x_(C,j)^(1/q)
     contributes zeta_(q e_C)^j."""
-    twist = RootOfUnity.one()
-    for c, (ci, j) in zip(exps, g.slots()):
-        if c:
-            twist = twist * (RootOfUnity.of(q * g.orbits[ci][1], j) ** c)
-    return twist
+    order = q * lcm(*(e for _, e in g.orbits))
+    return RootOfUnity.of(order, sum(
+        c * j * (order // (q * g.orbits[ci][1]))
+        for c, (ci, j) in zip(exps, g.slots()) if c))
 
 
 def normalize_x_to_v(
@@ -258,19 +268,19 @@ def normalize_x_to_v(
     lead_den: int = 1,
 ) -> SchurElement:
     """Convert a printed x-form Schur element to canonical v-form; raises
-    ValueError before any work that needs a conductor past MAX_CONDUCTOR."""
+    ValueError before any work that needs a conductor past MAX_CONDUCTOR.
+    The roots of unity split off on the way are collected in one unit,
+    which multiplies coeff once at the end."""
     mu = g.mu_order
     m = g.field_conductor
     nslots = g.slot_count
 
-    xi = coeff
     # leading monomial: x^lead contributes a unit and v^(mu*lead/lead_den)
     if any((mu * c) % lead_den for c in lead_x):
         raise SchurDataError("leading monomial has non-integral v-exponents")
     lead = [mu * c // lead_den for c in lead_x]
-    twist = _slot_twist(g, lead_x, lead_den)
-    bounded_conductor(lcm(m, twist.order, xi.conductor))
-    xi = xi * twist.as_cycint()
+    unit = _slot_twist(g, lead_x, lead_den)
+    bounded_conductor(lcm(m, unit.order, coeff.conductor))
 
     collected: dict[tuple[KCyclotomic, IntVector], int] = {}
     for fac in factors:
@@ -288,32 +298,20 @@ def normalize_x_to_v(
         ell = lcm(n, rho.order)
         r = rho.exponent * (ell // rho.order)
         big = content * ell
-        bounded_conductor(lcm(m, big, xi.conductor))
+        bounded_conductor(lcm(m, big, coeff.conductor, unit.order))
         # Phi_n(rho * T^content) = rho^phi(n) * prod_(tau in S) (T - tau)
-        xi = xi * (rho ** euler_phi(n)).as_cycint()
-        roots = [RootOfUnity.of(big, k) for k in range(big)
-                 if ell // gcd(r + k, ell) == n]
-        if len(roots) != content * euler_phi(n):
-            raise AssertionError("root-set enumeration miscounted")
-        if any(t.is_one() for t in roots):
-            raise SchurDataError(
-                "factor produces a component of root order 1 (data-entry error)"
-            )
-        remaining = set(roots)
-        while remaining:
-            tau = min(remaining)
-            psi = KCyclotomic.of(m, tau)
-            orbit = {RootOfUnity.of(tau.order, s) for s in psi.orbit()}
-            if not orbit <= remaining:
-                raise SchurDataError("Galois orbit leaves the root set")
-            remaining -= orbit
-            psi, mono, unit, shift = _canonical_factor(psi, b_prim)
-            xi = xi * unit
-            lead = [a + s for a, s in zip(lead, shift)]
-            key = (psi, mono)
-            collected[key] = collected.get(key, 0) + 1
+        unit = unit * rho ** euler_phi(n)
+        flip = sign_canonical(b_prim) != b_prim
+        mono = tuple(-c for c in b_prim) if flip else b_prim
+        for psi, flipped, flip_unit, deg in _root_orbits(m, n, ell, r, big):
+            if flip:  # Psi(M) = flip_unit * M^deg * flipped(M^-1)
+                psi, unit = flipped, unit * flip_unit
+                lead = [a - deg * c for a, c in zip(lead, mono)]
+            collected[psi, mono] = collected.get((psi, mono), 0) + 1
 
+    bounded_conductor(lcm(m, unit.order, coeff.conductor))
     try:
+        xi = coeff * unit.as_cycint()
         xi = xi.lift(lcm(xi.conductor, m)).descend(m)
     except ValueError as exc:
         raise SchurDataError(
@@ -328,30 +326,42 @@ def normalize_x_to_v(
     return SchurElement(char, xi, tuple(lead), out)
 
 
-def _canonical_factor(psi: KCyclotomic, mono: IntVector):
-    """Flip a factor to the sign-canonical monomial.
+@lru_cache(maxsize=None)
+def _root_orbits(m: int, n: int, ell: int, r: int, big: int):
+    """The Galois orbits over K = Q(zeta_m) of the root set S, which holds
+    the tau = zeta_big^k with zeta_ell^(r + k) of order n.  Raises
+    SchurDataError when S holds 1 or an orbit leaves S.
 
-    Psi(M) = (-1)^deg * zeta_d^(sum of root exponents) * M^deg * Psi~(M^-1)
-    where Psi~ has the inverse roots; the unit goes to xi and M^deg to lead.
-    """
-    if sign_canonical(mono) == tuple(mono):
-        return psi, tuple(mono), CycInt.rational(1), (0,) * len(mono)
-    deg = psi.degree
-    d = psi.root.order
-    unit = CycInt.zeta(d, sum(psi.orbit()) % d) * CycInt.rational((-1) ** deg)
-    shift = tuple(deg * c for c in mono)
-    return (
-        psi.inverse_root(),
-        tuple(-c for c in mono),
-        unit,
-        shift,
-    )
+    Each orbit comes as (Psi, Psi~, unit, deg): Psi its K-cyclotomic
+    polynomial, of degree deg, and Psi~ the one with the inverse roots, so
+    that Psi(M) = unit * M^deg * Psi~(M^-1) with unit = (-1)^deg *
+    zeta_d^(sum of the root exponents)."""
+    remaining = {k for k in range(big) if ell // gcd(r + k, ell) == n}
+    if len(remaining) != big // ell * euler_phi(n):
+        raise AssertionError("root-set enumeration miscounted")
+    if 0 in remaining:
+        raise SchurDataError(
+            "factor produces a component of root order 1 (data-entry error)"
+        )
+    out = []
+    while remaining:
+        psi = KCyclotomic.of(m, RootOfUnity.of(big, min(remaining)))
+        d = psi.root.order
+        orbit = {s * (big // d) for s in psi.orbit()}
+        if not orbit <= remaining:
+            raise SchurDataError("Galois orbit leaves the root set")
+        remaining -= orbit
+        unit = RootOfUnity.of(d, sum(psi.orbit())) \
+            * RootOfUnity.of(2, psi.degree)
+        out.append((psi, psi.inverse_root(), unit, psi.degree))
+    return tuple(out)
 
 
 def value_at_one(g: GroupDatum, s: SchurElement) -> CycInt:
     """s_chi(1): at the zero specialization every monomial vanishes, so the
     whole element is the specialized coefficient."""
-    return specialize(g, s, (0,) * g.slot_count).psi_coeff
+    return SpecializedSchur(s.xi, 0, (), tuple(
+        (fac.psi, fac.mult) for fac in s.factors)).psi_coeff
 
 
 def validate(g: GroupDatum, s: SchurElement) -> list[str]:
@@ -409,9 +419,10 @@ def essential_normals(g: GroupDatum, primes) -> set[IntVector]:
 def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
     """Normals of the p-essential hyperplanes (p = 0: all bad primes).
 
-    Prefers the full Schur payload; falls back to stored hyperplane tables.
-    Divisibility of the group order is tested before primality, so no
-    argument larger than the group order is ever factorised.
+    Prefers the full Schur payload; falls back to stored hyperplane tables
+    and raises ValueError when neither is stored.  Divisibility of the group
+    order is tested before primality, so no argument larger than the group
+    order is ever factorised.
     """
     if p != 0:
         if p <= 1 or g.group_order % p or not isprime(p):
@@ -421,13 +432,9 @@ def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
         primes = sorted(factorint(g.group_order))
     if g.has_full_schur:
         return sorted(essential_normals(g, primes))
-    if g.hyperplane_tables is None:
-        raise ValueError(
-            f"no Schur payload or hyperplane tables stored for {g.name}"
-        )
     return sorted({
         sign_canonical(table.normal)
-        for table in g.hyperplane_tables
+        for table in g.stored_tables()
         if table.normal is not None and (p == 0 or p in table.primes)
     })
 

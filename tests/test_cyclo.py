@@ -4,7 +4,8 @@ fast p-essentiality criterion against a norm oracle."""
 import cmath
 import random
 import time
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from heckeblocks.cyclo import (
     is_p_essential_factor,
     prime_handle,
     residue,
+    _descent_map,
     _phi_coeffs,
     _phi_factors_mod_p,
 )
@@ -91,6 +93,47 @@ def test_descend_where_the_lift_needs_reduction(m, n):
         else:
             with pytest.raises(ValueError):
                 b.descend(m)
+
+
+def fraction_descent_map(m, n):
+    """Oracle for _descent_map: Gauss-Jordan over Fraction on [L^T | I],
+    each pivot row divided by its pivot as it is chosen."""
+    k, rows = euler_phi(m), euler_phi(n)
+    aug = [
+        [Fraction(c) for c in CycInt.zeta(m, i).lift(n).coeffs]
+        + [Fraction(int(i == j)) for j in range(k)]
+        for i in range(k)
+    ]
+    pivots = []
+    for c in range(rows):
+        top = len(pivots)
+        if top == k:
+            break
+        r = next((r for r in range(top, k) if aug[r][c]), None)
+        if r is None:
+            continue
+        aug[top], aug[r] = aug[r], aug[top]
+        lead = aug[top][c]
+        aug[top] = [x / lead for x in aug[top]]
+        for r in range(k):
+            if r != top and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[top])]
+        pivots.append(c)
+    e = [row[rows:] for row in aug]
+    den = lcm(*(x.denominator for row in e for x in row))
+    return den, tuple(
+        tuple((pivots[i], int(e[i][j] * den)) for i in range(k) if e[i][j])
+        for j in range(k)
+    )
+
+
+def test_descent_map_matches_fraction_gauss_jordan():
+    pairs = [(m, n) for n in range(1, 121) for m in range(1, n + 1)
+             if n % m == 0]
+    assert len(pairs) == 602
+    for m, n in pairs:
+        assert _descent_map(m, n) == fraction_descent_map(m, n), (m, n)
 
 
 def test_phi_coeffs_match_sympy():
@@ -195,6 +238,28 @@ def test_norm_matches_resultant_oracle():
     for psi in sweep:
         value = psi.value_at_one()
         assert value.norm() == resultant_norm(value), psi
+
+
+def product_value_at_one(psi: KCyclotomic) -> CycInt:
+    """Oracle for value_at_one: the product of the factors 1 - zeta_d^s,
+    each reduced in Z[zeta_L], L = lcm(m, d), then descended to Z[zeta_m]."""
+    m, d = psi.field_conductor, psi.root.order
+    acc = CycInt.rational(1)
+    for s in psi.orbit():
+        acc = acc * (CycInt.rational(1) - CycInt.zeta(d, s).lift(lcm(m, d)))
+    return acc.descend(m)
+
+
+def test_value_at_one_matches_the_reduced_product():
+    sweep = {
+        KCyclotomic.of(m, RootOfUnity.of(d, e))
+        for m in SWEEP_FIELDS for d in range(2, 61) for e in range(1, d)
+        if gcd(e, d) == 1
+    }
+    for psi in sweep:
+        value, expected = psi.value_at_one(), product_value_at_one(psi)
+        assert (value.conductor, value.coeffs) == \
+            (expected.conductor, expected.coeffs), psi
 
 
 def test_norm_of_rationals_and_units():

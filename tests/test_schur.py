@@ -105,6 +105,61 @@ def test_value_at_one_is_group_order_over_degree(g7):
         assert value_at_one(g7, s) == CycInt.rational(expected)
 
 
+# The v-forms of the three representatives, pinned: xi's coefficients in
+# Z[zeta_12], lead, and for each monomial the roots order:exponent of its
+# factors over Q(zeta_12), in stored order, every multiplicity 1.
+G7_NORMALISED = {
+    "phi{1,0}": ((1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0), {
+        (0, 0, 0, 0, 0, 1, -1, 0): "9:1 18:5 36:1 36:7",
+        (0, 0, 0, 0, 0, 1, 0, -1): "9:2 18:1 36:5 36:11",
+        (0, 0, 1, -1, 0, 0, 0, 0): "9:1 18:5 36:1 36:7",
+        (0, 0, 1, 0, -1, 0, 0, 0): "9:2 18:1 36:5 36:11",
+        (1, -1, 0, 0, 0, 0, 0, 0): "8:1 8:3 24:1 24:5 24:7 24:11",
+        (1, -1, 1, -1, 0, 1, -1, 0): "72:1 72:7",
+        (1, -1, 1, -1, 0, 1, 0, -1): "8:1 8:3 24:1 24:5 24:7 24:11",
+        (1, -1, 1, 0, -1, 1, -1, 0): "8:1 8:3 24:1 24:5 24:7 24:11",
+        (1, -1, 1, 0, -1, 1, 0, -1): "72:5 72:11",
+        (1, -1, 2, -1, -1, 2, -1, -1): "8:1 8:3 24:1 24:5 24:7 24:11",
+    }),
+    "phi{2,9}'": ((0, 0, 0, 2), (-18, 18, -36, 18, 18, -36, 18, 18), {
+        (0, 0, 0, 0, 0, 1, -1, 0): "9:1 18:5 36:1 36:7",
+        (0, 0, 0, 0, 0, 1, 0, -1): "9:2 18:1 36:5 36:11",
+        (0, 0, 1, -1, 0, 0, 0, 0): "9:1 18:5 36:1 36:7",
+        (0, 0, 1, 0, -1, 0, 0, 0): "9:2 18:1 36:5 36:11",
+        (1, -1, -2, 1, 1, -2, 1, 1): "8:3 24:1 24:5",
+        (1, -1, 0, -1, 1, 0, -1, 1): "72:11",
+        (1, -1, 0, -1, 1, 0, 1, -1): "8:3 24:1 24:5",
+        (1, -1, 0, 1, -1, 0, -1, 1): "8:3 24:1 24:5",
+        (1, -1, 0, 1, -1, 0, 1, -1): "72:7",
+        (1, -1, 2, -1, -1, 2, -1, -1): "8:3 24:1 24:5",
+    }),
+    "phi{3,6}": ((3, 0, 0, 0), (-12, 12, 0, 0, 0, 0, 0, 0), {
+        (1, -1, -1, -1, 2, -1, -1, 2): "24:1 24:7",
+        (1, -1, -1, -1, 2, -1, 2, -1): "8:1 8:3",
+        (1, -1, -1, -1, 2, 2, -1, -1): "24:5 24:11",
+        (1, -1, -1, 2, -1, -1, -1, 2): "8:1 8:3",
+        (1, -1, -1, 2, -1, -1, 2, -1): "24:5 24:11",
+        (1, -1, -1, 2, -1, 2, -1, -1): "24:1 24:7",
+        (1, -1, 0, 0, 0, 0, 0, 0): "8:1 8:3 24:1 24:5 24:7 24:11",
+        (1, -1, 2, -1, -1, -1, -1, 2): "24:5 24:11",
+        (1, -1, 2, -1, -1, -1, 2, -1): "24:1 24:7",
+        (1, -1, 2, -1, -1, 2, -1, -1): "8:1 8:3",
+    }),
+}
+
+
+def test_normalised_representatives_are_pinned(g7):
+    for name, (xi, lead, factors) in G7_NORMALISED.items():
+        s = g7.schur_elements[CharLabel.parse(name)]
+        assert (s.xi.conductor, s.xi.coeffs, s.lead) == (12, xi, lead)
+        roots = {}
+        for fac in s.factors:
+            assert (fac.psi.field_conductor, fac.mult) == (12, 1)
+            roots.setdefault(fac.monomial, []).append(
+                f"{fac.psi.root.order}:{fac.psi.root.exponent}")
+        assert {m: " ".join(r) for m, r in roots.items()} == factors, name
+
+
 def test_monomials_are_primitive_sign_canonical_zero_sum(g7):
     for s in rep_elements(g7):
         for fac in s.factors:

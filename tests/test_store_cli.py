@@ -189,6 +189,22 @@ def _lead_past_the_bound(doc):
     doc["schur_x"]["phi{2,9}'"].update(lead_den=1009, factors=[])
 
 
+def _lead_twist_of_order_eight(doc):
+    """G7 whose phi{2,9}' has the leading monomial x_a0^(1/4) x_a1^(-1/4),
+    whose twist zeta_8 does not lie in Q(zeta_12)."""
+    doc["schur_x"]["phi{2,9}'"].update(lead=[1, -1, 0, 0, 0, 0, 0, 0],
+                                       lead_den=4)
+
+
+def _unit_past_the_bound(doc):
+    """_lead_twist_of_order_eight, and a factor Phi_83(x_b0 / x_b1) whose
+    twist zeta_3 cancels the slot twist, so its root set has conductor
+    12 * 83 = 996."""
+    _lead_twist_of_order_eight(doc)
+    doc["schur_x"]["phi{2,9}'"]["factors"].append(
+        {"cyc": 83, "num": [0, 0, 1, -1, 0, 0, 0, 0], "twist": [3, 1]})
+
+
 # Each mutation once escaped store.load as a raw exception or loaded
 # silently; every one must end in StoreError, and the CLI in exit 5.
 _MALFORMED = {
@@ -267,6 +283,21 @@ _MALFORMED = {
         "g4.json",
         lambda d: d["character_table"]["values"][4][5].__setitem__(
             "conductor", 2999949)),
+    # each alone is within the bound: lcm(12, 8) for the leading twist and
+    # lcm(12, 996) for the factor; but the unit collected before the factor
+    # holds zeta_8, and lcm(12, 8, 996) = 1992
+    "collected unit past the conductor bound": (
+        "g7.json", _unit_past_the_bound),
+    # the checks normalize_x_to_v makes on the root set and the unit
+    "schur factor of root order 1": (
+        "g7.json",
+        lambda d: d["schur_x"]["phi{1,0}"]["factors"].append(
+            {"cyc": 2, "num": [1, -1, 0, 0, 0, 0, 0, 0]})),
+    "galois orbit leaving the root set": (
+        "g7.json",
+        lambda d: d["schur_x"]["phi{1,0}"]["factors"].append(
+            {"cyc": 1, "num": [0, 0, 1, -1, 0, 0, 0, 0], "twist": [7, 1]})),
+    "unit outside the field": ("g7.json", _lead_twist_of_order_eight),
 }
 
 # The report line a case must give, where it is pinned.
@@ -284,12 +315,22 @@ _MALFORMED_MESSAGE = {
         "malformed entry: ValueError: conductor 2999949 is above 1000",
     "leading monomial past the conductor bound":
         "phi{2,9}': conductor 12108 is above 1000",
+    "collected unit past the conductor bound":
+        "phi{2,9}': conductor 1992 is above 1000",
+    "schur factor of root order 1": "phi{1,0}: factor produces a component "
+                                    "of root order 1 (data-entry error)",
+    "galois orbit leaving the root set":
+        "phi{1,0}: Galois orbit leaves the root set",
+    "unit outside the field": "phi{2,9}': unit coefficient does not lie in "
+                              "Z[zeta_12]; check the radical twists",
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
+    """Also after a good load of the same file has filled the memos."""
     name, mutate = _MALFORMED[case]
+    load(db_copy / name)
     path = rewrite(db_copy, name, mutate)
     start = time.monotonic()
     with pytest.raises(StoreError) as err:
@@ -532,8 +573,14 @@ _STDLIB_PROBE = (
 )
 
 
-def test_cli_table_query_loads_no_fractions_or_random():
-    result = _run_fresh(_STDLIB_PROBE, "all-blocks", "G4", site=False)
+@pytest.mark.parametrize("args", [
+    ["all-blocks", "G4"],
+    # a G7 load normalises and validates its Schur elements
+    ["all-blocks", "G7"],
+    ["rouquier-blocks", "G7", "--exponents", "1,2,3,4,5,6,7,8"],
+], ids=" ".join)
+def test_cli_table_query_loads_no_fractions_or_random(args):
+    result = _run_fresh(_STDLIB_PROBE, *args, site=False)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "loaded: []"
 
@@ -729,6 +776,8 @@ def _unbalance_normal(doc):
     # the datum's name, not the name as typed
     (["all-blocks", "g7"], ("g7.json", _drop_tables), 3,
      "no hyperplane tables stored for G7"),
+    (["essential-hyperplanes", "G4"], ("g4.json", _drop_tables), 3,
+     "no hyperplane tables stored for G4"),
     (["rouquier-blocks", "G4", "--exponents", "a,b,c"], None, 4,
      "cannot parse exponents 'a,b,c'"),
     (["rouquier-blocks", "g4", "--exponents", "1,2"], None, 4,
@@ -736,7 +785,8 @@ def _unbalance_normal(doc):
     (["all-blocks", "G4"], ("g4.json", _unbalance_normal), 5,
      "{db}/g4.json: normal (0, 1, 1) has nonzero orbit sums"),
 ], ids=["bad prime", "unknown group", "schur path on full G7",
-        "no tables", "unparsable exponents", "wrong arity", "corrupt file"])
+        "no tables", "no tables, essential hyperplanes",
+        "unparsable exponents", "wrong arity", "corrupt file"])
 def test_cli_exit_code_and_message(db_copy, monkeypatch, args, rewritten,
                                    code, message):
     if rewritten is not None:
