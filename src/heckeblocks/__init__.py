@@ -7,7 +7,6 @@ from .cyclo import (
     KCyclotomic,
     PrimeIdealHandle,
     RootOfUnity,
-    cyclotomic_value_at_one,
     in_prime_ideal,
     is_p_essential_factor,
     prime_handle,

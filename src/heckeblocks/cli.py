@@ -10,7 +10,7 @@ import re
 import sys
 from typing import NoReturn
 
-from .engine import Hyperplane, Specialization, rouquier_blocks, stored_tables
+from .engine import Hyperplane, Specialization, rouquier_blocks
 from .groupblocks import Partition
 from .schur import BadExponents, BadPrimeArgument, essential_hyperplanes
 from .store import StoreError, load_group, verify_db
@@ -61,7 +61,7 @@ def cli_all_blocks(group: str, display: str):
     """Print the stored block partition for every essential hyperplane."""
     g = load_group(group)
     names = g.slot_names()
-    for table in stored_tables(g):
+    for table in g.stored_tables():
         if table.hyperplane is None:
             print("No essential hyperplane")
         else:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cyclo import CycInt, RootOfUnity
+from .cyclo import CycInt, RootOfUnity, cyclotomic_at_root
 from .engine import Hyperplane, HyperplaneTable
 from .groupblocks import Partition, join
 from .lattice import IntVector
-from .schur import CharLabel, GroupDatum, SchurElement, SchurFactorX
+from .schur import CharLabel, GroupDatum, SchurDataError, SchurElement, SchurFactorX
 
 __all__ = [
     "CliffordLink",
@@ -147,17 +147,23 @@ def transport_schur_x(
     child_slots: int,
     lead_den: int = 1,
 ):
-    """Specialize an x-form parent Schur element along parameter_spec."""
+    """Specialize an x-form parent Schur element along parameter_spec.  A
+    factor whose monomial restricts to 0 is the constant Phi_n(twist): it is
+    folded into the coefficient, or raises SchurDataError when it is 0."""
     new_lead, lead_twist = _restrict(link, lead_x, child_slots, lead_den)
-    new_factors = []
+    coeff, new_factors = coeff * lead_twist.as_cycint(), []
     for fac in factors:
         num, twist = _restrict(
             link, fac.exps_numerator, child_slots, fac.exps_denominator
         )
-        new_factors.append(SchurFactorX(
-            fac.cyc_index, num, fac.exps_denominator, fac.twist * twist
-        ))
-    return coeff * lead_twist.as_cycint(), new_lead, lead_den, new_factors
+        fac = fac._replace(exps_numerator=num, twist=fac.twist * twist)
+        if any(num):
+            new_factors.append(fac)
+        elif (value := cyclotomic_at_root(fac.cyc_index, fac.twist)).is_zero():
+            raise SchurDataError(f"factor Phi_{fac.cyc_index} vanishes on the child")
+        else:
+            coeff = coeff * value
+    return coeff, new_lead, lead_den, new_factors
 
 
 def validate_schur_scaling(

@@ -37,7 +37,7 @@ __all__ = [
     "prime_handle",
     "in_prime_ideal",
     "residue",
-    "cyclotomic_value_at_one",
+    "cyclotomic_at_root",
     "is_p_essential_factor",
     "MAX_CONDUCTOR",
     "bounded_conductor",
@@ -669,15 +669,12 @@ def in_prime_ideal(a: CycInt, h: PrimeIdealHandle) -> bool:
     return not residue(a, h)
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_value_at_one(n: int) -> int:
-    """Phi_n(1) for n >= 2: p when n is a power of the prime p, else 1."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    primes = factorint(n)
-    if len(primes) == 1:
-        return next(iter(primes))
-    return 1
+def cyclotomic_at_root(n: int, root: RootOfUnity) -> CycInt:
+    """Phi_n(root), summed from the coefficients of Phi_n."""
+    coeffs = [0] * root.order
+    for k, c in enumerate(_phi_coeffs(n)):
+        coeffs[k * root.exponent % root.order] += c
+    return CycInt(root.order, coeffs)
 
 
 def is_p_essential_factor(psi: KCyclotomic, p: int) -> bool:

@@ -24,7 +24,6 @@ __all__ = [
     "meet",
     "join",
     "hyperplanes_containing",
-    "stored_tables",
     "rouquier_blocks",
     "rouquier_from_tables",
     "blocks_no_hyperplane",
@@ -86,19 +85,6 @@ def hyperplanes_containing(
     ]
 
 
-def stored_tables(g: GroupDatum) -> tuple[HyperplaneTable, ...]:
-    """g's stored hyperplane tables; raises ValueError when it has none."""
-    return g.stored_tables()
-
-
-def _baseline_table(g: GroupDatum) -> HyperplaneTable:
-    """The no-hyperplane baseline table; store.load accepts no tables
-    section without exactly one."""
-    for t in stored_tables(g):
-        if t.hyperplane is None:
-            return t
-
-
 def rouquier_blocks(
     g: GroupDatum, spec: Specialization, path: str = "tables"
 ) -> tuple[list[Hyperplane], Partition]:
@@ -113,10 +99,11 @@ def rouquier_blocks(
     spec has not one exponent per slot (BadExponents)."""
     g.check_exponents(spec.n)
     if path == "tables":
-        baseline = _baseline_table(g)
-        hit = hyperplanes_containing(g.hyperplane_tables, spec)
-        blocks = join([baseline.blocks] + [t.blocks for t in hit])
-        return [t.hyperplane for t in hit], blocks
+        tables = g.stored_tables()
+        hit = hyperplanes_containing(tables, spec)
+        # store.load accepts no tables section without exactly one baseline
+        baseline = next(t.blocks for t in tables if t.hyperplane is None)
+        return [t.hyperplane for t in hit], join([baseline] + [t.blocks for t in hit])
     if path != "schur":
         raise ValueError(f"unknown path {path!r}")
     primes = sorted(bad_primes(g, spec.n))

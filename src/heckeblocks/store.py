@@ -2,8 +2,10 @@
 
 One group per UTF-8 JSON file.  load checks each value where it parses it
 (exact ints, shapes, conductors up to MAX_CONDUCTOR, Schur values at v=1,
-partitions, links), reports every violation in one StoreError and computes
-GroupDatum.schur_facts; verify_db adds p_blocks' and cross-file checks.
+partitions, links) and computes GroupDatum.schur_facts; verify_db adds
+p_blocks' and cross-file checks.  Every entry is checked, and one malformed
+entry never hides another: one StoreError reports each violation at its
+JSON location, e.g. schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
 """
 
 from __future__ import annotations
@@ -79,19 +81,19 @@ def _parse_factor(doc) -> SchurFactorX:
     )
 
 
-def _parse_link(doc) -> CliffordLink:
+def _parse_link(doc, g: GroupDatum) -> CliffordLink:
     spec = []
     for entry in doc["parameter_spec"]:
         kind, payload = entry
-        if kind == "slot":
-            spec.append(("slot", _int(payload)))
+        if kind == "slot" and 0 <= _int(payload) < g.slot_count:
+            spec.append(("slot", payload))
         elif kind == "root":
             spec.append(("root", _root(payload)))
         else:
             raise ValueError(f"bad parameter_spec entry {entry!r}")
     if not all(isinstance(doc[k], str) for k in ("parent", "child")):
         raise TypeError("link parent and child must be group names")
-    return CliffordLink(
+    link = CliffordLink(
         parent=doc["parent"],
         child=doc["child"],
         cyclic_order=_int(doc["cyclic_order"]),
@@ -103,165 +105,174 @@ def _parse_link(doc) -> CliffordLink:
             for child, parents in doc["induction"]
         ),
     )
+    if link.child != g.name:
+        raise ValueError(f"link child {link.child} is not {g.name}")
+    if link.child_characters != g.characters:
+        raise ValueError("link child characters disagree with the datum")
+    return link
 
 
-# What a malformed document raises past the explicit checks: a missing key,
-# an entry of the wrong type, a list too short, an unparsable value.
-_MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError)
+# What a malformed entry raises past the explicit checks: a missing key, a
+# value of the wrong type, a list too short, an unparsable or zero value.
+_MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError,
+              ArithmeticError)
+
+
+def _located(report: list[str], where: str, parse, *args):
+    """parse(*args); or None, when that raises a _MALFORMED error, which is
+    appended to report as the one line "<where>: <message>"."""
+    try:
+        return parse(*args)
+    except _MALFORMED as exc:
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        report.append(f"{where}: {message}")
+
+
+def _parse_header(doc) -> GroupDatum:
+    g = GroupDatum(
+        name=doc["name"],
+        field_conductor=bounded_conductor(_int(doc["field_conductor"])),
+        mu_order=_int(doc["mu_order"]),
+        group_order=_int(doc["group_order"]),
+        orbits=tuple((o[0], _int(o[1])) for o in doc["orbits"]),
+        characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
+    )
+    if len(set(g.characters)) != len(g.characters):
+        raise ValueError("character labels must be unique")
+    if any(c.degree < 1 for c in g.characters):
+        raise ValueError("character degrees must be at least 1")
+    if any(e < 1 for _, e in g.orbits):
+        raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
+    if not all(isinstance(s, str) for s in (g.name, *(o for o, _ in g.orbits))):
+        raise TypeError("group and orbit names must be strings")
+    factorint(g.group_order)  # raises unless |G| >= 1 factors within the bound
+    return g
+
+
+def _parse_tables(docs, g: GroupDatum, report: list[str]) -> tuple:
+    tables = []
+    for i, tdoc in enumerate(docs):
+        where = f"hyperplane_tables[{i}]"
+        tables.append(_located(report, where, _parse_table, tdoc, g, report, where))
+    baselines = [i for i, t in enumerate(tables) if t and t.hyperplane is None]
+    report.extend(f"hyperplane_tables[{i}]: duplicate no-hyperplane baseline table"
+                  for i in baselines[1:])
+    if not baselines and None not in tables:  # a bad table may be the baseline
+        report.append("hyperplane_tables: "
+                      "hyperplane tables lack the no-hyperplane baseline")
+    return tuple(tables)
+
+
+def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):
+    normal, hp = tdoc.get("normal"), None
+    if normal is not None:
+        if not (isinstance(normal, list) and len(normal) == g.slot_count
+                and all(type(c) is int for c in normal)):
+            raise ValueError(f"normal {normal!r} is not a list of "
+                             f"{g.slot_count} integers")
+        normal = tuple(normal)
+        if primitive_part(normal)[1] != 1 or sign_canonical(normal) != normal:
+            report.append(f"{where}: normal {normal} not primitive sign-canonical")
+        if any(g.orbit_sums(normal)):
+            report.append(f"{where}: normal {normal} has nonzero orbit sums")
+        hp = Hyperplane(normal)
+    blocks = Partition.of(
+        [[_int(i) for i in part] for part in tdoc["blocks"]], len(g.characters))
+    primes = tdoc.get("primes", [])
+    if not isinstance(primes, list) or not all(
+            type(p) is int and p > 1 and g.group_order % p == 0 for p in primes):
+        raise ValueError(f"primes {primes!r} are not integers > 1 "
+                         f"dividing the group order {g.group_order}")
+    return HyperplaneTable(hp, blocks, frozenset(primes))
+
+
+def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
+    conductor = bounded_conductor(_int(tdoc["conductor"]))
+    class_sizes = tuple(_int(s) for s in tdoc["class_sizes"])
+    values = tuple(_located(report, f"character_table.values[{i}]", _parse_row,
+                            i, row, conductor, len(class_sizes))
+                   for i, row in enumerate(tdoc["values"]))
+    table = CharacterTable(
+        conductor=conductor,
+        class_sizes=class_sizes,
+        values=values,
+        class_order_labels=tuple(tdoc["class_orders"])
+        if "class_orders" in tdoc else None,
+    )
+    bad = []
+    if len(values) != len(g.characters):
+        bad.append("character table row count mismatch")
+    elif None not in values:
+        if table.group_order != g.group_order:
+            bad.append("class sizes do not sum to the group order")
+        if any(v != CycInt.rational(1) for v in values[0]):
+            bad.append("first table row is not the trivial character")
+        bad.extend(f"table degree mismatch for {c.render()}"
+                   for row, c in zip(values, g.characters)
+                   if row[0] != CycInt.rational(c.degree))
+    report.extend(f"character_table: {msg}" for msg in bad)
+    return table
+
+
+def _parse_row(i: int, row, conductor: int, width: int) -> tuple:
+    if len(row) != width:
+        raise ValueError(f"character table row {i} does not have {width} entries")
+    return tuple(_cycint(v).lift(conductor) for v in row)
+
+
+def _parse_schur_x(docs, g: GroupDatum, report: list[str]) -> dict:
+    elements = (_located(report, f'schur_x["{name}"]', _parse_schur,
+                         name, sdoc, g, report) for name, sdoc in docs.items())
+    return {s.char: s for s in elements if s is not None}
+
+
+def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
+    """The element, normalised and validated; None if a factor is malformed."""
+    where, label = f'schur_x["{name}"]', CharLabel.parse(name)
+    if label not in g.characters:
+        raise ValueError(f"schur entry for unknown character {name}")
+    factors = [_located(report, f"{where}.factors[{j}]", _parse_factor, f)
+               for j, f in enumerate(sdoc["factors"])]
+    if None in factors:
+        return None
+    element = normalize_x_to_v(g, label, _cycint(sdoc["coeff"]),
+                               tuple(_int(c) for c in sdoc["lead"]), factors,
+                               lead_den=_int(sdoc.get("lead_den", 1)))
+    report.extend(f"{where}: {msg}" for msg in validate(g, element))
+    return element
+
+
+def _parse_links(docs, g: GroupDatum, report: list[str]) -> tuple:
+    return tuple(_located(report, f"clifford_links[{i}]", _parse_link, ldoc, g)
+                 for i, ldoc in enumerate(docs))
 
 
 def load(path) -> GroupDatum:
+    """The group datum stored at path.  Every entry is checked, and one
+    malformed entry never hides another: each is reported and skipped, and
+    the scan goes on; only a malformed header, which every section is
+    checked against, ends it.  Raises StoreError with every violation."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise StoreError(path, [f"cannot parse: {exc}"]) from exc
-    try:
-        g = GroupDatum(
-            name=doc["name"],
-            field_conductor=bounded_conductor(_int(doc["field_conductor"])),
-            mu_order=_int(doc["mu_order"]),
-            group_order=_int(doc["group_order"]),
-            orbits=tuple((o[0], _int(o[1])) for o in doc["orbits"]),
-            characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
-        )
-        if len(set(g.characters)) != len(g.characters):
-            raise ValueError("character labels must be unique")
-        if any(c.degree < 1 for c in g.characters):
-            raise ValueError("character degrees must be at least 1")
-        if any(e < 1 for _, e in g.orbits):
-            raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
-        if not all(isinstance(s, str) for s in (g.name, *(o for o, _ in g.orbits))):
-            raise TypeError("group and orbit names must be strings")
-    except _MALFORMED as exc:
-        raise StoreError(path, [f"bad header: {exc}"]) from exc
     report: list[str] = []
-    try:
-        sections = _load_sections(doc, g, report)
-    except _MALFORMED as exc:
-        report.append(f"malformed entry: {type(exc).__name__}: {exc}")
+    g = _located(report, "header", _parse_header, doc)
+    sections = {} if g is None else {
+        field: _located(report, key, parse, doc[key], g, report)
+        for key, field, parse in (
+            ("hyperplane_tables", "hyperplane_tables", _parse_tables),
+            ("character_table", "character_table", _parse_character_table),
+            ("schur_x", "schur_elements", _parse_schur_x),
+            ("clifford_links", "clifford_links", _parse_links),
+        ) if key in doc}
     if report:
         raise StoreError(path, report)
-    return g._replace(**sections)
-
-
-def _load_sections(doc, g: GroupDatum, report: list[str]) -> dict:
-    """Parse and check the optional sections of g's document, appending
-    every violation found to report; returns the parsed sections by
-    GroupDatum field name."""
-    size = len(g.characters)
-    sections = {}
-
-    if "hyperplane_tables" in doc:
-        tables = []
-        seen_baseline = False
-        for tdoc in doc["hyperplane_tables"]:
-            normal = tdoc.get("normal")
-            if normal is None:
-                if seen_baseline:
-                    report.append("duplicate no-hyperplane baseline table")
-                seen_baseline, hp = True, None
-            elif not (isinstance(normal, list) and len(normal) == g.slot_count
-                      and all(type(c) is int for c in normal)):
-                report.append(f"normal {normal!r} is not a list of "
-                              f"{g.slot_count} integers")
-                continue
-            else:
-                normal = tuple(normal)
-                prim, content = primitive_part(normal)
-                if content != 1 or sign_canonical(normal) != normal:
-                    report.append(f"normal {normal} not primitive sign-canonical")
-                if any(g.orbit_sums(normal)):
-                    report.append(f"normal {normal} has nonzero orbit sums")
-                hp = Hyperplane(normal)
-            try:
-                blocks = Partition.of(
-                    [[_int(i) for i in part] for part in tdoc["blocks"]], size)
-            except ValueError as exc:
-                report.append(str(exc))
-                continue
-            primes = tdoc.get("primes", [])
-            if not isinstance(primes, list) or not all(
-                type(p) is int and p > 1 and g.group_order % p == 0
-                for p in primes
-            ):
-                report.append(f"primes {primes!r} are not integers > 1 "
-                              f"dividing the group order {g.group_order}")
-                primes = []
-            tables.append(HyperplaneTable(hp, blocks, frozenset(primes)))
-        if not seen_baseline:
-            report.append("hyperplane tables lack the no-hyperplane baseline")
-        sections["hyperplane_tables"] = tuple(tables)
-
-    if "character_table" in doc:
-        tdoc = doc["character_table"]
-        conductor = bounded_conductor(_int(tdoc["conductor"]))
-        class_sizes = tuple(_int(s) for s in tdoc["class_sizes"])
-        values = []
-        for i, row in enumerate(tdoc["values"]):
-            if len(row) != len(class_sizes):
-                report.append(f"character table row {i} does not have "
-                              f"{len(class_sizes)} entries")
-            values.append(tuple(_cycint(v).lift(conductor) for v in row))
-        table = CharacterTable(
-            conductor=conductor,
-            class_sizes=class_sizes,
-            values=tuple(values),
-            class_order_labels=tuple(tdoc["class_orders"])
-            if "class_orders" in tdoc else None,
-        )
-        if len(values) != size:
-            report.append("character table row count mismatch")
-        else:
-            if table.group_order != g.group_order:
-                report.append("class sizes do not sum to the group order")
-            if any(v != CycInt.rational(1) for v in values[0]):
-                report.append("first table row is not the trivial character")
-            for i, c in enumerate(g.characters):
-                if values[i][0] != CycInt.rational(c.degree):
-                    report.append(f"table degree mismatch for {c.render()}")
-        sections["character_table"] = table
-
-    if "schur_x" in doc:
-        elements = {}
-        for name, sdoc in doc["schur_x"].items():
-            label = CharLabel.parse(name)
-            if label not in g.characters:
-                report.append(f"schur entry for unknown character {name}")
-                continue
-            try:
-                element = normalize_x_to_v(
-                    g,
-                    label,
-                    _cycint(sdoc["coeff"]),
-                    tuple(_int(c) for c in sdoc["lead"]),
-                    [_parse_factor(f) for f in sdoc["factors"]],
-                    lead_den=_int(sdoc.get("lead_den", 1)),
-                )
-            except ValueError as exc:
-                report.append(f"{name}: {exc}")
-                continue
-            bad = validate(g, element)
-            report.extend(f"{name}: {msg}" for msg in bad)
-            elements[label] = element
-        sections["schur_elements"] = elements
+    if "schur_elements" in sections:
         sections["schur_facts"] = {
-            label: schur_facts(g, s) for label, s in elements.items()}
-
-    links = []
-    for ldoc in doc.get("clifford_links", []):
-        try:
-            link = _parse_link(ldoc)
-        except ValueError as exc:
-            report.append(f"clifford link: {exc}")
-            continue
-        if link.child != g.name:
-            report.append(f"link child {link.child} is not {g.name}")
-        elif link.child_characters != g.characters:
-            report.append("link child characters disagree with the datum")
-        links.append(link)
-    sections["clifford_links"] = tuple(links)
-    return sections
+            label: schur_facts(g, s) for label, s in sections["schur_elements"].items()}
+    return g._replace(**sections)
 
 
 def load_group(name: str, db_dir=None) -> GroupDatum:
@@ -324,10 +335,10 @@ def verify_db(paths=None) -> tuple[bool, list[str]]:
             report.extend(f"{exc.path}: {msg}" for msg in exc.report)
             continue
         groups[g.name] = g
-        try:  # p_blocks' ValueError names the corrupt row and class
-            for p in factorint(g.group_order) if g.character_table else ():
-                p_blocks(g.character_table, p)
-        except (*_MALFORMED, ArithmeticError) as exc:
-            report.append(f"{path}: character table: {exc}")
+        for p in factorint(g.group_order) if g.character_table else ():
+            # p_blocks' ValueError names the corrupt row and class
+            if _located(report, f"{path}: character_table", p_blocks,
+                        g.character_table, p) is None:
+                break
     report.extend(_cross_check_links(groups))
     return not report, report

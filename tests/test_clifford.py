@@ -15,7 +15,15 @@ from heckeblocks.clifford import (
 from heckeblocks.cyclo import CycInt
 from heckeblocks.engine import join
 from heckeblocks.groupblocks import Partition
-from heckeblocks.schur import CharLabel, SchurElement, normalize_x_to_v, value_at_one
+from heckeblocks.schur import (
+    CharLabel,
+    SchurDataError,
+    SchurElement,
+    SchurFactorX,
+    normalize_x_to_v,
+    validate,
+    value_at_one,
+)
 from heckeblocks.store import load_group
 
 
@@ -213,6 +221,41 @@ def test_degree_three_transport_scales_by_orbit_size(link, g6, g7):
         g6, CharLabel(3, 2), new_coeff, new_lead, new_factors, lead_den
     )
     assert value_at_one(g6, moved) == CycInt.rational(48)
+
+
+def test_every_stored_g7_element_transports_to_g6(link, g6):
+    """Factors whose monomial restricts to 0 fold into the coefficient, so
+    each G7 element lands on |orbit| = 3 times a valid G6 element: its value
+    at v=1 is 3 * |G6| / chi(1)."""
+    import json
+
+    from heckeblocks.store import _cycint, _parse_factor, default_db_dir
+
+    doc = json.loads((default_db_dir() / "g7.json").read_text())
+    values = {}
+    for name, sdoc in doc["schur_x"].items():
+        coeff, lead, lead_den, factors = transport_schur_x(
+            link, _cycint(sdoc["coeff"]), tuple(sdoc["lead"]),
+            [_parse_factor(f) for f in sdoc["factors"]],
+            g6.slot_count, sdoc.get("lead_den", 1),
+        )
+        (child,) = [c for c, parents in link.induction
+                    if CharLabel.parse(name) in parents]
+        s = normalize_x_to_v(g6, child, coeff, lead, factors, lead_den)
+        values[child.render()] = value_at_one(g6, s)
+        assert validate(g6, s._replace(xi=s.xi.exact_div_int(3))) == []
+    assert values == {"phi{1,0}": CycInt.rational(144),
+                      "phi{2,5}''": CycInt.rational(72),
+                      "phi{3,2}": CycInt.rational(48)}
+
+
+def test_transport_rejects_a_factor_vanishing_on_the_child(link, g6):
+    # x_c0 / x_c1 restricts to the constant zeta_3^2 along the link, a root
+    # of Phi_3
+    factor = SchurFactorX(3, (0, 0, 1, -1, 0, 0, 0, 0))
+    with pytest.raises(SchurDataError, match="Phi_3 vanishes"):
+        transport_schur_x(link, CycInt.rational(1), (0,) * 8, [factor],
+                          g6.slot_count)
 
 
 def test_induction_rows_reject_duplicates(g7, g6, link):

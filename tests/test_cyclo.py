@@ -18,7 +18,6 @@ from heckeblocks.cyclo import (
     KCyclotomic,
     PrimeIdealHandle,
     RootOfUnity,
-    cyclotomic_value_at_one,
     euler_phi,
     factorint,
     in_prime_ideal,
@@ -304,7 +303,7 @@ def test_kcyclotomic_over_q_value_matches_integer_cyclotomic():
     for d in range(2, 30):
         psi = KCyclotomic.of(1, RootOfUnity.of(d, 1))
         assert psi.degree == euler_phi(d)
-        assert psi.value_at_one() == CycInt.rational(cyclotomic_value_at_one(d))
+        assert psi.value_at_one() == CycInt.rational(int(cyclotomic_poly(d, 1)))
 
 
 def complex_value(a: CycInt) -> complex:

@@ -234,6 +234,10 @@ _MALFORMED = {
         lambda d: d["clifford_links"][0]["induction"][12].__setitem__(1, [])),
     "link parent not a name": (
         "g4.json", lambda d: d["clifford_links"][0].__setitem__("parent", {})),
+    # verify-db's transport check once indexed the child's slots with it
+    "link slot outside the child": (
+        "g6.json",
+        lambda d: d["clifford_links"][0]["parameter_spec"][0].__setitem__(1, 99)),
     "group name not a string": ("g7.json", lambda d: d.__setitem__("name", {})),
     "orbit name not a string": (
         "g4.json", lambda d: d.__setitem__("orbits", [[7, 3]])),
@@ -300,29 +304,38 @@ _MALFORMED = {
     "unit outside the field": ("g7.json", _lead_twist_of_order_eight),
 }
 
-# The report line a case must give, where it is pinned.
+# The report line a case must give, where it is pinned: its JSON location,
+# then its message.
 _MALFORMED_MESSAGE = {
-    "normal of the wrong length": "normal [1, -1] is not a list of 3 integers",
-    "table row one entry short": "character table row 1 does not have 7 entries",
-    "empty table list": "hyperplane tables lack the no-hyperplane baseline",
+    "normal of the wrong length":
+        "hyperplane_tables[1]: normal [1, -1] is not a list of 3 integers",
+    "table row one entry short": "character_table.values[1]: "
+                                 "character table row 1 does not have 7 entries",
+    "empty table list":
+        "hyperplane_tables: hyperplane tables lack the no-hyperplane baseline",
     "schur factor past the conductor bound":
-        "phi{1,0}: conductor 24216 is above 1000",
+        'schur_x["phi{1,0}"]: conductor 24216 is above 1000',
     "table conductor past the bound":
-        "malformed entry: ValueError: conductor 2999949 is above 1000",
-    "field conductor past the bound":
-        "bad header: conductor 12108 is above 1000",
+        "character_table: conductor 2999949 is above 1000",
+    "field conductor past the bound": "header: conductor 12108 is above 1000",
     "table entry conductor past the bound":
-        "malformed entry: ValueError: conductor 2999949 is above 1000",
+        "character_table.values[4]: conductor 2999949 is above 1000",
     "leading monomial past the conductor bound":
-        "phi{2,9}': conductor 12108 is above 1000",
+        'schur_x["phi{2,9}\'"]: conductor 12108 is above 1000',
     "collected unit past the conductor bound":
-        "phi{2,9}': conductor 1992 is above 1000",
-    "schur factor of root order 1": "phi{1,0}: factor produces a component "
-                                    "of root order 1 (data-entry error)",
+        'schur_x["phi{2,9}\'"]: conductor 1992 is above 1000',
+    "schur factor of root order 1":
+        'schur_x["phi{1,0}"]: factor produces a component '
+        "of root order 1 (data-entry error)",
     "galois orbit leaving the root set":
-        "phi{1,0}: Galois orbit leaves the root set",
-    "unit outside the field": "phi{2,9}': unit coefficient does not lie in "
-                              "Z[zeta_12]; check the radical twists",
+        'schur_x["phi{1,0}"]: Galois orbit leaves the root set',
+    "unit outside the field":
+        'schur_x["phi{2,9}\'"]: unit coefficient does not lie in '
+        "Z[zeta_12]; check the radical twists",
+    "schur factor without cyc":
+        'schur_x["phi{1,0}"].factors[0]: missing key \'cyc\'',
+    "link slot outside the child":
+        "clifford_links[0]: bad parameter_spec entry ['slot', 99]",
 }
 
 
@@ -362,6 +375,8 @@ _SHIPPED = {path.name: json.loads(path.read_text())
 _TARGETS = [(name, path) for name, doc in _SHIPPED.items()
             for path in _node_paths(doc)]
 _OTHER_TYPES = [None, "x", 1.5, -7, True, [], {}, [1, "x"], {"k": 0}]
+_LOCATIONS = ("header", "hyperplane_tables", "character_table", "schur_x",
+              "clifford_links", "cannot parse")
 
 
 @st.composite
@@ -400,8 +415,10 @@ def test_mutated_documents_load_or_raise_store_error(mutated):
             (db / other).write_text(json.dumps(doc if other == name else shipped))
         try:
             load(db / name)
-        except StoreError:
-            pass
+        except StoreError as err:
+            # each line names where in the document it was found
+            assert all(line.startswith(_LOCATIONS) for line in err.report), \
+                err.report
         else:
             # every int is read exactly: 2.0, "2" and true are not 2 or 1
             assert not retyped_int, "a retyped int loaded"
@@ -414,14 +431,31 @@ def test_mutated_documents_load_or_raise_store_error(mutated):
             assert result.exit_code in (0, 2, 3, 4, 5), (args, result.exception)
 
 
+def _three_faults(doc):
+    """G7 with a block index "x" in hyperplane_tables[3], a 2-entry normal
+    in hyperplane_tables[5] and no cyc in phi{3,6}'s factors[4]."""
+    doc["hyperplane_tables"][3]["blocks"][0][0] = "x"
+    doc["hyperplane_tables"][5]["normal"] = [1, -1]
+    del doc["schur_x"]["phi{3,6}"]["factors"][4]["cyc"]
+
+
+_THREE_FAULT_LINES = [
+    "hyperplane_tables[3]: 'x' is not an integer",
+    "hyperplane_tables[5]: normal [1, -1] is not a list of 8 integers",
+    'schur_x["phi{3,6}"].factors[4]: missing key \'cyc\'',
+]
+
+
 def test_store_error_collects_reports(db_copy):
-    path = rewrite(
-        db_copy, "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__("normal", [0, 2, -2]),
-    )
+    """One malformed entry hides no other: each fault is one located line."""
+    path = rewrite(db_copy, "g7.json", _three_faults)
     with pytest.raises(StoreError) as err:
         load(path)
-    assert err.value.report
+    assert err.value.report == _THREE_FAULT_LINES
+    result = invoke(["verify-db", str(path)])
+    assert result.exit_code == 5
+    assert result.output.splitlines() == [
+        f"{path}: {line}" for line in _THREE_FAULT_LINES]
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +817,8 @@ def _unbalance_normal(doc):
     (["rouquier-blocks", "g4", "--exponents", "1,2"], None, 4,
      "G4 needs 3 exponents, got 2"),
     (["all-blocks", "G4"], ("g4.json", _unbalance_normal), 5,
-     "{db}/g4.json: normal (0, 1, 1) has nonzero orbit sums"),
+     "{db}/g4.json: hyperplane_tables[1]: "
+     "normal (0, 1, 1) has nonzero orbit sums"),
 ], ids=["bad prime", "unknown group", "schur path on full G7",
         "no tables", "no tables, essential hyperplanes",
         "unparsable exponents", "wrong arity", "corrupt file"])
