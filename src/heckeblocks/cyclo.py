@@ -476,9 +476,8 @@ class KCyclotomic(NamedTuple):
     def of(field_conductor: int, root: RootOfUnity) -> "KCyclotomic":
         if root.order < 2:
             raise ValueError("root order must be at least 2 (Phi_1 never appears)")
-        d = root.order
-        orbit = {root.exponent * t % d for t in _orbit_multipliers(field_conductor, d)}
-        return KCyclotomic(field_conductor, RootOfUnity(d, min(orbit)))
+        least = _orbit(field_conductor, root.order, root.exponent)[0]
+        return KCyclotomic(field_conductor, RootOfUnity(root.order, least))
 
     def orbit(self) -> tuple[int, ...]:
         return _orbit(self.field_conductor, self.root.order, self.root.exponent)
@@ -490,10 +489,6 @@ class KCyclotomic(NamedTuple):
     def value_at_one(self) -> CycInt:
         """Psi(1) = prod_{s in O} (1 - zeta_d^s), as an element of Z[zeta_m]."""
         return _psi_value_at_one(self)
-
-    def inverse_root(self) -> "KCyclotomic":
-        """The K-cyclotomic polynomial whose roots are the inverses."""
-        return KCyclotomic.of(self.field_conductor, self.root.inverse())
 
 
 @lru_cache(maxsize=None)

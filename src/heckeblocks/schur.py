@@ -9,8 +9,9 @@ vectors over the parameter slots, and each Psi_i is a K-cyclotomic
 polynomial.  Database entry happens in the *x-form* printed in the
 literature (products of cyclotomic polynomials of parameter monomials,
 possibly involving radicals); normalize_x_to_v performs the change of
-variables x_(C,j) = zeta_{e_C}^j * v_(C,j)^mu and splits every factor into
-K-irreducible pieces.
+variables x_(C,j) = zeta_{e_C}^j * v_(C,j)^mu, rewrites each factor whose
+monomial is not sign-canonical by the palindromy of Phi_n, and splits every
+factor into K-irreducible pieces.
 """
 
 from __future__ import annotations
@@ -152,9 +153,6 @@ class GroupDatum(NamedTuple):
             raise BadExponents(f"{self.name} needs {self.slot_count} "
                                f"exponents, got {len(n)}")
 
-    def slots(self) -> list[tuple[int, int]]:
-        return [(ci, j) for ci, (_, e) in enumerate(self.orbits) for j in range(e)]
-
     def slot_names(self) -> list[str]:
         return [f"{letter}{j}" for letter, e in self.orbits for j in range(e)]
 
@@ -252,11 +250,11 @@ def sign_canonical(v: IntVector) -> IntVector:
 
 def _slot_twist(g: GroupDatum, exps: IntVector, q: int) -> RootOfUnity:
     """The root-of-unity part of x^(exps/q), where each x_(C,j)^(1/q)
-    contributes zeta_(q e_C)^j."""
+    contributes zeta_(q e_C)^j; the slots are walked no further than exps."""
     order = q * lcm(*(e for _, e in g.orbits))
+    slots = ((j, order // (q * e)) for _, e in g.orbits for j in range(e))
     return RootOfUnity.of(order, sum(
-        c * j * (order // (q * g.orbits[ci][1]))
-        for c, (ci, j) in zip(exps, g.slots()) if c))
+        c * j * step for c, (j, step) in zip(exps, slots) if c))
 
 
 def normalize_x_to_v(
@@ -294,20 +292,24 @@ def normalize_x_to_v(
         if content == 0:
             raise SchurDataError("factor with trivial monomial")
         rho = fac.twist * _slot_twist(g, w, q)
+        phi = euler_phi(n)
+        # Phi_n(rho * T^content) = rho^phi * prod_(tau in S) (T - tau)
+        factor_unit = rho ** phi
+        if sign_canonical(b_prim) != b_prim:
+            # M = v^-b_prim, c = content: Phi_n(rho * M^-c) = eps_n * rho^phi *
+            # M^(-c*phi) * Phi_n(rho^-1 * M^c), as Phi_1(T) = -T * Phi_1(1/T) and
+            # Phi_n is palindromic for n >= 2; so the unit gains eps_n alone
+            b_prim, rho = tuple(-c for c in b_prim), rho.inverse()
+            lead = [a - content * phi * c for a, c in zip(lead, b_prim)]
+            factor_unit = RootOfUnity.of(2, 1) if n == 1 else RootOfUnity.one()
         # tau = zeta_big^k gives rho * tau^content = zeta_ell^(r + k)
         ell = lcm(n, rho.order)
         r = rho.exponent * (ell // rho.order)
         big = content * ell
         bounded_conductor(lcm(m, big, coeff.conductor, unit.order))
-        # Phi_n(rho * T^content) = rho^phi(n) * prod_(tau in S) (T - tau)
-        unit = unit * rho ** euler_phi(n)
-        flip = sign_canonical(b_prim) != b_prim
-        mono = tuple(-c for c in b_prim) if flip else b_prim
-        for psi, flipped, flip_unit, deg in _root_orbits(m, n, ell, r, big):
-            if flip:  # Psi(M) = flip_unit * M^deg * flipped(M^-1)
-                psi, unit = flipped, unit * flip_unit
-                lead = [a - deg * c for a, c in zip(lead, mono)]
-            collected[psi, mono] = collected.get((psi, mono), 0) + 1
+        unit = unit * factor_unit
+        for psi in _root_orbits(m, n, ell, r, big):
+            collected[psi, b_prim] = collected.get((psi, b_prim), 0) + 1
 
     bounded_conductor(lcm(m, unit.order, coeff.conductor))
     try:
@@ -328,14 +330,10 @@ def normalize_x_to_v(
 
 @lru_cache(maxsize=None)
 def _root_orbits(m: int, n: int, ell: int, r: int, big: int):
-    """The Galois orbits over K = Q(zeta_m) of the root set S, which holds
-    the tau = zeta_big^k with zeta_ell^(r + k) of order n.  Raises
-    SchurDataError when S holds 1 or an orbit leaves S.
-
-    Each orbit comes as (Psi, Psi~, unit, deg): Psi its K-cyclotomic
-    polynomial, of degree deg, and Psi~ the one with the inverse roots, so
-    that Psi(M) = unit * M^deg * Psi~(M^-1) with unit = (-1)^deg *
-    zeta_d^(sum of the root exponents)."""
+    """The K-cyclotomic polynomials, K = Q(zeta_m), whose product is
+    prod_(tau in S) (T - tau): one per Galois orbit over K of the root set
+    S, which holds the tau = zeta_big^k with zeta_ell^(r + k) of order n.
+    Raises SchurDataError when S holds 1 or an orbit leaves S."""
     remaining = {k for k in range(big) if ell // gcd(r + k, ell) == n}
     if len(remaining) != big // ell * euler_phi(n):
         raise AssertionError("root-set enumeration miscounted")
@@ -351,9 +349,7 @@ def _root_orbits(m: int, n: int, ell: int, r: int, big: int):
         if not orbit <= remaining:
             raise SchurDataError("Galois orbit leaves the root set")
         remaining -= orbit
-        unit = RootOfUnity.of(d, sum(psi.orbit())) \
-            * RootOfUnity.of(2, psi.degree)
-        out.append((psi, psi.inverse_root(), unit, psi.degree))
+        out.append(psi)
     return tuple(out)
 
 

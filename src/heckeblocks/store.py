@@ -1,23 +1,24 @@
 """JSON persistence and validation of the group database.
 
 One group per UTF-8 JSON file.  load checks each value where it parses it
-(exact ints, shapes, conductors up to MAX_CONDUCTOR, Schur values at v=1,
-partitions, links) and computes GroupDatum.schur_facts; verify_db adds
-p_blocks' and cross-file checks.  Every entry is checked, and one malformed
-entry never hides another: one StoreError reports each violation at its
-JSON location, e.g. schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
+(exact ints, shapes, conductors up to MAX_CONDUCTOR, central characters,
+Schur values at v=1, partitions, links) and computes GroupDatum.schur_facts;
+verify_db adds the cross-file checks.  Every entry is checked, and one
+malformed entry never hides another: one StoreError reports each violation
+at its JSON location, e.g. schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from math import lcm
 from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
 from .cyclo import CycInt, RootOfUnity, bounded_conductor, factorint
 from .engine import Hyperplane, HyperplaneTable
-from .groupblocks import CharacterTable, Partition, p_blocks
+from .groupblocks import CharacterTable, Partition, _row_permutations, central_character
 from .lattice import primitive_part
 from .schur import (
     CharLabel,
@@ -143,6 +144,8 @@ def _parse_header(doc) -> GroupDatum:
         raise ValueError("character degrees must be at least 1")
     if any(e < 1 for _, e in g.orbits):
         raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
+    # the slot twists zeta_(e_C)^j live in Z[zeta_lcm(e_C)]
+    bounded_conductor(lcm(*(e for _, e in g.orbits)))
     if not all(isinstance(s, str) for s in (g.name, *(o for o, _ in g.orbits))):
         raise TypeError("group and orbit names must be strings")
     factorint(g.group_order)  # raises unless |G| >= 1 factors within the bound
@@ -210,8 +213,20 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
         bad.extend(f"table degree mismatch for {c.render()}"
                    for row, c in zip(values, g.characters)
                    if row[0] != CycInt.rational(c.degree))
+        if not bad:
+            _located(report, "character_table", _check_group_algebra, table)
     report.extend(f"character_table: {msg}" for msg in bad)
     return table
+
+
+def _check_group_algebra(t: CharacterTable) -> None:
+    """What p_blocks relies on at every prime, checked once: each central
+    character is integral, and Galois conjugation permutes the rows.
+    Raises ValueError naming the corrupt row or class."""
+    for chi in range(t.n_chars):
+        for c in range(len(t.class_sizes)):
+            central_character(t, chi, c)
+    _row_permutations(t)
 
 
 def _parse_row(i: int, row, conductor: int, width: int) -> tuple:
@@ -248,10 +263,10 @@ def _parse_links(docs, g: GroupDatum, report: list[str]) -> tuple:
 
 
 def load(path) -> GroupDatum:
-    """The group datum stored at path.  Every entry is checked, and one
-    malformed entry never hides another: each is reported and skipped, and
-    the scan goes on; only a malformed header, which every section is
-    checked against, ends it.  Raises StoreError with every violation."""
+    """The group datum stored at path.  Every entry is checked, the character
+    table as p_blocks needs it included; one malformed entry hides no other:
+    each is reported and skipped, and the scan goes on, which only a malformed
+    header ends.  Raises StoreError with every violation."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -283,22 +298,21 @@ def load_group(name: str, db_dir=None) -> GroupDatum:
     return load(path)
 
 
-def _cross_check_links(groups: dict[str, GroupDatum]) -> list[str]:
+def _cross_check_links(groups: dict[str, tuple[Path, GroupDatum]]) -> list[str]:
+    """The links' report; groups maps names to (path, datum).  Each line
+    starts with the child's path and clifford_links[i], like load's lines."""
     report = []
-    for g in groups.values():
-        for link in g.clifford_links:
-            parent = groups.get(link.parent)
-            if parent is None:
+    for path, g in groups.values():
+        for i, link in enumerate(g.clifford_links):
+            if link.parent not in groups:
                 continue
+            parent = groups[link.parent][1]
+            where = f"{path}: clifford_links[{i}]: {link.parent}->{link.child}"
             if link.parent_characters != parent.characters:
-                report.append(
-                    f"{link.parent}->{link.child}: parent characters disagree"
-                )
+                report.append(f"{where}: parent characters disagree")
                 continue
             if len(link.parameter_spec) != parent.slot_count:
-                report.append(
-                    f"{link.parent}->{link.child}: parameter_spec arity"
-                )
+                report.append(f"{where}: parameter_spec arity")
                 continue
             if not link.induction:
                 continue  # partial link: nothing further to check
@@ -312,33 +326,26 @@ def _cross_check_links(groups: dict[str, GroupDatum]) -> list[str]:
                 if t.normal not in stored:
                     continue  # hyperplane absent from the child's printed list
                 if stored[t.normal] != t.blocks:
-                    where = "baseline" if t.normal is None else str(t.normal)
-                    report.append(
-                        f"{link.parent}->{link.child}: transported blocks "
-                        f"disagree with the stored table at {where}"
-                    )
+                    at = "baseline" if t.normal is None else str(t.normal)
+                    report.append(f"{where}: transported blocks disagree "
+                                  f"with the stored table at {at}")
     return report
 
 
 def verify_db(paths=None) -> tuple[bool, list[str]]:
-    """Validate a set of database files plus their cross-file links, and
-    run p_blocks on each character table at each prime dividing |G|."""
+    """Load each database file, which checks it, and cross-check the
+    Clifford links between the files that load."""
     if not paths:
         base = default_db_dir()
         paths = sorted(base.glob("*.json"))
     report: list[str] = []
-    groups: dict[str, GroupDatum] = {}
+    groups: dict[str, tuple[Path, GroupDatum]] = {}
     for path in paths:
         try:
             g = load(path)
         except StoreError as exc:
             report.extend(f"{exc.path}: {msg}" for msg in exc.report)
             continue
-        groups[g.name] = g
-        for p in factorint(g.group_order) if g.character_table else ():
-            # p_blocks' ValueError names the corrupt row and class
-            if _located(report, f"{path}: character_table", p_blocks,
-                        g.character_table, p) is None:
-                break
+        groups[g.name] = (Path(path), g)
     report.extend(_cross_check_links(groups))
     return not report, report

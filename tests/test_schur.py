@@ -2,9 +2,10 @@
 essential monomials, and the a/A invariants against a brute-force Laurent
 expansion."""
 
+import cmath
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -402,6 +403,94 @@ def test_bad_primes_read_off_the_index_agree_with_the_norms(g7):
     # vector, each prime alone on some normal, both at n = 0
     assert {frozenset(), frozenset({2}), frozenset({3}),
             frozenset({2, 3})} <= answers
+
+
+# ---------------------------------------------------------------------------
+# x-form and v-form agree as functions of v
+# ---------------------------------------------------------------------------
+
+
+def _phi(n, z):
+    """Phi_n(z), as the product over the primitive n-th roots of unity."""
+    out = 1
+    for k in range(1, n + 1):
+        if gcd(k, n) == 1:
+            out *= z - cmath.exp(2j * cmath.pi * k / n)
+    return out
+
+
+def _zeta(order, exponent):
+    return cmath.exp(2j * cmath.pi * exponent / order)
+
+
+def _x_power(g, v, w, q):
+    """x^(w/q) at the point v, where x_(C,j)^(1/q) = zeta_(q e_C)^j *
+    v_(C,j)^(mu/q)."""
+    slots = [(j, e) for _, e in g.orbits for j in range(e)]
+    out = 1
+    for vs, ws, (j, e) in zip(v, w, slots):
+        out *= _zeta(q * e, j * ws) * vs ** (g.mu_order * ws // q)
+    return out
+
+
+def _x_form_value(g, coeff, lead, factors, v):
+    value = complex(_cycint_value(coeff)) * _x_power(g, v, lead, 1)
+    for fac in factors:
+        twist = _zeta(fac.twist.order, fac.twist.exponent)
+        value *= _phi(fac.cyc_index, twist * _x_power(
+            g, v, fac.exps_numerator, fac.exps_denominator))
+    return value
+
+
+def _cycint_value(c):
+    return sum(a * _zeta(c.conductor, k) for k, a in enumerate(c.coeffs))
+
+
+def _v_form_value(s, v):
+    value = _cycint_value(s.xi)
+    for vs, a in zip(v, s.lead):
+        value *= vs ** a
+    for fac in s.factors:
+        t = 1
+        for vs, a in zip(v, fac.monomial):
+            t *= vs ** a
+        d = fac.psi.root.order
+        for e in fac.psi.orbit():
+            value *= (t - _zeta(d, e)) ** fac.mult
+    return value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12])
+def test_v_form_evaluates_like_the_x_form(g7, n):
+    """Phi_n(x^(w/q)) with w not sign-canonical, next to a random second
+    factor, at random points v on the unit torus: the v-form takes the
+    x-form's values.  Inputs whose root set or unit the normalisation
+    rejects are drawn again."""
+    rng = random.Random(1000 + n)
+    checked = 0
+    while checked < 12:
+        q = rng.choice([1, 1, 2, 3])
+        w = [0] * 8
+        while sign_canonical(w) == tuple(w):
+            w = [q * rng.randint(-2, 2) for _ in range(8)]
+        other = SchurFactorX(rng.choice([1, 2, 3, 4, 6]),
+                             tuple(rng.randint(-1, 1) for _ in range(8)), 1,
+                             RootOfUnity.of(12, rng.randrange(12)))
+        factors = [SchurFactorX(n, tuple(w), q,
+                                RootOfUnity.of(12, rng.randrange(12))), other]
+        coeff = CycInt(12, [rng.randint(-3, 3) for _ in range(4)])
+        lead = tuple(rng.randint(-2, 2) for _ in range(8))
+        if coeff.is_zero() or not any(other.exps_numerator):
+            continue
+        try:
+            s = normalize_x_to_v(g7, CharLabel(1, 0), coeff, lead, factors)
+        except SchurDataError:
+            continue
+        for _ in range(3):
+            v = [_zeta(1, rng.random()) for _ in range(8)]
+            expected = _x_form_value(g7, coeff, lead, factors, v)
+            assert abs(_v_form_value(s, v) - expected) < 1e-9 * abs(expected)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

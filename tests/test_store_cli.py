@@ -140,7 +140,8 @@ def test_corruption_character_table(db_copy, row, column, value, message):
         doc["character_table"]["values"][row][column] = value
 
     path = rewrite(db_copy, "g4.json", mutate)
-    load(path)  # loading leaves the table checks to verify-db and p_blocks
+    with pytest.raises(StoreError):
+        load(path)
     ok, report = verify_db([path])
     assert not ok and any(message in line for line in report)
     result = invoke(["verify-db", str(path)])
@@ -159,8 +160,9 @@ def test_corruption_transport_mismatch(db_copy):
 
     path = rewrite(db_copy, "g6.json", mutate)
     ok, report = verify_db(sorted(db_copy.glob("*.json")))
-    assert not ok and any("disagree with the stored table" in line
-                          for line in report)
+    assert not ok and any(
+        line.startswith(f"{path}: clifford_links[0]: G7->G6: ")
+        and "disagree with the stored table" in line for line in report)
 
 
 @pytest.mark.parametrize("primes", ["23", [2, "3"], [5], [True], 3])
@@ -302,6 +304,12 @@ _MALFORMED = {
         lambda d: d["schur_x"]["phi{1,0}"]["factors"].append(
             {"cyc": 1, "num": [0, 0, 1, -1, 0, 0, 0, 0], "twist": [7, 1]})),
     "unit outside the field": ("g7.json", _lead_twist_of_order_eight),
+    # the slot twists live in Z[zeta_lcm(e_C)]: an orbit of size 10**9
+    # once made load build a list of every slot and run out of memory
+    "orbit size 10**9": (
+        "g7.json", lambda d: d["orbits"][0].__setitem__(1, 10**9)),
+    "orbit size 10**30": (
+        "g7.json", lambda d: d["orbits"][0].__setitem__(1, 10**30)),
 }
 
 # The report line a case must give, where it is pinned: its JSON location,
@@ -336,6 +344,9 @@ _MALFORMED_MESSAGE = {
         'schur_x["phi{1,0}"].factors[0]: missing key \'cyc\'',
     "link slot outside the child":
         "clifford_links[0]: bad parameter_spec entry ['slot', 99]",
+    # lcm with the two orbits of size 3
+    "orbit size 10**9": "header: conductor 3000000000 is above 1000",
+    "orbit size 10**30": f"header: conductor {3 * 10**30} is above 1000",
 }
 
 
@@ -612,6 +623,8 @@ _STDLIB_PROBE = (
     # a G7 load normalises and validates its Schur elements
     ["all-blocks", "G7"],
     ["rouquier-blocks", "G7", "--exponents", "1,2,3,4,5,6,7,8"],
+    # load checks the character tables without p_blocks and its primes
+    ["verify-db"],
 ], ids=" ".join)
 def test_cli_table_query_loads_no_fractions_or_random(args):
     result = _run_fresh(_STDLIB_PROBE, *args, site=False)
