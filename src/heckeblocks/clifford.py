@@ -15,14 +15,13 @@ from .cyclo import CycInt, RootOfUnity, cyclotomic_at_root
 from .engine import Hyperplane, HyperplaneTable
 from .groupblocks import Partition, join
 from .lattice import IntVector
-from .schur import CharLabel, GroupDatum, SchurDataError, SchurElement, SchurFactorX
+from .schur import CharLabel, SchurDataError, SchurFactorX
 
 __all__ = [
     "CliffordLink",
     "transport_blocks",
     "descend_hyperplanes",
     "transport_schur_x",
-    "validate_schur_scaling",
 ]
 
 # parameter_spec entries: ("slot", child_slot_index) or ("root", RootOfUnity)
@@ -46,6 +45,8 @@ class CliffordLink(_CliffordLinkFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if self.cyclic_order < 1:
+            raise ValueError(f"cyclic order {self.cyclic_order} is not positive")
         seen: set[CharLabel] = set()
         for child_label, parents in self.induction:
             if child_label not in self.child_characters:
@@ -165,34 +166,3 @@ def transport_schur_x(
             coeff = coeff * value
     return coeff, new_lead, lead_den, new_factors
 
-
-def validate_schur_scaling(
-    link: CliffordLink,
-    child_g: GroupDatum,
-    child_label: CharLabel,
-    specialized_parent: SchurElement,
-    child_element: SchurElement,
-) -> list[str]:
-    """Check s_parent|spec = |Omega| * s_child on normalized v-forms."""
-    bad: list[str] = []
-    omega = next(
-        (len(ps) for c, ps in link.induction if c == child_label), None
-    )
-    if omega is None:
-        return [f"{child_label} has no induction row in the link"]
-    if specialized_parent.xi != child_element.xi * omega:
-        bad.append(
-            f"{child_label}: coefficient mismatch "
-            f"({specialized_parent.xi} vs {omega} * {child_element.xi})"
-        )
-    if tuple(specialized_parent.lead) != tuple(child_element.lead):
-        bad.append(f"{child_label}: leading monomial mismatch")
-    if sorted(specialized_parent.factors, key=_factor_key) != sorted(
-        child_element.factors, key=_factor_key
-    ):
-        bad.append(f"{child_label}: cyclotomic factor mismatch")
-    return bad
-
-
-def _factor_key(fac):
-    return (fac.monomial, fac.psi.root, fac.mult)

@@ -150,6 +150,21 @@ def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
     return tuple(work)
 
 
+def _evaluate(coeffs, order: int, k: int) -> CycInt:
+    """sum_i c_i zeta_order^(i k), reduced modulo Phi_order."""
+    out = [0] * order
+    for i, c in enumerate(coeffs):
+        if c:
+            out[i * k % order] += c
+    return CycInt._reduced(order, _reduce_mod_phi(out, order))
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    """The unit group (Z/n)^x as its representatives 1 <= t <= n, ascending."""
+    return tuple(t for t in range(1, n + 1) if gcd(t, n) == 1)
+
+
 class CycInt:
     """An element of Z[zeta_N] in the reduced power basis."""
 
@@ -186,10 +201,7 @@ class CycInt:
 
     @staticmethod
     def zeta(order: int, exponent: int = 1) -> "CycInt":
-        exponent %= order
-        coeffs = [0] * (order)
-        coeffs[exponent] = 1
-        return CycInt._reduced(order, _reduce_mod_phi(coeffs, order))
+        return _evaluate((0, 1), order, exponent)
 
     # -- representation ----------------------------------------------------
 
@@ -199,12 +211,7 @@ class CycInt:
             return self
         if conductor % self.conductor:
             raise ValueError("can only lift to a multiple of the conductor")
-        step = conductor // self.conductor
-        out = [0] * conductor
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i * step) % conductor] += c
-        return CycInt._reduced(conductor, _reduce_mod_phi(out, conductor))
+        return _evaluate(self.coeffs, conductor, conductor // self.conductor)
 
     def descend(self, conductor: int) -> "CycInt":
         """Rewrite in Z[zeta_m] for a divisor m of the conductor.
@@ -326,25 +333,18 @@ class CycInt:
 
     def galois_conjugate(self, t: int) -> "CycInt":
         """Image under zeta_N -> zeta_N^t, gcd(t, N) = 1."""
-        n = self.conductor
-        if gcd(t, n) != 1:
+        if gcd(t, self.conductor) != 1:
             raise ValueError("t must be coprime to the conductor")
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i * t) % n] += c
-        return CycInt._reduced(n, _reduce_mod_phi(out, n))
+        return _evaluate(self.coeffs, self.conductor, t)
 
     # -- norm ---------------------------------------------------------------
 
     def norm(self) -> int:
         """Field norm over Q: the product of the images under
         zeta_N -> zeta_N^t for every t coprime to N."""
-        n = self.conductor
         acc = self
-        for t in range(2, n):
-            if gcd(t, n) == 1:
-                acc = acc * self.galois_conjugate(t)
+        for t in _units(self.conductor)[1:]:
+            acc = acc * self.galois_conjugate(t)
         return acc.as_int()
 
     # -- comparison ----------------------------------------------------------
@@ -450,9 +450,7 @@ class RootOfUnity(NamedTuple):
 @lru_cache(maxsize=None)
 def _orbit_multipliers(m: int, d: int) -> tuple[int, ...]:
     """{t mod d : t in (Z/L)^x, t = 1 mod m}, L = lcm(m, d)."""
-    big = lcm(m, d)
-    return tuple(sorted({t % d for t in range(1, big + 1)
-                         if gcd(t, big) == 1 and t % m == 1 % m}))
+    return tuple(sorted({t % d for t in _units(lcm(m, d)) if t % m == 1 % m}))
 
 
 @lru_cache(maxsize=None)
@@ -486,23 +484,18 @@ class KCyclotomic(NamedTuple):
     def degree(self) -> int:
         return len(self.orbit())
 
+    @lru_cache(maxsize=None)
     def value_at_one(self) -> CycInt:
-        """Psi(1) = prod_{s in O} (1 - zeta_d^s), as an element of Z[zeta_m]."""
-        return _psi_value_at_one(self)
-
-
-@lru_cache(maxsize=None)
-def _psi_value_at_one(psi: KCyclotomic) -> CycInt:
-    """prod_{s in O} (1 - zeta_d^s) in Z[zeta_m]: each factor is one
-    shift-and-subtract on a coefficient list in Z[x]/(x^L - 1), L =
-    lcm(m, d), which is reduced modulo Phi_L once and then descended."""
-    m, d = psi.field_conductor, psi.root.order
-    big = lcm(m, d)
-    acc = [1] + [0] * (big - 1)
-    for s in psi.orbit():
-        shift = s * (big // d)
-        acc = [a - b for a, b in zip(acc, acc[-shift:] + acc[:-shift])]
-    return CycInt._reduced(big, _reduce_mod_phi(acc, big)).descend(m)
+        """Psi(1) = prod_{s in O} (1 - zeta_d^s) in Z[zeta_m]: each factor is
+        one shift-and-subtract on a coefficient list in Z[x]/(x^L - 1), L =
+        lcm(m, d), which is reduced modulo Phi_L once and then descended."""
+        m, d = self.field_conductor, self.root.order
+        big = lcm(m, d)
+        acc = [1] + [0] * (big - 1)
+        for s in self.orbit():
+            shift = s * (big // d)
+            acc = [a - b for a, b in zip(acc, acc[-shift:] + acc[:-shift])]
+        return CycInt._reduced(big, _reduce_mod_phi(acc, big)).descend(m)
 
 
 class PrimeIdealHandle(NamedTuple):
@@ -531,8 +524,7 @@ def prime_handle(p: int, conductor: int) -> PrimeIdealHandle:
     return PrimeIdealHandle(p, conductor, min(_phi_factors_mod_p(p, conductor)))
 
 
-def _phi_factors_mod_p(p: int, n: int, attempts: int = _SPLIT_ATTEMPTS
-                       ) -> list[tuple[int, ...]]:
+def _phi_factors_mod_p(p: int, n: int) -> list[tuple[int, ...]]:
     """The distinct monic irreducible factors of Phi_n over GF(p), as
     ascending coefficient tuples, in no particular order.
 
@@ -540,7 +532,7 @@ def _phi_factors_mod_p(p: int, n: int, attempts: int = _SPLIT_ATTEMPTS
     Phi_m is squarefree mod p with every irreducible factor of degree
     f = ord_m(p).  Equal-degree splitting (Cantor-Zassenhaus, with the
     trace; see _split_candidate) separates them.  Raises RuntimeError when
-    one split fails `attempts` times."""
+    one split fails _SPLIT_ATTEMPTS times."""
     m = n
     while m % p == 0:
         m //= p
@@ -557,14 +549,15 @@ def _phi_factors_mod_p(p: int, n: int, attempts: int = _SPLIT_ATTEMPTS
         if len(g) - 1 == f:
             factors.append(tuple(g))
             continue
-        for _ in range(attempts):
+        for _ in range(_SPLIT_ATTEMPTS):
             h = _gcd_mod_p(g, _split_candidate(g, m, f, p, rng), p)
             if 1 < len(h) < len(g):
                 todo += [h, _divmod_mod_p(g, h, p)[0]]
                 break
         else:
             raise RuntimeError(
-                f"no split of a factor of Phi_{n} mod {p} in {attempts} attempts"
+                f"no split of a factor of Phi_{n} mod {p} in "
+                f"{_SPLIT_ATTEMPTS} attempts"
             )
     return factors
 
@@ -666,10 +659,7 @@ def in_prime_ideal(a: CycInt, h: PrimeIdealHandle) -> bool:
 
 def cyclotomic_at_root(n: int, root: RootOfUnity) -> CycInt:
     """Phi_n(root), summed from the coefficients of Phi_n."""
-    coeffs = [0] * root.order
-    for k, c in enumerate(_phi_coeffs(n)):
-        coeffs[k * root.exponent % root.order] += c
-    return CycInt(root.order, coeffs)
+    return _evaluate(_phi_coeffs(n), root.order, root.exponent)
 
 
 def is_p_essential_factor(psi: KCyclotomic, p: int) -> bool:

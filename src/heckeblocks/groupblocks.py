@@ -11,10 +11,9 @@ ideal and close the resulting partition under the Galois action on rows.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
-from .cyclo import CycInt, prime_handle, residue
+from .cyclo import CycInt, _units, prime_handle, residue
 
 __all__ = ["CharacterTable", "Partition", "meet", "join", "central_character",
            "p_blocks", "galois_close"]
@@ -157,7 +156,7 @@ def _row_permutations(t: CharacterTable) -> list[dict[int, int]]:
     try:
         return [{i + 1: rows[tuple(v.galois_conjugate(s).coeffs for v in row)]
                  for i, row in enumerate(lifted)}
-                for s in range(1, n + 1) if gcd(s, n) == 1]
+                for s in _units(n)]
     except KeyError:
         raise ValueError("corrupt table: Galois image row not found") from None
 

@@ -105,12 +105,13 @@ class GroupDatum(NamedTuple):
     parsed sections, schur_facts included.  That index is keyed by
     CharLabel, like schur_elements, so _replace(characters=...) cuts stay
     correct.  Slots are indexed by (orbit, j) pairs flattened in orbit
-    order; display letters run a, b, c, ... with subscripts 0 .. e_C - 1.
+    order; each orbit is named by its own letter, and its slots display
+    as that letter with subscripts 0 .. e_C - 1.  mu_order = |mu(K)|, for
+    K = Q(zeta_m) with m the field conductor, is derived, never stored.
     """
 
     name: str
     field_conductor: int
-    mu_order: int
     group_order: int
     orbits: tuple[tuple[str, int], ...]
     characters: tuple[CharLabel, ...]
@@ -119,6 +120,12 @@ class GroupDatum(NamedTuple):
     character_table: object | None = None  # groupblocks.CharacterTable
     hyperplane_tables: tuple | None = None  # engine.HyperplaneTable, ...
     clifford_links: tuple = ()
+
+    @property
+    def mu_order(self) -> int:
+        """|mu(K)| = lcm(2, m): the roots of unity of Q(zeta_m) are the
+        2m-th ones for odd m and the m-th ones for even m."""
+        return lcm(2, self.field_conductor)
 
     @property
     def has_full_schur(self) -> bool:

@@ -133,7 +133,6 @@ def _parse_header(doc) -> GroupDatum:
     g = GroupDatum(
         name=doc["name"],
         field_conductor=bounded_conductor(_int(doc["field_conductor"])),
-        mu_order=_int(doc["mu_order"]),
         group_order=_int(doc["group_order"]),
         orbits=tuple((o[0], _int(o[1])) for o in doc["orbits"]),
         characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
@@ -146,8 +145,12 @@ def _parse_header(doc) -> GroupDatum:
         raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
     # the slot twists zeta_(e_C)^j live in Z[zeta_lcm(e_C)]
     bounded_conductor(lcm(*(e for _, e in g.orbits)))
-    if not all(isinstance(s, str) for s in (g.name, *(o for o, _ in g.orbits))):
-        raise TypeError("group and orbit names must be strings")
+    if not isinstance(g.name, str):
+        raise TypeError("the group name must be a string")
+    names = [o for o, _ in g.orbits]
+    if not all(isinstance(o, str) and len(o) == 1 and o.isalpha()
+               for o in names) or len(set(names)) != len(names):
+        raise ValueError(f"orbit names {names} must be distinct single letters")
     factorint(g.group_order)  # raises unless |G| >= 1 factors within the bound
     return g
 

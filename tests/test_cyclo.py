@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import sympy
 from sympy import Poly, Symbol, cyclotomic_poly
 
+from heckeblocks import cyclo
 from heckeblocks.cyclo import (
     CycInt,
     KCyclotomic,
@@ -379,13 +380,15 @@ def test_prime_handle_matches_sympy_factor_list():
     assert own_seconds < 0.5
 
 
-def test_factor_splitting_is_bounded():
+def test_factor_splitting_is_bounded(monkeypatch):
     # Phi_7 is two cubics over GF(2) and Phi_13 four cubics over GF(3): both
     # need a split, so no attempt at all must raise
     for p, n in ((2, 7), (3, 13)):
         assert len(_phi_factors_mod_p(p, n)) == euler_phi(n) // 3
-        with pytest.raises(RuntimeError, match="attempts"):
-            _phi_factors_mod_p(p, n, attempts=0)
+    monkeypatch.setattr(cyclo, "_SPLIT_ATTEMPTS", 0)
+    for p, n in ((2, 7), (3, 13)):
+        with pytest.raises(RuntimeError, match="0 attempts"):
+            _phi_factors_mod_p(p, n)
 
 
 @given(st.sampled_from([2, 3, 5]),

@@ -63,6 +63,14 @@ def test_loading_shipped_groups():
     assert len(g7.schur_elements) == 3
 
 
+@pytest.mark.parametrize("name, mu", [("G4", 6), ("G6", 12), ("G7", 12)])
+def test_mu_order_is_derived_from_the_field(name, mu):
+    """|mu(K)| = lcm(2, m) for K = Q(zeta_m); no file stores it."""
+    assert load_group(name).mu_order == mu
+    doc = json.loads((default_db_dir() / f"{name.lower()}.json").read_text())
+    assert "mu_order" not in doc
+
+
 def test_missing_file_raises_filenotfound(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_group("G99", tmp_path)
@@ -185,10 +193,9 @@ def _degree_zero(doc):
 
 
 def _lead_past_the_bound(doc):
-    """G7 with mu 12 * 1009 and phi{2,9}' a bare leading monomial over
-    lead_den 1009, whose root of unity has order 3 * 1009."""
-    doc["mu_order"] = 12 * 1009
-    doc["schur_x"]["phi{2,9}'"].update(lead_den=1009, factors=[])
+    """G7 whose phi{2,9}' has a coefficient in Z[zeta_997]: the check made
+    once the leading monomial is read sees the conductor lcm(12, 997)."""
+    doc["schur_x"]["phi{2,9}'"]["coeff"] = {"conductor": 997, "coeffs": [1]}
 
 
 def _lead_twist_of_order_eight(doc):
@@ -243,6 +250,19 @@ _MALFORMED = {
     "group name not a string": ("g7.json", lambda d: d.__setitem__("name", {})),
     "orbit name not a string": (
         "g4.json", lambda d: d.__setitem__("orbits", [[7, 3]])),
+    # slots render as <orbit name>_<j>: an orbit "cc" printed c_c1-c_c2=0,
+    # and two orbits "a" printed a_1-a_2=0 for slots of different orbits
+    "orbit name of two letters": (
+        "g4.json", lambda d: d["orbits"][0].__setitem__(0, "cc")),
+    "repeated orbit name": (
+        "g7.json", lambda d: d["orbits"][1].__setitem__(0, "a")),
+    # every induction row size divides 0, so the row check passed vacuously
+    "link cyclic order zero": (
+        "g6.json",
+        lambda d: d["clifford_links"][0].__setitem__("cyclic_order", 0)),
+    "negative link cyclic order": (
+        "g6.json",
+        lambda d: d["clifford_links"][0].__setitem__("cyclic_order", -3)),
     # numbers must be ints: int() would truncate 24.9 to 24 and load
     "fractional group order": (
         "g4.json", lambda d: d.__setitem__("group_order", 24.9)),
@@ -280,8 +300,7 @@ _MALFORMED = {
         lambda d: d["character_table"].__setitem__("conductor", 2999949)),
     "field conductor past the bound": (
         "g7.json", lambda d: d.__setitem__("field_conductor", 12108)),
-    # with no factor to bound it, the leading twist alone took 9 s to load
-    # at mu = 12 * 100003 (2 vCPUs)
+    # caught by the check made before any factor is read
     "leading monomial past the conductor bound": (
         "g7.json", _lead_past_the_bound),
     # this one failed fast before: 2999949 does not divide the table's 3
@@ -329,7 +348,14 @@ _MALFORMED_MESSAGE = {
     "table entry conductor past the bound":
         "character_table.values[4]: conductor 2999949 is above 1000",
     "leading monomial past the conductor bound":
-        'schur_x["phi{2,9}\'"]: conductor 12108 is above 1000',
+        'schur_x["phi{2,9}\'"]: conductor 11964 is above 1000',
+    "orbit name of two letters":
+        "header: orbit names ['cc'] must be distinct single letters",
+    "repeated orbit name":
+        "header: orbit names ['a', 'a', 'c'] must be distinct single letters",
+    "link cyclic order zero": "clifford_links[0]: cyclic order 0 is not positive",
+    "negative link cyclic order":
+        "clifford_links[0]: cyclic order -3 is not positive",
     "collected unit past the conductor bound":
         'schur_x["phi{2,9}\'"]: conductor 1992 is above 1000',
     "schur factor of root order 1":
