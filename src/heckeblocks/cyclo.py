@@ -3,9 +3,9 @@
 Elements are kept in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1),
 reduced modulo the N-th cyclotomic polynomial.  Mixed-conductor arithmetic
 lifts both operands to the least common multiple conductor first.  Descent
-to a subring Z[zeta_m] applies an exact left inverse of the lift map, kept
-as integer rows over a common denominator and built once per (m, N) by
-fraction-free elimination, and re-lifts the result to check membership.
+to a subring Z[zeta_m] reads the element off the ring structure: the CRT
+splits Z[zeta_N] as Z[zeta_a] (x) Z[zeta_b], a the part of N on the primes
+of m, and Z[zeta_a] is free over Z[zeta_m] on 1, zeta_a, ..., zeta_a^(a/m-1).
 The norm is the product of the Galois conjugates.
 
 The module also provides roots of unity in exponent form, K-cyclotomic
@@ -171,14 +171,19 @@ class CycInt:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
+        """The element sum_i coeffs[i] zeta_conductor^i.  The conductor and
+        every coefficient must be an int: a float, a string or a bool is
+        not truncated or converted but rejected with TypeError."""
+        coeffs = tuple(coeffs)
+        for x in (conductor, *coeffs):
+            if type(x) is not int:
+                raise TypeError(f"{x!r} is not an integer")
         if conductor < 1:
             raise ValueError("conductor must be positive")
-        coeffs = list(int(c) for c in coeffs)
-        deg = euler_phi(conductor)
-        if len(coeffs) != deg:
-            coeffs = list(_reduce_mod_phi(coeffs, conductor))
+        if len(coeffs) != euler_phi(conductor):
+            coeffs = _reduce_mod_phi(coeffs, conductor)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def _reduced(conductor: int, coeffs: tuple[int, ...]) -> "CycInt":
@@ -214,23 +219,40 @@ class CycInt:
         return _evaluate(self.coeffs, conductor, conductor // self.conductor)
 
     def descend(self, conductor: int) -> "CycInt":
-        """Rewrite in Z[zeta_m] for a divisor m of the conductor.
+        """Rewrite in Z[zeta_m] for a divisor m of the conductor N; raises
+        ValueError if the element does not lie in the smaller ring.
 
-        Fails if the element does not actually lie in the smaller ring.
+        With N = a b, where a has only the primes of m and b is prime to m,
+        the CRT sends zeta_N to X^u Y^v in Z[X, Y]/(Phi_a(X), Phi_b(Y)), u b
+        + v a = 1 mod N.  In that ring's basis X^i Y^j the element lies in
+        Z[zeta_a] exactly when its terms with j >= 1 are 0.  Since rad(a)
+        divides m, Phi_a(x) = Phi_m(x^(a/m)): an element of Z[zeta_a] lies
+        in Z[zeta_m] exactly when its coefficients at powers of zeta_a not
+        divisible by a/m are 0, and the others are its coefficients there.
         """
-        if conductor == self.conductor:
+        m, n = conductor, self.conductor
+        if m == n:
             return self
-        if self.conductor % conductor:
+        if n % m:
             raise ValueError("can only descend to a divisor of the conductor")
-        den, left = _descent_map(conductor, self.conductor)
-        values = [sum(c * self.coeffs[j] for j, c in row) for row in left]
-        if all(v % den == 0 for v in values):
-            down = CycInt._reduced(conductor, tuple(v // den for v in values))
-            if down.lift(self.conductor).coeffs == self.coeffs:
-                return down
-        raise ValueError(
-            f"element of Z[zeta_{self.conductor}] is not in Z[zeta_{conductor}]"
-        )
+        a, g = 1, gcd(n, m)
+        while g > 1:
+            a *= g
+            g = gcd(n // a, g)
+        b, coeffs, rest = n // a, self.coeffs, ()
+        if b > 1:
+            u, v = pow(b, -1, a), pow(a, -1, b)
+            rows = [[0] * b for _ in range(a)]
+            for i, c in enumerate(coeffs):
+                if c:
+                    rows[i * u % a][i * v % b] += c
+            columns = zip(*(_reduce_mod_phi(row, b) for row in rows))
+            coeffs, *rest = (_reduce_mod_phi(column, a) for column in columns)
+        step = a // m
+        if any(map(any, rest)) or any(c for i, c in enumerate(coeffs)
+                                      if i % step):
+            raise ValueError(f"element of Z[zeta_{n}] is not in Z[zeta_{m}]")
+        return CycInt._reduced(m, coeffs[::step])
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -360,49 +382,6 @@ class CycInt:
 
     def __repr__(self):
         return f"CycInt({self.conductor}, {list(self.coeffs)})"
-
-
-@lru_cache(maxsize=None)
-def _descent_map(m: int, n: int):
-    """Exact left inverse of the lift Z[zeta_m] -> Z[zeta_n], as integer
-    rows of sparse (index, coefficient) pairs over a common denominator.
-
-    Fraction-free Gauss-Jordan on [L^T | I], L the lift matrix: each row is
-    kept as an integer multiple, by its pivot value, of the row of the
-    reduced echelon form R = E L^T, whose pivot columns P are the identity.
-    Then L[P] = E^-T, so x = E^T y[P] recovers x from y = L x; the common
-    denominator of E is taken at the end."""
-    k, rows = euler_phi(m), euler_phi(n)
-    aug = [list(CycInt.zeta(m, i).lift(n).coeffs)
-           + [int(i == j) for j in range(k)] for i in range(k)]
-    pivots = []
-    for c in range(rows):
-        top = len(pivots)
-        if top == k:
-            break
-        r = next((r for r in range(top, k) if aug[r][c]), None)
-        if r is None:
-            continue
-        aug[top], aug[r] = aug[r], aug[top]
-        pivot_row = aug[top]
-        lead = pivot_row[c]
-        for r in range(k):
-            f = aug[r][c]
-            if r != top and f:
-                row = [lead * x - f * y for x, y in zip(aug[r], pivot_row)]
-                content = gcd(*row)
-                aug[r] = [x // content for x in row]
-        pivots.append(c)
-    # row i is lead_i times row i of [R | E], lead_i its pivot entry
-    leads = [row[c] for row, c in zip(aug, pivots)]
-    e = [row[rows:] for row in aug]
-    den = lcm(*(lead // gcd(x, lead)
-                for row, lead in zip(e, leads) for x in row))
-    return den, tuple(
-        tuple((pivots[i], e[i][j] * den // leads[i])
-              for i in range(k) if e[i][j])
-        for j in range(k)
-    )
 
 
 class RootOfUnity(NamedTuple):

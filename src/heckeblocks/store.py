@@ -63,10 +63,7 @@ def _int(x) -> int:
 def _cycint(doc) -> CycInt:
     if type(doc) is int:
         return CycInt.rational(doc)
-    conductor, coeffs = bounded_conductor(_int(doc["conductor"])), doc["coeffs"]
-    if not all(type(c) is int for c in coeffs):
-        raise TypeError(f"cyclotomic integer {doc!r} needs int entries")
-    return CycInt(conductor, coeffs)
+    return CycInt(bounded_conductor(_int(doc["conductor"])), doc["coeffs"])
 
 
 def _root(doc) -> RootOfUnity:
@@ -83,6 +80,8 @@ def _parse_factor(doc) -> SchurFactorX:
 
 
 def _parse_link(doc, g: GroupDatum) -> CliffordLink:
+    """A link stored in its child's file: the child and its characters are
+    g's, and the document names only the parent."""
     spec = []
     for entry in doc["parameter_spec"]:
         kind, payload = entry
@@ -92,25 +91,20 @@ def _parse_link(doc, g: GroupDatum) -> CliffordLink:
             spec.append(("root", _root(payload)))
         else:
             raise ValueError(f"bad parameter_spec entry {entry!r}")
-    if not all(isinstance(doc[k], str) for k in ("parent", "child")):
-        raise TypeError("link parent and child must be group names")
-    link = CliffordLink(
+    if not isinstance(doc["parent"], str):
+        raise TypeError("the link parent must be a group name")
+    return CliffordLink(
         parent=doc["parent"],
-        child=doc["child"],
+        child=g.name,
         cyclic_order=_int(doc["cyclic_order"]),
         parameter_spec=tuple(spec),
         parent_characters=tuple(CharLabel.parse(c) for c in doc["parent_characters"]),
-        child_characters=tuple(CharLabel.parse(c) for c in doc["child_characters"]),
+        child_characters=g.characters,
         induction=tuple(
             (CharLabel.parse(child), tuple(CharLabel.parse(p) for p in parents))
             for child, parents in doc["induction"]
         ),
     )
-    if link.child != g.name:
-        raise ValueError(f"link child {link.child} is not {g.name}")
-    if link.child_characters != g.characters:
-        raise ValueError("link child characters disagree with the datum")
-    return link
 
 
 # What a malformed entry raises past the explicit checks: a missing key, a
@@ -269,7 +263,8 @@ def load(path) -> GroupDatum:
     """The group datum stored at path.  Every entry is checked, the character
     table as p_blocks needs it included; one malformed entry hides no other:
     each is reported and skipped, and the scan goes on, which only a malformed
-    header ends.  Raises StoreError with every violation."""
+    header ends.  File x.json holds group X, as load_group finds it: another
+    header name is reported too.  Raises StoreError with every violation."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -277,6 +272,9 @@ def load(path) -> GroupDatum:
         raise StoreError(path, [f"cannot parse: {exc}"]) from exc
     report: list[str] = []
     g = _located(report, "header", _parse_header, doc)
+    if g is not None and path.stem != g.name.lower():
+        report.append(f"header: group {g.name} belongs in "
+                      f"{g.name.lower()}.json, not {path.name}")
     sections = {} if g is None else {
         field: _located(report, key, parse, doc[key], g, report)
         for key, field, parse in (

@@ -26,7 +26,6 @@ from heckeblocks.cyclo import (
     is_p_essential_factor,
     prime_handle,
     residue,
-    _descent_map,
     _phi_coeffs,
     _phi_factors_mod_p,
 )
@@ -64,6 +63,15 @@ def test_norm_of_two_plus_zeta5_is_eleven():
     assert a.norm() == 11
 
 
+@pytest.mark.parametrize("conductor, coeffs", [
+    (3, [1.5, 0]), (3, ["2", 1]), (3, [True, 0]), (3.0, [1, 0]), (True, [1]),
+])
+def test_cycint_rejects_non_integers(conductor, coeffs):
+    """Neither truncated (1.5 became 1) nor parsed ("2" became 2)."""
+    with pytest.raises(TypeError):
+        CycInt(conductor, coeffs)
+
+
 def test_lift_descend_roundtrip():
     rng = random.Random(7)
     for _ in range(200):
@@ -78,11 +86,15 @@ def test_descend_rejects_foreign_elements():
         CycInt.zeta(12).descend(4)
 
 
-@pytest.mark.parametrize("m,n", [(3, 12), (4, 12), (5, 15), (4, 20)])
+# With n = a b, a on the primes of m and b prime to m: b = 1 at (12, 72);
+# a = m at (3, 12), (4, 12), (5, 15) and (4, 20); a > m with b > 1 at
+# (2, 12) and (4, 24); a = 1 at (1, 12).
+@pytest.mark.parametrize("m,n", [(3, 12), (4, 12), (5, 15), (4, 20), (2, 12),
+                                 (4, 24), (1, 12), (12, 72)])
 def test_descend_where_the_lift_needs_reduction(m, n):
     # oracle: an element of Z[zeta_n] lies in Z[zeta_m] exactly when every
     # automorphism zeta_n -> zeta_n^t with t = 1 mod m fixes it
-    fixing = [t for t in range(1, n) if gcd(t, n) == 1 and t % m == 1]
+    fixing = [t for t in range(1, n) if gcd(t, n) == 1 and t % m == 1 % m]
     rng = random.Random(m * 100 + n)
     for _ in range(100):
         a = random_cycint(rng, m)
@@ -96,8 +108,10 @@ def test_descend_where_the_lift_needs_reduction(m, n):
 
 
 def fraction_descent_map(m, n):
-    """Oracle for _descent_map: Gauss-Jordan over Fraction on [L^T | I],
-    each pivot row divided by its pivot as it is chosen."""
+    """An exact left inverse E/den of the lift matrix L of Z[zeta_m] ->
+    Z[zeta_n], as integer rows of (index, coefficient) pairs: Gauss-Jordan
+    over Fraction on [L^T | I], each pivot row divided by its pivot as it
+    is chosen."""
     k, rows = euler_phi(m), euler_phi(n)
     aug = [
         [Fraction(c) for c in CycInt.zeta(m, i).lift(n).coeffs]
@@ -128,12 +142,28 @@ def fraction_descent_map(m, n):
     )
 
 
-def test_descent_map_matches_fraction_gauss_jordan():
+def test_descend_matches_fraction_gauss_jordan():
+    """descend gives E y / den, and raises ValueError exactly when that is
+    not integral or does not lift back to y, for lifted elements and for
+    elements of Z[zeta_n] and of a ring between."""
     pairs = [(m, n) for n in range(1, 121) for m in range(1, n + 1)
              if n % m == 0]
     assert len(pairs) == 602
+    rng = random.Random(19)
     for m, n in pairs:
-        assert _descent_map(m, n) == fraction_descent_map(m, n), (m, n)
+        den, rows = fraction_descent_map(m, n)
+        between = [d for d in range(m, n + 1) if n % d == 0 and d % m == 0]
+        for source in (m, n, rng.choice(between)):
+            y = random_cycint(rng, source).lift(n)
+            values = [sum(c * y.coeffs[j] for j, c in row) for row in rows]
+            if all(v % den == 0 for v in values):
+                x = CycInt(m, [v // den for v in values])
+                if x.lift(n) == y:
+                    assert y.descend(m).coeffs == x.coeffs, (m, n, y)
+                    continue
+            assert source != m, (m, n, y)
+            with pytest.raises(ValueError):
+                y.descend(m)
 
 
 def test_phi_coeffs_match_sympy():

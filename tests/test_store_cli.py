@@ -71,6 +71,29 @@ def test_mu_order_is_derived_from_the_field(name, mu):
     assert "mu_order" not in doc
 
 
+def test_links_name_only_their_parent():
+    """A link lives in its child's file: the child is the file's group."""
+    for name in ("G4", "G6"):
+        doc = json.loads((default_db_dir() / f"{name.lower()}.json").read_text())
+        assert all({"child", "child_characters"}.isdisjoint(link)
+                   for link in doc["clifford_links"])
+        g = load_group(name)
+        link, = g.clifford_links
+        assert (link.child, link.child_characters) == (name, g.characters)
+
+
+def test_a_file_holding_another_group_is_rejected(db_copy, monkeypatch):
+    """A copy of g6.json saved as g7.json once verified and printed G6's
+    tables for all-blocks G7."""
+    shutil.copy(db_copy / "g6.json", db_copy / "g7.json")
+    ok, report = verify_db(sorted(db_copy.glob("*.json")))
+    assert not ok and report == [
+        f"{db_copy / 'g7.json'}: header: group G6 belongs in g6.json, "
+        "not g7.json"]
+    monkeypatch.setenv("HECKE_DB", str(db_copy))
+    assert invoke(["all-blocks", "G7"]).exit_code == 5
+
+
 def test_missing_file_raises_filenotfound(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_group("G99", tmp_path)
@@ -329,6 +352,19 @@ _MALFORMED = {
         "g7.json", lambda d: d["orbits"][0].__setitem__(1, 10**9)),
     "orbit size 10**30": (
         "g7.json", lambda d: d["orbits"][0].__setitem__(1, 10**30)),
+    # file x.json holds group X: a G7 file named G6 loaded, and verify-db
+    # then checked G6's link to G4 against it
+    "header name of another group": (
+        "g7.json", lambda d: d.__setitem__("name", "G6")),
+    # the induction rows name the child's and the link's parent characters
+    "induction row naming a character G6 lacks": (
+        "g6.json",
+        lambda d: d["clifford_links"][0]["induction"][0].__setitem__(
+            0, "phi{9,9}")),
+    "induction row naming a character G7 lacks": (
+        "g6.json",
+        lambda d: d["clifford_links"][0]["induction"][0][1].__setitem__(
+            0, "phi{9,9}")),
 }
 
 # The report line a case must give, where it is pinned: its JSON location,
@@ -373,6 +409,12 @@ _MALFORMED_MESSAGE = {
     # lcm with the two orbits of size 3
     "orbit size 10**9": "header: conductor 3000000000 is above 1000",
     "orbit size 10**30": f"header: conductor {3 * 10**30} is above 1000",
+    "header name of another group":
+        "header: group G6 belongs in g6.json, not g7.json",
+    "induction row naming a character G6 lacks":
+        "clifford_links[0]: unknown child character phi{9,9}",
+    "induction row naming a character G7 lacks":
+        "clifford_links[0]: unknown parent character phi{9,9}",
 }
 
 
