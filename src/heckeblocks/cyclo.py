@@ -202,7 +202,10 @@ class CycInt:
 
     @staticmethod
     def rational(r: int) -> "CycInt":
-        return CycInt._reduced(1, (int(r),))
+        """r in Z; like the constructor, rejects a non-int with TypeError."""
+        if type(r) is not int:
+            raise TypeError(f"{r!r} is not an integer")
+        return CycInt._reduced(1, (r,))
 
     @staticmethod
     def zeta(order: int, exponent: int = 1) -> "CycInt":
@@ -271,8 +274,8 @@ class CycInt:
     def _coerce(value) -> "CycInt":
         if isinstance(value, CycInt):
             return value
-        if isinstance(value, int):
-            return CycInt.rational(value)
+        if type(value) is int:  # not a bool, whose operation then fails
+            return CycInt._reduced(1, (value,))
         return NotImplemented
 
     def _pair(self, other: "CycInt"):

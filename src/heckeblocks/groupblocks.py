@@ -6,7 +6,9 @@ here; engine and clifford import them.  Partition.of validates outside
 input; derived partitions come from a key or from Partition.generated_by.
 Two characters lie in the same p-block when their central characters agree
 modulo a prime ideal above p; it suffices to test one deterministic prime
-ideal and close the resulting partition under the Galois action on rows.
+ideal and close the resulting partition under the Galois action on rows,
+whose permutations CharacterTable.of computes once, when it checks the
+table, and stores in CharacterTable.row_permutations.
 """
 
 from __future__ import annotations
@@ -114,12 +116,30 @@ def join(ps: list[Partition]) -> Partition:
 
 
 class CharacterTable(NamedTuple):
-    """Ordinary character table; rows follow GroupDatum.characters."""
+    """Ordinary character table; rows follow GroupDatum.characters.
+
+    Built by of(), which checks the table and fills row_permutations: for
+    each sigma in (Z/N)^x, in ascending order, the 1-based image of each
+    row, so that row i goes to row row_permutations[k][i - 1]."""
 
     conductor: int
     class_sizes: tuple[int, ...]
     values: tuple[tuple[CycInt, ...], ...]
+    row_permutations: tuple[tuple[int, ...], ...]
     class_order_labels: tuple[str, ...] | None = None
+
+    @staticmethod
+    def of(conductor: int, class_sizes, values,
+           class_order_labels=None) -> "CharacterTable":
+        """The table, checked as p_blocks relies on it at every prime: each
+        central character is integral, and Galois conjugation permutes the
+        rows.  Raises ValueError naming the corrupt row or class."""
+        table = CharacterTable(conductor, class_sizes, values, (),
+                               class_order_labels)
+        for chi in range(table.n_chars):
+            for c in range(len(class_sizes)):
+                central_character(table, chi, c)
+        return table._replace(row_permutations=_row_permutations(table))
 
     @property
     def group_order(self) -> int:
@@ -146,37 +166,40 @@ def central_character(t: CharacterTable, chi_index: int, class_index: int) -> Cy
         ) from exc
 
 
-def _row_permutations(t: CharacterTable) -> list[dict[int, int]]:
-    """1-based row permutations induced by Gal(Q(zeta_N)/Q)."""
+def _row_permutations(t: CharacterTable) -> tuple[tuple[int, ...], ...]:
+    """The row permutations induced by Gal(Q(zeta_N)/Q), in the form of
+    CharacterTable.row_permutations; raises ValueError unless they exist."""
     n = t.conductor
     lifted = [tuple(v.lift(n) for v in row) for row in t.values]
     rows = {tuple(v.coeffs for v in r): i + 1 for i, r in enumerate(lifted)}
     if len(rows) != t.n_chars:
         raise ValueError("corrupt table: two rows are equal")
     try:
-        return [{i + 1: rows[tuple(v.galois_conjugate(s).coeffs for v in row)]
-                 for i, row in enumerate(lifted)}
-                for s in _units(n)]
+        return tuple([tuple([rows[tuple(v.galois_conjugate(s).coeffs
+                                        for v in row)] for row in lifted])
+                      for s in _units(n)])
     except KeyError:
         raise ValueError("corrupt table: Galois image row not found") from None
 
 
 def galois_close(t: CharacterTable, pi: Partition) -> Partition:
-    """Finest coarsening of pi stable under the Galois row permutations.
+    """Finest coarsening of pi stable under the Galois row permutations,
+    read from t.row_permutations, which CharacterTable.of computed.
 
     The permutations are those of every sigma in (Z/N)^x, the whole group,
     identity included.  So the join J of the images of pi coarsens pi and
     is stable, since sigma only permutes the images; and every stable
     coarsening C of pi coarsens each image sigma pi (C = sigma C), hence J."""
     return Partition.generated_by(
-        [[perm[i] for i in part] for perm in _row_permutations(t)
+        [[perm[i - 1] for i in part] for perm in t.row_permutations
          for part in pi.parts if len(part) > 1], pi.size)
 
 
 def p_blocks(t: CharacterTable, p: int) -> Partition:
     """Blocks of the p-modular group algebra: the characters grouped by the
     residues of their central characters at one prime ideal P above p
-    (equal residues mean congruence mod P), then Galois closure."""
+    (equal residues mean congruence mod P), then closed under Galois by
+    galois_close, which reads the row permutations stored in the table."""
     if t.group_order % p:
         return Partition.singletons(t.n_chars)
     handle = prime_handle(p, t.conductor)

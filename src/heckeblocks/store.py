@@ -1,11 +1,13 @@
 """JSON persistence and validation of the group database.
 
 One group per UTF-8 JSON file.  load checks each value where it parses it
-(exact ints, shapes, conductors up to MAX_CONDUCTOR, central characters,
-Schur values at v=1, partitions, links) and computes GroupDatum.schur_facts;
-verify_db adds the cross-file checks.  Every entry is checked, and one
-malformed entry never hides another: one StoreError reports each violation
-at its JSON location, e.g. schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
+(exact ints, shapes, conductors up to MAX_CONDUCTOR, Schur values at v=1,
+partitions, links) and computes GroupDatum.schur_facts; the character
+table's own checks (integral central characters, rows permuted by Galois)
+run in CharacterTable.of, which builds it.  verify_db adds the cross-file
+checks.  Every entry is checked, and one malformed entry never hides
+another: one StoreError reports each violation at its JSON location, e.g.
+schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 from .clifford import CliffordLink, descend_hyperplanes
 from .cyclo import CycInt, RootOfUnity, bounded_conductor, factorint
 from .engine import Hyperplane, HyperplaneTable
-from .groupblocks import CharacterTable, Partition, _row_permutations, central_character
+from .groupblocks import CharacterTable, Partition
 from .lattice import primitive_part
 from .schur import (
     CharLabel,
@@ -187,23 +189,19 @@ def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):
 
 
 def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
+    """The table, built and checked by CharacterTable.of; None, with each
+    violation in report, if it is malformed."""
     conductor = bounded_conductor(_int(tdoc["conductor"]))
     class_sizes = tuple(_int(s) for s in tdoc["class_sizes"])
     values = tuple(_located(report, f"character_table.values[{i}]", _parse_row,
                             i, row, conductor, len(class_sizes))
                    for i, row in enumerate(tdoc["values"]))
-    table = CharacterTable(
-        conductor=conductor,
-        class_sizes=class_sizes,
-        values=values,
-        class_order_labels=tuple(tdoc["class_orders"])
-        if "class_orders" in tdoc else None,
-    )
+    labels = tuple(tdoc["class_orders"]) if "class_orders" in tdoc else None
     bad = []
     if len(values) != len(g.characters):
         bad.append("character table row count mismatch")
     elif None not in values:
-        if table.group_order != g.group_order:
+        if sum(class_sizes) != g.group_order:
             bad.append("class sizes do not sum to the group order")
         if any(v != CycInt.rational(1) for v in values[0]):
             bad.append("first table row is not the trivial character")
@@ -211,19 +209,9 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
                    for row, c in zip(values, g.characters)
                    if row[0] != CycInt.rational(c.degree))
         if not bad:
-            _located(report, "character_table", _check_group_algebra, table)
+            return _located(report, "character_table", CharacterTable.of,
+                            conductor, class_sizes, values, labels)
     report.extend(f"character_table: {msg}" for msg in bad)
-    return table
-
-
-def _check_group_algebra(t: CharacterTable) -> None:
-    """What p_blocks relies on at every prime, checked once: each central
-    character is integral, and Galois conjugation permutes the rows.
-    Raises ValueError naming the corrupt row or class."""
-    for chi in range(t.n_chars):
-        for c in range(len(t.class_sizes)):
-            central_character(t, chi, c)
-    _row_permutations(t)
 
 
 def _parse_row(i: int, row, conductor: int, width: int) -> tuple:

@@ -72,6 +72,19 @@ def test_cycint_rejects_non_integers(conductor, coeffs):
         CycInt(conductor, coeffs)
 
 
+@pytest.mark.parametrize("r", [1.5, "7", True])
+def test_rational_rejects_non_integers(r):
+    """As the constructor does: rational(1.5) gave CycInt(1, [1])."""
+    with pytest.raises(TypeError):
+        CycInt.rational(r)
+
+
+def test_bool_operand_is_rejected():
+    """zeta_3 + True gave CycInt(3, [1, 1]); a bool is not a ring element."""
+    with pytest.raises(TypeError):
+        CycInt.zeta(3) + True
+
+
 def test_lift_descend_roundtrip():
     rng = random.Random(7)
     for _ in range(200):

@@ -3,10 +3,13 @@ from-scratch enumeration of the binary tetrahedral group, plus coset
 enumeration oracles for the shipped group orders and a pairwise-congruence
 oracle for the residue-keyed p_blocks."""
 
+import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from heckeblocks import groupblocks
 from heckeblocks.cyclo import CycInt, in_prime_ideal, prime_handle
 from heckeblocks.groupblocks import (
     CharacterTable,
@@ -138,6 +141,27 @@ def test_galois_closure_is_stable(g4):
     table = g4.character_table
     pi = p_blocks(table, 3)
     assert galois_close(table, pi) == pi
+
+
+def test_p_blocks_read_the_row_permutations_stored_at_load(g4, monkeypatch):
+    """Loading G4 computed its row permutations; p_blocks and galois_close
+    derive none again, and give the partitions the benchmark recorded."""
+    golden = json.loads((Path(__file__).parents[1] / "perfbench"
+                         / "golden_schur.json").read_text())["partitions"]
+
+    def derive_again(t):
+        raise AssertionError("row permutations derived after load")
+
+    monkeypatch.setattr(groupblocks, "_row_permutations", derive_again)
+    table = g4.character_table
+    expected = {2: golden["p_blocks/G4/2"], 3: golden["p_blocks/G4/3"],
+                5: Partition.singletons(7).as_lists()}
+    assert expected[2] == [[1, 2, 3, 4, 5, 6, 7]]
+    assert expected[3] == [[1, 2, 3], [4, 5, 6], [7]]
+    for p, parts in expected.items():
+        pi = p_blocks(table, p)
+        assert pi.as_lists() == parts
+        assert galois_close(table, pi) == pi
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +320,7 @@ def test_cyclic_three_table_blocks():
     w = CycInt.zeta(3)
     w2 = w * w
     one = CycInt.rational(1)
-    table = CharacterTable(
+    table = CharacterTable.of(
         conductor=3,
         class_sizes=(1, 1, 1),
         values=(
@@ -311,10 +335,20 @@ def test_cyclic_three_table_blocks():
 
 def test_equal_rows_are_rejected():
     one = CycInt.rational(1)
-    table = CharacterTable(conductor=1, class_sizes=(1, 1),
-                           values=((one, one), (one, one)))
     with pytest.raises(ValueError, match="two rows are equal"):
-        p_blocks(table, 2)
+        CharacterTable.of(conductor=1, class_sizes=(1, 1),
+                          values=((one, one), (one, one)))
+
+
+def test_missing_galois_image_is_rejected():
+    """C5 with chi_1 at g^2 set to 1: sigma = 2 sends the changed row
+    (1, z, 1, z^3, z^4) to (1, z^2, 1, z, z^3), which is no row."""
+    values = list(_cyclic_table(5).values)
+    z, one = CycInt.zeta(5), CycInt.rational(1)
+    values[1] = (one, z, one, z ** 3, z ** 4)
+    with pytest.raises(ValueError, match="Galois image row not found"):
+        CharacterTable.of(conductor=5, class_sizes=(1,) * 5,
+                          values=tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +399,7 @@ def _oracle_p_blocks(t, p):
 def _cyclic_table(n):
     """The character table of the cyclic group of order n: chi_k(g^j) is
     zeta_n^(jk), so sigma in (Z/n)^x sends row k to row sigma * k."""
-    return CharacterTable(
+    return CharacterTable.of(
         conductor=n, class_sizes=(1,) * n,
         values=tuple(tuple(CycInt.zeta(n, j * k % n) for j in range(n))
                      for k in range(n)))
@@ -374,7 +408,7 @@ def _cyclic_table(n):
 def _cyclic_three_table():
     w = CycInt.zeta(3)
     one = CycInt.rational(1)
-    return CharacterTable(conductor=3, class_sizes=(1, 1, 1), values=(
+    return CharacterTable.of(conductor=3, class_sizes=(1, 1, 1), values=(
         (one, one, one), (one, w, w * w), (one, w * w, w)))
 
 
