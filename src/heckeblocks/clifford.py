@@ -28,7 +28,9 @@ __all__ = [
 SpecEntry = tuple
 
 
-class _CliffordLinkFields(NamedTuple):
+class CliffordLink(NamedTuple):
+    """A descent link; of() checks it, the constructor does not."""
+
     parent: str
     child: str
     cyclic_order: int
@@ -37,32 +39,28 @@ class _CliffordLinkFields(NamedTuple):
     child_characters: tuple[CharLabel, ...]
     induction: tuple[tuple[CharLabel, tuple[CharLabel, ...]], ...]
 
-
-class CliffordLink(_CliffordLinkFields):
-    """A descent link; construction checks every induction row."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.cyclic_order < 1:
-            raise ValueError(f"cyclic order {self.cyclic_order} is not positive")
+    @staticmethod
+    def of(*args, **kwargs) -> "CliffordLink":
+        """The link; raises ValueError on a bad cyclic order or induction row."""
+        link = CliffordLink(*args, **kwargs)
+        if link.cyclic_order < 1:
+            raise ValueError(f"cyclic order {link.cyclic_order} is not positive")
         seen: set[CharLabel] = set()
-        for child_label, parents in self.induction:
-            if child_label not in self.child_characters:
+        for child_label, parents in link.induction:
+            if child_label not in link.child_characters:
                 raise ValueError(f"unknown child character {child_label}")
-            if not parents or self.cyclic_order % len(parents):
+            if not parents or link.cyclic_order % len(parents):
                 raise ValueError(
                     f"induction row size {len(parents)} does not divide "
-                    f"the cyclic order {self.cyclic_order}"
+                    f"the cyclic order {link.cyclic_order}"
                 )
             for p in parents:
-                if p not in self.parent_characters:
+                if p not in link.parent_characters:
                     raise ValueError(f"unknown parent character {p}")
                 if p in seen:
                     raise ValueError(f"parent character {p} in two rows")
                 seen.add(p)
-        return self
+        return link
 
     def induction_indices(self) -> list[tuple[int, tuple[int, ...]]]:
         """Rows as 1-based (child index, parent indices)."""

@@ -32,6 +32,7 @@ __all__ = [
     "KCyclotomic",
     "PrimeIdealHandle",
     "euler_phi",
+    "exact_int",
     "factorint",
     "isprime",
     "prime_handle",
@@ -56,6 +57,14 @@ def bounded_conductor(n: int) -> int:
     if n > MAX_CONDUCTOR:
         raise ValueError(f"conductor {n} is above {MAX_CONDUCTOR}")
     return n
+
+
+def exact_int(x) -> int:
+    """x, which must be an int: a float, a string or a bool is not
+    truncated or converted but rejected with TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -171,13 +180,11 @@ class CycInt:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
-        """The element sum_i coeffs[i] zeta_conductor^i.  The conductor and
-        every coefficient must be an int: a float, a string or a bool is
-        not truncated or converted but rejected with TypeError."""
+        """The element sum_i coeffs[i] zeta_conductor^i.  The conductor,
+        checked first, and every coefficient must pass exact_int."""
         coeffs = tuple(coeffs)
         for x in (conductor, *coeffs):
-            if type(x) is not int:
-                raise TypeError(f"{x!r} is not an integer")
+            exact_int(x)
         if conductor < 1:
             raise ValueError("conductor must be positive")
         if len(coeffs) != euler_phi(conductor):
@@ -202,10 +209,8 @@ class CycInt:
 
     @staticmethod
     def rational(r: int) -> "CycInt":
-        """r in Z; like the constructor, rejects a non-int with TypeError."""
-        if type(r) is not int:
-            raise TypeError(f"{r!r} is not an integer")
-        return CycInt._reduced(1, (r,))
+        """r in Z; like the constructor, rejects a non-int with exact_int."""
+        return CycInt._reduced(1, (exact_int(r),))
 
     @staticmethod
     def zeta(order: int, exponent: int = 1) -> "CycInt":
@@ -403,8 +408,6 @@ class RootOfUnity(NamedTuple):
             raise ValueError("order must be positive")
         exponent %= order
         g = gcd(exponent, order)
-        if exponent == 0:
-            return RootOfUnity(1, 0)
         return RootOfUnity(order // g, exponent // g)
 
     @staticmethod

@@ -151,14 +151,14 @@ def _heuristic_blocks(g: GroupDatum, p: int, seed: list[int],
         for b, part in enumerate(p_blocks(g.character_table, p).parts):
             block.update((i, b) for i in part if i in block)
     facts = g.stored_facts()
-    parts: dict[tuple[int, IntVector], list[int]] = {}
+    keys: list = list(range(size))  # distinct ints: singletons, but the seed's
     for i in seed:
         w = facts[i].weight
         if normal is not None:
             hk, wk = next((c, x) for c, x in zip(normal, w) if c)
             w = tuple(hk * x - wk * c for x, c in zip(w, normal))
-        parts.setdefault((block[i], w), []).append(i)
-    return Partition.generated_by(parts.values(), size)
+        keys[i - 1] = (block[i], w)
+    return Partition.by_key(keys)
 
 
 def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:

@@ -28,7 +28,6 @@ from .cyclo import (
     euler_phi,
     factorint,
     is_p_essential_factor,
-    isprime,
 )
 from .lattice import IntVector, dot, primitive_part
 
@@ -126,6 +125,11 @@ class GroupDatum(NamedTuple):
         """|mu(K)| = lcm(2, m): the roots of unity of Q(zeta_m) are the
         2m-th ones for odd m and the m-th ones for even m."""
         return lcm(2, self.field_conductor)
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The primes dividing |G|, ascending: the only bad primes."""
+        return tuple(sorted(factorint(self.group_order)))
 
     @property
     def has_full_schur(self) -> bool:
@@ -420,19 +424,13 @@ def essential_normals(g: GroupDatum, primes) -> set[IntVector]:
 
 
 def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
-    """Normals of the p-essential hyperplanes (p = 0: all bad primes).
-
-    Prefers the full Schur payload; falls back to stored hyperplane tables
-    and raises ValueError when neither is stored.  Divisibility of the group
-    order is tested before primality, so no argument larger than the group
-    order is ever factorised.
-    """
-    if p != 0:
-        if p <= 1 or g.group_order % p or not isprime(p):
-            raise BadPrimeArgument("The number p should divide the order of the group")
-        primes = [p]
-    else:
-        primes = sorted(factorint(g.group_order))
+    """Normals of the p-essential hyperplanes, sorted (p = 0: every prime
+    in g.primes).  Raises BadPrimeArgument unless p is 0 or in g.primes,
+    so no argument is factorised.  Reads the full Schur payload if stored,
+    else the hyperplane tables; raises ValueError when neither is stored."""
+    if p != 0 and p not in g.primes:
+        raise BadPrimeArgument("The number p should divide the order of the group")
+    primes = [p] if p else g.primes
     if g.has_full_schur:
         return sorted(essential_normals(g, primes))
     return sorted({
@@ -494,7 +492,7 @@ def aa_weight(s: SchurElement) -> IntVector:
 def schur_facts(g: GroupDatum, s: SchurElement) -> SchurFacts:
     """The SchurFacts of s; store.load computes them once per element."""
     return SchurFacts(abs(s.xi.norm()), aa_weight(s), frozenset(
-        (p, normal) for p in factorint(g.group_order)
+        (p, normal) for p in g.primes
         for normal in essential_monomials(s, p)))
 
 
@@ -509,8 +507,7 @@ def bad_primes(g: GroupDatum, n: IntVector) -> set[int]:
     if not g.has_full_schur:
         raise ValueError(f"full Schur payload not stored for {g.name}")
     g.check_exponents(n)
-    primes = factorint(g.group_order)
-    out: set[int] = set()
+    primes, out = g.primes, set()
     for f in g.stored_facts().values():
         out.update(p for p in primes if f.norm % p == 0)
         out.update(p for p, m in f.essential if dot(m, n) == 0)

@@ -18,7 +18,7 @@ from math import lcm
 from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
-from .cyclo import CycInt, RootOfUnity, bounded_conductor, factorint
+from .cyclo import CycInt, RootOfUnity, bounded_conductor, exact_int
 from .engine import Hyperplane, HyperplaneTable
 from .groupblocks import CharacterTable, Partition
 from .lattice import primitive_part
@@ -54,29 +54,21 @@ def default_db_dir() -> Path:
     return Path(env) if env else _DATA_DIR
 
 
-def _int(x) -> int:
-    """x, which must be an int: a float, a string or a bool is not
-    truncated or converted but rejected."""
-    if type(x) is not int:
-        raise TypeError(f"{x!r} is not an integer")
-    return x
-
-
 def _cycint(doc) -> CycInt:
     if type(doc) is int:
         return CycInt.rational(doc)
-    return CycInt(bounded_conductor(_int(doc["conductor"])), doc["coeffs"])
+    return CycInt(bounded_conductor(exact_int(doc["conductor"])), doc["coeffs"])
 
 
 def _root(doc) -> RootOfUnity:
-    return RootOfUnity.of(_int(doc[0]), _int(doc[1]))
+    return RootOfUnity.of(exact_int(doc[0]), exact_int(doc[1]))
 
 
 def _parse_factor(doc) -> SchurFactorX:
     return SchurFactorX(
-        cyc_index=_int(doc["cyc"]),
-        exps_numerator=tuple(_int(c) for c in doc["num"]),
-        exps_denominator=_int(doc.get("den", 1)),
+        cyc_index=exact_int(doc["cyc"]),
+        exps_numerator=tuple(exact_int(c) for c in doc["num"]),
+        exps_denominator=exact_int(doc.get("den", 1)),
         twist=_root(doc["twist"]) if "twist" in doc else RootOfUnity.one(),
     )
 
@@ -87,7 +79,7 @@ def _parse_link(doc, g: GroupDatum) -> CliffordLink:
     spec = []
     for entry in doc["parameter_spec"]:
         kind, payload = entry
-        if kind == "slot" and 0 <= _int(payload) < g.slot_count:
+        if kind == "slot" and 0 <= exact_int(payload) < g.slot_count:
             spec.append(("slot", payload))
         elif kind == "root":
             spec.append(("root", _root(payload)))
@@ -95,10 +87,10 @@ def _parse_link(doc, g: GroupDatum) -> CliffordLink:
             raise ValueError(f"bad parameter_spec entry {entry!r}")
     if not isinstance(doc["parent"], str):
         raise TypeError("the link parent must be a group name")
-    return CliffordLink(
+    return CliffordLink.of(
         parent=doc["parent"],
         child=g.name,
-        cyclic_order=_int(doc["cyclic_order"]),
+        cyclic_order=exact_int(doc["cyclic_order"]),
         parameter_spec=tuple(spec),
         parent_characters=tuple(CharLabel.parse(c) for c in doc["parent_characters"]),
         child_characters=g.characters,
@@ -128,9 +120,9 @@ def _located(report: list[str], where: str, parse, *args):
 def _parse_header(doc) -> GroupDatum:
     g = GroupDatum(
         name=doc["name"],
-        field_conductor=bounded_conductor(_int(doc["field_conductor"])),
-        group_order=_int(doc["group_order"]),
-        orbits=tuple((o[0], _int(o[1])) for o in doc["orbits"]),
+        field_conductor=bounded_conductor(exact_int(doc["field_conductor"])),
+        group_order=exact_int(doc["group_order"]),
+        orbits=tuple((o[0], exact_int(o[1])) for o in doc["orbits"]),
         characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
     )
     if len(set(g.characters)) != len(g.characters):
@@ -147,7 +139,7 @@ def _parse_header(doc) -> GroupDatum:
     if not all(isinstance(o, str) and len(o) == 1 and o.isalpha()
                for o in names) or len(set(names)) != len(names):
         raise ValueError(f"orbit names {names} must be distinct single letters")
-    factorint(g.group_order)  # raises unless |G| >= 1 factors within the bound
+    g.primes  # raises unless |G| >= 1 factors within the bound
     return g
 
 
@@ -179,11 +171,11 @@ def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):
             report.append(f"{where}: normal {normal} has nonzero orbit sums")
         hp = Hyperplane(normal)
     blocks = Partition.of(
-        [[_int(i) for i in part] for part in tdoc["blocks"]], len(g.characters))
-    primes = tdoc.get("primes", [])
+        [[exact_int(i) for i in part] for part in tdoc["blocks"]], len(g.characters))
+    primes, allowed = tdoc.get("primes", []), g.primes
     if not isinstance(primes, list) or not all(
-            type(p) is int and p > 1 and g.group_order % p == 0 for p in primes):
-        raise ValueError(f"primes {primes!r} are not integers > 1 "
+            type(p) is int and p in allowed for p in primes):
+        raise ValueError(f"primes {primes!r} are not primes "
                          f"dividing the group order {g.group_order}")
     return HyperplaneTable(hp, blocks, frozenset(primes))
 
@@ -191,13 +183,18 @@ def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):
 def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
     """The table, built and checked by CharacterTable.of; None, with each
     violation in report, if it is malformed."""
-    conductor = bounded_conductor(_int(tdoc["conductor"]))
-    class_sizes = tuple(_int(s) for s in tdoc["class_sizes"])
+    conductor = bounded_conductor(exact_int(tdoc["conductor"]))
+    class_sizes = tuple(exact_int(s) for s in tdoc["class_sizes"])
     values = tuple(_located(report, f"character_table.values[{i}]", _parse_row,
                             i, row, conductor, len(class_sizes))
                    for i, row in enumerate(tdoc["values"]))
-    labels = tuple(tdoc["class_orders"]) if "class_orders" in tdoc else None
+    labels = tdoc.get("class_orders")
     bad = []
+    if "class_orders" in tdoc and not (
+            isinstance(labels, list) and len(labels) == len(class_sizes)
+            and all(isinstance(s, str) for s in labels)):
+        bad.append(f"class_orders {labels!r} is not a list of "
+                   f"{len(class_sizes)} strings")
     if len(values) != len(g.characters):
         bad.append("character table row count mismatch")
     elif None not in values:
@@ -210,7 +207,8 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
                    if row[0] != CycInt.rational(c.degree))
         if not bad:
             return _located(report, "character_table", CharacterTable.of,
-                            conductor, class_sizes, values, labels)
+                            conductor, class_sizes, values,
+                            None if labels is None else tuple(labels))
     report.extend(f"character_table: {msg}" for msg in bad)
 
 
@@ -236,8 +234,8 @@ def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
     if None in factors:
         return None
     element = normalize_x_to_v(g, label, _cycint(sdoc["coeff"]),
-                               tuple(_int(c) for c in sdoc["lead"]), factors,
-                               lead_den=_int(sdoc.get("lead_den", 1)))
+                               tuple(exact_int(c) for c in sdoc["lead"]), factors,
+                               lead_den=exact_int(sdoc.get("lead_den", 1)))
     report.extend(f"{where}: {msg}" for msg in validate(g, element))
     return element
 
@@ -279,10 +277,11 @@ def load(path) -> GroupDatum:
     return g._replace(**sections)
 
 
-def load_group(name: str, db_dir=None) -> GroupDatum:
-    base = Path(db_dir) if db_dir else default_db_dir()
+def load_group(name: str) -> GroupDatum:
+    """The group called name in default_db_dir(); a path is not a name."""
+    base = default_db_dir()
     path = base / f"{name.lower()}.json"
-    if not path.exists():
+    if not name.isalnum() or not path.exists():
         raise FileNotFoundError(f"no database file for {name} in {base}")
     return load(path)
 

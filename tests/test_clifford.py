@@ -144,7 +144,7 @@ def test_colliding_restrictions_are_joined(link, g7, g6):
 
 def identity_link(g7):
     labels = g7.characters
-    return CliffordLink(
+    return CliffordLink.of(
         parent="G7",
         child="G7",
         cyclic_order=1,
@@ -251,7 +251,7 @@ def test_induction_rows_reject_duplicates(g7, g6, link):
         (labels[1], (g7.characters[0], g7.characters[5])),
     )
     with pytest.raises(ValueError):
-        CliffordLink(
+        CliffordLink.of(
             parent="G7",
             child="G6",
             cyclic_order=2,

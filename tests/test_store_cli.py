@@ -94,9 +94,22 @@ def test_a_file_holding_another_group_is_rejected(db_copy, monkeypatch):
     assert invoke(["all-blocks", "G7"]).exit_code == 5
 
 
-def test_missing_file_raises_filenotfound(tmp_path):
+def test_missing_file_raises_filenotfound(tmp_path, monkeypatch):
+    monkeypatch.setenv("HECKE_DB", str(tmp_path))
     with pytest.raises(FileNotFoundError):
-        load_group("G99", tmp_path)
+        load_group("G4")
+
+
+@pytest.mark.parametrize("group", ["{db}/g4", "../data/g4"],
+                         ids=["absolute path", "relative path"])
+def test_group_is_a_name_not_a_path(db_copy, monkeypatch, group):
+    """GROUP was joined onto the database directory: an absolute path
+    loaded a copy outside the database, and ../data/g4 the shipped G4."""
+    monkeypatch.delenv("HECKE_DB", raising=False)
+    group = group.format(db=db_copy)
+    result = invoke(["all-blocks", group])
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (3, "", f"no database file for {group} in {default_db_dir()}\n")
 
 
 def test_corruption_bad_orbit_sum(db_copy):
@@ -365,6 +378,15 @@ _MALFORMED = {
         "g6.json",
         lambda d: d["clifford_links"][0]["induction"][0][1].__setitem__(
             0, "phi{9,9}")),
+    # 4 divides |G4| = 24 but is no prime: essential-hyperplanes G4
+    # --prime 2 then dropped the table's hyperplane
+    "table prime 4": (
+        "g4.json",
+        lambda d: d["hyperplane_tables"][1].__setitem__("primes", [4])),
+    # a string is a sequence: its 7 letters loaded as the 7 class labels
+    "class_orders a string": (
+        "g4.json",
+        lambda d: d["character_table"].__setitem__("class_orders", "abcdefg")),
 }
 
 # The report line a case must give, where it is pinned: its JSON location,
@@ -415,6 +437,10 @@ _MALFORMED_MESSAGE = {
         "clifford_links[0]: unknown child character phi{9,9}",
     "induction row naming a character G7 lacks":
         "clifford_links[0]: unknown parent character phi{9,9}",
+    "table prime 4": "hyperplane_tables[1]: primes [4] are not primes "
+                     "dividing the group order 24",
+    "class_orders a string": "character_table: class_orders 'abcdefg' "
+                             "is not a list of 7 strings",
 }
 
 
