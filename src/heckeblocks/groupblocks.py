@@ -6,9 +6,8 @@ here; engine and clifford import them.  Partition.of validates outside
 input; derived partitions come from Partition.by_key or generated_by.
 Two characters lie in the same p-block when their central characters agree
 modulo a prime ideal above p; it suffices to test one deterministic prime
-ideal and close the resulting partition under the Galois action on rows,
-whose permutations CharacterTable.of computes once, when it checks the
-table, and stores in CharacterTable.row_permutations.
+ideal and close the partition under Galois.  CharacterTable.of computes the
+central characters and the row permutations once; p_blocks reads them.
 """
 
 from __future__ import annotations
@@ -118,13 +117,15 @@ def join(ps: list[Partition]) -> Partition:
 class CharacterTable(NamedTuple):
     """Ordinary character table; rows follow GroupDatum.characters.
 
-    Built by of(), which checks the table and fills row_permutations: for
-    each sigma in (Z/N)^x, in ascending order, the 1-based image of each
-    row, so that row i goes to row row_permutations[k][i - 1]."""
+    Built by of(), which checks the table and computes, once: the CycInt
+    central_characters[chi][c] = central_character(table, chi, c), and
+    row_permutations: for each sigma in (Z/N)^x, in ascending order, the
+    1-based image of each row, so row i goes to row_permutations[k][i - 1]."""
 
     conductor: int
     class_sizes: tuple[int, ...]
     values: tuple[tuple[CycInt, ...], ...]
+    central_characters: tuple[tuple[CycInt, ...], ...]
     row_permutations: tuple[tuple[int, ...], ...]
     class_order_labels: tuple[str, ...] | None = None
 
@@ -134,12 +135,13 @@ class CharacterTable(NamedTuple):
         """The table, checked as p_blocks relies on it at every prime: each
         central character is integral, and Galois conjugation permutes the
         rows.  Raises ValueError naming the corrupt row or class."""
-        table = CharacterTable(conductor, class_sizes, values, (),
+        table = CharacterTable(conductor, class_sizes, values, (), (),
                                class_order_labels)
-        for chi in range(table.n_chars):
-            for c in range(len(class_sizes)):
-                central_character(table, chi, c)
-        return table._replace(row_permutations=_row_permutations(table))
+        central = tuple(tuple(central_character(table, chi, c)
+                              for c in range(len(class_sizes)))
+                        for chi in range(table.n_chars))
+        return table._replace(central_characters=central,
+                              row_permutations=_row_permutations(table))
 
     @property
     def group_order(self) -> int:
@@ -154,7 +156,8 @@ class CharacterTable(NamedTuple):
 
 
 def central_character(t: CharacterTable, chi_index: int, class_index: int) -> CycInt:
-    """omega_chi(class sum) = |C| * chi(g) / chi(1), an algebraic integer."""
+    """omega_chi(class sum) = |C| * chi(g) / chi(1), an algebraic integer;
+    CharacterTable.of computes each once, at construction, and stores it."""
     val = t.values[chi_index][class_index] * t.class_sizes[class_index]
     deg = t.degree(chi_index)
     try:
@@ -197,13 +200,12 @@ def galois_close(t: CharacterTable, pi: Partition) -> Partition:
 
 def p_blocks(t: CharacterTable, p: int) -> Partition:
     """Blocks of the p-modular group algebra: the characters grouped by the
-    residues of their central characters at one prime ideal P above p
-    (equal residues mean congruence mod P), then closed under Galois by
-    galois_close, which reads the row permutations stored in the table."""
+    residues (equal exactly when congruent mod P) of the central characters
+    that CharacterTable.of stored, at one prime ideal P above p, then closed
+    under Galois by galois_close, which reads the stored row permutations."""
     if t.group_order % p:
         return Partition.singletons(t.n_chars)
     handle = prime_handle(p, t.conductor)
     return galois_close(t, Partition.by_key([
-        tuple(residue(central_character(t, chi, c), handle)
-              for c in range(len(t.class_sizes)))
-        for chi in range(t.n_chars)]))
+        tuple(residue(omega, handle) for omega in row)
+        for row in t.central_characters]))

@@ -172,7 +172,9 @@ def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):
         hp = Hyperplane(normal)
     blocks = Partition.of(
         [[exact_int(i) for i in part] for part in tdoc["blocks"]], len(g.characters))
-    primes, allowed = tdoc.get("primes", []), g.primes
+    primes, allowed = tdoc["primes"], g.primes
+    if primes == []:
+        raise ValueError("primes [] is empty; a table lists at least one prime")
     if not isinstance(primes, list) or not all(
             type(p) is int and p in allowed for p in primes):
         raise ValueError(f"primes {primes!r} are not primes "

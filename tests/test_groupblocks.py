@@ -164,6 +164,25 @@ def test_p_blocks_read_the_row_permutations_stored_at_load(g4, monkeypatch):
         assert galois_close(table, pi) == pi
 
 
+def test_p_blocks_read_the_central_characters_stored_at_load(g4, monkeypatch):
+    """Loading G4 computed its central characters; p_blocks computes none
+    again, and gives the partitions the benchmark recorded."""
+    golden = json.loads((Path(__file__).parents[1] / "perfbench"
+                         / "golden_schur.json").read_text())["partitions"]
+
+    def compute_again(t, chi_index, class_index):
+        raise AssertionError("central character computed after load")
+
+    monkeypatch.setattr(groupblocks, "central_character", compute_again)
+    table = g4.character_table
+    expected = {2: golden["p_blocks/G4/2"], 3: golden["p_blocks/G4/3"],
+                5: Partition.singletons(7).as_lists()}
+    assert expected[2] == [[1, 2, 3, 4, 5, 6, 7]]
+    assert expected[3] == [[1, 2, 3], [4, 5, 6], [7]]
+    for p, parts in expected.items():
+        assert p_blocks(table, p).as_lists() == parts
+
+
 # ---------------------------------------------------------------------------
 # oracle 2: Todd-Coxeter coset enumeration for the shipped group orders
 # ---------------------------------------------------------------------------
@@ -428,6 +447,16 @@ _HAND_BUILT = {
 def test_p_blocks_agree_with_the_pairwise_oracle(g4, name, p):
     table = g4.character_table if name == "G4" else _HAND_BUILT[name]()
     assert p_blocks(table, p) == _oracle_p_blocks(table, p)
+
+
+@pytest.mark.parametrize("name", ["G4", *_HAND_BUILT])
+def test_stored_central_characters_match_central_character(g4, name):
+    table = g4.character_table if name == "G4" else _HAND_BUILT[name]()
+    assert len(table.central_characters) == table.n_chars
+    for chi, row in enumerate(table.central_characters):
+        assert len(row) == len(table.class_sizes)
+        for c, omega in enumerate(row):
+            assert omega == central_character(table, chi, c), (chi, c)
 
 
 def test_galois_close_agrees_with_the_joined_images():

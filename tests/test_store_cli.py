@@ -387,6 +387,13 @@ _MALFORMED = {
     "class_orders a string": (
         "g4.json",
         lambda d: d["character_table"].__setitem__("class_orders", "abcdefg")),
+    # a table at no prime loaded and verified: essential-hyperplanes G4
+    # --prime 0 listed its hyperplane, and no --prime p did
+    "table without primes": (
+        "g4.json", lambda d: d["hyperplane_tables"][1].pop("primes")),
+    "table at no prime": (
+        "g4.json",
+        lambda d: d["hyperplane_tables"][1].__setitem__("primes", [])),
 }
 
 # The report line a case must give, where it is pinned: its JSON location,
@@ -441,6 +448,9 @@ _MALFORMED_MESSAGE = {
                      "dividing the group order 24",
     "class_orders a string": "character_table: class_orders 'abcdefg' "
                              "is not a list of 7 strings",
+    "table without primes": "hyperplane_tables[1]: missing key 'primes'",
+    "table at no prime": "hyperplane_tables[1]: primes [] is empty; "
+                         "a table lists at least one prime",
 }
 
 
