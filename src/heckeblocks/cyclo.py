@@ -653,6 +653,8 @@ def is_p_essential_factor(psi: KCyclotomic, p: int) -> bool:
     The conjugates of Psi(1) multiply to a power of Phi_d(1), d the root
     order, which is q when d is a power of a prime q and 1 otherwise.
     """
+    if p < 2:
+        raise ValueError(f"p = {p} is below 2")
     d = psi.root.order
     while d % p == 0:
         d //= p

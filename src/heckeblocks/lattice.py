@@ -5,6 +5,13 @@ vectors.  A morphism *associated* with a primitive vector M is a surjection
 Z^n -> Z^(n-1) whose kernel is exactly the line Z.M; *adapted* morphisms are
 composites of associated ones.  These are the maps along which cyclotomic
 specializations are decomposed.
+
+Surjectivity, kernels, sections and basis completion all read one column
+echelon form A*V = H with V unimodular.  H's first rank columns have
+positive pivots in rising rows with zeros above them, a pivot 1 is the only
+nonzero entry of its row, and H's other columns are 0.  So A is onto Z^rows
+exactly when H = [I | 0], V's first rows columns are then a section, and
+V's columns past the rank are a saturated basis of the kernel.
 """
 
 from __future__ import annotations
@@ -50,11 +57,8 @@ class LatticeMorphism(NamedTuple):
         return tuple(dot(row, v) for row in self.matrix)
 
     def is_surjective(self) -> bool:
-        if self.rows > self.cols:
-            return False
-        _, s, _ = _smith(self.matrix)
-        divisors = [s[i][i] for i in range(self.rows)]
-        return all(abs(d) == 1 for d in divisors)
+        rank, h, _ = _column_echelon(self.matrix)
+        return rank == self.rows and all(h[k][k] == 1 for k in range(rank))
 
 
 def dot(u: IntVector, v: IntVector) -> int:
@@ -104,88 +108,33 @@ def bezout_cofactors(v: IntVector) -> IntVector:
     return tuple(cof)
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _smith(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form with transforms: U * A * V = S, U and V unimodular."""
-    s = [list(row) for row in a]
-    m = len(s)
-    n = len(s[0]) if m else 0
-    u = _identity(m)
-    v = _identity(n)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # find a pivot of least absolute value in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] and (best is None or abs(s[i][j]) < best):
-                    best = abs(s[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+def _column_echelon(a: Matrix) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(rank, H, V) as lists of rows, with A*V = H as the module docstring
+    says.  Each row of A in turn is gathered into the next pivot column by
+    one extended gcd per entry right of it, on [A; I] at once."""
+    m, n = len(a), len(a[0])
+    w = [list(row) for row in a] + [[int(i == j) for j in range(n)] for i in range(n)]
+    rank = 0
+    for row in w[:m]:
+        if rank == n:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = False
-        for i in range(t + 1, m):
-            if s[i][t]:
-                q = s[i][t] // s[t][t]
-                add_row(i, t, -q)
-                if s[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if s[t][j]:
-                q = s[t][j] // s[t][t]
-                add_col(j, t, -q)
-                if s[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # force divisibility of the remaining block by the pivot
-        rem = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t]:
-                    rem = i
-                    break
-            if rem is not None:
-                break
-        if rem is not None:
-            add_row(t, rem, 1)
-            continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return (
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in s),
-        tuple(tuple(r) for r in v),
-    )
+        for j in range(rank + 1, n):
+            if row[j]:
+                g, x, y = _egcd(row[rank], row[j])
+                p, q = row[rank] // g, row[j] // g
+                for r in w:
+                    r[rank], r[j] = x * r[rank] + y * r[j], p * r[j] - q * r[rank]
+        if row[rank] < 0:
+            for r in w:
+                r[rank] = -r[rank]
+        if row[rank] == 1:
+            for k in range(rank):
+                c = row[k]
+                for r in w:
+                    r[k] -= c * r[rank]
+        if row[rank]:
+            rank += 1
+    return rank, w[:m], w[m:]
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -194,24 +143,19 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _kernel_basis(a: Matrix) -> list[IntVector]:
-    """Basis of the integer kernel (columns of V past the Smith rank)."""
-    _, s, v = _smith(a)
-    rank = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i])
-    n = len(a[0])
-    return [tuple(v[i][j] for i in range(n)) for j in range(rank, n)]
+    """Basis of the integer kernel: the columns of V past the rank."""
+    rank, _, v = _column_echelon(a)
+    return list(zip(*v))[rank:]
 
 
 def _section(a: Matrix) -> Matrix:
-    """Integer right inverse of a surjective matrix."""
-    u, s, v = _smith(a)
-    m, n = len(a), len(a[0])
-    if any(abs(s[i][i]) != 1 for i in range(m)):
+    """Integer right inverse of a surjective matrix: A*V = [I | 0], so it
+    is V's first rows(A) columns."""
+    m = len(a)
+    rank, h, v = _column_echelon(a)
+    if rank < m or any(h[k][k] != 1 for k in range(m)):
         raise ValueError("matrix is not surjective over the integers")
-    # R = V * [D^-1; 0] * U
-    mid = tuple(
-        tuple(s[j][j] * u[j][k] if j < m else 0 for k in range(m)) for j in range(n)
-    )
-    return _mat_mul(v, mid)
+    return tuple(tuple(row[:m]) for row in v)
 
 
 def associated_morphism(m_vec: IntVector) -> LatticeMorphism:
@@ -220,8 +164,8 @@ def associated_morphism(m_vec: IntVector) -> LatticeMorphism:
 
     Construction: with cofactors u (so <u, M> = 1), the projector
     I - M u^T kills M; dropping one dependent row (least index with
-    cofactor +-1, falling back to a Smith-form basis completion) leaves a
-    surjection onto Z^(n-1).
+    cofactor +-1, falling back to a basis completion by the column echelon
+    form) leaves a surjection onto Z^(n-1).
     """
     prim, content = primitive_part(m_vec)
     if content == 0:
@@ -243,10 +187,10 @@ def associated_morphism(m_vec: IntVector) -> LatticeMorphism:
             )
         matrix = tuple(rows)
     else:
-        # complete M to a basis: U * M_col has a single unit entry at the top
-        u, s, _ = _smith(tuple((x,) for x in m_vec))
-        assert abs(s[0][0]) == 1
-        matrix = u[1:]
+        # complete M to a basis: M * V = e_1 with V unimodular, so the rows
+        # of V^T after the first kill M and map onto Z^(n-1)
+        _, _, v = _column_echelon((tuple(m_vec),))
+        matrix = tuple(zip(*v))[1:]
     morph = LatticeMorphism(tuple(matrix), "associated", tuple(m_vec))
     if morph.apply(m_vec) != (0,) * (n - 1) or not morph.is_surjective():
         raise AssertionError("associated morphism construction failed its contract")

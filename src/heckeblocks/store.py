@@ -192,6 +192,8 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
                    for i, row in enumerate(tdoc["values"]))
     labels = tdoc.get("class_orders")
     bad = []
+    if any(s < 1 for s in class_sizes):
+        bad.append(f"class sizes {list(class_sizes)} are not all positive")
     if "class_orders" in tdoc and not (
             isinstance(labels, list) and len(labels) == len(class_sizes)
             and all(isinstance(s, str) for s in labels)):

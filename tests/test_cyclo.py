@@ -483,3 +483,11 @@ def test_fast_essentiality_matches_norm_oracle_under_ten_seconds():
                     checked += 1
     assert checked > 9000
     assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_essentiality_rejects_p_below_two(p):
+    """p = 1 once divided the root order by 1 forever; p = 0 divided by 0."""
+    psi = KCyclotomic.of(3, RootOfUnity.of(4, 1))
+    with pytest.raises(ValueError):
+        is_p_essential_factor(psi, p)

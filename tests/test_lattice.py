@@ -2,13 +2,18 @@
 adapted refactoring, and specialization decomposition."""
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeblocks.lattice import (
     LatticeMorphism,
+    _kernel_basis,
+    _section,
     associated_morphism,
     bezout_cofactors,
     compose,
@@ -172,3 +177,66 @@ def test_primitive_part_property(v):
     else:
         assert content >= 1
         assert tuple(content * c for c in prim) == tuple(v)
+
+
+# ---------------------------------------------------------------------------
+# the column echelon's consumers against sympy
+# ---------------------------------------------------------------------------
+
+
+def minor_gcd(a):
+    """gcd of the maximal minors; 0 if there are none (more rows than
+    columns).  A is onto Z^rows exactly when it is 1."""
+    m, n = len(a), len(a[0])
+    g = 0
+    for cols in combinations(range(n), m):
+        g = gcd(g, int(sympy.Matrix([[row[j] for j in cols] for row in a]).det()))
+    return g
+
+
+def random_matrices(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        yield tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
+
+
+def test_is_surjective_matches_the_minor_gcd():
+    seen = set()
+    for a in random_matrices(41, 400):
+        surjective = LatticeMorphism(a, "adapted").is_surjective()
+        assert surjective == (minor_gcd(a) == 1), a
+        seen.add(surjective)
+    assert seen == {True, False}
+
+
+def test_kernel_basis_has_full_rank_and_is_killed():
+    for a in random_matrices(43, 400):
+        basis = _kernel_basis(a)
+        assert len(basis) == len(a[0]) - sympy.Matrix(a).rank(), a
+        for k in basis:
+            assert all(sum(x * y for x, y in zip(row, k)) == 0 for row in a)
+
+
+def test_section_is_a_right_inverse():
+    done = 0
+    for a in random_matrices(47, 400):
+        if minor_gcd(a) != 1:
+            with pytest.raises(ValueError):
+                _section(a)
+            continue
+        m = len(a)
+        assert sympy.Matrix(a) * sympy.Matrix(_section(a)) == sympy.eye(m), a
+        done += 1
+    assert done > 50
+
+
+@pytest.mark.parametrize("m", [(5, 7), (-7, -5, 0)])
+def test_associated_morphism_by_basis_completion(m):
+    """No cofactor is +-1, so no row of I - M u^T can be dropped."""
+    assert not any(abs(c) == 1 for c in bezout_cofactors(m))
+    phi = associated_morphism(m)
+    assert phi.rows == len(m) - 1 and phi.kernel_generator == m
+    assert phi.apply(m) == (0,) * phi.rows
+    # onto Z^(n-1), so of rank n - 1: the kernel is the line through m
+    assert minor_gcd(phi.matrix) == 1

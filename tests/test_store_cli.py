@@ -394,6 +394,15 @@ _MALFORMED = {
     "table at no prime": (
         "g4.json",
         lambda d: d["hyperplane_tables"][1].__setitem__("primes", [])),
+    # both sum to |G4| = 24: each loaded, verified and gave p-blocks
+    "negative class size": (
+        "g4.json",
+        lambda d: d["character_table"].__setitem__(
+            "class_sizes", [1, 1, 6, 4, -4, 12, 4])),
+    "class size zero": (
+        "g4.json",
+        lambda d: d["character_table"].__setitem__(
+            "class_sizes", [1, 1, 6, 0, 4, 8, 4])),
 }
 
 # The report line a case must give, where it is pinned: its JSON location,
@@ -451,6 +460,10 @@ _MALFORMED_MESSAGE = {
     "table without primes": "hyperplane_tables[1]: missing key 'primes'",
     "table at no prime": "hyperplane_tables[1]: primes [] is empty; "
                          "a table lists at least one prime",
+    "negative class size": "character_table: class sizes "
+                           "[1, 1, 6, 4, -4, 12, 4] are not all positive",
+    "class size zero": "character_table: class sizes "
+                       "[1, 1, 6, 0, 4, 8, 4] are not all positive",
 }
 
 
