@@ -35,6 +35,7 @@ __all__ = [
     "exact_int",
     "factorint",
     "isprime",
+    "check_prime",
     "prime_handle",
     "in_prime_ideal",
     "residue",
@@ -91,6 +92,12 @@ def factorint(n: int) -> dict[int, int]:
 def isprime(n: int) -> bool:
     """Primality by factorint; ValueError past its bound."""
     return n > 1 and factorint(n) == {n: 1}
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is prime, TypeError unless it is an int."""
+    if not isprime(exact_int(p)):
+        raise ValueError(f"{p} is not prime")
 
 
 @lru_cache(maxsize=None)
@@ -501,8 +508,7 @@ _SPLIT_ATTEMPTS = 64
 def prime_handle(p: int, conductor: int) -> PrimeIdealHandle:
     """Handle of a prime of Z[zeta_N] over p: the lexicographically least
     of the monic irreducible factors of Phi_N over GF(p)."""
-    if not isprime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if conductor == 1:
         # Degenerate convention: membership reduces to divisibility by p.
         return PrimeIdealHandle(p, 1, (0, 1))
@@ -648,13 +654,13 @@ def cyclotomic_at_root(n: int, root: RootOfUnity) -> CycInt:
 
 
 def is_p_essential_factor(psi: KCyclotomic, p: int) -> bool:
-    """Whether p divides the norm of Psi(1).
+    """Whether the prime p divides the norm of Psi(1); ValueError when p
+    is not prime.
 
     The conjugates of Psi(1) multiply to a power of Phi_d(1), d the root
     order, which is q when d is a power of a prime q and 1 otherwise.
     """
-    if p < 2:
-        raise ValueError(f"p = {p} is below 2")
+    check_prime(p)
     d = psi.root.order
     while d % p == 0:
         d //= p

@@ -2,17 +2,18 @@
 
 The table path joins stored per-hyperplane block partitions for the
 hyperplanes a specialization lies on.  The Schur path re-derives those
-partitions from factorized Schur elements: a seed set of characters, chosen
-by coefficient divisibility, split by the group-theoretic p-blocks and by
-a + A, compared exactly through its weight vector.  rouquier_blocks answers
-a query along either path.  Partition, meet and join live in groupblocks
-and are re-exported here.
+partitions from factorized Schur elements: the seed characters, chosen by
+coefficient divisibility or p-essentiality, that share a group p-block and
+an exact a + A weight class form groups, which generate the partition.
+rouquier_blocks answers a query along either path.  Partition, meet and
+join live in groupblocks and are re-exported here.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .cyclo import check_prime
 from .groupblocks import Partition, join, meet, p_blocks
 from .lattice import IntVector, dot, primitive_part
 from .schur import GroupDatum, bad_primes, essential_normals, sign_canonical
@@ -106,16 +107,16 @@ def rouquier_blocks(
         return [t.hyperplane for t in hit], join([baseline] + [t.blocks for t in hit])
     if path != "schur":
         raise ValueError(f"unknown path {path!r}")
-    primes = sorted(bad_primes(g, spec.n))
     hit: set[IntVector] = set()
-    parts = [Partition.singletons(len(g.characters))]
-    for p in primes:
-        parts.append(blocks_no_hyperplane(g, p))
+    groups: list = []
+    for p in sorted(bad_primes(g, spec.n)):
+        groups += blocks_no_hyperplane(g, p).parts
         for normal in sorted(essential_normals(g, [p])):
             if dot(normal, spec.n) == 0:
                 hit.add(normal)
-                parts.append(_hyperplane_blocks(g, p, normal))
-    return [Hyperplane(v) for v in sorted(hit)], join(parts)
+                groups += _heuristic_groups(g, p, normal)
+    return ([Hyperplane(v) for v in sorted(hit)],
+            Partition.generated_by(groups, len(g.characters)))
 
 
 def rouquier_from_tables(g: GroupDatum, spec: Specialization) -> Partition:
@@ -129,12 +130,12 @@ def rouquier_from_tables(g: GroupDatum, spec: Specialization) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _heuristic_blocks(g: GroupDatum, p: int, seed: list[int],
-                      normal: IntVector | None = None) -> Partition:
-    """Steps 2-3 of the heuristic: the seed part (characters with stored
-    Schur data; every other character a singleton) split by the group
-    p-blocks and by a + A at every admissible specialization: off every
-    essential hyperplane, or on the one with normal h only.
+def _seed_groups(g: GroupDatum, p: int, seed: dict[int, IntVector],
+                 normal: IntVector | None = None) -> list[list[int]]:
+    """Steps 2-3 of the heuristic: the groups of two or more seed
+    characters (seed maps each to its weight) that share a key, which
+    decides their p-block and a + A at every admissible specialization:
+    off every essential hyperplane, or on the one with normal h only.
 
     mu * (a + A) at n is <w, n>, w = aa_weight.  The admissible vectors
     are the integer points of Q^m, or of h's hyperplane, off finitely many
@@ -143,53 +144,55 @@ def _heuristic_blocks(g: GroupDatum, p: int, seed: list[int],
     key is its p-block number (0 with no character table) and w, on h's
     hyperplane reduced to h[k] * w - w[k] * h (k the first index with
     h[k] != 0), which is linear in w with kernel Q * h."""
-    size = len(g.characters)
     if len(seed) < 2:
-        return Partition.singletons(size)
+        return []
     block = dict.fromkeys(seed, 0)
     if g.character_table is not None:
         for b, part in enumerate(p_blocks(g.character_table, p).parts):
             block.update((i, b) for i in part if i in block)
-    facts = g.stored_facts()
-    keys: list = list(range(size))  # distinct ints: singletons, but the seed's
-    for i in seed:
-        w = facts[i].weight
+    groups: dict = {}
+    for i, w in seed.items():
         if normal is not None:
             hk, wk = next((c, x) for c, x in zip(normal, w) if c)
             w = tuple(hk * x - wk * c for x, c in zip(w, normal))
-        keys[i - 1] = (block[i], w)
-    return Partition.by_key(keys)
+        groups.setdefault((block[i], w), []).append(i)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def _heuristic_groups(g: GroupDatum, p: int,
+                      normal: IntVector | None = None) -> list[list[int]]:
+    """The seed groups off every essential hyperplane (seed: N(xi) divisible
+    by p) or on a primitive sign-canonical normal's (seed: it is p-essential).
+    Two calls' groups generate the join of their two partitions."""
+    if g.group_order % p:
+        return []
+    return _seed_groups(g, p, {
+        i: f.weight for i, f in g.stored_facts().items()
+        if ((p, normal) in f.essential if normal else f.norm % p == 0)},
+        normal)
 
 
 def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:
-    """Candidate blocks away from every essential hyperplane.
-
-    The seed part holds the characters with stored Schur data whose
-    coefficient xi has norm divisible by p; the group p-blocks and a + A
-    can only split it, and every other character stays a singleton.  The
-    result is therefore no guaranteed coarsening of the true blocks: on
-    G7, whose payload covers 3 of 42 characters, it is 42 singletons,
-    finer than the stored 29-part baseline.  Only the stored tables are
-    authoritative.  The norms, weights and essential monomials come from
-    g.schur_facts, which store.load computes once per datum."""
-    if g.group_order % p:
-        return Partition.singletons(len(g.characters))
-    heavy = [i for i, f in g.stored_facts().items() if f.norm % p == 0]
-    return _heuristic_blocks(g, p, heavy)
+    """Candidate blocks away from every essential hyperplane, for a prime p
+    (ValueError otherwise): the seed groups of the characters whose xi has
+    norm divisible by p, every other character a singleton (all of them
+    when p does not divide |G|).  So the result is no guaranteed coarsening
+    of the true blocks: on G7, whose payload covers 3 of 42 characters, it
+    is 42 singletons, finer than the stored 29-part baseline; only the
+    stored tables are authoritative.  The norms, weights and essential
+    monomials are g.schur_facts, which store.load computes once per datum."""
+    check_prime(p)
+    return Partition.generated_by(_heuristic_groups(g, p), len(g.characters))
 
 
 def blocks_one_hyperplane(g: GroupDatum, p: int, h: Hyperplane) -> Partition:
     """Candidate blocks on a single essential hyperplane, joined with the
-    no-hyperplane blocks."""
-    on_h = _hyperplane_blocks(g, p, sign_canonical(h.normal))
-    return join([on_h, blocks_no_hyperplane(g, p)])
-
-
-def _hyperplane_blocks(g: GroupDatum, p: int, normal: IntVector) -> Partition:
-    """blocks_one_hyperplane before the join with the no-hyperplane blocks,
-    for a sign-canonical normal."""
-    if g.group_order % p:
-        return Partition.singletons(len(g.characters))
-    core = [i for i, f in g.stored_facts().items()
-            if (p, normal) in f.essential]
-    return _heuristic_blocks(g, p, core, normal)
+    no-hyperplane blocks: generated by the seed groups on h and off every
+    hyperplane together.  h's normal counts up to a nonzero scalar; raises
+    ValueError for a p not prime or a zero normal, BadExponents for a
+    normal without one entry per slot."""
+    check_prime(p)
+    g.check_exponents(h.normal)
+    normal = Hyperplane.of(h.normal).normal
+    groups = _heuristic_groups(g, p, normal) + _heuristic_groups(g, p)
+    return Partition.generated_by(groups, len(g.characters))

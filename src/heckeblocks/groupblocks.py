@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cyclo import CycInt, _units, prime_handle, residue
+from .cyclo import CycInt, _units, check_prime, prime_handle, residue
 
 __all__ = ["CharacterTable", "Partition", "meet", "join", "central_character",
            "p_blocks", "galois_close"]
@@ -42,7 +42,10 @@ class Partition(NamedTuple):
         """The finest partition of 1..size in which each given group of
         indices lies in one part, by union-find.  Links point to smaller
         indices, so one pass over 1..size in increasing order reads each
-        root off the parent's, already found."""
+        root off the parent's, already found.  No groups give the
+        singletons at once."""
+        if not groups:
+            return Partition.singletons(size)
         parent = list(range(size + 1))
         for group in filter(None, groups):
             root = group[0]
@@ -202,7 +205,9 @@ def p_blocks(t: CharacterTable, p: int) -> Partition:
     """Blocks of the p-modular group algebra: the characters grouped by the
     residues (equal exactly when congruent mod P) of the central characters
     that CharacterTable.of stored, at one prime ideal P above p, then closed
-    under Galois by galois_close, which reads the stored row permutations."""
+    under Galois by galois_close, which reads the stored row permutations.
+    ValueError when p is not prime; singletons when p does not divide |G|."""
+    check_prime(p)
     if t.group_order % p:
         return Partition.singletons(t.n_chars)
     handle = prime_handle(p, t.conductor)

@@ -485,9 +485,11 @@ def test_fast_essentiality_matches_norm_oracle_under_ten_seconds():
     assert time.monotonic() - start < 10.0
 
 
-@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
 def test_essentiality_rejects_p_below_two(p):
-    """p = 1 once divided the root order by 1 forever; p = 0 divided by 0."""
-    psi = KCyclotomic.of(3, RootOfUnity.of(4, 1))
+    """p = 1 once divided the root order by 1 forever; p = 0 divided by 0.
+    A composite p is no prime either: 4, 6 and 9 once answered True for
+    root orders 4, 6 and 9 over Q, whose Psi(1) have norms 2, 1 and 3."""
+    psi = KCyclotomic.of(1, RootOfUnity.of(max(p, 4), 1))
     with pytest.raises(ValueError):
         is_p_essential_factor(psi, p)

@@ -185,6 +185,57 @@ def test_one_hyperplane_blocks_on_difference_hyperplane(g7):
     assert blocks.part_of(1) != blocks.part_of(39)
 
 
+H_G7 = (1, -1, 2, -1, -1, 2, -1, -1)
+
+
+def test_one_hyperplane_blocks_read_the_normal_up_to_scale(g7):
+    """A hyperplane is the same whatever nonzero multiple names it: 2 * H
+    once gave 42 singletons where H gives the part (1, 28, 39), since the
+    seed was looked up by the normal as given.  A zero normal names no
+    hyperplane, and a short one is not a vector of G7's 8 slots."""
+    for normal in (H_G7, tuple(2 * c for c in H_G7), tuple(-c for c in H_G7)):
+        blocks = blocks_one_hyperplane(g7, 2, Hyperplane(normal))
+        assert blocks.part_of(1) == (1, 28, 39), normal
+        assert blocks == blocks_one_hyperplane(g7, 2, Hyperplane(H_G7))
+    with pytest.raises(ValueError, match="^zero vector does not define"):
+        blocks_one_hyperplane(g7, 2, Hyperplane((0,) * 8))
+    with pytest.raises(ValueError, match="^G7 needs 8 exponents, got 2$"):
+        blocks_one_hyperplane(g7, 2, Hyperplane((1, -1)))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, -2])
+def test_heuristic_and_p_blocks_reject_a_p_that_is_not_prime(g4, g7, p):
+    """p = 1, 4, 6 and -2 once gave partitions, and p = 0 a
+    ZeroDivisionError from |G| % p."""
+    calls = [lambda: blocks_no_hyperplane(g7, p),
+             lambda: blocks_one_hyperplane(g7, p, Hyperplane(H_G7)),
+             lambda: p_blocks(g4.character_table, p)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            call()
+
+
+@pytest.mark.parametrize("p", [3.0, True])
+def test_heuristic_and_p_blocks_reject_a_p_that_is_no_int(g4, g7, p):
+    """3.0 once passed the primality test, and p_blocks then raised a raw
+    TypeError from the prime ideal's construction."""
+    calls = [lambda: blocks_no_hyperplane(g7, p),
+             lambda: blocks_one_hyperplane(g7, p, Hyperplane(H_G7)),
+             lambda: p_blocks(g4.character_table, p)]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"^{p!r} is not an integer$"):
+            call()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_heuristic_and_p_blocks_at_a_prime_not_dividing_the_order(
+        g4, g7, p):
+    assert blocks_no_hyperplane(g7, p) == Partition.singletons(42)
+    assert blocks_one_hyperplane(g7, p, Hyperplane(H_G7)) == \
+        Partition.singletons(42)
+    assert p_blocks(g4.character_table, p) == Partition.singletons(7)
+
+
 class _Unreadable:
     """A stand-in weight that fails wherever the heuristic would use it."""
 
@@ -311,17 +362,34 @@ def test_aa_partition_matches_specialized_a_plus_A(g7):
 # ---------------------------------------------------------------------------
 
 
+def _keyed(g, p, seed, normal=None):
+    """The partition that engine._seed_groups gives the seed characters,
+    with their weights read off g's index, every other character a
+    singleton: the heuristic's result for one seed."""
+    facts = g.stored_facts()
+    groups = engine._seed_groups(g, p, {i: facts[i].weight for i in seed},
+                                 normal)
+    return Partition.generated_by(groups, len(g.characters))
+
+
+def _groups_by_meets(g, p, seed, normal=None):
+    """engine._seed_groups' answer read off the meet loop: the oracle's
+    parts of two or more characters."""
+    oracle = _heuristic_by_meets(g, p, list(seed), normal)
+    return [list(part) for part in oracle.parts if len(part) > 1]
+
+
 def _heuristic_calls(g, monkeypatch):
-    """(p, seed, normal) of every _heuristic_blocks call made by the
+    """(p, seed, normal) of every _seed_groups call made by the
     no-hyperplane and one-hyperplane jobs at p = 2, 3 and 5."""
-    calls, real = [], engine._heuristic_blocks
+    calls, real = [], engine._seed_groups
 
     def record(g, p, seed, normal=None):
         calls.append((p, list(seed), normal))
         return real(g, p, seed, normal)
 
     with monkeypatch.context() as m:
-        m.setattr(engine, "_heuristic_blocks", record)
+        m.setattr(engine, "_seed_groups", record)
         for p in (2, 3, 5):
             blocks_no_hyperplane(g, p)
             for h in sorted(essential_normals(g, [p])):
@@ -336,8 +404,59 @@ def test_heuristic_blocks_match_specialized_grouping(name, monkeypatch):
     calls = _heuristic_calls(g, monkeypatch)
     assert len(calls) == {"G4": 2, "G6": 2, "G7": 28}[name]
     for call in calls:
-        assert engine._heuristic_blocks(g, *call) == \
-            _heuristic_by_meets(g, *call), call
+        assert _keyed(g, *call) == _heuristic_by_meets(g, *call), call
+
+
+def _one_hyperplane_by_meets(g, p, normal,
+                             grouping=_aa_partition_by_specialization):
+    """blocks_one_hyperplane as it was: the join of the meet-loop oracle on
+    the normal's hyperplane and off every hyperplane, singletons when p
+    does not divide |G|."""
+    if g.group_order % p:
+        return Partition.singletons(len(g.characters))
+    facts = g.stored_facts()
+    core = [i for i, f in facts.items() if (p, normal) in f.essential]
+    heavy = [i for i, f in facts.items() if f.norm % p == 0]
+    return join([_heuristic_by_meets(g, p, core, normal, grouping),
+                 _heuristic_by_meets(g, p, heavy, None, grouping)])
+
+
+def _index_grouping(g, n):
+    """Characters grouped by <w, n>, w their weight in g's index."""
+    sums = {}
+    for i, f in g.stored_facts().items():
+        sums.setdefault(dot(f.weight, n), []).append(i)
+    return Partition.generated_by(sums.values(), len(g.characters))
+
+
+@pytest.mark.parametrize("name", ["G4", "G6", "G7", "G7 cut", "G7 stand-in"])
+def test_one_hyperplane_blocks_match_the_joined_meet_loops(name):
+    """blocks_one_hyperplane, which lets the seed groups on h and off every
+    hyperplane generate one partition, against the join of the two
+    meet-loop partitions, at every essential normal (every stored one on
+    G4 and G6, which have no Schur data) and p = 2, 3, 5.  The shipped
+    data never give a group off every hyperplane, so the stand-in G7 makes
+    every norm 0 and character 39's weight character 1's: off every
+    hyperplane at p = 2 and 3, 1 and 39 form a group."""
+    g, grouping = load_group(name.split()[0]), _aa_partition_by_specialization
+    if name.endswith("cut"):
+        g = g._replace(characters=tuple(g.schur_elements))
+    if name.endswith("stand-in"):
+        w = g.stored_facts()[1].weight
+        g = g._replace(schur_facts={
+            label: f._replace(norm=0, weight=w if label == g.characters[38]
+                              else f.weight)
+            for label, f in g.schur_facts.items()})
+        grouping = _index_grouping
+        assert engine._heuristic_groups(g, 2) == [[1, 39]]
+        assert engine._heuristic_groups(g, 3) == [[1, 39]]
+    normals = essential_normals(g, [2, 3]) | {
+        t.normal for t in g.stored_tables() if t.hyperplane is not None}
+    assert normals
+    for p in (2, 3, 5):
+        for h in sorted(normals):
+            assert blocks_one_hyperplane(g, p, Hyperplane(h)) == \
+                _one_hyperplane_by_meets(g, p, h, grouping), (p, h)
 
 
 def test_golden_jobs_match_the_meet_loop(monkeypatch):
@@ -349,7 +468,7 @@ def test_golden_jobs_match_the_meet_loop(monkeypatch):
     for key, expected in golden.items():
         assert _run_golden(groups, key).as_lists() == expected, key
         with monkeypatch.context() as m:
-            m.setattr(engine, "_heuristic_blocks", _heuristic_by_meets)
+            m.setattr(engine, "_seed_groups", _groups_by_meets)
             assert _run_golden(groups, key).as_lists() == expected, key
 
 
@@ -404,7 +523,7 @@ def test_heuristic_blocks_key_by_group_p_blocks(g7, monkeypatch):
         block_of = {i: k for k, part in enumerate(stand_in.parts)
                     for i in part}
         for call in calls:
-            keyed = engine._heuristic_blocks(g, *call)
+            keyed = _keyed(g, *call)
             assert keyed == _heuristic_by_meets(g, *call), (blocks, call)
             for part in keyed.parts:  # none crosses a stand-in block
                 assert len({block_of[i] for i in part}) == 1, (blocks, call)
@@ -414,7 +533,7 @@ def test_heuristic_blocks_key_by_group_p_blocks(g7, monkeypatch):
 # 28 and 39 in one part on it.  D_FIFTH is orthogonal to the first four
 # admissible vectors on H_MERGE and not to the fifth; D_BLIND to the first
 # five, since each of them has n[1] = 0.  Neither is parallel to H_MERGE.
-H_MERGE = (1, -1, 2, -1, -1, 2, -1, -1)
+H_MERGE = H_G7
 D_FIFTH = (-1, -1, 0, 0, 0, -1, 0, 0)
 D_BLIND = (0, 1, 0, 0, 0, 0, 0, 0)
 
@@ -470,7 +589,7 @@ def test_heuristic_blocks_on_stand_in_weights(g7, case, together, used):
         taken.append(n)
         return grouping(g, n)
 
-    blocks = engine._heuristic_blocks(g, 2, [1, 39], H_MERGE)
+    blocks = _keyed(g, 2, [1, 39], H_MERGE)
     assert blocks.part_of(39) == ((1, 39) if together else (39,))
     assert blocks == _heuristic_by_meets(g, 2, [1, 39], H_MERGE, counted)
     assert len(taken) == used
@@ -489,5 +608,5 @@ def test_exact_key_splits_what_the_sampled_vectors_merge(g7):
     g, grouping = _stand_in_weights(g7, _shifted(D_BLIND))
     sampled = _heuristic_by_meets(g, 2, [1, 39], H_MERGE, grouping)
     assert sampled.part_of(39) == (1, 39)
-    exact = engine._heuristic_blocks(g, 2, [1, 39], H_MERGE)
+    exact = _keyed(g, 2, [1, 39], H_MERGE)
     assert exact.part_of(39) == (39,)
