@@ -1,10 +1,13 @@
 """The two Rouquier-block computation paths.
 
 The table path joins stored per-hyperplane block partitions for the
-hyperplanes a specialization lies on.  The Schur path re-derives those
-partitions from factorized Schur elements: the seed characters, chosen by
-coefficient divisibility or p-essentiality, that share a group p-block and
-an exact a + A weight class form groups, which generate the partition.
+hyperplanes a specialization lies on; off every one it is the stored
+baseline (no essential hyperplane).  store.load checks that every table
+coarsens the baseline, so that join equals the join with the baseline.
+The Schur path re-derives those partitions from factorized Schur elements:
+the seed characters, chosen by coefficient divisibility or p-essentiality,
+that share a group p-block and an exact a + A weight class form groups,
+which generate the partition.
 rouquier_blocks answers a query along either path.  Partition, meet and
 join live in groupblocks and are re-exported here.
 """
@@ -15,8 +18,8 @@ from typing import NamedTuple
 
 from .cyclo import check_prime
 from .groupblocks import Partition, join, meet, p_blocks
-from .lattice import IntVector, dot, primitive_part
-from .schur import GroupDatum, bad_primes, essential_normals, sign_canonical
+from .lattice import IntVector, dot
+from .schur import GroupDatum, bad_primes, canonical_normal, essential_normals
 
 __all__ = [
     "Hyperplane",
@@ -39,10 +42,7 @@ class Hyperplane(NamedTuple):
 
     @staticmethod
     def of(vector: IntVector) -> "Hyperplane":
-        prim, content = primitive_part(vector)
-        if content == 0:
-            raise ValueError("zero vector does not define a hyperplane")
-        return Hyperplane(sign_canonical(prim))
+        return Hyperplane(canonical_normal(vector))
 
     def contains(self, n: IntVector) -> bool:
         return dot(self.normal, n) == 0
@@ -79,10 +79,13 @@ class Specialization(NamedTuple):
 def hyperplanes_containing(
     tables, spec: Specialization
 ) -> list[HyperplaneTable]:
-    """Stored tables whose hyperplane the specialization lies on."""
+    """Stored tables whose hyperplane the specialization lies on; never
+    the baseline.  store.load checks that each table coarsens the
+    baseline, so rouquier_blocks joins the blocks of these alone."""
+    n = spec.n
     return [
         t for t in tables
-        if t.hyperplane is not None and t.hyperplane.contains(spec.n)
+        if t.hyperplane is not None and dot(t.hyperplane.normal, n) == 0
     ]
 
 
@@ -93,18 +96,22 @@ def rouquier_blocks(
     Rouquier blocks, each computed once.
 
     path "tables": the hyperplanes of the stored tables, and the join of
-    the baseline blocks with their blocks.  path "schur": the p-essential
-    hyperplanes over the bad primes p of the specialization, and the join
-    over those primes of the heuristic blocks off every hyperplane and on
-    each hit one.  Raises ValueError when the path's data is not stored or
-    spec has not one exponent per slot (BadExponents)."""
+    the baseline blocks with their blocks.  store.load checks that every
+    table coarsens the baseline, so that join is the baseline when no table
+    is hit, else the join of the hit tables alone (a lone hit table's own
+    Partition).  path "schur": the p-essential hyperplanes over the bad
+    primes p of the specialization, and the join over those primes of the
+    heuristic blocks off every hyperplane and on each hit one.  Raises
+    ValueError when the path's data is not stored or spec has not one
+    exponent per slot (BadExponents)."""
     g.check_exponents(spec.n)
     if path == "tables":
         tables = g.stored_tables()
         hit = hyperplanes_containing(tables, spec)
+        if hit:
+            return [t.hyperplane for t in hit], join([t.blocks for t in hit])
         # store.load accepts no tables section without exactly one baseline
-        baseline = next(t.blocks for t in tables if t.hyperplane is None)
-        return [t.hyperplane for t in hit], join([baseline] + [t.blocks for t in hit])
+        return [], next(t.blocks for t in tables if t.hyperplane is None)
     if path != "schur":
         raise ValueError(f"unknown path {path!r}")
     hit: set[IntVector] = set()
@@ -193,6 +200,6 @@ def blocks_one_hyperplane(g: GroupDatum, p: int, h: Hyperplane) -> Partition:
     normal without one entry per slot."""
     check_prime(p)
     g.check_exponents(h.normal)
-    normal = Hyperplane.of(h.normal).normal
+    normal = canonical_normal(h.normal)
     groups = _heuristic_groups(g, p, normal) + _heuristic_groups(g, p)
     return Partition.generated_by(groups, len(g.characters))

@@ -25,6 +25,7 @@ from .cyclo import (
     KCyclotomic,
     RootOfUnity,
     bounded_conductor,
+    check_prime,
     euler_phi,
     factorint,
     is_p_essential_factor,
@@ -45,6 +46,7 @@ __all__ = [
     "BadPrimeArgument",
     "BadExponents",
     "sign_canonical",
+    "canonical_normal",
     "normalize_x_to_v",
     "validate",
     "value_at_one",
@@ -257,6 +259,15 @@ def sign_canonical(v: IntVector) -> IntVector:
         if x < 0:
             return tuple(-y for y in v)
     return tuple(v)
+
+
+def canonical_normal(v: IntVector) -> IntVector:
+    """The primitive sign-canonical normal of the hyperplane v is normal
+    to, which names it up to a nonzero scalar; ValueError for v = 0."""
+    prim, content = primitive_part(v)
+    if content == 0:
+        raise ValueError("zero vector does not define a hyperplane")
+    return sign_canonical(prim)
 
 
 def _slot_twist(g: GroupDatum, exps: IntVector, q: int) -> RootOfUnity:
@@ -521,8 +532,11 @@ def generic_singleton(
     hyperplane: IntVector | None = None,
 ) -> bool:
     """Whether the character stays alone in its block: its Schur element
-    avoids the relevant prime ideal(s), as g.schur_facts records them."""
+    avoids the relevant prime ideal(s), as g.schur_facts records them.
+    The hyperplane's normal counts up to a nonzero scalar; raises
+    ValueError for a p not prime or a zero normal."""
+    check_prime(p)
     facts = g.schur_facts[s.char]
     on_essential = hyperplane is not None and (
-        (p, sign_canonical(hyperplane)) in facts.essential)
+        (p, canonical_normal(hyperplane)) in facts.essential)
     return facts.norm % p != 0 and not on_essential

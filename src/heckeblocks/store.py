@@ -4,10 +4,13 @@ One group per UTF-8 JSON file.  load checks each value where it parses it
 (exact ints, shapes, conductors up to MAX_CONDUCTOR, Schur values at v=1,
 partitions, links) and computes GroupDatum.schur_facts; the character
 table's own checks (integral central characters, rows permuted by Galois)
-run in CharacterTable.of, which builds it.  verify_db adds the cross-file
-checks.  Every entry is checked, and one malformed entry never hides
-another: one StoreError reports each violation at its JSON location, e.g.
-schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
+run in CharacterTable.of, which builds it.  load also checks that every
+hyperplane table coarsens the baseline, each baseline part inside one of
+its parts, so the table path's answer, the join of the baseline with the
+hit tables, is the join of the hit tables alone.  verify_db adds the
+cross-file checks.  Every entry is checked, and one malformed entry never
+hides another: one StoreError reports each violation at its JSON location,
+e.g. schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
 """
 
 from __future__ import annotations
@@ -154,7 +157,24 @@ def _parse_tables(docs, g: GroupDatum, report: list[str]) -> tuple:
     if not baselines and None not in tables:  # a bad table may be the baseline
         report.append("hyperplane_tables: "
                       "hyperplane tables lack the no-hyperplane baseline")
+    if len(baselines) == 1:
+        baseline = tables[baselines[0]].blocks
+        for i, t in enumerate(tables):
+            if t is None or t.hyperplane is None:
+                continue
+            split = _split_part(baseline, t.blocks)
+            if split:
+                report.append(f"hyperplane_tables[{i}]: blocks split "
+                              f"baseline part {list(split)}")
     return tuple(tables)
+
+
+def _split_part(baseline: Partition, blocks: Partition):
+    """The first part of baseline that lies in no one part of blocks, or
+    None when blocks coarsens baseline; linear in the number of indices."""
+    part_no = {i: k for k, part in enumerate(blocks.parts) for i in part}
+    return next((part for part in baseline.parts if len(part) > 1
+                 and len(set(map(part_no.__getitem__, part))) > 1), None)
 
 
 def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):

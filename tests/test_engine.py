@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import random
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -148,6 +150,54 @@ def test_rouquier_from_tables_respects_baseline(g7):
     blocks = rouquier_from_tables(g7, Specialization((0, 1, 0, 2, 7, 0, 11, 25)))
     assert [37, 39, 41] in blocks.as_lists()
     assert [28, 36] in blocks.as_lists()
+
+
+def _on(h, v):
+    """v moved onto h's hyperplane, in integers: |h|^2 v - <v, h> h."""
+    hh, vh = sum(map(mul, h, h)), sum(map(mul, v, h))
+    return [hh * x - vh * c for x, c in zip(v, h)]
+
+
+def _table_path_oracle(g, n):
+    """The table path as its definition states it: the hit tables by a
+    plain scan, and the join of the baseline with their blocks."""
+    tables = g.hyperplane_tables
+    hit = [t for t in tables
+           if t.normal is not None and sum(map(mul, t.normal, n)) == 0]
+    baseline, = (t.blocks for t in tables if t.normal is None)
+    return hit, join([baseline] + [t.blocks for t in hit])
+
+
+@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
+def test_table_path_matches_the_join_with_the_baseline(name):
+    """rouquier_blocks leaves the baseline out of the join, which store.load
+    makes safe; on seeded vectors off every stored hyperplane, on exactly
+    one and on two or more, it gives the hyperplanes and partition of the
+    join with the baseline, and a lone hit table's own Partition."""
+    g = load_group(name)
+    rng = random.Random(f"table path {name}")
+    normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
+    vectors = [(0,) * g.slot_count, (0, 1, 2)] if name == "G4" else \
+        [(0,) * g.slot_count]
+    for _ in range(150):
+        n = [rng.randint(-9, 9) for _ in range(g.slot_count)]
+        k = rng.randrange(3)
+        if k:
+            h1, h2 = rng.sample(normals, 2)
+            n = _on(h1, n)
+            if k == 2:  # on h1 and on the part of h2 orthogonal to h1
+                n = _on(_on(h1, h2), n)
+        vectors.append(tuple(n))
+    seen = set()
+    for n in vectors:
+        hit, expected = _table_path_oracle(g, n)
+        hyperplanes, blocks = rouquier_blocks(g, Specialization(n))
+        assert hyperplanes == [t.hyperplane for t in hit], n
+        assert blocks == expected, n
+        if len(hit) == 1:
+            assert blocks is hit[0].blocks, n
+        seen.add(min(len(hit), 2))
+    assert seen == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,36 @@ def test_generic_singleton_agrees_with_recomputation(g7):
     assert reasons == {"norm", "on", "off", "generic"}
 
 
+def test_generic_singleton_reads_the_hyperplane_up_to_a_scalar(g7):
+    """H, 2H and -H name one hyperplane: at p = 2 phi{1,0} once gave False
+    for H = (1,-1,2,-1,-1,2,-1,-1) and -H but True for 2H."""
+    normals = {t.normal for t in g7.hyperplane_tables if t.normal is not None}
+    normals |= {h for s in g7.schur_elements.values() for p in g7.primes
+                for h in essential_monomials(s, p)}
+    assert (1, -1, 2, -1, -1, 2, -1, -1) in normals
+    for s in g7.schur_elements.values():
+        for p in g7.primes:
+            for h in normals:
+                answers = {generic_singleton(g7, s, p, tuple(c * k for c in h))
+                           for k in (1, 2, -1)}
+                assert len(answers) == 1, (s.char, p, h)
+    s = g7.schur_elements[CharLabel.parse("phi{1,0}")]
+    assert not generic_singleton(g7, s, 2, (2, -2, 4, -2, -2, 4, -2, -2))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_generic_singleton_rejects_a_p_not_prime(g7, p):
+    s = g7.schur_elements[CharLabel.parse("phi{1,0}")]
+    with pytest.raises(ValueError):
+        generic_singleton(g7, s, p)
+
+
+def test_generic_singleton_rejects_the_zero_normal(g7):
+    s = g7.schur_elements[CharLabel.parse("phi{1,0}")]
+    with pytest.raises(ValueError):
+        generic_singleton(g7, s, 2, (0,) * 8)
+
+
 # ---------------------------------------------------------------------------
 # essential_hyperplanes: table fallback and the bad-prime error
 # ---------------------------------------------------------------------------

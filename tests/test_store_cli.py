@@ -250,6 +250,15 @@ def _unit_past_the_bound(doc):
         {"cyc": 83, "num": [0, 0, 1, -1, 0, 0, 0, 0], "twist": [3, 1]})
 
 
+def _split_baseline_block(doc):
+    """G7 whose c_1-c_2=0 table splits the baseline block [23, 33]."""
+    blocks = doc["hyperplane_tables"][1]["blocks"]
+    blocks.remove([23, 33])
+    blocks += [[23], [33]]
+
+
+_SPLIT_LINE = "hyperplane_tables[1]: blocks split baseline part [23, 33]"
+
 # Each mutation once escaped store.load as a raw exception or loaded
 # silently; every one must end in StoreError, and the CLI in exit 5.
 _MALFORMED = {
@@ -403,6 +412,9 @@ _MALFORMED = {
         "g4.json",
         lambda d: d["character_table"].__setitem__(
             "class_sizes", [1, 1, 6, 0, 4, 8, 4])),
+    # the table path joins the hit tables without the baseline, so a table
+    # that splits a baseline block would change its answers
+    "table splits a baseline block": ("g7.json", _split_baseline_block),
 }
 
 # The report line a case must give, where it is pinned: its JSON location,
@@ -464,6 +476,7 @@ _MALFORMED_MESSAGE = {
                            "[1, 1, 6, 4, -4, 12, 4] are not all positive",
     "class size zero": "character_table: class sizes "
                        "[1, 1, 6, 0, 4, 8, 4] are not all positive",
+    "table splits a baseline block": _SPLIT_LINE,
 }
 
 
@@ -487,6 +500,17 @@ def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
     zeros = ",".join("0" * (8 if group == "G7" else 3))
     result = invoke(["rouquier-blocks", group, "--exponents", zeros])
     assert result.exit_code == 5
+
+
+def test_table_splitting_a_baseline_block_is_one_located_line(db_copy):
+    """The copy loaded and verified ok, and a query on the split table
+    exited 0 with the baseline joined back over the split."""
+    path = rewrite(db_copy, "g7.json", _split_baseline_block)
+    with pytest.raises(StoreError) as err:
+        load(path)
+    assert err.value.report == [_SPLIT_LINE]
+    result = invoke(["verify-db", str(path)])
+    assert (result.exit_code, result.output) == (5, f"{path}: {_SPLIT_LINE}\n")
 
 
 def _node_paths(node, path=()):
@@ -949,9 +973,12 @@ def _unbalance_normal(doc):
     (["all-blocks", "G4"], ("g4.json", _unbalance_normal), 5,
      "{db}/g4.json: hyperplane_tables[1]: "
      "normal (0, 1, 1) has nonzero orbit sums"),
+    (["rouquier-blocks", "G7", "--exponents", "0,0,0,0,0,0,1,1"],
+     ("g7.json", _split_baseline_block), 5, "{db}/g7.json: " + _SPLIT_LINE),
 ], ids=["bad prime", "unknown group", "schur path on full G7",
         "no tables", "no tables, essential hyperplanes",
-        "unparsable exponents", "wrong arity", "corrupt file"])
+        "unparsable exponents", "wrong arity", "corrupt file",
+        "table splitting a baseline block"])
 def test_cli_exit_code_and_message(db_copy, monkeypatch, args, rewritten,
                                    code, message):
     if rewritten is not None:
