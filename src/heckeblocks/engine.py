@@ -117,7 +117,7 @@ def rouquier_blocks(
     hit: set[IntVector] = set()
     groups: list = []
     for p in sorted(bad_primes(g, spec.n)):
-        groups += blocks_no_hyperplane(g, p).parts
+        groups += _heuristic_groups(g, p)
         for normal in sorted(essential_normals(g, [p])):
             if dot(normal, spec.n) == 0:
                 hit.add(normal)

@@ -346,10 +346,13 @@ def _cross_check_links(groups: dict[str, tuple[Path, GroupDatum]]) -> list[str]:
 
 def verify_db(paths=None) -> tuple[bool, list[str]]:
     """Load each database file, which checks it, and cross-check the
-    Clifford links between the files that load."""
+    Clifford links between the files that load.  Without paths, the files
+    of the database directory; FileNotFoundError when it holds none."""
     if not paths:
         base = default_db_dir()
         paths = sorted(base.glob("*.json"))
+        if not paths:
+            raise FileNotFoundError(f"no database files in {base}")
     report: list[str] = []
     groups: dict[str, tuple[Path, GroupDatum]] = {}
     for path in paths:

@@ -27,6 +27,7 @@ from heckeblocks.schur import aa_weight, essential_monomials, essential_normals
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
 from cli_runner import invoke
+from malformed_cases import LOCATIONS, MALFORMED, matches, rewrite
 
 
 @pytest.fixture()
@@ -34,14 +35,6 @@ def db_copy(tmp_path):
     for path in default_db_dir().glob("*.json"):
         shutil.copy(path, tmp_path / path.name)
     return tmp_path
-
-
-def rewrite(db_dir, name, mutate):
-    path = db_dir / name
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -112,86 +105,6 @@ def test_group_is_a_name_not_a_path(db_copy, monkeypatch, group):
         (3, "", f"no database file for {group} in {default_db_dir()}\n")
 
 
-def test_corruption_bad_orbit_sum(db_copy):
-    path = rewrite(
-        db_copy, "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__("normal", [0, 1, 1]),
-    )
-    ok, report = verify_db([path])
-    assert not ok and any("orbit sums" in line for line in report)
-
-
-def test_corruption_non_primitive_normal(db_copy):
-    path = rewrite(
-        db_copy, "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__("normal", [0, 2, -2]),
-    )
-    ok, report = verify_db([path])
-    assert not ok and any("primitive" in line for line in report)
-
-
-def test_corruption_overlapping_parts(db_copy):
-    path = rewrite(
-        db_copy, "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__(
-            "blocks", [[1, 2], [2, 3, 4], [5, 6], [7]]
-        ),
-    )
-    ok, report = verify_db([path])
-    assert not ok and any("partition" in line for line in report)
-
-
-def test_corruption_wrong_schur_coefficient(db_copy):
-    path = rewrite(
-        db_copy, "g7.json",
-        lambda d: d["schur_x"]["phi{1,0}"].__setitem__("coeff", 2),
-    )
-    ok, report = verify_db([path])
-    assert not ok and any("value at v=1" in line for line in report)
-
-
-def test_corruption_broken_clifford_row(db_copy):
-    def mutate(doc):
-        # duplicate a parent character across two induction rows
-        rows = doc["clifford_links"][0]["induction"]
-        rows[1][1][0] = rows[0][1][0]
-
-    path = rewrite(db_copy, "g6.json", mutate)
-    ok, report = verify_db([path])
-    assert not ok and any("two rows" in line for line in report)
-
-
-def test_corruption_root_order_one_factor(db_copy):
-    path = rewrite(
-        db_copy, "g7.json",
-        lambda d: d["schur_x"]["phi{1,0}"]["factors"].append(
-            {"cyc": 2, "num": [1, -1, 0, 0, 0, 0, 0, 0], "den": 1}
-        ),
-    )
-    ok, report = verify_db([path])
-    assert not ok and any("root order 1" in line for line in report)
-
-
-@pytest.mark.parametrize("row, column, value, message", [
-    # 1 * (-1) / 2 at the class of size 1: not an algebraic integer
-    (3, 1, -1, "central character not integral"),
-    # rows 2 and 3 are Galois conjugates; zeta_3 in place of zeta_3^2 makes
-    # row 3 equal to row 2 at that class, so row 2's image is missing
-    (2, 3, {"conductor": 3, "coeffs": [0, 1]}, "Galois image row not found"),
-], ids=["non-integral-central-character", "missing-galois-image"])
-def test_corruption_character_table(db_copy, row, column, value, message):
-    def mutate(doc):
-        doc["character_table"]["values"][row][column] = value
-
-    path = rewrite(db_copy, "g4.json", mutate)
-    with pytest.raises(StoreError):
-        load(path)
-    ok, report = verify_db([path])
-    assert not ok and any(message in line for line in report)
-    result = invoke(["verify-db", str(path)])
-    assert result.exit_code == 5 and message in result.output
-
-
 def test_corruption_transport_mismatch(db_copy):
     def mutate(doc):
         # swap two parts in a stored table the transport cross-check covers
@@ -209,308 +122,26 @@ def test_corruption_transport_mismatch(db_copy):
         and "disagree with the stored table" in line for line in report)
 
 
-@pytest.mark.parametrize("primes", ["23", [2, "3"], [5], [True], 3])
-def test_corruption_bad_table_primes(db_copy, primes):
-    path = rewrite(
-        db_copy, "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__("primes", primes),
-    )
-    with pytest.raises(StoreError) as err:
-        load(path)
-    assert any("primes" in line for line in err.value.report)
-    result = invoke(["verify-db", str(path)])
-    assert result.exit_code == 5
-
-
-def _degree_zero(doc):
-    """G7 with phi{1,0} renamed phi{0,0}, in the label and the schur_x key."""
-    doc["characters"][doc["characters"].index("phi{1,0}")] = "phi{0,0}"
-    doc["schur_x"]["phi{0,0}"] = doc["schur_x"].pop("phi{1,0}")
-
-
-def _lead_past_the_bound(doc):
-    """G7 whose phi{2,9}' has a coefficient in Z[zeta_997]: the check made
-    once the leading monomial is read sees the conductor lcm(12, 997)."""
-    doc["schur_x"]["phi{2,9}'"]["coeff"] = {"conductor": 997, "coeffs": [1]}
-
-
-def _lead_twist_of_order_eight(doc):
-    """G7 whose phi{2,9}' has the leading monomial x_a0^(1/4) x_a1^(-1/4),
-    whose twist zeta_8 does not lie in Q(zeta_12)."""
-    doc["schur_x"]["phi{2,9}'"].update(lead=[1, -1, 0, 0, 0, 0, 0, 0],
-                                       lead_den=4)
-
-
-def _unit_past_the_bound(doc):
-    """_lead_twist_of_order_eight, and a factor Phi_83(x_b0 / x_b1) whose
-    twist zeta_3 cancels the slot twist, so its root set has conductor
-    12 * 83 = 996."""
-    _lead_twist_of_order_eight(doc)
-    doc["schur_x"]["phi{2,9}'"]["factors"].append(
-        {"cyc": 83, "num": [0, 0, 1, -1, 0, 0, 0, 0], "twist": [3, 1]})
-
-
-def _split_baseline_block(doc):
-    """G7 whose c_1-c_2=0 table splits the baseline block [23, 33]."""
-    blocks = doc["hyperplane_tables"][1]["blocks"]
-    blocks.remove([23, 33])
-    blocks += [[23], [33]]
-
-
-_SPLIT_LINE = "hyperplane_tables[1]: blocks split baseline part [23, 33]"
-
-# Each mutation once escaped store.load as a raw exception or loaded
-# silently; every one must end in StoreError, and the CLI in exit 5.
-_MALFORMED = {
-    "table without blocks": (
-        "g4.json", lambda d: d["hyperplane_tables"][1].pop("blocks")),
-    "normal of the wrong length": (
-        "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__("normal", [1, -1])),
-    "non-numeric table entry": (
-        "g4.json",
-        lambda d: d["character_table"]["values"][1].__setitem__(1, "x")),
-    "table row one entry short": (
-        "g4.json", lambda d: d["character_table"]["values"][1].pop()),
-    "empty orbit": ("g4.json", lambda d: d.__setitem__("orbits", [["c", 0]])),
-    "schur factor without cyc": (
-        "g7.json",
-        lambda d: d["schur_x"]["phi{1,0}"]["factors"][0].pop("cyc")),
-    "link without parent": (
-        "g4.json", lambda d: d["clifford_links"][0].pop("parent")),
-    # found by the mutation test below
-    "float conductor": (
-        "g4.json",
-        lambda d: d["character_table"]["values"][4][5].__setitem__(
-            "conductor", 1.5)),
-    "empty induction row": (
-        "g6.json",
-        lambda d: d["clifford_links"][0]["induction"][12].__setitem__(1, [])),
-    "link parent not a name": (
-        "g4.json", lambda d: d["clifford_links"][0].__setitem__("parent", {})),
-    # verify-db's transport check once indexed the child's slots with it
-    "link slot outside the child": (
-        "g6.json",
-        lambda d: d["clifford_links"][0]["parameter_spec"][0].__setitem__(1, 99)),
-    "group name not a string": ("g7.json", lambda d: d.__setitem__("name", {})),
-    "orbit name not a string": (
-        "g4.json", lambda d: d.__setitem__("orbits", [[7, 3]])),
-    # slots render as <orbit name>_<j>: an orbit "cc" printed c_c1-c_c2=0,
-    # and two orbits "a" printed a_1-a_2=0 for slots of different orbits
-    "orbit name of two letters": (
-        "g4.json", lambda d: d["orbits"][0].__setitem__(0, "cc")),
-    "repeated orbit name": (
-        "g7.json", lambda d: d["orbits"][1].__setitem__(0, "a")),
-    # every induction row size divides 0, so the row check passed vacuously
-    "link cyclic order zero": (
-        "g6.json",
-        lambda d: d["clifford_links"][0].__setitem__("cyclic_order", 0)),
-    "negative link cyclic order": (
-        "g6.json",
-        lambda d: d["clifford_links"][0].__setitem__("cyclic_order", -3)),
-    # numbers must be ints: int() would truncate 24.9 to 24 and load
-    "fractional group order": (
-        "g4.json", lambda d: d.__setitem__("group_order", 24.9)),
-    "boolean orbit size": (
-        "g4.json", lambda d: d.__setitem__("orbits", [["c", True]])),
-    "float lead_den": (
-        "g7.json",
-        lambda d: d["schur_x"]["phi{1,0}"].__setitem__("lead_den", 1.0)),
-    "boolean block index": (
-        "g4.json",
-        lambda d: d["hyperplane_tables"][0]["blocks"][0].__setitem__(0, True)),
-    "float block index": (
-        "g4.json",
-        lambda d: d["hyperplane_tables"][0]["blocks"][1].__setitem__(0, 2.0)),
-    # checks that run in store.load, not when a value is constructed
-    "duplicate character label": (
-        "g4.json",
-        lambda d: d["characters"].__setitem__(1, d["characters"][0])),
-    "root of order zero": (
-        "g7.json",
-        lambda d: d["schur_x"]["phi{1,0}"]["factors"][0].__setitem__(
-            "twist", [0, 1])),
-    # schur.validate divides |G| by the degree: a ZeroDivisionError
-    "degree-zero character": ("g7.json", _degree_zero),
-    "empty table list": (
-        "g4.json", lambda d: d.__setitem__("hyperplane_tables", [])),
-    # conductors past MAX_CONDUCTOR: the first three once made load run
-    # past half a minute
-    "schur factor past the conductor bound": (
-        "g7.json",
-        lambda d: d["schur_x"]["phi{1,0}"]["factors"][0].__setitem__(
-            "cyc", 1009)),
-    "table conductor past the bound": (
-        "g4.json",
-        lambda d: d["character_table"].__setitem__("conductor", 2999949)),
-    "field conductor past the bound": (
-        "g7.json", lambda d: d.__setitem__("field_conductor", 12108)),
-    # caught by the check made before any factor is read
-    "leading monomial past the conductor bound": (
-        "g7.json", _lead_past_the_bound),
-    # this one failed fast before: 2999949 does not divide the table's 3
-    "table entry conductor past the bound": (
-        "g4.json",
-        lambda d: d["character_table"]["values"][4][5].__setitem__(
-            "conductor", 2999949)),
-    # each alone is within the bound: lcm(12, 8) for the leading twist and
-    # lcm(12, 996) for the factor; but the unit collected before the factor
-    # holds zeta_8, and lcm(12, 8, 996) = 1992
-    "collected unit past the conductor bound": (
-        "g7.json", _unit_past_the_bound),
-    # the checks normalize_x_to_v makes on the root set and the unit
-    "schur factor of root order 1": (
-        "g7.json",
-        lambda d: d["schur_x"]["phi{1,0}"]["factors"].append(
-            {"cyc": 2, "num": [1, -1, 0, 0, 0, 0, 0, 0]})),
-    "galois orbit leaving the root set": (
-        "g7.json",
-        lambda d: d["schur_x"]["phi{1,0}"]["factors"].append(
-            {"cyc": 1, "num": [0, 0, 1, -1, 0, 0, 0, 0], "twist": [7, 1]})),
-    "unit outside the field": ("g7.json", _lead_twist_of_order_eight),
-    # the slot twists live in Z[zeta_lcm(e_C)]: an orbit of size 10**9
-    # once made load build a list of every slot and run out of memory
-    "orbit size 10**9": (
-        "g7.json", lambda d: d["orbits"][0].__setitem__(1, 10**9)),
-    "orbit size 10**30": (
-        "g7.json", lambda d: d["orbits"][0].__setitem__(1, 10**30)),
-    # file x.json holds group X: a G7 file named G6 loaded, and verify-db
-    # then checked G6's link to G4 against it
-    "header name of another group": (
-        "g7.json", lambda d: d.__setitem__("name", "G6")),
-    # the induction rows name the child's and the link's parent characters
-    "induction row naming a character G6 lacks": (
-        "g6.json",
-        lambda d: d["clifford_links"][0]["induction"][0].__setitem__(
-            0, "phi{9,9}")),
-    "induction row naming a character G7 lacks": (
-        "g6.json",
-        lambda d: d["clifford_links"][0]["induction"][0][1].__setitem__(
-            0, "phi{9,9}")),
-    # 4 divides |G4| = 24 but is no prime: essential-hyperplanes G4
-    # --prime 2 then dropped the table's hyperplane
-    "table prime 4": (
-        "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__("primes", [4])),
-    # a string is a sequence: its 7 letters loaded as the 7 class labels
-    "class_orders a string": (
-        "g4.json",
-        lambda d: d["character_table"].__setitem__("class_orders", "abcdefg")),
-    # a table at no prime loaded and verified: essential-hyperplanes G4
-    # --prime 0 listed its hyperplane, and no --prime p did
-    "table without primes": (
-        "g4.json", lambda d: d["hyperplane_tables"][1].pop("primes")),
-    "table at no prime": (
-        "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__("primes", [])),
-    # both sum to |G4| = 24: each loaded, verified and gave p-blocks
-    "negative class size": (
-        "g4.json",
-        lambda d: d["character_table"].__setitem__(
-            "class_sizes", [1, 1, 6, 4, -4, 12, 4])),
-    "class size zero": (
-        "g4.json",
-        lambda d: d["character_table"].__setitem__(
-            "class_sizes", [1, 1, 6, 0, 4, 8, 4])),
-    # the table path joins the hit tables without the baseline, so a table
-    # that splits a baseline block would change its answers
-    "table splits a baseline block": ("g7.json", _split_baseline_block),
-}
-
-# The report line a case must give, where it is pinned: its JSON location,
-# then its message.
-_MALFORMED_MESSAGE = {
-    "normal of the wrong length":
-        "hyperplane_tables[1]: normal [1, -1] is not a list of 3 integers",
-    "table row one entry short": "character_table.values[1]: "
-                                 "character table row 1 does not have 7 entries",
-    "empty table list":
-        "hyperplane_tables: hyperplane tables lack the no-hyperplane baseline",
-    "schur factor past the conductor bound":
-        'schur_x["phi{1,0}"]: conductor 24216 is above 1000',
-    "table conductor past the bound":
-        "character_table: conductor 2999949 is above 1000",
-    "field conductor past the bound": "header: conductor 12108 is above 1000",
-    "table entry conductor past the bound":
-        "character_table.values[4]: conductor 2999949 is above 1000",
-    "leading monomial past the conductor bound":
-        'schur_x["phi{2,9}\'"]: conductor 11964 is above 1000',
-    "orbit name of two letters":
-        "header: orbit names ['cc'] must be distinct single letters",
-    "repeated orbit name":
-        "header: orbit names ['a', 'a', 'c'] must be distinct single letters",
-    "link cyclic order zero": "clifford_links[0]: cyclic order 0 is not positive",
-    "negative link cyclic order":
-        "clifford_links[0]: cyclic order -3 is not positive",
-    "collected unit past the conductor bound":
-        'schur_x["phi{2,9}\'"]: conductor 1992 is above 1000',
-    "schur factor of root order 1":
-        'schur_x["phi{1,0}"]: factor produces a component '
-        "of root order 1 (data-entry error)",
-    "galois orbit leaving the root set":
-        'schur_x["phi{1,0}"]: Galois orbit leaves the root set',
-    "unit outside the field":
-        'schur_x["phi{2,9}\'"]: unit coefficient does not lie in '
-        "Z[zeta_12]; check the radical twists",
-    "schur factor without cyc":
-        'schur_x["phi{1,0}"].factors[0]: missing key \'cyc\'',
-    "link slot outside the child":
-        "clifford_links[0]: bad parameter_spec entry ['slot', 99]",
-    # lcm with the two orbits of size 3
-    "orbit size 10**9": "header: conductor 3000000000 is above 1000",
-    "orbit size 10**30": f"header: conductor {3 * 10**30} is above 1000",
-    "header name of another group":
-        "header: group G6 belongs in g6.json, not g7.json",
-    "induction row naming a character G6 lacks":
-        "clifford_links[0]: unknown child character phi{9,9}",
-    "induction row naming a character G7 lacks":
-        "clifford_links[0]: unknown parent character phi{9,9}",
-    "table prime 4": "hyperplane_tables[1]: primes [4] are not primes "
-                     "dividing the group order 24",
-    "class_orders a string": "character_table: class_orders 'abcdefg' "
-                             "is not a list of 7 strings",
-    "table without primes": "hyperplane_tables[1]: missing key 'primes'",
-    "table at no prime": "hyperplane_tables[1]: primes [] is empty; "
-                         "a table lists at least one prime",
-    "negative class size": "character_table: class sizes "
-                           "[1, 1, 6, 4, -4, 12, 4] are not all positive",
-    "class size zero": "character_table: class sizes "
-                       "[1, 1, 6, 0, 4, 8, 4] are not all positive",
-    "table splits a baseline block": _SPLIT_LINE,
-}
-
-
-@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
     """Also after a good load of the same file has filled the memos."""
-    name, mutate = _MALFORMED[case]
+    name, mutate, report = MALFORMED[case]
     load(db_copy / name)
     path = rewrite(db_copy, name, mutate)
     start = time.monotonic()
     with pytest.raises(StoreError) as err:
         load(path)
     assert time.monotonic() - start < 1.0
-    assert err.value.report
-    if case in _MALFORMED_MESSAGE:
-        assert _MALFORMED_MESSAGE[case] in err.value.report
+    assert matches(err.value.report, report), err.value.report
     result = invoke(["verify-db", str(path)])
     assert result.exit_code == 5
+    assert matches(result.stdout.splitlines(),
+                   [f"{path}: {line}" for line in report]), result.output
     monkeypatch.setenv("HECKE_DB", str(db_copy))
     group = name.removesuffix(".json").upper()
     zeros = ",".join("0" * (8 if group == "G7" else 3))
     result = invoke(["rouquier-blocks", group, "--exponents", zeros])
     assert result.exit_code == 5
-
-
-def test_table_splitting_a_baseline_block_is_one_located_line(db_copy):
-    """The copy loaded and verified ok, and a query on the split table
-    exited 0 with the baseline joined back over the split."""
-    path = rewrite(db_copy, "g7.json", _split_baseline_block)
-    with pytest.raises(StoreError) as err:
-        load(path)
-    assert err.value.report == [_SPLIT_LINE]
-    result = invoke(["verify-db", str(path)])
-    assert (result.exit_code, result.output) == (5, f"{path}: {_SPLIT_LINE}\n")
 
 
 def _node_paths(node, path=()):
@@ -527,8 +158,7 @@ _SHIPPED = {path.name: json.loads(path.read_text())
 _TARGETS = [(name, path) for name, doc in _SHIPPED.items()
             for path in _node_paths(doc)]
 _OTHER_TYPES = [None, "x", 1.5, -7, True, [], {}, [1, "x"], {"k": 0}]
-_LOCATIONS = ("header", "hyperplane_tables", "character_table", "schur_x",
-              "clifford_links", "cannot parse")
+_LOCATIONS = LOCATIONS + ("cannot parse",)
 
 
 @st.composite
@@ -581,33 +211,6 @@ def test_mutated_documents_load_or_raise_store_error(mutated):
                      ["essential-hyperplanes", group, "-p", "2"]):
             result = invoke(args, env={"HECKE_DB": tmp})
             assert result.exit_code in (0, 2, 3, 4, 5), (args, result.exception)
-
-
-def _three_faults(doc):
-    """G7 with a block index "x" in hyperplane_tables[3], a 2-entry normal
-    in hyperplane_tables[5] and no cyc in phi{3,6}'s factors[4]."""
-    doc["hyperplane_tables"][3]["blocks"][0][0] = "x"
-    doc["hyperplane_tables"][5]["normal"] = [1, -1]
-    del doc["schur_x"]["phi{3,6}"]["factors"][4]["cyc"]
-
-
-_THREE_FAULT_LINES = [
-    "hyperplane_tables[3]: 'x' is not an integer",
-    "hyperplane_tables[5]: normal [1, -1] is not a list of 8 integers",
-    'schur_x["phi{3,6}"].factors[4]: missing key \'cyc\'',
-]
-
-
-def test_store_error_collects_reports(db_copy):
-    """One malformed entry hides no other: each fault is one located line."""
-    path = rewrite(db_copy, "g7.json", _three_faults)
-    with pytest.raises(StoreError) as err:
-        load(path)
-    assert err.value.report == _THREE_FAULT_LINES
-    result = invoke(["verify-db", str(path)])
-    assert result.exit_code == 5
-    assert result.output.splitlines() == [
-        f"{path}: {line}" for line in _THREE_FAULT_LINES]
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +490,7 @@ def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
                                    expected):
     monkeypatch.setenv("HECKE_DB", str(g7_schur_db))
     originals = {
-        "blocks_no_hyperplane": heckeblocks.engine.blocks_no_hyperplane,
+        "_heuristic_groups": heckeblocks.engine._heuristic_groups,
         "essential_normals": heckeblocks.schur.essential_normals,
         "bad_primes": heckeblocks.schur.bad_primes,
     }
@@ -909,10 +512,11 @@ def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
                      "--display", "index", "--exponents", exponents])
     assert result.exit_code == 0, result.output
     assert result.output.splitlines() == expected
-    # the bad primes once per query, the no-hyperplane blocks once per prime
+    # the bad primes once per query, the seed groups off every hyperplane
+    # once per prime
     [(_, primes)] = calls["bad_primes"]
-    assert [args for args, _ in calls["blocks_no_hyperplane"]] == \
-        [(p,) for p in sorted(primes)]
+    assert [args for args, _ in calls["_heuristic_groups"]
+            if len(args) == 1] == [(p,) for p in sorted(primes)]
     # the p-essential normals once per prime, to find the hyperplanes hit
     assert len(calls["essential_normals"]) == len(primes)
 
@@ -948,12 +552,31 @@ def _drop_tables(doc):
     del doc["hyperplane_tables"]
 
 
-def _unbalance_normal(doc):
-    doc["hyperplane_tables"][1]["normal"] = [0, 1, 1]
+def _emptied(db):
+    for path in db.glob("*.json"):
+        path.unlink()
+    return db
+
+
+_unbalance_normal = MALFORMED["normal with nonzero orbit sums"][1]
+_, _split_baseline_block, [_SPLIT_LINE] = \
+    MALFORMED["table splits a baseline block"]
+
+
+def test_table_splitting_a_baseline_block_is_one_located_line(db_copy):
+    """The copy loaded and verified ok, and a query on the split table
+    exited 0 with the baseline joined back over the split; stdout and
+    stderr together are the one located line."""
+    path = rewrite(db_copy, "g7.json", _split_baseline_block)
+    with pytest.raises(StoreError) as err:
+        load(path)
+    assert err.value.report == [_SPLIT_LINE]
+    result = invoke(["verify-db", str(path)])
+    assert (result.exit_code, result.output) == (5, f"{path}: {_SPLIT_LINE}\n")
 
 
 # One row per library error the command line maps to an exit code, each run
-# against a copy of the database, rewritten where a row names a file.
+# against a copy of the database, rewritten or replaced as the row says.
 @pytest.mark.parametrize("args, rewritten, code, message", [
     (["essential-hyperplanes", "G4", "--prime", "5"], None, 2,
      "Error, The number p should divide the order of the group"),
@@ -975,15 +598,23 @@ def _unbalance_normal(doc):
      "normal (0, 1, 1) has nonzero orbit sums"),
     (["rouquier-blocks", "G7", "--exponents", "0,0,0,0,0,0,1,1"],
      ("g7.json", _split_baseline_block), 5, "{db}/g7.json: " + _SPLIT_LINE),
+    # verify-db once printed ok for a database of no files
+    (["verify-db"], _emptied, 3, "no database files in {db}"),
+    (["verify-db"], lambda db: db / "missing", 3,
+     "no database files in {db}/missing"),
 ], ids=["bad prime", "unknown group", "schur path on full G7",
         "no tables", "no tables, essential hyperplanes",
         "unparsable exponents", "wrong arity", "corrupt file",
-        "table splitting a baseline block"])
+        "table splitting a baseline block", "empty database directory",
+        "missing database directory"])
 def test_cli_exit_code_and_message(db_copy, monkeypatch, args, rewritten,
                                    code, message):
-    if rewritten is not None:
+    db = db_copy
+    if callable(rewritten):
+        db = rewritten(db_copy)
+    elif rewritten is not None:
         rewrite(db_copy, *rewritten)
-    monkeypatch.setenv("HECKE_DB", str(db_copy))
+    monkeypatch.setenv("HECKE_DB", str(db))
     result = invoke(args)
     assert result.exception is None
     assert (result.exit_code, result.stdout, result.stderr) == \
@@ -1017,10 +648,7 @@ def test_cli_closed_output_pipe_exits_one_without_traceback(db_copy, args):
 def test_cli_verify_db_ok_and_corrupt(db_copy):
     result = invoke(["verify-db"])
     assert result.exit_code == 0 and result.output.strip() == "ok"
-    path = rewrite(
-        db_copy, "g4.json",
-        lambda d: d["hyperplane_tables"][1].__setitem__("normal", [0, 1, 1]),
-    )
+    path = rewrite(db_copy, "g4.json", _unbalance_normal)
     result = invoke(["verify-db", str(path)])
     assert result.exit_code == 5 and result.output.strip()
 
