@@ -112,41 +112,53 @@ def euler_phi(n: int) -> int:
 def _phi_coeffs(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
-    Phi_1 = x - 1; Phi_rp(x) = Phi_r(x^p) / Phi_r(x) for a prime p not
-    dividing r; and Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n."""
+    Phi_n = prod over d | n of (x^d - 1)^mu(n/d), where the Moebius
+    function mu(e) is 0 unless e is squarefree, and then (-1)^r for the r
+    primes of e.  The squarefree e come from the primes of factorint(n).
+    Each x^(n/e) - 1 with mu(e) = +1 is multiplied in by one shift and
+    subtract; each with mu(e) = -1 then divides the product exactly."""
     if n < 1:
         raise ValueError("n must be positive")
-    phi, rad, rest, p = [-1, 1], 1, n, 2
-    while rest > 1:
-        if rest % p == 0:
-            phi = _exact_quotient(_at_power(phi, p), phi)
-            rad *= p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return tuple(_at_power(phi, n // rad))
+    squarefree = [(1, 1)]  # (e, mu(e))
+    for q in factorint(n):
+        squarefree += [(e * q, -mu) for e, mu in squarefree]
+    acc = [1]
+    for e, mu in sorted(squarefree, key=lambda s: -s[1]):
+        d = n // e
+        if mu == 1:
+            acc = [a - b for a, b in zip([0] * d + acc, acc + [0] * d)]
+        else:  # acc = q (x^d - 1), so q_i = q_(i-d) - acc_i
+            acc = [-c for c in acc[:-d]]
+            for i in range(d, len(acc)):
+                acc[i] += acc[i - d]
+    return tuple(acc)
 
 
-def _at_power(coeffs: list[int], k: int) -> list[int]:
-    """Coefficients of c(x^k) from those of c(x), ascending."""
-    out = [0] * ((len(coeffs) - 1) * k + 1)
-    out[::k] = coeffs
-    return out
+def _convolve(a, b) -> list[int]:
+    """Product of two ascending coefficient lists, skipping zero entries."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return prod
 
 
-def _exact_quotient(coeffs: list[int], divisor: tuple[int, ...]) -> list[int]:
-    """Quotient of coeffs (ascending) by a monic divisor that divides it
-    exactly (the remainder is not checked)."""
-    work = list(coeffs)
-    deg = len(divisor) - 1
-    quotient = [0] * (len(work) - deg)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            quotient[i - deg] = c
-            for j, dc in enumerate(divisor):
-                work[i - deg + j] -= c * dc
-    return quotient
+def _power(base, k: int, mul):
+    """base ** k, k >= 1, by square and multiply through mul from the lowest
+    set bit of k: no product with 1, no squaring past the highest bit."""
+    while not k & 1:
+        base = mul(base, base)
+        k >>= 1
+    result = base
+    k >>= 1
+    while k:
+        base = mul(base, base)
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+    return result
 
 
 def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
@@ -325,12 +337,7 @@ class CycInt:
         if self.conductor == 1:
             return other._scaled(self.coeffs[0])
         a, b, n = self._pair(other)
-        prod = [0] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
+        prod = _convolve(a.coeffs, b.coeffs)
         return CycInt._reduced(n, _reduce_mod_phi(prod, n))
 
     __rmul__ = __mul__
@@ -340,24 +347,12 @@ class CycInt:
                                tuple([c * x for x in self.coeffs]))
 
     def __pow__(self, k: int):
-        """Square and multiply from the lowest set bit of k: no product
-        with 1 and no squaring past the highest bit, so x ** 1 is x."""
+        """Square and multiply through *, by _power, so x ** 1 is x."""
         if k < 0:
             raise ValueError("negative powers are not defined in Z[zeta_N]")
         if k == 0:
             return CycInt.rational(1)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        result = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                result = result * base
-            k >>= 1
-        return result
+        return _power(self, k, lambda x, y: x * y)
 
     def exact_div_int(self, d: int) -> "CycInt":
         """Exact division by a rational integer; error when inexact."""
@@ -574,13 +569,8 @@ def _split_candidate(g: list[int], m: int, f: int, p: int,
     t = _divmod_mod_p(trace, g, p)[1]
     if p == 2:
         return t
-    out, k = [1], (p - 1) // 2
-    while k:
-        if k & 1:
-            out = _mul_mod_p(out, t, g, p)
-        t = _mul_mod_p(t, t, g, p)
-        k >>= 1
-    out = out or [0]
+    out = _power(t, (p - 1) // 2,
+                 lambda a, b: _divmod_mod_p(_convolve(a, b), g, p)[1]) or [0]
     out[0] = (out[0] - 1) % p
     return _trim(out)
 
@@ -608,16 +598,6 @@ def _divmod_mod_p(coeffs, divisor, p: int) -> tuple[list[int], list[int]]:
             for j in range(deg):
                 work[i - deg + j] -= c * divisor[j]
     return quotient, _trim([c % p for c in work[:deg]])
-
-
-def _mul_mod_p(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
-    """a * b mod the monic g over GF(p)."""
-    prod = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _divmod_mod_p(prod, g, p)[1]
 
 
 def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:

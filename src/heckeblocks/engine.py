@@ -44,9 +44,6 @@ class Hyperplane(NamedTuple):
     def of(vector: IntVector) -> "Hyperplane":
         return Hyperplane(canonical_normal(vector))
 
-    def contains(self, n: IntVector) -> bool:
-        return dot(self.normal, n) == 0
-
     def render(self, slot_names: list[str]) -> str:
         out = []
         for name, c in zip(slot_names, self.normal):

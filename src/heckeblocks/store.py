@@ -278,7 +278,7 @@ def load(path) -> GroupDatum:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise StoreError(path, [f"cannot parse: {exc}"]) from exc
     report: list[str] = []
     g = _located(report, "header", _parse_header, doc)

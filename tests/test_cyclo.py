@@ -15,6 +15,7 @@ from sympy import Poly, Symbol, cyclotomic_poly
 
 from heckeblocks import cyclo
 from heckeblocks.cyclo import (
+    MAX_CONDUCTOR,
     CycInt,
     KCyclotomic,
     PrimeIdealHandle,
@@ -180,8 +181,13 @@ def test_descend_matches_fraction_gauss_jordan():
 
 
 def test_phi_coeffs_match_sympy():
+    """n below 200, and the 23 conductors up to MAX_CONDUCTOR with four
+    distinct primes, where the Moebius product divides most often."""
     x = Symbol("x")
-    for n in range(1, 200):
+    four_primes = [n for n in range(1, MAX_CONDUCTOR + 1)
+                   if len(sympy.factorint(n)) == 4]
+    assert len(four_primes) == 23 and four_primes[0] == 210
+    for n in [*range(1, 200), *four_primes]:
         expected = Poly(cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert list(_phi_coeffs(n)) == [int(c) for c in expected], n
 

@@ -1,11 +1,9 @@
 """Partition lattice operations and both Rouquier-block computation paths."""
 
 import itertools
-import json
 import random
 import sys
 from operator import mul
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +33,7 @@ from heckeblocks.schur import (
 )
 from heckeblocks.store import load_group
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_schur.json"
+from golden_jobs import load_golden, run_job
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +99,7 @@ def test_meet_join_degenerate():
 
 
 # ---------------------------------------------------------------------------
-# hyperplane rendering and membership
+# hyperplane rendering
 # ---------------------------------------------------------------------------
 
 
@@ -116,12 +114,6 @@ def test_hyperplane_rendering():
         Hyperplane.of((0, 0, 0, 0, 0))
 
 
-def test_hyperplane_contains():
-    h = Hyperplane.of((0, 1, -1))
-    assert h.contains((5, 2, 2))
-    assert not h.contains((0, 1, 2))
-
-
 # ---------------------------------------------------------------------------
 # table path on the stored data
 # ---------------------------------------------------------------------------
@@ -131,7 +123,9 @@ def test_rouquier_from_tables_published_example(g4):
     blocks = rouquier_from_tables(g4, Specialization((0, 1, 2)))
     assert blocks.as_lists() == [[1], [2, 5, 7], [3], [4], [6]]
     hit = hyperplanes_containing(g4.hyperplane_tables, Specialization((0, 1, 2)))
-    assert [t.normal for t in hit] == [(1, -2, 1)]
+    assert [t.normal for t in hit] == [(1, -2, 1)]  # not on (0, 1, -1)
+    hit = hyperplanes_containing(g4.hyperplane_tables, Specialization((5, 2, 2)))
+    assert [t.normal for t in hit] == [(0, 1, -1)]
 
 
 def test_rouquier_from_tables_group_algebra_limit(g4):
@@ -177,8 +171,9 @@ def test_table_path_matches_the_join_with_the_baseline(name):
     g = load_group(name)
     rng = random.Random(f"table path {name}")
     normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
-    vectors = [(0,) * g.slot_count, (0, 1, 2)] if name == "G4" else \
-        [(0,) * g.slot_count]
+    vectors = [(0,) * g.slot_count]
+    if name == "G4":
+        vectors += [(0, 1, 2), (5, 2, 2)]
     for _ in range(150):
         n = [rng.randint(-9, 9) for _ in range(g.slot_count)]
         k = rng.randrange(3)
@@ -512,26 +507,14 @@ def test_one_hyperplane_blocks_match_the_joined_meet_loops(name):
 def test_golden_jobs_match_the_meet_loop(monkeypatch):
     """Every recorded Schur-path job gives its recorded partition, and so
     does the same job with the meet loop in place of the exact key."""
-    golden = json.loads(GOLDEN.read_text())["partitions"]
+    golden = load_golden()
     assert len(golden) == 20
     groups = {name: load_group(name) for name in ("G4", "G7")}
     for key, expected in golden.items():
-        assert _run_golden(groups, key).as_lists() == expected, key
+        assert run_job(groups, key).as_lists() == expected, key
         with monkeypatch.context() as m:
             m.setattr(engine, "_seed_groups", _groups_by_meets)
-            assert _run_golden(groups, key).as_lists() == expected, key
-
-
-def _run_golden(groups, key):
-    """The job a golden_schur.json key names, on the loaded groups."""
-    kind, name, p, *normal = key.split("/")
-    g, p = groups[name], int(p)
-    if kind == "p_blocks":
-        return p_blocks(g.character_table, p)
-    if kind == "no_hyperplane":
-        return blocks_no_hyperplane(g, p)
-    h = Hyperplane(tuple(map(int, normal[0].split(","))))
-    return blocks_one_hyperplane(g, p, h)
+            assert run_job(groups, key).as_lists() == expected, key
 
 
 def test_heuristic_jobs_read_the_loaded_index(monkeypatch):
@@ -539,7 +522,7 @@ def test_heuristic_jobs_read_the_loaded_index(monkeypatch):
     partitions with CycInt.norm, essential_monomials and aa_weight raising
     once the groups are loaded: the Schur path reads g.schur_facts and
     recomputes none of them per call."""
-    golden = json.loads(GOLDEN.read_text())["partitions"]
+    golden = load_golden()
     jobs = {k: v for k, v in golden.items() if not k.startswith("p_blocks/")}
     assert len(jobs) == 18
     groups = {name: load_group(name) for name in ("G4", "G7")}
@@ -555,7 +538,7 @@ def test_heuristic_jobs_read_the_loaded_index(monkeypatch):
                     vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, fail)
     for key, expected in jobs.items():
-        assert _run_golden(groups, key).as_lists() == expected, key
+        assert run_job(groups, key).as_lists() == expected, key
 
 
 def test_heuristic_blocks_key_by_group_p_blocks(g7, monkeypatch):

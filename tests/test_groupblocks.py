@@ -3,9 +3,7 @@ from-scratch enumeration of the binary tetrahedral group, plus coset
 enumeration oracles for the shipped group orders and a pairwise-congruence
 oracle for the residue-keyed p_blocks."""
 
-import json
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -20,6 +18,8 @@ from heckeblocks.groupblocks import (
     p_blocks,
 )
 from heckeblocks.store import load_group
+
+from golden_jobs import load_golden
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,7 @@ def test_galois_closure_is_stable(g4):
 def test_p_blocks_read_the_row_permutations_stored_at_load(g4, monkeypatch):
     """Loading G4 computed its row permutations; p_blocks and galois_close
     derive none again, and give the partitions the benchmark recorded."""
-    golden = json.loads((Path(__file__).parents[1] / "perfbench"
-                         / "golden_schur.json").read_text())["partitions"]
+    golden = load_golden()
 
     def derive_again(t):
         raise AssertionError("row permutations derived after load")
@@ -167,8 +166,7 @@ def test_p_blocks_read_the_row_permutations_stored_at_load(g4, monkeypatch):
 def test_p_blocks_read_the_central_characters_stored_at_load(g4, monkeypatch):
     """Loading G4 computed its central characters; p_blocks computes none
     again, and gives the partitions the benchmark recorded."""
-    golden = json.loads((Path(__file__).parents[1] / "perfbench"
-                         / "golden_schur.json").read_text())["partitions"]
+    golden = load_golden()
 
     def compute_again(t, chi_index, class_index):
         raise AssertionError("central character computed after load")

@@ -144,6 +144,24 @@ def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
     assert result.exit_code == 5
 
 
+def test_deeply_nested_document_ends_in_store_error(db_copy, monkeypatch):
+    """200 000 nested lists, which json.dumps cannot write and so
+    MALFORMED cannot hold: json.loads raised RecursionError, and the
+    command line died with a traceback and exit 1."""
+    path = db_copy / "g4.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(StoreError) as err:
+        load(path)
+    assert matches(err.value.report, ["cannot parse: "]), err.value.report
+    monkeypatch.setenv("HECKE_DB", str(db_copy))
+    for args in (["verify-db"], ["all-blocks", "G4"]):
+        run = _run_fresh("from heckeblocks.cli import main; main()", *args)
+        assert run.returncode == 5, run.stderr
+        assert "Traceback" not in run.stderr
+        assert matches((run.stdout + run.stderr).splitlines(),
+                       [f"{path}: cannot parse: "]), run.stdout + run.stderr
+
+
 def _node_paths(node, path=()):
     """Every path into a JSON document, the root excluded."""
     children = (node.items() if isinstance(node, dict)
