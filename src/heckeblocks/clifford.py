@@ -41,7 +41,8 @@ class CliffordLink(NamedTuple):
 
     @staticmethod
     def of(*args, **kwargs) -> "CliffordLink":
-        """The link; raises ValueError on a bad cyclic order or induction row."""
+        """The link; raises ValueError on a bad cyclic order or induction row.
+        A row lists Ind chi without repeats, of degree cyclic_order x chi(1)."""
         link = CliffordLink(*args, **kwargs)
         if link.cyclic_order < 1:
             raise ValueError(f"cyclic order {link.cyclic_order} is not positive")
@@ -60,6 +61,10 @@ class CliffordLink(NamedTuple):
                 if p in seen:
                     raise ValueError(f"parent character {p} in two rows")
                 seen.add(p)
+            total = sum(p.degree for p in parents)
+            if total != (need := link.cyclic_order * child_label.degree):
+                raise ValueError(f"parent degrees of {child_label}'s row sum "
+                                 f"to {total}, not {need}")
         return link
 
     def induction_indices(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -98,7 +103,7 @@ def _restrict(link: CliffordLink, exps: IntVector, child_slots: int,
         if kind == "slot":
             out[payload] += c
         elif c:
-            twist = twist * _root_power(payload, c, den)
+            twist = twist * payload.rational_power(c, den)
     return tuple(out), twist
 
 
@@ -131,11 +136,6 @@ def descend_hyperplanes(
     return [HyperplaneTable(None, baseline, frozenset())] + [
         HyperplaneTable(Hyperplane(h), join(moved), frozenset(primes[h]))
         for h, moved in by_normal.items()]
-
-
-def _root_power(root: RootOfUnity, num: int, den: int) -> RootOfUnity:
-    """Canonical branch of root^(num/den): zeta_a^e -> zeta_(a*den)^(e*num)."""
-    return RootOfUnity.of(root.order * den, root.exponent * num)
 
 
 def transport_schur_x(

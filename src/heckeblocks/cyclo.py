@@ -424,6 +424,10 @@ class RootOfUnity(NamedTuple):
     def __pow__(self, k: int) -> "RootOfUnity":
         return RootOfUnity.of(self.order, self.exponent * k)
 
+    def rational_power(self, num: int, den: int) -> "RootOfUnity":
+        """self^(num/den) on the database's branch: zeta_a^e -> zeta_(a*den)^(e*num)."""
+        return RootOfUnity.of(self.order * den, self.exponent * num)
+
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity.of(self.order, -self.exponent)
 

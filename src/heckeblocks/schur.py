@@ -17,7 +17,7 @@ factor into K-irreducible pieces.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import (
@@ -271,12 +271,12 @@ def canonical_normal(v: IntVector) -> IntVector:
 
 
 def _slot_twist(g: GroupDatum, exps: IntVector, q: int) -> RootOfUnity:
-    """The root-of-unity part of x^(exps/q), where each x_(C,j)^(1/q)
-    contributes zeta_(q e_C)^j; the slots are walked no further than exps."""
-    order = q * lcm(*(e for _, e in g.orbits))
-    slots = ((j, order // (q * e)) for _, e in g.orbits for j in range(e))
-    return RootOfUnity.of(order, sum(
-        c * j * step for c, (j, step) in zip(exps, slots) if c))
+    """The root-of-unity part of x^(exps/q), where slot x_(C,j) carries
+    zeta_(e_C)^j, raised to c/q on the database's branch; the slots are
+    walked no further than exps."""
+    slots = (RootOfUnity.of(e, j) for _, e in g.orbits for j in range(e))
+    return prod((root.rational_power(c, q) for c, root in zip(exps, slots)
+                 if c), start=RootOfUnity.one())
 
 
 def normalize_x_to_v(

@@ -286,6 +286,11 @@ MALFORMED = {
     "induction row naming a character G7 lacks": (
         "g6.json", _set(*_LINK, "induction", 0, 1, 0, value="phi{9,9}"),
         ["clifford_links[0]: unknown parent character phi{9,9}"]),
+    # Ind phi{2,1} has degree 3 x 2, but row 0 lists three linear characters
+    "induction row of the wrong degree": (
+        "g6.json", _set(*_LINK, "induction", 0, 0, value="phi{2,1}"),
+        ["clifford_links[0]: parent degrees of phi{2,1}'s row sum to 3, "
+         "not 6"]),
     # 4 divides |G4| = 24 but is no prime: essential-hyperplanes G4
     # --prime 2 then dropped the table's hyperplane
     **{name: ("g4.json", _set(*_TABLE_1, "primes", value=primes),

@@ -1,7 +1,6 @@
 """End-to-end acceptance suite: the published query outputs, the transport
 and property suites, and database validation."""
 
-import json
 import shutil
 import time
 
@@ -11,26 +10,12 @@ from heckeblocks.clifford import descend_hyperplanes, transport_blocks
 from heckeblocks.engine import join
 from heckeblocks.groupblocks import Partition, p_blocks
 from heckeblocks.schur import CharLabel, essential_monomials
-from heckeblocks.store import default_db_dir, load_group, verify_db
+from heckeblocks.store import verify_db
 
 from cli_runner import invoke
+from malformed_cases import MALFORMED, SHIPPED, rewrite
 from test_groupblocks import coset_enumeration
 from test_schur import PRINTED_G6, PRINTED_G7, restrict_b_to_zero
-
-
-@pytest.fixture(scope="module")
-def g4():
-    return load_group("G4")
-
-
-@pytest.fixture(scope="module")
-def g6():
-    return load_group("G6")
-
-
-@pytest.fixture(scope="module")
-def g7():
-    return load_group("G7")
 
 
 def timed_invoke(args, limit=1.0):
@@ -197,7 +182,7 @@ def test_arithmetic_suite():
 # criterion 9 -----------------------------------------------------------------
 
 
-def test_database_validation_and_corruptions(tmp_path, g4, g7):
+def test_database_validation_and_corruptions(db_copy, g4, g7):
     ok, report = verify_db()
     assert ok, report
     assert g4.group_order == 24 == coset_enumeration(
@@ -208,44 +193,14 @@ def test_database_validation_and_corruptions(tmp_path, g4, g7):
         [[0] * 2, [1] * 3, [2] * 3,
          [0, 1, 2, ~0, ~2, ~1], [0, 1, 2, ~1, ~0, ~2]],
     )
-
-    def corrupted(name, mutate):
-        work = tmp_path / f"case_{mutate.__name__}"
-        work.mkdir()
-        for src in default_db_dir().glob("*.json"):
-            shutil.copy(src, work / src.name)
-        path = work / name
-        doc = json.loads(path.read_text())
-        mutate(doc)
-        path.write_text(json.dumps(doc))
-        return sorted(work.glob("*.json"))
-
-    def bad_orbit_sum(doc):
-        doc["hyperplane_tables"][1]["normal"] = [0, 1, 1]
-
-    def non_primitive(doc):
-        doc["hyperplane_tables"][1]["normal"] = [0, 2, -2]
-
-    def overlapping_parts(doc):
-        doc["hyperplane_tables"][1]["blocks"] = [[1, 2], [2, 3, 4],
-                                                 [5, 6], [7]]
-
-    def wrong_coefficient(doc):
-        doc["schur_x"]["phi{1,0}"]["coeff"] = 2
-
-    def broken_clifford(doc):
-        rows = doc["clifford_links"][0]["induction"]
-        rows[1][1][0] = rows[0][1][0]
-
-    for name, mutate in (
-        ("g4.json", bad_orbit_sum),
-        ("g4.json", non_primitive),
-        ("g4.json", overlapping_parts),
-        ("g7.json", wrong_coefficient),
-        ("g6.json", broken_clifford),
-    ):
-        ok, report = verify_db(corrupted(name, mutate))
-        assert not ok and report, mutate.__name__
+    for case in ("normal with nonzero orbit sums", "normal not primitive",
+                 "overlapping table parts", "wrong schur coefficient",
+                 "parent in two induction rows"):
+        name, mutate, _ = MALFORMED[case]
+        path = rewrite(db_copy, name, mutate)
+        ok, report = verify_db(sorted(db_copy.glob("*.json")))
+        assert not ok and report, case
+        shutil.copy(SHIPPED / name, path)
 
 
 # criterion 10 (non-blocking stretch) -----------------------------------------

@@ -1,6 +1,7 @@
 """Transport of blocks, hyperplanes, and Schur elements along the cyclic
 descent from the rank-2 triple-orbit group to its two-orbit subgroup."""
 
+import json
 import random
 
 import pytest
@@ -22,17 +23,9 @@ from heckeblocks.schur import (
     validate,
     value_at_one,
 )
-from heckeblocks.store import load_group
+from heckeblocks.store import _cycint, _parse_factor
 
-
-@pytest.fixture(scope="module")
-def g6():
-    return load_group("G6")
-
-
-@pytest.fixture(scope="module")
-def g7():
-    return load_group("G7")
+from malformed_cases import SHIPPED
 
 
 @pytest.fixture(scope="module")
@@ -155,27 +148,22 @@ def identity_link(g7):
     )
 
 
-def raw_trivial_schur_x(g7):
-    """Re-read the x-form entry of the trivial character from the database
-    file so transport can start from printed data."""
-    import json
+_G7_SCHUR_X = json.loads((SHIPPED / "g7.json").read_text())["schur_x"]
 
-    from heckeblocks.store import _parse_factor, default_db_dir
 
-    doc = json.loads((default_db_dir() / "g7.json").read_text())
-    sdoc = doc["schur_x"]["phi{1,0}"]
-    return (
-        CycInt.rational(sdoc["coeff"]),
-        tuple(sdoc["lead"]),
-        [_parse_factor(f) for f in sdoc["factors"]],
-    )
+def raw_schur_x(name):
+    """The x-form entry of a G7 character, re-read from the database file so
+    transport can start from printed data: coeff, lead, factors, lead_den."""
+    sdoc = _G7_SCHUR_X[name]
+    return (_cycint(sdoc["coeff"]), tuple(sdoc["lead"]),
+            [_parse_factor(f) for f in sdoc["factors"]], sdoc.get("lead_den", 1))
 
 
 def test_identity_link_transport_reproduces_the_stored_element(g7):
     # |Omega| = 1 on the identity link: the transported element, normalised,
     # is the stored one
     link = identity_link(g7)
-    coeff, lead, factors = raw_trivial_schur_x(g7)
+    coeff, lead, factors, _ = raw_schur_x("phi{1,0}")
     new_coeff, new_lead, lead_den, new_factors = transport_schur_x(
         link, coeff, lead, factors, child_slots=8
     )
@@ -192,14 +180,7 @@ def test_degree_three_transport_scales_by_orbit_size(link, g6, g7):
     # specializing the printed degree-3 parent element along the link must
     # give |orbit| = 3 times a child Schur element: its value at v=1 is
     # 3 * |child group| / 3 = 48
-    import json
-
-    from heckeblocks.store import _parse_factor, default_db_dir
-
-    doc = json.loads((default_db_dir() / "g7.json").read_text())
-    sdoc = doc["schur_x"]["phi{3,6}"]
-    coeff, lead = CycInt.rational(sdoc["coeff"]), tuple(sdoc["lead"])
-    factors = [_parse_factor(f) for f in sdoc["factors"]]
+    coeff, lead, factors, _ = raw_schur_x("phi{3,6}")
     new_coeff, new_lead, lead_den, new_factors = transport_schur_x(
         link, coeff, lead, factors, child_slots=g6.slot_count
     )
@@ -213,18 +194,11 @@ def test_every_stored_g7_element_transports_to_g6(link, g6):
     """Factors whose monomial restricts to 0 fold into the coefficient, so
     each G7 element lands on |orbit| = 3 times a valid G6 element: its value
     at v=1 is 3 * |G6| / chi(1)."""
-    import json
-
-    from heckeblocks.store import _cycint, _parse_factor, default_db_dir
-
-    doc = json.loads((default_db_dir() / "g7.json").read_text())
     values = {}
-    for name, sdoc in doc["schur_x"].items():
+    for name in _G7_SCHUR_X:
+        coeff, lead, factors, lead_den = raw_schur_x(name)
         coeff, lead, lead_den, factors = transport_schur_x(
-            link, _cycint(sdoc["coeff"]), tuple(sdoc["lead"]),
-            [_parse_factor(f) for f in sdoc["factors"]],
-            g6.slot_count, sdoc.get("lead_den", 1),
-        )
+            link, coeff, lead, factors, g6.slot_count, lead_den)
         (child,) = [c for c, parents in link.induction
                     if CharLabel.parse(name) in parents]
         s = normalize_x_to_v(g6, child, coeff, lead, factors, lead_den)

@@ -36,16 +36,6 @@ from heckeblocks.store import load_group
 from golden_jobs import load_golden, run_job
 
 
-@pytest.fixture(scope="module")
-def g4():
-    return load_group("G4")
-
-
-@pytest.fixture(scope="module")
-def g7():
-    return load_group("G7")
-
-
 # ---------------------------------------------------------------------------
 # partition lattice laws
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from heckeblocks.groupblocks import (
     join,
     p_blocks,
 )
-from heckeblocks.store import load_group
 
 from golden_jobs import load_golden
 
@@ -84,11 +83,6 @@ def sl23_classes():
     elements = enumerate_sl23()
     assert len(elements) == 24
     return conjugacy_classes(elements)
-
-
-@pytest.fixture(scope="module")
-def g4():
-    return load_group("G4")
 
 
 def test_enumerated_class_data_matches_stored_table(sl23_classes, g4):
@@ -306,13 +300,12 @@ def test_coset_enumeration_on_known_small_groups():
                                  [~1, 0, 1, 0], [1, 1, 1, 1]]) == 8
 
 
-def test_shipped_group_orders_match_presentations(g4):
+def test_shipped_group_orders_match_presentations(g4, g7):
     # <s,t | s^3, t^3, sts = tst>
     assert coset_enumeration(
         2, [[0] * 3, [1] * 3, [0, 1, 0, ~1, ~0, ~1]]
     ) == g4.group_order == 24
     # <s,t,u | s^2, t^3, u^3, stu = tus = ust>
-    g7 = load_group("G7")
     assert coset_enumeration(
         3,
         [[0] * 2, [1] * 3, [2] * 3,

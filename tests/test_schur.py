@@ -29,7 +29,6 @@ from heckeblocks.schur import (
     validate,
     value_at_one,
 )
-from heckeblocks.store import load_group
 
 REPRESENTATIVES = ("phi{1,0}", "phi{2,9}'", "phi{3,6}")
 
@@ -70,16 +69,6 @@ PRINTED_G6 = {
     (1, -1, 1, -1, 0),
     (1, -1, 0, 0, 0),
 }
-
-
-@pytest.fixture(scope="module")
-def g7():
-    return load_group("G7")
-
-
-@pytest.fixture(scope="module")
-def g4():
-    return load_group("G4")
 
 
 def rep_elements(g7):

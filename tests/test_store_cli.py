@@ -2,10 +2,9 @@
 command-line surface with its exit-code contract."""
 
 import copy
+import functools
 import json
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -26,15 +25,14 @@ from heckeblocks.engine import (
 from heckeblocks.schur import aa_weight, essential_monomials, essential_normals
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
+import cli_probes
+from cli_probes import MAIN, PIPES, REQUESTS, pipe, run_fresh
 from cli_runner import invoke
-from malformed_cases import LOCATIONS, MALFORMED, matches, rewrite
+from malformed_cases import LOCATIONS, MALFORMED, SHIPPED, matches, rewrite
 
-
-@pytest.fixture()
-def db_copy(tmp_path):
-    for path in default_db_dir().glob("*.json"):
-        shutil.copy(path, tmp_path / path.name)
-    return tmp_path
+# file name -> the shipped document
+_SHIPPED = {path.name: json.loads(path.read_text())
+            for path in sorted(SHIPPED.glob("*.json"))}
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +58,14 @@ def test_loading_shipped_groups():
 def test_mu_order_is_derived_from_the_field(name, mu):
     """|mu(K)| = lcm(2, m) for K = Q(zeta_m); no file stores it."""
     assert load_group(name).mu_order == mu
-    doc = json.loads((default_db_dir() / f"{name.lower()}.json").read_text())
-    assert "mu_order" not in doc
+    assert "mu_order" not in _SHIPPED[f"{name.lower()}.json"]
 
 
 def test_links_name_only_their_parent():
     """A link lives in its child's file: the child is the file's group."""
     for name in ("G4", "G6"):
-        doc = json.loads((default_db_dir() / f"{name.lower()}.json").read_text())
         assert all({"child", "child_characters"}.isdisjoint(link)
-                   for link in doc["clifford_links"])
+                   for link in _SHIPPED[f"{name.lower()}.json"]["clifford_links"])
         g = load_group(name)
         link, = g.clifford_links
         assert (link.child, link.child_characters) == (name, g.characters)
@@ -105,21 +101,33 @@ def test_group_is_a_name_not_a_path(db_copy, monkeypatch, group):
         (3, "", f"no database file for {group} in {default_db_dir()}\n")
 
 
-def test_corruption_transport_mismatch(db_copy):
-    def mutate(doc):
-        # swap two parts in a stored table the transport cross-check covers
-        table = next(
-            t for t in doc["hyperplane_tables"]
-            if t.get("normal") == [0, 0, 1, -1, 0]
-        )
-        table["blocks"] = [[1, 4], [2], [3, 5], [9, 10, 11, 12], [7, 8],
-                           [6], [13], [14]]
+def _swap_g6_parts(doc):
+    """Swap two parts of G6's c_0-c_1=0 table, which both links check: G7's
+    tables transport onto it, and it transports onto G4's c_0-c_1=0."""
+    table = next(t for t in doc["hyperplane_tables"]
+                 if t.get("normal") == [0, 0, 1, -1, 0])
+    table["blocks"] = [[1, 4], [2], [3, 5], [9, 10, 11, 12], [7, 8],
+                       [6], [13], [14]]
 
-    path = rewrite(db_copy, "g6.json", mutate)
-    ok, report = verify_db(sorted(db_copy.glob("*.json")))
-    assert not ok and any(
-        line.startswith(f"{path}: clifford_links[0]: G7->G6: ")
-        and "disagree with the stored table" in line for line in report)
+
+_DISAGREE = "transported blocks disagree with the stored table at"
+
+
+@pytest.mark.parametrize("name, mutate, report", [
+    ("g6.json", _swap_g6_parts, [
+        f"{{db}}/g4.json: clifford_links[0]: G6->G4: {_DISAGREE} (1, -1, 0)",
+        f"{{db}}/g6.json: clifford_links[0]: G7->G6: {_DISAGREE} "
+        "(0, 0, 1, -1, 0)"]),
+    # g4.json's link stored no induction rows, and verify-db skipped it
+    ("g4.json", lambda doc: doc["hyperplane_tables"][1].update(
+        blocks=[[1], [2, 3], [4], [5, 6], [7]]),
+     [f"{{db}}/g4.json: clifford_links[0]: G6->G4: {_DISAGREE} (0, 1, -1)"]),
+], ids=["G6 table", "G4 table"])
+def test_corruption_transport_mismatch(db_copy, name, mutate, report):
+    """Each copy loads; verify-db's cross-check of the links finds it."""
+    rewrite(db_copy, name, mutate)
+    ok, lines = verify_db(sorted(db_copy.glob("*.json")))
+    assert not ok and lines == [line.format(db=db_copy) for line in report]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -155,7 +163,7 @@ def test_deeply_nested_document_ends_in_store_error(db_copy, monkeypatch):
     assert matches(err.value.report, ["cannot parse: "]), err.value.report
     monkeypatch.setenv("HECKE_DB", str(db_copy))
     for args in (["verify-db"], ["all-blocks", "G4"]):
-        run = _run_fresh("from heckeblocks.cli import main; main()", *args)
+        run = run_fresh(MAIN, *args)
         assert run.returncode == 5, run.stderr
         assert "Traceback" not in run.stderr
         assert matches((run.stdout + run.stderr).splitlines(),
@@ -171,8 +179,6 @@ def _node_paths(node, path=()):
         yield from _node_paths(child, path + (key,))
 
 
-_SHIPPED = {path.name: json.loads(path.read_text())
-            for path in sorted(default_db_dir().glob("*.json"))}
 _TARGETS = [(name, path) for name, doc in _SHIPPED.items()
             for path in _node_paths(doc)]
 _OTHER_TYPES = [None, "x", 1.5, -7, True, [], {}, [1, "x"], {"k": 0}]
@@ -287,111 +293,42 @@ def test_cli_usage_errors_without_a_query_exit_four(args):
     assert result.exit_code == 4 and result.stdout == ""
 
 
-def _fresh_env():
-    """os.environ with the package importable."""
-    env = dict(os.environ)
-    src = str(Path(heckeblocks.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def _run_fresh(code, *args, site=True):
-    """Run Python code in a fresh interpreter with the package importable;
-    site=False starts it with -S, without the site module."""
-    return subprocess.run(
-        [sys.executable, *([] if site else ["-S"]), "-c", code, *args],
-        env=_fresh_env(), capture_output=True, text=True, timeout=60,
-    )
-
-
 def test_cli_usage_error_exit_code_reaches_the_process():
-    result = _run_fresh("from heckeblocks.cli import main; main()",
-                        "rouquier-blocks", "G4")
+    result = run_fresh(MAIN, "rouquier-blocks", "G4")
     assert result.returncode == 4
     assert "the following arguments are required: --exponents" \
         in result.stderr
 
 
-# Runs the CLI in a fresh interpreter and reports at exit whether sympy
-# was ever imported, and which modules the request imported from
-# site-packages. Modules already loaded at start-up, such as those a .pth
-# file imports, do not count.
-_IMPORT_PROBE = (
-    "import atexit, os, sys, sysconfig\n"
-    "before = set(sys.modules)\n"
-    "paths = [sysconfig.get_path(k) for k in ('purelib', 'platlib')]\n"
-    "roots = tuple(path + os.sep for path in paths)\n"
-    "def report():\n"
-    "    print('sympy loaded:', 'sympy' in sys.modules)\n"
-    "    print('site-packages modules:', sorted(\n"
-    "        name for name, m in list(sys.modules.items()) if name not in before\n"
-    "        and (getattr(m, '__file__', None) or '').startswith(roots)))\n"
-    "atexit.register(report)\n"
-    "from heckeblocks.cli import main\n"
-    "main()\n"
-)
+# Each row's fresh interpreter starts once; the tests below read its faults.
+probe = functools.cache(cli_probes.probe)
 
 
-@pytest.mark.parametrize("args", [
-    ["all-blocks", "G7"],
-    ["rouquier-blocks", "G4", "--path", "tables", "--exponents", "0,1,2"],
-    ["essential-hyperplanes", "G4", "-p", "0"],
-    ["verify-db"],
-    # G4 stores no Schur payload, so this one exits 3
-    ["rouquier-blocks", "G4", "--path", "schur", "--exponents", "0,1,2"],
-])
+@pytest.mark.parametrize("case", REQUESTS)
+def test_cli_request_imports_no_watched_module(case):
+    assert probe(case) == []
+
+
+# Earlier tests of one to three watched modules, kept under their names and
+# ids: each now reads its row's probe of all six and of site-packages.
+@pytest.mark.parametrize("args", [case.split() for case in [
+    "all-blocks G7", "rouquier-blocks G4 --path tables --exponents 0,1,2",
+    "essential-hyperplanes G4 -p 0", "verify-db",
+    "rouquier-blocks G4 --path schur --exponents 0,1,2"]])
 def test_cli_table_queries_never_import_sympy(args):
-    result = _run_fresh(_IMPORT_PROBE, *args)
-    assert result.returncode == (3 if "schur" in args else 0), result.stderr
-    assert result.stdout.splitlines()[-2:] == [
-        "sympy loaded: False", "site-packages modules: []"]
-
-
-# Runs the CLI in a fresh interpreter and prints at exit which of
-# dataclasses and inspect the request imported, beyond those loaded at
-# start-up.
-_DATACLASSES_PROBE = (
-    "import atexit, sys\n"
-    "before = set(sys.modules)\n"
-    "atexit.register(lambda: print('added:', sorted(\n"
-    "    {'dataclasses', 'inspect'} & set(sys.modules) - before)))\n"
-    "from heckeblocks.cli import main\n"
-    "main()\n"
-)
+    assert probe(" ".join(args)) == []
 
 
 @pytest.mark.parametrize("args", [["all-blocks", "G7"], ["verify-db"]])
 def test_cli_does_not_import_dataclasses(args):
-    result = _run_fresh(_DATACLASSES_PROBE, *args)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "added: []"
+    assert probe(" ".join(args)) == []
 
 
-# Runs the CLI in a fresh interpreter and prints at exit which of fractions,
-# decimal and random are loaded.  It runs without the site module, because
-# the .pth files site reads may import any of them before the request.
-_STDLIB_PROBE = (
-    "import atexit, sys\n"
-    "atexit.register(lambda: print('loaded:', sorted(\n"
-    "    {'fractions', 'decimal', 'random'} & set(sys.modules))))\n"
-    "from heckeblocks.cli import main\n"
-    "main()\n"
-)
-
-
-@pytest.mark.parametrize("args", [
-    ["all-blocks", "G4"],
-    # a G7 load normalises and validates its Schur elements
-    ["all-blocks", "G7"],
-    ["rouquier-blocks", "G7", "--exponents", "1,2,3,4,5,6,7,8"],
-    # load checks the character tables without p_blocks and its primes
-    ["verify-db"],
-], ids=" ".join)
-def test_cli_table_query_loads_no_fractions_or_random(args):
-    result = _run_fresh(_STDLIB_PROBE, *args, site=False)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "loaded: []"
+@pytest.mark.parametrize("case", [
+    "all-blocks G4", "all-blocks G7",
+    "rouquier-blocks G7 --exponents 1,2,3,4,5,6,7,8", "verify-db"])
+def test_cli_table_query_loads_no_fractions_or_random(case):
+    assert probe(case) == []
 
 
 # p-blocks and the Schur-path heuristic on G4 in an interpreter where any
@@ -410,7 +347,7 @@ _NO_SYMPY_BLOCKS = (
 
 
 def test_p_blocks_and_heuristic_run_without_sympy():
-    result = _run_fresh(_NO_SYMPY_BLOCKS)
+    result = run_fresh(_NO_SYMPY_BLOCKS)
     assert result.returncode == 0, result.stderr
     singletons = [[i] for i in range(1, 8)]
     assert [json.loads(line) for line in result.stdout.splitlines()] == [
@@ -430,11 +367,10 @@ def test_cli_all_blocks_name_mode():
     )
 
 
-def test_cli_index_and_name_modes_agree():
+def test_cli_index_and_name_modes_agree(g6):
     by_index = invoke(["all-blocks", "G6", "--display", "index"])
     by_name = invoke(["all-blocks", "G6", "--display", "name"])
     assert by_index.exit_code == by_name.exit_code == 0
-    g6 = load_group("G6")
     names = [c.render() for c in g6.characters]
     translated = []
     for line in by_index.output.splitlines():
@@ -480,8 +416,7 @@ def test_cli_exponents_may_start_with_a_minus(exponents):
 def g7_schur_db(tmp_path):
     """G7 cut down to its three characters with Schur data: a full Schur
     payload, no hyperplane tables and no links."""
-    doc = json.loads((Path(heckeblocks.__file__).parent / "data" / "g7.json")
-                     .read_text())
+    doc = copy.deepcopy(_SHIPPED["g7.json"])
     doc["characters"] = list(doc["schur_x"])
     del doc["hyperplane_tables"]
     (tmp_path / "g7.json").write_text(json.dumps(doc))
@@ -539,12 +474,12 @@ def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
     assert len(calls["essential_normals"]) == len(primes)
 
 
-def test_schur_index_agrees_with_recomputation(g7_schur_db):
+def test_schur_index_agrees_with_recomputation(g7_schur_db, g4, g6, g7):
     """Every indexed norm, weight and essential set of G4, G6, G7 and the
     cut G7 database equals its recomputation, and G7 cut by _replace reads
     the same entries, by label, as the cut database loaded fresh."""
-    g7, cut = load_group("G7"), load(g7_schur_db / "g7.json")
-    for g in (load_group("G4"), load_group("G6"), g7, cut):
+    cut = load(g7_schur_db / "g7.json")
+    for g in (g4, g6, g7, cut):
         elements = g.schur_elements or {}
         assert set(g.schur_facts or {}) == set(elements)
         primes = set(factorint(g.group_order))
@@ -639,28 +574,9 @@ def test_cli_exit_code_and_message(db_copy, monkeypatch, args, rewritten,
         (code, "", message.format(db=db_copy) + "\n")
 
 
-@pytest.mark.parametrize("args", [
-    ["all-blocks", "G4"],
-    ["all-blocks", "G7", "--display", "name"],
-    ["verify-db", "{db}/g4.json"],
-], ids=["at main's flush", "while printing", "failed verify-db"])
-def test_cli_closed_output_pipe_exits_one_without_traceback(db_copy, args):
-    """A reader that closes its end before reading, as `| head -1` may, with
-    stdout block-buffered (PYTHONUNBUFFERED unset): all-blocks G4 meets the
-    closed pipe at main's flush, all-blocks G7 (8.5 kB) while printing, and
-    verify-db on a corrupt file before it exits 5."""
-    rewrite(db_copy, "g4.json", _unbalance_normal)
-    env = _fresh_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from heckeblocks.cli import main; main()",
-         *(arg.format(db=db_copy) for arg in args)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert stderr == b""
+@pytest.mark.parametrize("case", PIPES)
+def test_cli_closed_output_pipe_exits_one_without_traceback(case):
+    assert pipe(case) == []
 
 
 def test_cli_verify_db_ok_and_corrupt(db_copy):
