@@ -42,7 +42,9 @@ class CliffordLink(NamedTuple):
     @staticmethod
     def of(*args, **kwargs) -> "CliffordLink":
         """The link; raises ValueError on a bad cyclic order or induction row.
-        A row lists Ind chi without repeats, of degree cyclic_order x chi(1)."""
+        A row lists Ind chi without repeats, of degree cyclic_order x chi(1),
+        and each parent character lies in a row: by Frobenius reciprocity it
+        lies over some child character."""
         link = CliffordLink(*args, **kwargs)
         if link.cyclic_order < 1:
             raise ValueError(f"cyclic order {link.cyclic_order} is not positive")
@@ -65,6 +67,9 @@ class CliffordLink(NamedTuple):
             if total != (need := link.cyclic_order * child_label.degree):
                 raise ValueError(f"parent degrees of {child_label}'s row sum "
                                  f"to {total}, not {need}")
+        for p in link.parent_characters:
+            if p not in seen:
+                raise ValueError(f"parent character {p} in no row")
         return link
 
     def induction_indices(self) -> list[tuple[int, tuple[int, ...]]]:

@@ -3,7 +3,10 @@
 The table path joins stored per-hyperplane block partitions for the
 hyperplanes a specialization lies on; off every one it is the stored
 baseline (no essential hyperplane).  store.load checks that every table
-coarsens the baseline, so that join equals the join with the baseline.
+coarsens the baseline, so that join equals the join with the baseline,
+and wraps the tables in StoredTables, their query index: one packed
+integer product finds every hit hyperplane, and each hit set is joined
+once per datum.
 The Schur path re-derives those partitions from factorized Schur elements:
 the seed characters, chosen by coefficient divisibility or p-essentiality,
 that share a group p-block and an exact a + A weight class form groups,
@@ -14,6 +17,8 @@ join live in groupblocks and are re-exported here.
 
 from __future__ import annotations
 
+import sys
+from operator import mul
 from typing import NamedTuple
 
 from .cyclo import check_prime
@@ -25,6 +30,7 @@ __all__ = [
     "Hyperplane",
     "HyperplaneTable",
     "Specialization",
+    "StoredTables",
     "meet",
     "join",
     "hyperplanes_containing",
@@ -73,17 +79,58 @@ class Specialization(NamedTuple):
     n: IntVector
 
 
+class StoredTables(tuple):
+    """A datum's hyperplane tables, equal to their plain tuple, with a query
+    index built once.
+
+    essential holds the K tables other than the baseline, in stored order.
+    packed holds their normals h_k column-wise, one int per slot j:
+    P_j = sum_k h_k[j] * 2^(64k); offset is sum_k 2^63 * 2^(64k) and bound
+    is L = max_k |h_k|_1.  For n with L * max|n_j| < 2^63, each 64-bit
+    field of D = offset + sum_j n_j * P_j is then exactly
+    2^63 + <h_k, n>, with no carry between fields, so table k is hit
+    exactly when its field reads 2^63.  joins maps each hit set, the tuple
+    of hit hyperplanes, to the join of its blocks, and () to the baseline:
+    the Rouquier blocks depend on the hit set alone.  It holds at most one
+    entry per flat of the stored arrangement (a set of hyperplanes that
+    some vector lies on, and no other): 8, 61 and 305 for the shipped G4,
+    G6 and G7.  It caches derived joins only, so the value never changes."""
+
+    def __new__(cls, tables):
+        self = super().__new__(cls, tables)
+        self.essential = tuple(t for t in self if t.hyperplane is not None)
+        shifts = range(0, 64 * len(self.essential), 64)
+        if sys.byteorder == "big":  # the first 8 bytes hold the top field
+            shifts = shifts[::-1]
+        self.offset = sum(1 << (s + 63) for s in shifts)
+        self.packed = [sum(c << s for c, s in zip(column, shifts)) for column
+                       in zip(*(t.normal for t in self.essential))]
+        self.bound = max((sum(map(abs, t.normal))
+                          for t in self.essential), default=0)
+        self.joins = {(): t.blocks for t in self if t.hyperplane is None}
+        return self
+
+    @classmethod
+    def of(cls, tables) -> "StoredTables":
+        """tables itself when it is a StoredTables, else its index."""
+        return tables if isinstance(tables, cls) else cls(tables)
+
+
 def hyperplanes_containing(
     tables, spec: Specialization
 ) -> list[HyperplaneTable]:
-    """Stored tables whose hyperplane the specialization lies on; never
-    the baseline.  store.load checks that each table coarsens the
-    baseline, so rouquier_blocks joins the blocks of these alone."""
-    n = spec.n
-    return [
-        t for t in tables
-        if t.hyperplane is not None and dot(t.hyperplane.normal, n) == 0
-    ]
+    """Stored tables whose hyperplane the specialization lies on, in stored
+    order; never the baseline.  store.load checks that each table coarsens
+    the baseline, so rouquier_blocks joins the blocks of these alone.  One
+    packed product (StoredTables) tests every table; a vector past its
+    64-bit bound takes one exact dot per table."""
+    index, n = StoredTables.of(tables), spec.n
+    if index.bound * max(map(abs, n), default=0) >= 1 << 63:
+        return [t for t in index.essential if dot(t.normal, n) == 0]
+    d = index.offset + sum(map(mul, n, index.packed))
+    fields = memoryview(d.to_bytes(8 * len(index.essential),
+                                   sys.byteorder)).cast("Q")
+    return [t for t, f in zip(index.essential, fields) if f == 1 << 63]
 
 
 def rouquier_blocks(
@@ -96,19 +143,20 @@ def rouquier_blocks(
     the baseline blocks with their blocks.  store.load checks that every
     table coarsens the baseline, so that join is the baseline when no table
     is hit, else the join of the hit tables alone (a lone hit table's own
-    Partition).  path "schur": the p-essential hyperplanes over the bad
-    primes p of the specialization, and the join over those primes of the
-    heuristic blocks off every hyperplane and on each hit one.  Raises
+    Partition), computed once per hit set in StoredTables.joins.  path
+    "schur": the p-essential hyperplanes over the bad primes p of the
+    specialization, and the join over those primes of the heuristic blocks
+    off every hyperplane and on each hit one.  Raises
     ValueError when the path's data is not stored or spec has not one
     exponent per slot (BadExponents)."""
     g.check_exponents(spec.n)
     if path == "tables":
-        tables = g.stored_tables()
+        tables = StoredTables.of(g.stored_tables())
         hit = hyperplanes_containing(tables, spec)
-        if hit:
-            return [t.hyperplane for t in hit], join([t.blocks for t in hit])
-        # store.load accepts no tables section without exactly one baseline
-        return [], next(t.blocks for t in tables if t.hyperplane is None)
+        key = tuple(t.hyperplane for t in hit)
+        if (blocks := tables.joins.get(key)) is None:
+            blocks = tables.joins[key] = join([t.blocks for t in hit])
+        return list(key), blocks
     if path != "schur":
         raise ValueError(f"unknown path {path!r}")
     hit: set[IntVector] = set()

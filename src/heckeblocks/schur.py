@@ -105,9 +105,11 @@ class GroupDatum(NamedTuple):
     Immutable; store.load builds each one once, from the header and its
     parsed sections, schur_facts included.  That index is keyed by
     CharLabel, like schur_elements, so _replace(characters=...) cuts stay
-    correct.  Slots are indexed by (orbit, j) pairs flattened in orbit
-    order; each orbit is named by its own letter, and its slots display
-    as that letter with subscripts 0 .. e_C - 1.  mu_order = |mu(K)|, for
+    correct.  load stores the hyperplane tables as an engine.StoredTables,
+    whose memo caches derived joins only, so the value never changes.
+    Slots are indexed by (orbit, j) pairs flattened in orbit order; each
+    orbit is named by its own letter, and its slots display as that letter
+    with subscripts 0 .. e_C - 1.  mu_order = |mu(K)|, for
     K = Q(zeta_m) with m the field conductor, is derived, never stored.
     """
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
 from .cyclo import CycInt, RootOfUnity, bounded_conductor, exact_int
-from .engine import Hyperplane, HyperplaneTable
+from .engine import Hyperplane, HyperplaneTable, StoredTables
 from .groupblocks import CharacterTable, Partition
 from .lattice import primitive_part
 from .schur import (
@@ -295,6 +295,8 @@ def load(path) -> GroupDatum:
         ) if key in doc}
     if report:
         raise StoreError(path, report)
+    if "hyperplane_tables" in sections:
+        sections["hyperplane_tables"] = StoredTables(sections["hyperplane_tables"])
     if "schur_elements" in sections:
         sections["schur_facts"] = {
             label: schur_facts(g, s) for label, s in sections["schur_elements"].items()}
@@ -326,8 +328,6 @@ def _cross_check_links(groups: dict[str, tuple[Path, GroupDatum]]) -> list[str]:
             if len(link.parameter_spec) != parent.slot_count:
                 report.append(f"{where}: parameter_spec arity")
                 continue
-            if not link.induction:
-                continue  # partial link: nothing further to check
             if parent.hyperplane_tables is None or g.hyperplane_tables is None:
                 continue
             moved = descend_hyperplanes(

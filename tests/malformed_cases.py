@@ -291,6 +291,14 @@ MALFORMED = {
         "g6.json", _set(*_LINK, "induction", 0, 0, value="phi{2,1}"),
         ["clifford_links[0]: parent degrees of phi{2,1}'s row sum to 3, "
          "not 6"]),
+    # every parent character lies over some child character, so in some
+    # row: a link without rows loaded, and verify-db skipped it
+    "link without induction rows": (
+        "g4.json", _set(*_LINK, "induction", value=[]),
+        ["clifford_links[0]: parent character phi{1,0} in no row"]),
+    "induction row dropped": (
+        "g6.json", _drop(*_LINK, "induction", 1),
+        ["clifford_links[0]: parent character phi{1,4}' in no row"]),
     # 4 divides |G4| = 24 but is no prime: essential-hyperplanes G4
     # --prime 2 then dropped the table's hyperplane
     **{name: ("g4.json", _set(*_TABLE_1, "primes", value=primes),

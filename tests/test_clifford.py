@@ -144,7 +144,7 @@ def identity_link(g7):
         parameter_spec=tuple(("slot", i) for i in range(8)),
         parent_characters=labels,
         child_characters=labels,
-        induction=((labels[0], (labels[0],)),),
+        induction=tuple((c, (c,)) for c in labels),
     )
 
 

@@ -14,6 +14,7 @@ from heckeblocks.cyclo import CycInt
 from heckeblocks.engine import (
     Hyperplane,
     Specialization,
+    StoredTables,
     blocks_no_hyperplane,
     blocks_one_hyperplane,
     hyperplanes_containing,
@@ -157,7 +158,10 @@ def test_table_path_matches_the_join_with_the_baseline(name):
     """rouquier_blocks leaves the baseline out of the join, which store.load
     makes safe; on seeded vectors off every stored hyperplane, on exactly
     one and on two or more, it gives the hyperplanes and partition of the
-    join with the baseline, and a lone hit table's own Partition."""
+    join with the baseline, and a lone hit table's own Partition.  k * n
+    lies on the hyperplanes n lies on, so the multiples on both sides of
+    the packed product's 64-bit bound L * max|n_j| < 2^63 are checked too,
+    and a plain tuple or list of the tables must give the same hits."""
     g = load_group(name)
     rng = random.Random(f"table path {name}")
     normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
@@ -173,16 +177,56 @@ def test_table_path_matches_the_join_with_the_baseline(name):
             if k == 2:  # on h1 and on the part of h2 orthogonal to h1
                 n = _on(_on(h1, h2), n)
         vectors.append(tuple(n))
+    # <h, sign(h)> = |h|_1: at the bound's edge, h's field is at its extreme
+    vectors += [tuple((c > 0) - (c < 0) for c in h) for h in normals]
+    bound = max(sum(map(abs, h)) for h in normals)
     seen = set()
     for n in vectors:
-        hit, expected = _table_path_oracle(g, n)
-        hyperplanes, blocks = rouquier_blocks(g, Specialization(n))
-        assert hyperplanes == [t.hyperplane for t in hit], n
-        assert blocks == expected, n
-        if len(hit) == 1:
-            assert blocks is hit[0].blocks, n
+        edge = (2**63 - 1) // (bound * max(map(abs, n)) or 1)
+        for k in (1, edge, -edge, edge + 1, 2**61 + 1, -(2**64 + 3), 2**200):
+            kn = tuple(k * x for x in n)
+            hit, expected = _table_path_oracle(g, kn)
+            hyperplanes, blocks = rouquier_blocks(g, Specialization(kn))
+            assert hyperplanes == [t.hyperplane for t in hit], kn
+            assert blocks == expected, kn
+            if len(hit) == 1:
+                assert blocks is hit[0].blocks, kn
+            for tables in (tuple(g.hyperplane_tables), list(g.hyperplane_tables)):
+                assert hyperplanes_containing(tables, Specialization(kn)) == hit
         seen.add(min(len(hit), 2))
     assert seen == {0, 1, 2}
+
+
+def test_join_memo_belongs_to_its_tables(g4, g6, g7):
+    """The joins a datum memoizes never reach another datum: queries that
+    alternate between the groups, twice over, give the answers of a freshly
+    loaded datum, and a copy whose table is coarsened answers from its own
+    tables after the original has filled its memo."""
+    rng = random.Random("join memo")
+    queries = []
+    for g in (g4, g6, g7):
+        normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
+        h1, h2 = normals[:2]
+        n = [rng.randint(-9, 9) for _ in range(g.slot_count)]
+        queries += [(g, v) for v in [(0,) * g.slot_count, tuple(n),
+                                     tuple(_on(h1, n)),
+                                     tuple(_on(_on(h1, h2), _on(h1, n)))]]
+    expected = {(g.name, n): rouquier_blocks(load_group(g.name), Specialization(n))
+                for g, n in queries}
+    alternating = queries[0::4] + queries[1::4] + queries[2::4] + queries[3::4]
+    for g, n in alternating * 2:
+        assert rouquier_blocks(g, Specialization(n)) == expected[g.name, n], n
+    i, table = next((i, t) for i, t in enumerate(g4.hyperplane_tables)
+                    if t.normal == (1, -2, 1))
+    spec = Specialization((0, 1, 2))  # on (1, -2, 1) alone
+    assert rouquier_blocks(g4, spec)[1] is table.blocks
+    coarse = Partition.of([list(range(1, 8))], 7)
+    tables = list(g4.hyperplane_tables)
+    tables[i] = table._replace(blocks=coarse)
+    copy = g4._replace(hyperplane_tables=StoredTables(tables))
+    for _ in range(2):
+        assert rouquier_blocks(copy, spec)[1] is coarse
+        assert rouquier_blocks(g4, spec)[1] is table.blocks
 
 
 # ---------------------------------------------------------------------------
