@@ -17,7 +17,7 @@ factor into K-irreducible pieces.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import (
@@ -273,12 +273,12 @@ def canonical_normal(v: IntVector) -> IntVector:
 
 
 def _slot_twist(g: GroupDatum, exps: IntVector, q: int) -> RootOfUnity:
-    """The root-of-unity part of x^(exps/q), where slot x_(C,j) carries
-    zeta_(e_C)^j, raised to c/q on the database's branch; the slots are
-    walked no further than exps."""
-    slots = (RootOfUnity.of(e, j) for _, e in g.orbits for j in range(e))
-    return prod((root.rational_power(c, q) for c, root in zip(exps, slots)
-                 if c), start=RootOfUnity.one())
+    """The root-of-unity part of x^(exps/q), slot x_(C,j) carrying
+    zeta_(e_C)^j raised to c/q on the database's branch, read no further
+    than exps: zeta_(L*q)^(sum (L/e_C)*j*c), L the lcm of the orbit sizes."""
+    big = lcm(*(e for _, e in g.orbits))
+    slots = (big // e * j for _, e in g.orbits for j in range(e))
+    return RootOfUnity.of(big * q, sum(c * k for c, k in zip(exps, slots)))
 
 
 def normalize_x_to_v(

@@ -40,19 +40,6 @@ def link(g6):
 # ---------------------------------------------------------------------------
 
 
-def test_degree_three_parent_triple_lands_on_one_child(link):
-    # {39, 41, 37} is the induction image of the first degree-3 child
-    # character (child index 13): transporting it creates no child join
-    pi = Partition.of(
-        [[37, 39, 41]] + [[i] for i in range(1, 43) if i not in (37, 39, 41)],
-        42,
-    )
-    moved = transport_blocks(link, pi)
-    assert moved == Partition.singletons(14)
-    rows = dict(link.induction_indices())
-    assert set(rows[13]) == {37, 39, 41}
-
-
 def test_transport_is_monotone(link, g7):
     rng = random.Random(3)
     baseline = next(
@@ -80,21 +67,6 @@ def test_transport_rejects_wrong_size(link):
 # ---------------------------------------------------------------------------
 
 
-def test_descended_tables_match_stored_child_tables(link, g6, g7):
-    moved = descend_hyperplanes(link, g7.hyperplane_tables, g6.slot_count)
-    stored = {t.normal: t.blocks for t in g6.hyperplane_tables}
-    matched = 0
-    for t in moved:
-        if t.normal in stored:
-            assert stored[t.normal] == t.blocks, t.normal
-            matched += 1
-    # baseline plus the three c-differences plus mixed restrictions
-    assert matched >= 10
-    assert (0, 0, 1, -1, 0) in stored
-    by_normal = {t.normal: t for t in moved}
-    assert (0, 0, 1, -1, 0) in by_normal
-
-
 def test_b_difference_hyperplanes_restrict_into_child_baseline(link, g6, g7):
     moved = descend_hyperplanes(link, g7.hyperplane_tables, g6.slot_count)
     baseline = next(t for t in moved if t.hyperplane is None)
@@ -103,15 +75,6 @@ def test_b_difference_hyperplanes_restrict_into_child_baseline(link, g6, g7):
     )
     assert baseline.blocks == stored_baseline.blocks
     assert [7, 8] in baseline.blocks.as_lists()
-
-
-def test_spot_check_mixed_hyperplane_block(link, g6, g7):
-    moved = descend_hyperplanes(link, g7.hyperplane_tables, g6.slot_count)
-    table = next(t for t in moved if t.normal == (1, -1, -2, 1, 1))
-    # child characters phi{1,6}, phi{2,5}'', phi{2,7}, phi{3,4}
-    assert [3, 11, 12, 14] in table.blocks.as_lists()
-    labels = [g6.characters[i - 1].render() for i in (3, 11, 12, 14)]
-    assert labels == ["phi{1,6}", "phi{2,5}''", "phi{2,7}", "phi{3,4}"]
 
 
 def test_colliding_restrictions_are_joined(link, g7, g6):

