@@ -1,39 +1,38 @@
 """End-to-end acceptance suite: the published query outputs, the transport
-and property suites, and database validation.  Each criterion is asserted
-here and nowhere else in tier-1."""
+and property suites, and database validation.  Where a unit module's test
+asserts a check of a criterion too, both call one cached check_* function
+of that module, so the check runs once per session."""
 
 import ast
-import random
 import time
-from math import gcd
 from pathlib import Path
 
 import pytest
 
-from heckeblocks.clifford import descend_hyperplanes, transport_blocks
-from heckeblocks.cyclo import (
-    CycInt,
-    KCyclotomic,
-    RootOfUnity,
-    is_p_essential_factor,
-)
 from heckeblocks.engine import join
-from heckeblocks.groupblocks import Partition, p_blocks
-from heckeblocks.lattice import (
-    associated_morphism,
-    bezout_cofactors,
-    compose,
-    decompose_specialization,
-    primitive_part,
-    refactor_adapted,
-)
-from heckeblocks.schur import essential_monomials
-from heckeblocks.store import verify_db
+from heckeblocks.groupblocks import p_blocks
 
 from cli_runner import invoke
-from test_cyclo import CONDUCTORS, SWEEP_FIELDS, SWEEP_PRIMES, random_cycint
-from test_lattice import random_adapted
-from test_schur import rep_elements
+from test_clifford import (
+    check_degree_three_parent_triple_lands_on_one_child,
+    check_descended_tables_match_stored_child_tables,
+    check_spot_check_mixed_hyperplane_block,
+)
+from test_cyclo import (
+    check_fast_essentiality_matches_norm_oracle,
+    check_norm_multiplicativity_on_random_pairs,
+    check_reduction_is_idempotent,
+)
+from test_lattice import (
+    check_decompose_specialization_roundtrip_random,
+    check_refactor_adapted_recomposes_exactly,
+    check_three_slot_worked_example,
+)
+from test_schur import (
+    check_difference_hyperplanes_exactly_three_essential,
+    check_extracted_hyperplanes_subset_of_published,
+)
+from test_store_cli import check_shipped_database_verifies
 
 
 def timed_invoke(args, limit=1.0):
@@ -127,182 +126,48 @@ def test_group_algebra_limit(g4):
 
 # criterion 5 -----------------------------------------------------------------
 
-# The published essential-hyperplane lists, frozen here as the oracle.
-# G7 slot order: a0 a1 b0 b1 b2 c0 c1 c2.
-PRINTED_G7 = {
-    (0, 0, 0, 0, 0, 0, 1, -1),
-    (0, 0, 0, 0, 0, 1, -1, 0),
-    (0, 0, 0, 0, 0, 1, 0, -1),
-    (0, 0, 0, 1, -1, 0, 0, 0),
-    (0, 0, 1, -1, 0, 0, 0, 0),
-    (0, 0, 1, 0, -1, 0, 0, 0),
-    (1, -1, -2, 1, 1, -2, 1, 1),
-    (1, -1, -2, 1, 1, 1, -2, 1),
-    (1, -1, -2, 1, 1, 1, 1, -2),
-    (1, -1, -1, -1, 2, -1, -1, 2),
-    (1, -1, -1, -1, 2, -1, 2, -1),
-    (1, -1, 2, -1, -1, -1, 2, -1),
-    (1, -1, 2, -1, -1, 2, -1, -1),
-}
-# G6 slot order: a0 a1 c0 c1 c2.  The published list; the G7 list restricts
-# onto it by zeroing the middle (b) orbit.
-PRINTED_G6 = {
-    (0, 0, 0, 1, -1),
-    (0, 0, 1, -1, 0),
-    (0, 0, 1, 0, -1),
-    (1, -1, -2, 1, 1),
-    (1, -1, 1, -2, 1),
-    (1, -1, 1, 1, -2),
-    (1, -1, -1, -1, 2),
-    (1, -1, -1, 2, -1),
-    (1, -1, 2, -1, -1),
-    (1, -1, -1, 1, 0),
-    (1, -1, 0, -1, 1),
-    (1, -1, 1, 0, -1),
-    (1, -1, -1, 0, 1),
-    (1, -1, 0, 1, -1),
-    (1, -1, 1, -1, 0),
-    (1, -1, 0, 0, 0),
-}
-
 
 def test_schur_extraction_consistency(g7):
-    for s in rep_elements(g7):
-        name = s.char.render()
-        two = essential_monomials(s, 2)
-        three = essential_monomials(s, 3)
-        for normal in two | three:
-            restricted = (normal[0], normal[1], normal[5], normal[6], normal[7])
-            assert normal in PRINTED_G7 or (
-                any(restricted) and restricted in PRINTED_G6
-            ), (name, normal)
-        for normal in three:
-            assert normal[0] == normal[1] == 0  # difference hyperplane
-            assert normal not in two
-        for normal in two:
-            assert not normal[0] == normal[1] == 0  # mixed hyperplane
-            assert normal not in three
+    # the extracted hyperplanes lie in the published lists, the differences
+    # essential for 3 alone and the mixed ones for 2 alone; test_schur.py
+    # asserts each check too, and it runs once
+    check_extracted_hyperplanes_subset_of_published(g7)
+    check_difference_hyperplanes_exactly_three_essential(g7)
 
 
 # criterion 6 -----------------------------------------------------------------
 
 
 def test_clifford_transport_reproduces_child_tables(g6, g7):
-    (link,) = g6.clifford_links
-    moved = descend_hyperplanes(link, g7.hyperplane_tables, g6.slot_count)
-    stored = {t.normal: t.blocks for t in g6.hyperplane_tables}
-    shared = [t for t in moved if t.normal in stored]
-    # baseline plus the three c-differences plus mixed restrictions
-    assert len(shared) >= 10
-    for t in shared:
-        assert stored[t.normal] == t.blocks, t.normal
-    assert (0, 0, 1, -1, 0) in {t.normal for t in shared}
-    # spot check: {37, 39, 41} is the induction image of the first degree-3
-    # child character (child index 13); transporting it creates no child join
-    assert set(dict(link.induction_indices())[13]) == {37, 39, 41}
-    triple = Partition.of(
-        [[37, 39, 41]] + [[i] for i in range(1, 43) if i not in (37, 39, 41)],
-        42,
-    )
-    assert transport_blocks(link, triple) == Partition.singletons(14)
-    # spot check: the a0-a1-2c0+c1+c2 block
-    mixed = next(t for t in moved if t.normal == (1, -1, -2, 1, 1))
-    part = mixed.blocks.part_of(3)
-    assert part == (3, 11, 12, 14)
-    assert [g6.characters[i - 1].render() for i in part] == [
-        "phi{1,6}", "phi{2,5}''", "phi{2,7}", "phi{3,4}",
-    ]
+    # the descended tables equal the stored child tables, and two spot
+    # checks; test_clifford.py asserts each check too, and it runs once
+    check_descended_tables_match_stored_child_tables(g6, g7)
+    check_degree_three_parent_triple_lands_on_one_child(g6)
+    check_spot_check_mixed_hyperplane_block(g6, g7)
 
 
 # criterion 7 -----------------------------------------------------------------
 
 
 def test_lattice_suite():
-    # the worked three-slot example
-    m = (5, -3, -2)
-    cof = bezout_cofactors(m)
-    assert cof == (-1, -2, 0)
-    assert sum(a * b for a, b in zip(cof, m)) == 1
-    phi = associated_morphism(m)
-    assert phi.matrix == ((-3, -5, 0), (-2, -4, 1))
-    # kernel is exactly the line through m
-    assert phi.apply(m) == (0, 0)
-    assert phi.is_surjective()
-    for k in range(-3, 4):
-        assert phi.apply(tuple(k * c for c in m)) == (0, 0)
-
-    # adapted morphisms refactor into pieces that recompose exactly
-    rng = random.Random(23)
-    for _ in range(500):
-        n = rng.randint(3, 6)
-        depth = rng.randint(1, n - 1)
-        phi, m = random_adapted(rng, n, depth)
-        pieces = refactor_adapted(phi, m)
-        # pieces are returned outermost-first; recompose
-        total = pieces[-1]
-        for piece in reversed(pieces[:-1]):
-            total = compose(piece, total)
-        assert total.matrix == phi.matrix
-        # the first-applied factor is associated with the primitive part of m
-        prim, _ = primitive_part(m)
-        assert pieces[-1].kind == "associated"
-        assert pieces[-1].kernel_generator == prim
-
-    # a specialization is its content times a primitive vector
-    rng = random.Random(31)
-    for _ in range(500):
-        n = rng.randint(2, 8)
-        while True:
-            v = tuple(rng.randint(-9, 9) for _ in range(n))
-            if any(v):
-                break
-        alpha, reduced = decompose_specialization(v)
-        assert alpha >= 1
-        assert tuple(alpha * c for c in reduced) == v
-        prim, content = primitive_part(reduced)
-        assert content == 1 and prim == reduced
+    # the worked three-slot example, adapted refactoring, and specialization
+    # decomposition; test_lattice.py asserts each check too, and it runs once
+    check_three_slot_worked_example()
+    check_refactor_adapted_recomposes_exactly()
+    check_decompose_specialization_roundtrip_random()
 
 
 # criterion 8 -----------------------------------------------------------------
 
 
 def test_arithmetic_suite():
+    # fast p-essentiality against the norm oracle, the norm's
+    # multiplicativity and idempotent reduction; test_cyclo.py asserts each
+    # check too, and it runs once
     start = time.monotonic()
-    # fast p-essentiality against the norm oracle, an exhaustive sweep of
-    # the small fields
-    checked = 0
-    for m in SWEEP_FIELDS:
-        for d in range(2, 61):
-            seen = set()
-            for e in range(1, d):
-                if gcd(e, d) != 1:
-                    continue
-                psi = KCyclotomic.of(m, RootOfUnity.of(d, e))
-                if psi in seen:
-                    continue
-                seen.add(psi)
-                nrm = abs(psi.value_at_one().norm())
-                for p in SWEEP_PRIMES:
-                    assert is_p_essential_factor(psi, p) == (nrm % p == 0), (
-                        m, d, e, p, nrm,
-                    )
-                    checked += 1
-    assert checked > 9000
-
-    # the norm is multiplicative
-    rng = random.Random(42)
-    for _ in range(1000):
-        n = rng.choice(CONDUCTORS)
-        a, b = random_cycint(rng, n), random_cycint(rng, n)
-        assert (a * b).norm() == a.norm() * b.norm()
-
-    # reduction is idempotent
-    rng = random.Random(13)
-    for _ in range(200):
-        n = rng.choice(CONDUCTORS)
-        raw = [rng.randint(-20, 20) for _ in range(2 * n + 1)]
-        once = CycInt(n, raw)
-        assert CycInt(n, once.coeffs) == once
+    check_fast_essentiality_matches_norm_oracle()
+    check_norm_multiplicativity_on_random_pairs()
+    check_reduction_is_idempotent()
     assert time.monotonic() - start < 10.0
 
 
@@ -314,8 +179,7 @@ def test_database_validation_and_corruptions():
     corruptions are test_store_cli's: every MALFORMED case ends in its
     located lines and exit 5, and each link cross-check finds a table that
     its transport contradicts."""
-    ok, report = verify_db()
-    assert ok and report == []
+    check_shipped_database_verifies()
 
 
 # criterion 10 (non-blocking stretch) -----------------------------------------

@@ -25,6 +25,7 @@ from heckeblocks.schur import (
 )
 from heckeblocks.store import _cycint, _parse_factor
 
+from checks import once
 from malformed_cases import SHIPPED
 
 
@@ -38,6 +39,29 @@ def link(g6):
 # ---------------------------------------------------------------------------
 # block transport
 # ---------------------------------------------------------------------------
+
+
+# test_acceptance.py's transport criterion (criterion 6) asserts three
+# checks of this module too; `once` runs each of them once per session.
+
+
+@once
+def check_degree_three_parent_triple_lands_on_one_child(g6):
+    # {39, 41, 37} is the induction image of the first degree-3 child
+    # character (child index 13): transporting it creates no child join
+    (link,) = g6.clifford_links
+    pi = Partition.of(
+        [[37, 39, 41]] + [[i] for i in range(1, 43) if i not in (37, 39, 41)],
+        42,
+    )
+    moved = transport_blocks(link, pi)
+    assert moved == Partition.singletons(14)
+    rows = dict(link.induction_indices())
+    assert set(rows[13]) == {37, 39, 41}
+
+
+def test_degree_three_parent_triple_lands_on_one_child(g6):
+    check_degree_three_parent_triple_lands_on_one_child(g6)
 
 
 def test_transport_is_monotone(link, g7):
@@ -67,6 +91,27 @@ def test_transport_rejects_wrong_size(link):
 # ---------------------------------------------------------------------------
 
 
+@once
+def check_descended_tables_match_stored_child_tables(g6, g7):
+    (link,) = g6.clifford_links
+    moved = descend_hyperplanes(link, g7.hyperplane_tables, g6.slot_count)
+    stored = {t.normal: t.blocks for t in g6.hyperplane_tables}
+    matched = 0
+    for t in moved:
+        if t.normal in stored:
+            assert stored[t.normal] == t.blocks, t.normal
+            matched += 1
+    # baseline plus the three c-differences plus mixed restrictions
+    assert matched >= 10
+    assert (0, 0, 1, -1, 0) in stored
+    by_normal = {t.normal: t for t in moved}
+    assert (0, 0, 1, -1, 0) in by_normal
+
+
+def test_descended_tables_match_stored_child_tables(g6, g7):
+    check_descended_tables_match_stored_child_tables(g6, g7)
+
+
 def test_b_difference_hyperplanes_restrict_into_child_baseline(link, g6, g7):
     moved = descend_hyperplanes(link, g7.hyperplane_tables, g6.slot_count)
     baseline = next(t for t in moved if t.hyperplane is None)
@@ -75,6 +120,24 @@ def test_b_difference_hyperplanes_restrict_into_child_baseline(link, g6, g7):
     )
     assert baseline.blocks == stored_baseline.blocks
     assert [7, 8] in baseline.blocks.as_lists()
+
+
+@once
+def check_spot_check_mixed_hyperplane_block(g6, g7):
+    (link,) = g6.clifford_links
+    moved = descend_hyperplanes(link, g7.hyperplane_tables, g6.slot_count)
+    table = next(t for t in moved if t.normal == (1, -1, -2, 1, 1))
+    # the a0-a1-2c0+c1+c2 block of child characters phi{1,6}, phi{2,5}'',
+    # phi{2,7}, phi{3,4}
+    part = table.blocks.part_of(3)
+    assert part == (3, 11, 12, 14)
+    assert [g6.characters[i - 1].render() for i in part] == [
+        "phi{1,6}", "phi{2,5}''", "phi{2,7}", "phi{3,4}",
+    ]
+
+
+def test_spot_check_mixed_hyperplane_block(g6, g7):
+    check_spot_check_mixed_hyperplane_block(g6, g7)
 
 
 def test_colliding_restrictions_are_joined(link, g7, g6):

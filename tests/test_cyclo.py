@@ -31,6 +31,8 @@ from heckeblocks.cyclo import (
     _phi_factors_mod_p,
 )
 
+from checks import once
+
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12, 24]
 
 
@@ -242,9 +244,40 @@ def test_multiplication_commutes_in_z_zeta12(u, v):
     assert a + b == b + a
 
 
+# test_acceptance.py's arithmetic suite (criterion 8) asserts three checks
+# of this module too, within 10 s; `once` runs each of them once per session.
+
+
+@once
+def check_reduction_is_idempotent():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.choice(CONDUCTORS)
+        raw = [rng.randint(-20, 20) for _ in range(2 * n + 1)]
+        once = CycInt(n, raw)
+        assert CycInt(n, once.coeffs) == once
+
+
+def test_reduction_is_idempotent():
+    check_reduction_is_idempotent()
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
+
+
+@once
+def check_norm_multiplicativity_on_random_pairs():
+    rng = random.Random(42)
+    for _ in range(1000):
+        n = rng.choice(CONDUCTORS)
+        a, b = random_cycint(rng, n), random_cycint(rng, n)
+        assert (a * b).norm() == a.norm() * b.norm()
+
+
+def test_norm_multiplicativity_on_random_pairs():
+    check_norm_multiplicativity_on_random_pairs()
 
 
 def resultant_norm(a: CycInt) -> int:
@@ -444,12 +477,39 @@ def test_conductor_one_handle_is_divisibility():
 
 
 # ---------------------------------------------------------------------------
-# p-essentiality; test_acceptance.py's arithmetic suite sweeps these fields
-# and primes against the norm oracle
+# fast p-essentiality vs the norm oracle (exhaustive small-field sweep)
 # ---------------------------------------------------------------------------
 
 SWEEP_FIELDS = (1, 2, 3, 4, 6, 12, 24)
 SWEEP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+@once
+def check_fast_essentiality_matches_norm_oracle():
+    checked = 0
+    for m in SWEEP_FIELDS:
+        for d in range(2, 61):
+            seen = set()
+            for e in range(1, d):
+                if gcd(e, d) != 1:
+                    continue
+                psi = KCyclotomic.of(m, RootOfUnity.of(d, e))
+                if psi in seen:
+                    continue
+                seen.add(psi)
+                nrm = abs(psi.value_at_one().norm())
+                for p in SWEEP_PRIMES:
+                    assert is_p_essential_factor(psi, p) == (nrm % p == 0), (
+                        m, d, e, p, nrm,
+                    )
+                    checked += 1
+    assert checked > 9000
+
+
+def test_fast_essentiality_matches_norm_oracle_under_ten_seconds():
+    start = time.monotonic()
+    check_fast_essentiality_matches_norm_oracle()
+    assert time.monotonic() - start < 10.0
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])

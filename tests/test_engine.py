@@ -119,6 +119,11 @@ def test_rouquier_from_tables_published_example(g4):
     assert [t.normal for t in hit] == [(0, 1, -1)]
 
 
+def test_rouquier_from_tables_group_algebra_limit(g4):
+    blocks = rouquier_from_tables(g4, Specialization((0, 0, 0)))
+    assert blocks.as_lists() == [[1, 2, 3, 4, 5, 6, 7]]
+
+
 def test_rouquier_from_tables_generic_point(g4):
     # off every essential hyperplane: the baseline (all singletons for G4)
     blocks = rouquier_from_tables(g4, Specialization((0, 1, 5)))

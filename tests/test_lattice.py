@@ -22,6 +22,8 @@ from heckeblocks.lattice import (
     refactor_adapted,
 )
 
+from checks import once
+
 
 def random_primitive(rng, n):
     while True:
@@ -31,9 +33,69 @@ def random_primitive(rng, n):
             return v
 
 
+# test_acceptance.py's lattice suite (criterion 7) asserts these three
+# checks too; `once` runs each of them once per session.
+
+
+@once
+def check_three_slot_worked_example():
+    m = (5, -3, -2)
+    cof = bezout_cofactors(m)
+    assert cof == (-1, -2, 0)
+    assert sum(a * b for a, b in zip(cof, m)) == 1
+    phi = associated_morphism(m)
+    assert phi.matrix == ((-3, -5, 0), (-2, -4, 1))
+    # kernel is exactly the line through m
+    assert phi.apply(m) == (0, 0)
+    assert phi.is_surjective()
+    # monomial-to-monomial: each basis vector maps to an integer vector,
+    # and a section exists (surjectivity); kernel rank is 1
+    for k in range(-3, 4):
+        assert phi.apply(tuple(k * c for c in m)) == (0, 0)
+
+
+@once
+def check_refactor_adapted_recomposes_exactly():
+    rng = random.Random(23)
+    for _ in range(500):
+        n = rng.randint(3, 6)
+        depth = rng.randint(1, n - 1)
+        phi, m = random_adapted(rng, n, depth)
+        pieces = refactor_adapted(phi, m)
+        # pieces are returned outermost-first; recompose
+        total = pieces[-1]
+        for piece in reversed(pieces[:-1]):
+            total = compose(piece, total)
+        assert total.matrix == phi.matrix
+        # the first-applied factor is associated with the primitive part of m
+        prim, _ = primitive_part(m)
+        assert pieces[-1].kind == "associated"
+        assert pieces[-1].kernel_generator == prim
+
+
+@once
+def check_decompose_specialization_roundtrip_random():
+    rng = random.Random(31)
+    for _ in range(500):
+        n = rng.randint(2, 8)
+        while True:
+            v = tuple(rng.randint(-9, 9) for _ in range(n))
+            if any(v):
+                break
+        alpha, reduced = decompose_specialization(v)
+        assert alpha >= 1
+        assert tuple(alpha * c for c in reduced) == v
+        prim, content = primitive_part(reduced)
+        assert content == 1 and prim == reduced
+
+
 # ---------------------------------------------------------------------------
-# Bezout cofactors
+# worked three-slot example
 # ---------------------------------------------------------------------------
+
+
+def test_three_slot_worked_example():
+    check_three_slot_worked_example()
 
 
 def test_bezout_cofactors_contract():
@@ -94,6 +156,10 @@ def random_adapted(rng, n, depth):
     return total, kernel_seed
 
 
+def test_refactor_adapted_recomposes_exactly():
+    check_refactor_adapted_recomposes_exactly()
+
+
 def test_refactor_accepts_scaled_kernel_vector():
     m = (5, -3, -2)
     phi = associated_morphism(m)
@@ -110,6 +176,10 @@ def test_refactor_rejects_non_annihilated_vector():
 # ---------------------------------------------------------------------------
 # specialization decomposition
 # ---------------------------------------------------------------------------
+
+
+def test_decompose_specialization_roundtrip_random():
+    check_decompose_specialization_roundtrip_random()
 
 
 def test_decompose_rejects_zero():

@@ -28,11 +28,55 @@ from heckeblocks.schur import (
     specialize,
 )
 
+from checks import once
+
 REPRESENTATIVES = ("phi{1,0}", "phi{2,9}'", "phi{3,6}")
+
+# The published essential-hyperplane lists, frozen here as the oracle.
+# G7 slot order: a0 a1 b0 b1 b2 c0 c1 c2.
+PRINTED_G7 = {
+    (0, 0, 0, 0, 0, 0, 1, -1),
+    (0, 0, 0, 0, 0, 1, -1, 0),
+    (0, 0, 0, 0, 0, 1, 0, -1),
+    (0, 0, 0, 1, -1, 0, 0, 0),
+    (0, 0, 1, -1, 0, 0, 0, 0),
+    (0, 0, 1, 0, -1, 0, 0, 0),
+    (1, -1, -2, 1, 1, -2, 1, 1),
+    (1, -1, -2, 1, 1, 1, -2, 1),
+    (1, -1, -2, 1, 1, 1, 1, -2),
+    (1, -1, -1, -1, 2, -1, -1, 2),
+    (1, -1, -1, -1, 2, -1, 2, -1),
+    (1, -1, 2, -1, -1, -1, 2, -1),
+    (1, -1, 2, -1, -1, 2, -1, -1),
+}
+# G6 slot order: a0 a1 c0 c1 c2.  The published list; the G7 list restricts
+# onto it by zeroing the middle (b) orbit.
+PRINTED_G6 = {
+    (0, 0, 0, 1, -1),
+    (0, 0, 1, -1, 0),
+    (0, 0, 1, 0, -1),
+    (1, -1, -2, 1, 1),
+    (1, -1, 1, -2, 1),
+    (1, -1, 1, 1, -2),
+    (1, -1, -1, -1, 2),
+    (1, -1, -1, 2, -1),
+    (1, -1, 2, -1, -1),
+    (1, -1, -1, 1, 0),
+    (1, -1, 0, -1, 1),
+    (1, -1, 1, 0, -1),
+    (1, -1, -1, 0, 1),
+    (1, -1, 0, 1, -1),
+    (1, -1, 1, -1, 0),
+    (1, -1, 0, 0, 0),
+}
 
 
 def rep_elements(g7):
     return [g7.schur_elements[CharLabel.parse(n)] for n in REPRESENTATIVES]
+
+
+def restrict_b_to_zero(normal):
+    return (normal[0], normal[1], normal[5], normal[6], normal[7])
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +149,46 @@ def test_monomials_are_primitive_sign_canonical_zero_sum(g7):
             assert next(c for c in m if c) > 0, m
             for rng in g7.orbit_ranges():
                 assert sum(m[i] for i in rng) == 0
+
+
+# ---------------------------------------------------------------------------
+# extracted hyperplanes lie in the published lists with the right primes
+# ---------------------------------------------------------------------------
+
+# test_acceptance.py's Schur extraction criterion (criterion 5) asserts the
+# two checks below too; `once` runs each of them once per session.
+
+
+@once
+def check_extracted_hyperplanes_subset_of_published(g7):
+    for s in rep_elements(g7):
+        for p in (2, 3):
+            for normal in essential_monomials(s, p):
+                restricted = restrict_b_to_zero(normal)
+                assert normal in PRINTED_G7 or (
+                    any(restricted) and restricted in PRINTED_G6
+                ), (s.char.render(), p, normal)
+
+
+def test_extracted_hyperplanes_subset_of_published(g7):
+    check_extracted_hyperplanes_subset_of_published(g7)
+
+
+@once
+def check_difference_hyperplanes_exactly_three_essential(g7):
+    for s in rep_elements(g7):
+        three = essential_monomials(s, 3)
+        two = essential_monomials(s, 2)
+        for normal in three | two:
+            is_difference = normal[0] == normal[1] == 0
+            if is_difference:
+                assert normal in three and normal not in two, normal
+            else:
+                assert normal in two and normal not in three, normal
+
+
+def test_difference_hyperplanes_exactly_three_essential(g7):
+    check_difference_hyperplanes_exactly_three_essential(g7)
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +350,37 @@ RANDOM_VECTORS = [tuple(_rng.randint(-4, 4) for _ in range(8))
                   for _ in range(30)]
 
 
+_EXTREMES = {}
+
+
+def laurent_extremes(g7, s, n):
+    """The least and the greatest y-power of s specialized at n and
+    expanded.  Both tests below read them, so each element is expanded once
+    per vector."""
+    key = (s.char, n)
+    if key not in _EXTREMES:
+        poly = laurent_expand(g7, specialize(g7, s, n))
+        assert poly, "specialized element expanded to zero"
+        _EXTREMES[key] = min(poly), max(poly)
+    return _EXTREMES[key]
+
+
+# y = x^(1/mu), so mu * a and mu * A are the least and the greatest y-power
+# of the expanded element, and mu * (a + A) is their sum
+@pytest.mark.parametrize("n", LAURENT_VECTORS + RANDOM_VECTORS)
+def test_a_and_A_match_laurent_expansion(g7, n):
+    for s in g7.schur_elements.values():
+        least, greatest = laurent_extremes(g7, s, n)
+        assert a_and_A(g7, specialize(g7, s, n)) == (
+            Fraction(least, g7.mu_order), Fraction(greatest, g7.mu_order),
+        ), (s.char, n)
+
+
 @pytest.mark.parametrize("n", LAURENT_VECTORS + RANDOM_VECTORS)
 def test_aa_weight_matches_laurent_expansion(g7, n):
-    # y = x^(1/mu), so mu * a and mu * A are the least and the greatest
-    # y-power of the expanded element, and mu * (a + A) is their sum
     for s in g7.schur_elements.values():
-        sp = specialize(g7, s, n)
-        poly = laurent_expand(g7, sp)
-        assert poly, "specialized element expanded to zero"
-        assert a_and_A(g7, sp) == (Fraction(min(poly), g7.mu_order),
-                                   Fraction(max(poly), g7.mu_order)), (s.char, n)
-        assert dot(aa_weight(s), n) == min(poly) + max(poly), (s.char, n)
+        least, greatest = laurent_extremes(g7, s, n)
+        assert dot(aa_weight(s), n) == least + greatest, (s.char, n)
 
 
 def test_specialization_at_zero_recovers_group_order_over_degree(g7):

@@ -2,6 +2,7 @@
 command-line surface with its exit-code contract."""
 
 import copy
+import functools
 import json
 import shutil
 import sys
@@ -24,7 +25,9 @@ from heckeblocks.engine import (
 from heckeblocks.schur import aa_weight, essential_monomials, essential_normals
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
-from cli_probes import MAIN, PIPES, REQUESTS, pipe, probe, run_fresh
+import cli_probes
+from checks import once
+from cli_probes import MAIN, PIPES, REQUESTS, pipe, run_fresh
 from cli_runner import invoke
 from malformed_cases import LOCATIONS, MALFORMED, SHIPPED, matches, rewrite
 
@@ -36,6 +39,18 @@ _SHIPPED = {path.name: json.loads(path.read_text())
 # ---------------------------------------------------------------------------
 # loading and validation
 # ---------------------------------------------------------------------------
+
+
+# test_acceptance.py's database criterion (criterion 9) asserts this check
+# too; `once` runs it once per session.
+@once
+def check_shipped_database_verifies():
+    ok, report = verify_db()
+    assert ok and report == []
+
+
+def test_shipped_database_verifies():
+    check_shipped_database_verifies()
 
 
 def test_loading_shipped_groups():
@@ -235,6 +250,14 @@ def test_mutated_documents_load_or_raise_store_error(mutated):
 # ---------------------------------------------------------------------------
 
 
+def test_cli_essential_hyperplanes_listing():
+    result = invoke(["essential-hyperplanes", "G4", "--prime", "3"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "c_1-c_2=0", "c_0-c_1=0", "c_0-c_2=0",
+    ]
+
+
 @pytest.mark.parametrize("prime", ["1", "-3", "1000000000000000000000007"])
 def test_cli_prime_outside_the_group_order_exits_two_quickly(prime):
     start = time.monotonic()
@@ -278,8 +301,41 @@ def test_cli_usage_errors_without_a_query_exit_four(args):
     assert result.exit_code == 4 and result.stdout == ""
 
 
+def test_cli_usage_error_exit_code_reaches_the_process():
+    result = run_fresh(MAIN, "rouquier-blocks", "G4")
+    assert result.returncode == 4
+    assert "the following arguments are required: --exponents" \
+        in result.stderr
+
+
+# Each row's fresh interpreter starts once; the tests below read its faults.
+probe = functools.cache(cli_probes.probe)
+
+
 @pytest.mark.parametrize("case", REQUESTS)
 def test_cli_request_imports_no_watched_module(case):
+    assert probe(case) == []
+
+
+# Earlier tests of one to three watched modules, kept under their names and
+# ids: each now reads its row's probe of all six and of site-packages.
+@pytest.mark.parametrize("args", [case.split() for case in [
+    "all-blocks G7", "rouquier-blocks G4 --path tables --exponents 0,1,2",
+    "essential-hyperplanes G4 -p 0", "verify-db",
+    "rouquier-blocks G4 --path schur --exponents 0,1,2"]])
+def test_cli_table_queries_never_import_sympy(args):
+    assert probe(" ".join(args)) == []
+
+
+@pytest.mark.parametrize("args", [["all-blocks", "G7"], ["verify-db"]])
+def test_cli_does_not_import_dataclasses(args):
+    assert probe(" ".join(args)) == []
+
+
+@pytest.mark.parametrize("case", [
+    "all-blocks G4", "all-blocks G7",
+    "rouquier-blocks G7 --exponents 1,2,3,4,5,6,7,8", "verify-db"])
+def test_cli_table_query_loads_no_fractions_or_random(case):
     assert probe(case) == []
 
 
@@ -335,6 +391,21 @@ def test_cli_index_and_name_modes_agree(g6):
         else:
             translated.append(line)
     assert translated == by_name.output.splitlines()
+
+
+def test_cli_rouquier_blocks_and_arity():
+    result = invoke(
+        ["rouquier-blocks", "G4", "--exponents", "0,1,2", "--display", "index"],
+    )
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "Essential hyperplanes hit: c_0-2c_1+c_2=0",
+        "[[1],[2,5,7],[3],[4],[6]]",
+    ]
+    result = invoke(["rouquier-blocks", "G4", "--exponents", "0,1"])
+    assert result.exit_code == 4
+    result = invoke(["rouquier-blocks", "G4", "--exponents", "a,b,c"])
+    assert result.exit_code == 4
 
 
 @pytest.mark.parametrize("exponents", [
