@@ -11,16 +11,18 @@ The norm is the product of the Galois conjugates.
 The module also provides roots of unity in exponent form, K-cyclotomic
 polynomials (minimal polynomials of roots of unity over a cyclotomic field
 K = Q(zeta_m), stored as a Galois orbit of root exponents), handles for
-prime ideals of Z[zeta_N] above a rational prime, and the small integer
-number theory all of this needs (trial-division factorisation, primality,
-Euler's totient).  Everything is plain integer code; prime_handle factors
-Phi_N over GF(p) by equal-degree splitting.
+prime ideals P = (p, g(zeta_N)) of Z[zeta_N] above a rational prime, and the
+small integer number theory all of this needs (trial-division factorisation,
+primality, Euler's totient).  Everything is plain integer code; prime_handle
+factors Phi_N over GF(p) by equal-degree splitting, and residue reduces mod P
+by one F_p-linear map, a phi(N) x deg g matrix built once per handle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # random loads only where it is used
@@ -616,15 +618,27 @@ def _monic(a: list[int], p: int) -> list[int]:
     return [c * inverse % p for c in a]
 
 
+@lru_cache(maxsize=None)
+def _residue_columns(h: PrimeIdealHandle) -> tuple[tuple[int, ...], ...]:
+    """Reduction mod h's prime as a matrix over GF(p): column k holds the x^k
+    coefficients of the remainders of zeta_N^i, i < phi(N), by g."""
+    g = h.local_factor
+    images = [_divmod_mod_p([0] * i + [1], g, h.rational_prime)[1]
+              for i in range(euler_phi(h.conductor))]
+    return tuple(zip(*[r + [0] * (len(g) - 1 - len(r)) for r in images]))
+
+
 def residue(a: CycInt, h: PrimeIdealHandle) -> tuple[int, ...]:
-    """The image of a in the residue field of h's prime ideal P: the
-    remainder of a, written over the handle's conductor, by the local factor
-    over GF(p).  The map is additive, so a = b mod P exactly when their
-    residues are equal.  The element's conductor must divide the handle's."""
+    """The image of a in the residue field of h's prime P = (p, g), g the
+    local factor: the remainder of a, written over the handle's conductor,
+    by g over GF(p), trimmed.  Reduction is Z-linear on the power basis, so
+    this is a's coefficients times _residue_columns(h).  a = b mod P exactly
+    when their residues are equal.  a's conductor must divide the handle's."""
     a = a.lift(lcm(a.conductor, h.conductor))
     if a.conductor != h.conductor:
         raise ValueError("conductor of the element must divide the handle's")
-    return tuple(_divmod_mod_p(a.coeffs, h.local_factor, h.rational_prime)[1])
+    return tuple(_trim([sum(map(mul, a.coeffs, column)) % h.rational_prime
+                        for column in _residue_columns(h)]))
 
 
 def in_prime_ideal(a: CycInt, h: PrimeIdealHandle) -> bool:

@@ -67,11 +67,18 @@ def _root(doc) -> RootOfUnity:
     return RootOfUnity.of(exact_int(doc[0]), exact_int(doc[1]))
 
 
+def _positive(key: str, value) -> int:
+    """value, which must be a positive int; key names it in the error."""
+    if exact_int(value) < 1:
+        raise ValueError(f"{key} {value} must be a positive integer")
+    return value
+
+
 def _parse_factor(doc) -> SchurFactorX:
     return SchurFactorX(
         cyc_index=exact_int(doc["cyc"]),
         exps_numerator=tuple(exact_int(c) for c in doc["num"]),
-        exps_denominator=exact_int(doc.get("den", 1)),
+        exps_denominator=_positive("den", doc.get("den", 1)),
         twist=_root(doc["twist"]) if "twist" in doc else RootOfUnity.one(),
     )
 
@@ -121,11 +128,14 @@ def _located(report: list[str], where: str, parse, *args):
 
 
 def _parse_header(doc) -> GroupDatum:
+    orbits = doc["orbits"]
+    if not all(isinstance(o, list) and len(o) == 2 for o in orbits):
+        raise ValueError(f"orbits {orbits!r} are not [letter, size] pairs")
     g = GroupDatum(
         name=doc["name"],
         field_conductor=bounded_conductor(exact_int(doc["field_conductor"])),
-        group_order=exact_int(doc["group_order"]),
-        orbits=tuple((o[0], exact_int(o[1])) for o in doc["orbits"]),
+        group_order=_positive("group_order", doc["group_order"]),
+        orbits=tuple((o[0], exact_int(o[1])) for o in orbits),
         characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
     )
     if len(set(g.characters)) != len(g.characters):
@@ -142,7 +152,7 @@ def _parse_header(doc) -> GroupDatum:
     if not all(isinstance(o, str) and len(o) == 1 and o.isalpha()
                for o in names) or len(set(names)) != len(names):
         raise ValueError(f"orbit names {names} must be distinct single letters")
-    g.primes  # raises unless |G| >= 1 factors within the bound
+    g.primes  # raises unless |G| factors within the bound
     return g
 
 
@@ -259,7 +269,8 @@ def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
         return None
     element = normalize_x_to_v(g, label, _cycint(sdoc["coeff"]),
                                tuple(exact_int(c) for c in sdoc["lead"]), factors,
-                               lead_den=exact_int(sdoc.get("lead_den", 1)))
+                               lead_den=_positive("lead_den",
+                                                  sdoc.get("lead_den", 1)))
     report.extend(f"{where}: {msg}" for msg in validate(g, element))
     return element
 

@@ -202,6 +202,26 @@ MALFORMED = {
                            ["header: True is not an integer"]),
     "float lead_den": ("g7.json", _set(*_PHI_1_0, "lead_den", value=1.0),
                        ['schur_x["phi{1,0}"]: 1.0 is not an integer']),
+    # radical denominators: -1 and -2 ended in "order must be positive",
+    # and 0 in "integer modulo by zero", naming neither the key nor the fault
+    **{f"{key} {value}": ("g7.json", mutate, [f"{where}: {key} {value} must "
+                                              "be a positive integer"])
+       for key, value, mutate, where in [
+           ("den", 0, _set(*_PHI_1_0, "factors", 0, "den", value=0),
+            'schur_x["phi{1,0}"].factors[0]'),
+           ("den", -2, _set(*_PHI_1_0, "factors", 0, "den", value=-2),
+            'schur_x["phi{1,0}"].factors[0]'),
+           ("lead_den", 0, _set(*_PHI_1_0, "lead_den", value=0),
+            'schur_x["phi{1,0}"]'),
+           ("lead_den", -1, _set(*_PHI_1_0, "lead_den", value=-1),
+            'schur_x["phi{1,0}"]')]},
+    # the third entry was ignored, and the file verified ok
+    "orbit entry of three items": (
+        "g4.json", _set("orbits", value=[["c", 3, "junk"]]),
+        ["header: orbits [['c', 3, 'junk']] are not [letter, size] pairs"]),
+    # factorint's "n must be positive" named no key
+    "group order zero": ("g4.json", _set("group_order", value=0),
+                         ["header: group_order 0 must be a positive integer"]),
     "boolean block index": (
         "g4.json", _set("hyperplane_tables", 0, "blocks", 0, 0, value=True),
         ["hyperplane_tables[0]: True is not an integer"]),

@@ -470,6 +470,32 @@ def test_equal_residues_are_congruence(p, a, b):
         + CycInt(12, list(residue(b, h)) or [0]), h)
 
 
+def test_residue_matches_sympy_remainder():
+    """Independent oracle: sympy's remainder over GF(p) of the element's
+    coefficient polynomial by the local factor g.  An element of conductor
+    d | N is sum c_i x^(i N/d) over Z[zeta_N], and g divides Phi_N mod p,
+    so the remainder needs no reduction mod Phi_N first.  Seeded elements of
+    every divisor conductor, 1 included, and the conductor-1 handle."""
+    x = Symbol("x")
+    rng = random.Random("residue oracle")
+    for p in (2, 3, 5, 7):
+        for n in (1, 3, 4, 12, 15, 24, 36):
+            h = prime_handle(p, n)
+            g = Poly(h.local_factor[::-1], x, modulus=p)
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                for _ in range(6):
+                    a = CycInt(d, [rng.randint(-99, 99)
+                                   for _ in range(euler_phi(d))])
+                    poly = sum(c * x ** (i * n // d)
+                               for i, c in enumerate(a.coeffs))
+                    rem = Poly(poly, x, modulus=p).rem(g).all_coeffs()[::-1]
+                    expected = [int(c) % p for c in rem]
+                    while expected and not expected[-1]:
+                        expected.pop()
+                    assert residue(a, h) == tuple(expected), (p, n, a)
+                    assert in_prime_ideal(a, h) == (not expected), (p, n, a)
+
+
 def test_conductor_one_handle_is_divisibility():
     h = prime_handle(5, 1)
     assert in_prime_ideal(CycInt.rational(10), h)

@@ -25,7 +25,7 @@ from heckeblocks.engine import (
     rouquier_from_tables,
 )
 from heckeblocks.groupblocks import Partition, p_blocks
-from heckeblocks.lattice import dot
+from heckeblocks.lattice import _kernel_basis, dot
 from heckeblocks.schur import (
     SchurFacts,
     a_and_A,
@@ -243,6 +243,72 @@ def test_join_memo_belongs_to_its_tables(g4, g6, g7):
         assert rouquier_blocks(copy, spec)[1] is coarse
         assert rouquier_blocks(g4, spec)[1] is table.blocks
 
+
+
+# Witness coefficients on a flat's kernel basis lie in [-WITNESS_RANGE,
+# WITNESS_RANGE]; a flat gets WITNESS_ATTEMPTS seeded draws.
+WITNESS_RANGE, WITNESS_ATTEMPTS = 9, 200
+
+
+def _flats(g):
+    """Every flat of g's stored arrangement (a set of stored hyperplanes
+    that some vector lies on, and no other), as the frozenset of its normals'
+    indices, mapped to one nonzero integer witness that lies on exactly
+    those hyperplanes.  Rank closure: from the empty set, add one hyperplane
+    at a time and close the set to every hyperplane that contains its
+    kernel.  Raises AssertionError naming a flat that no draw witnesses."""
+    normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
+
+    def closure(indices):
+        rows = [normals[i] for i in indices] or [(0,) * g.slot_count]
+        kernel = _kernel_basis(rows)
+        return frozenset(i for i, h in enumerate(normals)
+                         if all(dot(h, k) == 0 for k in kernel)), kernel
+
+    empty, kernel = closure(())
+    kernels, todo = {empty: kernel}, [empty]
+    while todo:
+        flat = todo.pop()
+        for i in set(range(len(normals))) - flat:
+            bigger, kernel = closure(flat | {i})
+            if bigger not in kernels:
+                kernels[bigger] = kernel
+                todo.append(bigger)
+    rng = random.Random(f"flats {g.name}")
+    witnesses = {}
+    for flat, kernel in kernels.items():
+        for _ in range(WITNESS_ATTEMPTS):
+            c = [rng.randint(-WITNESS_RANGE, WITNESS_RANGE) for _ in kernel]
+            w = tuple(sum(map(mul, c, column)) for column in zip(*kernel))
+            if any(w) and {i for i, h in enumerate(normals)
+                           if dot(h, w) == 0} == flat:
+                witnesses[flat] = w
+                break
+        else:
+            raise AssertionError(f"{g.name}: no witness for the flat of "
+                                 f"{sorted(normals[i] for i in flat)}")
+    return witnesses
+
+
+@pytest.mark.parametrize("name, count", [("G4", 8), ("G6", 61), ("G7", 305)])
+def test_every_flat_witness_takes_the_table_path(name, count):
+    """The table path's answer depends on the hit set alone, so the flats
+    of the stored arrangement enumerate every answer: on each flat's
+    witness, and on the witness scaled past the packed product's 64-bit
+    bound, rouquier_blocks gives the plain scan's hyperplanes and join.
+    After every witness, a fresh datum's join memo holds one entry per flat,
+    the StoredTables docstring's bound."""
+    g = load_group(name)
+    tables = g.hyperplane_tables
+    flats = _flats(g)
+    assert len(flats) == count
+    for w in flats.values():
+        for n in (w, tuple(x << 63 for x in w)):
+            hit, expected = _table_path_oracle(g, n)
+            assert rouquier_blocks(g, Specialization(n)) == (
+                [t.hyperplane for t in hit], expected), n
+        assert tables.bound * max(map(abs, n)) >= 2**63
+    assert len(tables.joins) == count
 
 # ---------------------------------------------------------------------------
 # heuristic (Schur) path on the partial G7 payload
