@@ -15,7 +15,7 @@ from .cyclo import CycInt, RootOfUnity, cyclotomic_at_root
 from .engine import Hyperplane, HyperplaneTable
 from .groupblocks import Partition, join
 from .lattice import IntVector
-from .schur import CharLabel, SchurDataError, SchurFactorX
+from .schur import CharLabel, Characters, SchurDataError, SchurFactorX
 
 __all__ = [
     "CliffordLink",
@@ -46,11 +46,13 @@ class CliffordLink(NamedTuple):
         and each parent character lies in a row: by Frobenius reciprocity it
         lies over some child character."""
         link = CliffordLink(*args, **kwargs)
+        child_at = Characters.of(link.child_characters).positions
+        parent_at = Characters.of(link.parent_characters).positions
         if link.cyclic_order < 1:
             raise ValueError(f"cyclic order {link.cyclic_order} is not positive")
         seen: set[CharLabel] = set()
         for child_label, parents in link.induction:
-            if child_label not in link.child_characters:
+            if child_label not in child_at:
                 raise ValueError(f"unknown child character {child_label}")
             if not parents or link.cyclic_order % len(parents):
                 raise ValueError(
@@ -58,7 +60,7 @@ class CliffordLink(NamedTuple):
                     f"the cyclic order {link.cyclic_order}"
                 )
             for p in parents:
-                if p not in link.parent_characters:
+                if p not in parent_at:
                     raise ValueError(f"unknown parent character {p}")
                 if p in seen:
                     raise ValueError(f"parent character {p} in two rows")
@@ -73,14 +75,12 @@ class CliffordLink(NamedTuple):
         return link
 
     def induction_indices(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Rows as 1-based (child index, parent indices)."""
-        return [
-            (
-                self.child_characters.index(child) + 1,
-                tuple(self.parent_characters.index(p) + 1 for p in parents),
-            )
-            for child, parents in self.induction
-        ]
+        """Rows as 1-based (child index, parent indices), read off the
+        characters' Characters.positions."""
+        child_at = Characters.of(self.child_characters).positions
+        parent_at = Characters.of(self.parent_characters).positions
+        return [(child_at[child], tuple(parent_at[p] for p in parents))
+                for child, parents in self.induction]
 
 
 def transport_blocks(link: CliffordLink, parent_blocks: Partition) -> Partition:

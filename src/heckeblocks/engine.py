@@ -24,7 +24,8 @@ from typing import NamedTuple
 from .cyclo import check_prime
 from .groupblocks import Partition, join, meet, p_blocks
 from .lattice import IntVector, dot
-from .schur import GroupDatum, bad_primes, canonical_normal, essential_normals
+from .schur import (Characters, GroupDatum, bad_primes, canonical_normal,
+                     essential_normals)
 
 __all__ = [
     "Hyperplane",
@@ -215,12 +216,16 @@ def _heuristic_groups(g: GroupDatum, p: int,
                       normal: IntVector | None = None) -> list[list[int]]:
     """The seed groups off every essential hyperplane (seed: N(xi) divisible
     by p) or on a primitive sign-canonical normal's (seed: it is p-essential).
-    Two calls' groups generate the join of their two partitions."""
+    The seed walks the stored facts, not every character, and reads each
+    index off Characters.positions.  Two calls' groups generate the join of
+    their two partitions."""
     if g.group_order % p:
         return []
+    positions = Characters.of(g.characters).positions
     return _seed_groups(g, p, {
-        i: f.weight for i, f in g.stored_facts().items()
-        if ((p, normal) in f.essential if normal else f.norm % p == 0)},
+        positions[c]: f.weight for c, f in (g.schur_facts or {}).items()
+        if c in positions
+        and ((p, normal) in f.essential if normal else f.norm % p == 0)},
         normal)
 
 

@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # fractions loads only where a_and_A uses it
     from fractions import Fraction
 __all__ = [
     "CharLabel",
+    "Characters",
     "GroupDatum",
     "SchurFactorX",
     "SchurFactorV",
@@ -99,14 +100,32 @@ class CharLabel(NamedTuple):
         return self.render()
 
 
+class Characters(tuple):
+    """A group's character labels, equal to their plain tuple, with
+    positions, the map label -> 1-based index, built once."""
+
+    def __new__(cls, labels):
+        self = super().__new__(cls, labels)
+        self.positions = {c: i for i, c in enumerate(self, 1)}
+        return self
+
+    @classmethod
+    def of(cls, labels) -> "Characters":
+        """labels itself when it is a Characters, else its map."""
+        return labels if isinstance(labels, cls) else cls(labels)
+
+
 class GroupDatum(NamedTuple):
     """Static data of one complex reflection group and its Hecke algebra.
 
     Immutable; store.load builds each one once, from the header and its
-    parsed sections, schur_facts included.  That index is keyed by
-    CharLabel, like schur_elements, so _replace(characters=...) cuts stay
-    correct.  load stores the hyperplane tables as an engine.StoredTables,
-    whose memo caches derived joins only, so the value never changes.
+    parsed sections, schur_facts included.  load stores the characters as
+    a Characters, whose positions map each label to its 1-based index;
+    schur_elements and schur_facts are keyed by CharLabel, so the index of
+    a stored entry is one lookup.  A _replace(characters=...) cut with a
+    plain tuple stays correct: Characters.of builds its map on the fly.
+    load stores the hyperplane tables as an engine.StoredTables, whose
+    memo caches derived joins only, so the value never changes.
     Slots are indexed by (orbit, j) pairs flattened in orbit order; each
     orbit is named by its own letter, and its slots display as that letter
     with subscripts 0 .. e_C - 1.  mu_order = |mu(K)|, for
@@ -144,11 +163,12 @@ class GroupDatum(NamedTuple):
 
     def stored_schur(self) -> dict[int, "SchurElement"]:
         """1-based character index -> Schur element, for the characters
-        with stored Schur data."""
+        with stored Schur data, in stored order: a walk of the stored
+        labels through Characters.positions, not of every character."""
         return _by_index(self.characters, self.schur_elements)
 
     def stored_facts(self) -> dict[int, "SchurFacts"]:
-        """1-based character index -> SchurFacts, likewise."""
+        """1-based character index -> SchurFacts, walked likewise."""
         return _by_index(self.characters, self.schur_facts)
 
     def stored_tables(self) -> tuple:
@@ -184,8 +204,10 @@ class GroupDatum(NamedTuple):
 
 
 def _by_index(characters, by_label: dict | None) -> dict:
-    return {i + 1: by_label[c] for i, c in enumerate(characters)
-            if c in by_label} if by_label else {}
+    if not by_label:
+        return {}
+    positions = Characters.of(characters).positions
+    return {positions[c]: v for c, v in by_label.items() if c in positions}
 
 
 class SchurFactorX(NamedTuple):

@@ -27,6 +27,7 @@ from .groupblocks import CharacterTable, Partition
 from .lattice import primitive_part
 from .schur import (
     CharLabel,
+    Characters,
     GroupDatum,
     SchurFactorX,
     normalize_x_to_v,
@@ -83,9 +84,19 @@ def _parse_factor(doc) -> SchurFactorX:
     )
 
 
-def _parse_link(doc, g: GroupDatum) -> CliffordLink:
+def _parse_link(doc, g: GroupDatum, report: list[str], where: str):
     """A link stored in its child's file: the child and its characters are
-    g's, and the document names only the parent."""
+    g's, and the document names only the parent.  Each parameter_spec
+    entry or induction row that is not a two-item list goes into report at
+    its own location, and the link is then None."""
+    bad = [f"{where}.{key}[{j}]: {item!r} is not a {shape} pair"
+           for key, shape in (("parameter_spec", "[kind, payload]"),
+                              ("induction", "[child, parents]"))
+           for j, item in enumerate(doc[key])
+           if not (isinstance(item, list) and len(item) == 2)]
+    if bad:
+        report.extend(bad)
+        return None
     spec = []
     for entry in doc["parameter_spec"]:
         kind, payload = entry
@@ -102,7 +113,8 @@ def _parse_link(doc, g: GroupDatum) -> CliffordLink:
         child=g.name,
         cyclic_order=exact_int(doc["cyclic_order"]),
         parameter_spec=tuple(spec),
-        parent_characters=tuple(CharLabel.parse(c) for c in doc["parent_characters"]),
+        parent_characters=Characters(
+            CharLabel.parse(c) for c in doc["parent_characters"]),
         child_characters=g.characters,
         induction=tuple(
             (CharLabel.parse(child), tuple(CharLabel.parse(p) for p in parents))
@@ -136,9 +148,9 @@ def _parse_header(doc) -> GroupDatum:
         field_conductor=bounded_conductor(exact_int(doc["field_conductor"])),
         group_order=_positive("group_order", doc["group_order"]),
         orbits=tuple((o[0], exact_int(o[1])) for o in orbits),
-        characters=tuple(CharLabel.parse(c) for c in doc["characters"]),
+        characters=Characters(CharLabel.parse(c) for c in doc["characters"]),
     )
-    if len(set(g.characters)) != len(g.characters):
+    if len(g.characters.positions) != len(g.characters):
         raise ValueError("character labels must be unique")
     if any(c.degree < 1 for c in g.characters):
         raise ValueError("character degrees must be at least 1")
@@ -261,7 +273,7 @@ def _parse_schur_x(docs, g: GroupDatum, report: list[str]) -> dict:
 def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
     """The element, normalised and validated; None if a factor is malformed."""
     where, label = f'schur_x["{name}"]', CharLabel.parse(name)
-    if label not in g.characters:
+    if label not in Characters.of(g.characters).positions:
         raise ValueError(f"schur entry for unknown character {name}")
     factors = [_located(report, f"{where}.factors[{j}]", _parse_factor, f)
                for j, f in enumerate(sdoc["factors"])]
@@ -276,8 +288,11 @@ def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
 
 
 def _parse_links(docs, g: GroupDatum, report: list[str]) -> tuple:
-    return tuple(_located(report, f"clifford_links[{i}]", _parse_link, ldoc, g)
-                 for i, ldoc in enumerate(docs))
+    links = []
+    for i, ldoc in enumerate(docs):
+        where = f"clifford_links[{i}]"
+        links.append(_located(report, where, _parse_link, ldoc, g, report, where))
+    return tuple(links)
 
 
 def load(path) -> GroupDatum:

@@ -59,6 +59,11 @@ def _drop(*keys):
     return lambda doc: _parent(doc, keys).__delitem__(keys[-1])
 
 
+def _append(*keys, value):
+    """Append value to the list at doc[keys[0]][keys[1]]..."""
+    return lambda doc: _parent(doc, keys)[keys[-1]].append(value)
+
+
 def _factor(factor):
     """Append factor to phi{1,0}'s Schur factors in G7."""
     return lambda doc: doc["schur_x"]["phi{1,0}"]["factors"].append(factor)
@@ -174,6 +179,17 @@ MALFORMED = {
     "link slot outside the child": (
         "g6.json", _set(*_LINK, "parameter_spec", 0, 1, value=99),
         ["clifford_links[0]: bad parameter_spec entry ['slot', 99]"]),
+    # Python's "too many values to unpack (expected 2)" named neither the
+    # key nor the shape it expected
+    "induction row of three items": (
+        "g6.json", _append(*_LINK, "induction", 0, value="junk"),
+        ["clifford_links[0].induction[0]: ['phi{1,0}', ['phi{1,0}', "
+         "\"phi{1,4}''\", \"phi{1,8}''\"], 'junk'] is not a [child, parents] "
+         "pair"]),
+    "parameter_spec entry of three items": (
+        "g6.json", _append(*_LINK, "parameter_spec", 0, value="junk"),
+        ["clifford_links[0].parameter_spec[0]: ['slot', 0, 'junk'] is not a "
+         "[kind, payload] pair"]),
     "group name not a string": ("g7.json", _set("name", value={}),
                                 ["header: the group name must be a string"]),
     "orbit name not a string": (

@@ -423,6 +423,77 @@ def test_heuristic_path_without_schur_payload_meets_group_blocks(
             assert blocks_no_hyperplane(g, p) == Partition.singletons(7)
 
 
+def _scan_by_index(characters, by_label):
+    """The full scan that Characters.positions replaced: index -> entry,
+    for every character with an entry in by_label."""
+    return {i: by_label[c] for i, c in enumerate(characters, 1)
+            if c in by_label}
+
+
+def _heuristic_by_scan(g, p, normal=None):
+    """blocks_no_hyperplane (blocks_one_hyperplane with a normal), its
+    seeds and normals read off the full scan of g's facts."""
+    facts = _scan_by_index(g.characters, g.schur_facts)
+    groups = []
+    for h in ([normal] if normal else []) + [None]:
+        seed = {i: f.weight for i, f in facts.items()
+                if ((p, h) in f.essential if h else f.norm % p == 0)}
+        groups += engine._seed_groups(g, p, seed, h)
+    return Partition.generated_by(groups, len(g.characters))
+
+
+def _views_of_g7(g7):
+    """G7 as loaded, and as the tests cut, reorder or re-index it."""
+    cut = tuple(g7.schur_elements)
+    return {
+        "loaded": g7,
+        "cut": g7._replace(characters=cut),
+        "reversed cut": g7._replace(characters=cut[::-1]),
+        "reversed": g7._replace(characters=tuple(reversed(g7.characters))),
+        "reversed Characters": g7._replace(
+            characters=schur.Characters(reversed(g7.characters))),
+        "facts copy": g7._replace(schur_facts={
+            c: f._replace(norm=0) for c, f in g7.schur_facts.items()}),
+    }
+
+
+@pytest.mark.parametrize("view", ["loaded", "cut", "reversed cut", "reversed",
+                                  "reversed Characters", "facts copy"])
+def test_stored_indices_match_the_full_scan(g7, view):
+    """The label -> index map never serves a stale view: stored_schur,
+    stored_facts and both heuristic calls on each view of G7 agree with
+    the full scan over its characters."""
+    g = _views_of_g7(g7)[view]
+    facts = _scan_by_index(g.characters, g.schur_facts)
+    assert g.stored_schur() == _scan_by_index(g.characters, g.schur_elements)
+    assert g.stored_facts() == facts
+    assert sorted(facts) == {"loaded": [1, 28, 39], "cut": [1, 2, 3],
+                             "reversed cut": [1, 2, 3],
+                             "reversed": [4, 15, 42],
+                             "reversed Characters": [4, 15, 42],
+                             "facts copy": [1, 28, 39]}[view]
+    for p in (2, 3):
+        assert blocks_no_hyperplane(g, p) == _heuristic_by_scan(g, p), p
+        normals = {h for f in facts.values() for q, h in f.essential if q == p}
+        assert normals, p
+        for h in sorted(normals):
+            assert blocks_one_hyperplane(g, p, Hyperplane(h)) == \
+                _heuristic_by_scan(g, p, h), (p, h)
+
+
+@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
+def test_loaded_characters_carry_their_positions(name):
+    """load stores the characters as a Characters, equal to its plain
+    tuple, whose positions number the labels from 1; Characters.of
+    returns it as it is."""
+    characters = load_group(name).characters
+    assert isinstance(characters, schur.Characters)
+    assert characters == tuple(characters)
+    assert characters.positions == {c: i for i, c
+                                    in enumerate(tuple(characters), 1)}
+    assert schur.Characters.of(characters) is characters
+
+
 # ---------------------------------------------------------------------------
 # the sampled specialisation search, kept as an independent oracle
 # ---------------------------------------------------------------------------
