@@ -35,8 +35,8 @@ class CliffordLink(NamedTuple):
     child: str
     cyclic_order: int
     parameter_spec: tuple[SpecEntry, ...]
-    parent_characters: tuple[CharLabel, ...]
-    child_characters: tuple[CharLabel, ...]
+    parent_characters: Characters
+    child_characters: Characters
     induction: tuple[tuple[CharLabel, tuple[CharLabel, ...]], ...]
 
     @staticmethod
@@ -46,8 +46,8 @@ class CliffordLink(NamedTuple):
         and each parent character lies in a row: by Frobenius reciprocity it
         lies over some child character."""
         link = CliffordLink(*args, **kwargs)
-        child_at = Characters.of(link.child_characters).positions
-        parent_at = Characters.of(link.parent_characters).positions
+        child_at = link.child_characters.positions
+        parent_at = link.parent_characters.positions
         if link.cyclic_order < 1:
             raise ValueError(f"cyclic order {link.cyclic_order} is not positive")
         seen: set[CharLabel] = set()
@@ -77,8 +77,8 @@ class CliffordLink(NamedTuple):
     def induction_indices(self) -> list[tuple[int, tuple[int, ...]]]:
         """Rows as 1-based (child index, parent indices), read off the
         characters' Characters.positions."""
-        child_at = Characters.of(self.child_characters).positions
-        parent_at = Characters.of(self.parent_characters).positions
+        child_at = self.child_characters.positions
+        parent_at = self.parent_characters.positions
         return [(child_at[child], tuple(parent_at[p] for p in parents))
                 for child, parents in self.induction]
 

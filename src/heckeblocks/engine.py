@@ -24,8 +24,7 @@ from typing import NamedTuple
 from .cyclo import check_prime
 from .groupblocks import Partition, join, meet, p_blocks
 from .lattice import IntVector, dot
-from .schur import (Characters, GroupDatum, bad_primes, canonical_normal,
-                     essential_normals)
+from .schur import GroupDatum, bad_primes, canonical_normal, essential_normals
 
 __all__ = [
     "Hyperplane",
@@ -82,7 +81,7 @@ class Specialization(NamedTuple):
 
 class StoredTables(tuple):
     """A datum's hyperplane tables, equal to their plain tuple, with a query
-    index built once.
+    index built once: store.load builds one per datum, which queries read.
 
     essential holds the K tables other than the baseline, in stored order.
     packed holds their normals h_k column-wise, one int per slot j:
@@ -111,27 +110,22 @@ class StoredTables(tuple):
         self.joins = {(): t.blocks for t in self if t.hyperplane is None}
         return self
 
-    @classmethod
-    def of(cls, tables) -> "StoredTables":
-        """tables itself when it is a StoredTables, else its index."""
-        return tables if isinstance(tables, cls) else cls(tables)
-
 
 def hyperplanes_containing(
-    tables, spec: Specialization
+    tables: StoredTables, spec: Specialization
 ) -> list[HyperplaneTable]:
-    """Stored tables whose hyperplane the specialization lies on, in stored
-    order; never the baseline.  store.load checks that each table coarsens
-    the baseline, so rouquier_blocks joins the blocks of these alone.  One
-    packed product (StoredTables) tests every table; a vector past its
-    64-bit bound takes one exact dot per table."""
-    index, n = StoredTables.of(tables), spec.n
-    if index.bound * max(map(abs, n), default=0) >= 1 << 63:
-        return [t for t in index.essential if dot(t.normal, n) == 0]
-    d = index.offset + sum(map(mul, n, index.packed))
-    fields = memoryview(d.to_bytes(8 * len(index.essential),
+    """The tables of the StoredTables store.load built whose hyperplane the
+    specialization lies on, in stored order; never the baseline.  load
+    checks that each table coarsens the baseline, so rouquier_blocks joins
+    the blocks of these alone.  One packed product tests every table; a
+    vector past its 64-bit bound takes one exact dot per table."""
+    n = spec.n
+    if tables.bound * max(map(abs, n), default=0) >= 1 << 63:
+        return [t for t in tables.essential if dot(t.normal, n) == 0]
+    d = tables.offset + sum(map(mul, n, tables.packed))
+    fields = memoryview(d.to_bytes(8 * len(tables.essential),
                                    sys.byteorder)).cast("Q")
-    return [t for t, f in zip(index.essential, fields) if f == 1 << 63]
+    return [t for t, f in zip(tables.essential, fields) if f == 1 << 63]
 
 
 def rouquier_blocks(
@@ -152,7 +146,7 @@ def rouquier_blocks(
     exponent per slot (BadExponents)."""
     g.check_exponents(spec.n)
     if path == "tables":
-        tables = StoredTables.of(g.stored_tables())
+        tables = g.stored_tables()
         hit = hyperplanes_containing(tables, spec)
         key = tuple(t.hyperplane for t in hit)
         if (blocks := tables.joins.get(key)) is None:
@@ -221,11 +215,10 @@ def _heuristic_groups(g: GroupDatum, p: int,
     their two partitions."""
     if g.group_order % p:
         return []
-    positions = Characters.of(g.characters).positions
+    positions = g.characters.positions
     return _seed_groups(g, p, {
         positions[c]: f.weight for c, f in (g.schur_facts or {}).items()
-        if c in positions
-        and ((p, normal) in f.essential if normal else f.norm % p == 0)},
+        if ((p, normal) in f.essential if normal else f.norm % p == 0)},
         normal)
 
 

@@ -109,11 +109,6 @@ class Characters(tuple):
         self.positions = {c: i for i, c in enumerate(self, 1)}
         return self
 
-    @classmethod
-    def of(cls, labels) -> "Characters":
-        """labels itself when it is a Characters, else its map."""
-        return labels if isinstance(labels, cls) else cls(labels)
-
 
 class GroupDatum(NamedTuple):
     """Static data of one complex reflection group and its Hecke algebra.
@@ -122,10 +117,9 @@ class GroupDatum(NamedTuple):
     parsed sections, schur_facts included.  load stores the characters as
     a Characters, whose positions map each label to its 1-based index;
     schur_elements and schur_facts are keyed by CharLabel, so the index of
-    a stored entry is one lookup.  A _replace(characters=...) cut with a
-    plain tuple stays correct: Characters.of builds its map on the fly.
-    load stores the hyperplane tables as an engine.StoredTables, whose
-    memo caches derived joins only, so the value never changes.
+    a stored entry is one lookup.  load stores the hyperplane tables as an
+    engine.StoredTables, whose memo caches derived joins only.  No query
+    rebuilds either index: a _replace(characters=...) view passes one.
     Slots are indexed by (orbit, j) pairs flattened in orbit order; each
     orbit is named by its own letter, and its slots display as that letter
     with subscripts 0 .. e_C - 1.  mu_order = |mu(K)|, for
@@ -136,11 +130,11 @@ class GroupDatum(NamedTuple):
     field_conductor: int
     group_order: int
     orbits: tuple[tuple[str, int], ...]
-    characters: tuple[CharLabel, ...]
+    characters: Characters
     schur_elements: dict | None = None  # CharLabel -> SchurElement
     schur_facts: dict | None = None  # CharLabel -> SchurFacts
     character_table: object | None = None  # groupblocks.CharacterTable
-    hyperplane_tables: tuple | None = None  # engine.HyperplaneTable, ...
+    hyperplane_tables: tuple | None = None  # engine.StoredTables
     clifford_links: tuple = ()
 
     @property
@@ -172,8 +166,8 @@ class GroupDatum(NamedTuple):
         return _by_index(self.characters, self.schur_facts)
 
     def stored_tables(self) -> tuple:
-        """The stored hyperplane tables; raises ValueError when the datum
-        has none."""
+        """The engine.StoredTables load built; raises ValueError when the
+        datum has none."""
         if self.hyperplane_tables is None:
             raise ValueError(f"no hyperplane tables stored for {self.name}")
         return self.hyperplane_tables
@@ -203,11 +197,10 @@ class GroupDatum(NamedTuple):
         return [sum(v[rng.start:rng.stop]) for rng in self.orbit_ranges()]
 
 
-def _by_index(characters, by_label: dict | None) -> dict:
-    if not by_label:
-        return {}
-    positions = Characters.of(characters).positions
-    return {positions[c]: v for c, v in by_label.items() if c in positions}
+def _by_index(characters: Characters, by_label: dict | None) -> dict:
+    """load rejects an entry for an unknown character, so each has an index."""
+    positions = characters.positions
+    return {positions[c]: v for c, v in (by_label or {}).items()}
 
 
 class SchurFactorX(NamedTuple):
@@ -462,17 +455,15 @@ def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
     """Normals of the p-essential hyperplanes, sorted (p = 0: every prime
     in g.primes).  Raises BadPrimeArgument unless p is 0 or in g.primes,
     so no argument is factorised.  Reads the full Schur payload if stored,
-    else the hyperplane tables; raises ValueError when neither is stored."""
+    else the hyperplane tables, whose normals load keeps distinct and
+    sign-canonical; raises ValueError when neither is stored."""
     if p != 0 and p not in g.primes:
         raise BadPrimeArgument("The number p should divide the order of the group")
     primes = [p] if p else g.primes
     if g.has_full_schur:
         return sorted(essential_normals(g, primes))
-    return sorted({
-        sign_canonical(table.normal)
-        for table in g.stored_tables()
-        if table.normal is not None and (p == 0 or p in table.primes)
-    })
+    return sorted(table.normal for table in g.stored_tables()
+                  if table.normal is not None and (p == 0 or p in table.primes))
 
 
 def specialize(g: GroupDatum, s: SchurElement, n: IntVector) -> SpecializedSchur:

@@ -75,6 +75,14 @@ def _positive(key: str, value) -> int:
     return value
 
 
+def _labels(value, key: str) -> Characters:
+    """The labels of value, a JSON list of strings that key names in the
+    error.  Every label list is read here: load builds each Characters."""
+    if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
+        raise ValueError(f"{key} {value!r} is not a list of character labels")
+    return Characters(CharLabel.parse(c) for c in value)
+
+
 def _parse_factor(doc) -> SchurFactorX:
     return SchurFactorX(
         cyc_index=exact_int(doc["cyc"]),
@@ -113,12 +121,11 @@ def _parse_link(doc, g: GroupDatum, report: list[str], where: str):
         child=g.name,
         cyclic_order=exact_int(doc["cyclic_order"]),
         parameter_spec=tuple(spec),
-        parent_characters=Characters(
-            CharLabel.parse(c) for c in doc["parent_characters"]),
+        parent_characters=_labels(doc["parent_characters"], "parent_characters"),
         child_characters=g.characters,
         induction=tuple(
-            (CharLabel.parse(child), tuple(CharLabel.parse(p) for p in parents))
-            for child, parents in doc["induction"]
+            (CharLabel.parse(child), _labels(parents, f"induction[{j}] parents"))
+            for j, (child, parents) in enumerate(doc["induction"])
         ),
     )
 
@@ -148,7 +155,7 @@ def _parse_header(doc) -> GroupDatum:
         field_conductor=bounded_conductor(exact_int(doc["field_conductor"])),
         group_order=_positive("group_order", doc["group_order"]),
         orbits=tuple((o[0], exact_int(o[1])) for o in orbits),
-        characters=Characters(CharLabel.parse(c) for c in doc["characters"]),
+        characters=_labels(doc["characters"], "characters"),
     )
     if len(g.characters.positions) != len(g.characters):
         raise ValueError("character labels must be unique")
@@ -179,6 +186,10 @@ def _parse_tables(docs, g: GroupDatum, report: list[str]) -> tuple:
     if not baselines and None not in tables:  # a bad table may be the baseline
         report.append("hyperplane_tables: "
                       "hyperplane tables lack the no-hyperplane baseline")
+    normals = [t.normal if t else None for t in tables]
+    report.extend(f"hyperplane_tables[{i}]: normal {h} repeats "
+                  f"hyperplane_tables[{normals.index(h)}]"
+                  for i, h in enumerate(normals) if h and normals.index(h) < i)
     if len(baselines) == 1:
         baseline = tables[baselines[0]].blocks
         for i, t in enumerate(tables):
@@ -273,7 +284,7 @@ def _parse_schur_x(docs, g: GroupDatum, report: list[str]) -> dict:
 def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
     """The element, normalised and validated; None if a factor is malformed."""
     where, label = f'schur_x["{name}"]', CharLabel.parse(name)
-    if label not in Characters.of(g.characters).positions:
+    if label not in g.characters.positions:
         raise ValueError(f"schur entry for unknown character {name}")
     factors = [_located(report, f"{where}.factors[{j}]", _parse_factor, f)
                for j, f in enumerate(sdoc["factors"])]
@@ -311,14 +322,18 @@ def load(path) -> GroupDatum:
     if g is not None and path.stem != g.name.lower():
         report.append(f"header: group {g.name} belongs in "
                       f"{g.name.lower()}.json, not {path.name}")
-    sections = {} if g is None else {
-        field: _located(report, key, parse, doc[key], g, report)
-        for key, field, parse in (
-            ("hyperplane_tables", "hyperplane_tables", _parse_tables),
-            ("character_table", "character_table", _parse_character_table),
-            ("schur_x", "schur_elements", _parse_schur_x),
-            ("clifford_links", "clifford_links", _parse_links),
-        ) if key in doc}
+    sections = {}
+    for key, field, parse, kind in (
+            ("hyperplane_tables", "hyperplane_tables", _parse_tables, list),
+            ("character_table", "character_table", _parse_character_table, dict),
+            ("schur_x", "schur_elements", _parse_schur_x, dict),
+            ("clifford_links", "clifford_links", _parse_links, list)):
+        if g is not None and key in doc:
+            if isinstance(doc[key], kind):
+                sections[field] = _located(report, key, parse, doc[key], g, report)
+            else:
+                report.append(f"{key}: the section is not a JSON "
+                              + ("list" if kind is list else "object"))
     if report:
         raise StoreError(path, report)
     if "hyperplane_tables" in sections:

@@ -64,6 +64,13 @@ def _append(*keys, value):
     return lambda doc: _parent(doc, keys)[keys[-1]].append(value)
 
 
+def _as_object(key):
+    """Replace the list doc[key] with an object that maps "0", "1", ... to
+    its items."""
+    return lambda doc: doc.__setitem__(
+        key, {str(i): item for i, item in enumerate(doc[key])})
+
+
 def _factor(factor):
     """Append factor to phi{1,0}'s Schur factors in G7."""
     return lambda doc: doc["schur_x"]["phi{1,0}"]["factors"].append(factor)
@@ -380,6 +387,36 @@ MALFORMED = {
         ["hyperplane_tables[3]: 'x' is not an integer",
          "hyperplane_tables[5]: normal [1, -1] is not a list of 8 integers",
          'schur_x["phi{3,6}"].factors[4]: missing key \'cyc\'']),
+    # the table path printed c_1-c_2=0 and its blocks twice, and verify-db
+    # said ok
+    "repeated hyperplane table": (
+        "g4.json",
+        lambda doc: doc["hyperplane_tables"].append(
+            doc["hyperplane_tables"][1]),
+        ["hyperplane_tables[7]: normal (0, 1, -1) repeats "
+         "hyperplane_tables[1]"]),
+    # a string or an object was read item by item: a label letter by
+    # letter, a section by its keys
+    "characters a string": (
+        "g4.json", _set("characters", value="phi{1,0}"),
+        ["header: characters 'phi{1,0}' is not a list of character labels"]),
+    "parent_characters a string": (
+        "g6.json", _set(*_LINK, "parent_characters", value="phi{1,0}"),
+        ["clifford_links[0]: parent_characters 'phi{1,0}' is not a list of "
+         "character labels"]),
+    "induction parents a string": (
+        "g6.json", _set(*_LINK, "induction", 0, 1, value="phi{1,0}"),
+        ["clifford_links[0]: induction[0] parents 'phi{1,0}' is not a list "
+         "of character labels"]),
+    "hyperplane_tables an object": (
+        "g4.json", _as_object("hyperplane_tables"),
+        ["hyperplane_tables: the section is not a JSON list"]),
+    "clifford_links an object": (
+        "g4.json", _as_object("clifford_links"),
+        ["clifford_links: the section is not a JSON list"]),
+    "schur_x a list": (
+        "g7.json", lambda doc: doc.update(schur_x=list(doc["schur_x"])),
+        ["schur_x: the section is not a JSON object"]),
 }
 
 

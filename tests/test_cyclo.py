@@ -287,6 +287,13 @@ def resultant_norm(a: CycInt) -> int:
     return int(phi.resultant(Poly(a.coeffs[::-1], x)))
 
 
+def _sweep():
+    """The K-cyclotomics over SWEEP_FIELDS with roots of order 2 to 60."""
+    return {KCyclotomic.of(m, RootOfUnity.of(d, e))
+            for m in SWEEP_FIELDS for d in range(2, 61) for e in range(1, d)
+            if gcd(e, d) == 1}
+
+
 def test_norm_matches_resultant_oracle():
     rng = random.Random(29)
     for n in CONDUCTORS:
@@ -295,12 +302,7 @@ def test_norm_matches_resultant_oracle():
             if not a.is_zero():
                 assert a.norm() == resultant_norm(a), a
         assert CycInt(n, [0] * euler_phi(n)).norm() == 0
-    sweep = {
-        KCyclotomic.of(m, RootOfUnity.of(d, e))
-        for m in SWEEP_FIELDS for d in range(2, 61) for e in range(1, d)
-        if gcd(e, d) == 1
-    }
-    for psi in sweep:
+    for psi in _sweep():
         value = psi.value_at_one()
         assert value.norm() == resultant_norm(value), psi
 
@@ -316,12 +318,7 @@ def product_value_at_one(psi: KCyclotomic) -> CycInt:
 
 
 def test_value_at_one_matches_the_reduced_product():
-    sweep = {
-        KCyclotomic.of(m, RootOfUnity.of(d, e))
-        for m in SWEEP_FIELDS for d in range(2, 61) for e in range(1, d)
-        if gcd(e, d) == 1
-    }
-    for psi in sweep:
+    for psi in _sweep():
         value, expected = psi.value_at_one(), product_value_at_one(psi)
         assert (value.conductor, value.coeffs) == \
             (expected.conductor, expected.coeffs), psi

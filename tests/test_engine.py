@@ -35,6 +35,7 @@ from heckeblocks.schur import (
 )
 from heckeblocks.store import load_group
 
+from checks import group_by_weight, on_hyperplane, patch_everywhere
 from golden_jobs import load_golden, run_job
 
 
@@ -137,12 +138,6 @@ def test_rouquier_from_tables_respects_baseline(g7):
     assert [28, 36] in blocks.as_lists()
 
 
-def _on(h, v):
-    """v moved onto h's hyperplane, in integers: |h|^2 v - <v, h> h."""
-    hh, vh = sum(map(mul, h, h)), sum(map(mul, v, h))
-    return [hh * x - vh * c for x, c in zip(v, h)]
-
-
 def _table_path_oracle(g, n):
     """The table path as its definition states it: the hit tables by a
     plain scan, and the join of the baseline with their blocks."""
@@ -160,8 +155,7 @@ def test_table_path_matches_the_join_with_the_baseline(name, monkeypatch):
     one and on two or more, it gives the hyperplanes and partition of the
     join with the baseline, and a lone hit table's own Partition.  k * n
     lies on the hyperplanes n lies on, so the multiples on both sides of
-    the packed product's 64-bit bound L * max|n_j| < 2^63 are checked too,
-    and a plain tuple or list of the tables must give the same hits.
+    the packed product's 64-bit bound L * max|n_j| < 2^63 are checked too.
     Within the bound, the packed product laid out for either byte order
     reads back, field by field, as 2^63 + <h_k, n>."""
     g = load_group(name)
@@ -175,9 +169,9 @@ def test_table_path_matches_the_join_with_the_baseline(name, monkeypatch):
         k = rng.randrange(3)
         if k:
             h1, h2 = rng.sample(normals, 2)
-            n = _on(h1, n)
+            n = on_hyperplane(h1, n)
             if k == 2:  # on h1 and on the part of h2 orthogonal to h1
-                n = _on(_on(h1, h2), n)
+                n = on_hyperplane(on_hyperplane(h1, h2), n)
         vectors.append(tuple(n))
     # <h, sign(h)> = |h|_1: at the bound's edge, h's field is at its extreme
     vectors += [tuple((c > 0) - (c < 0) for c in h) for h in normals]
@@ -199,8 +193,6 @@ def test_table_path_matches_the_join_with_the_baseline(name, monkeypatch):
             assert blocks == expected, kn
             if len(hit) == 1:
                 assert blocks is hit[0].blocks, kn
-            for tables in (tuple(g.hyperplane_tables), list(g.hyperplane_tables)):
-                assert hyperplanes_containing(tables, Specialization(kn)) == hit
             if bound * max(map(abs, kn)) >= 2**63:
                 continue
             fields = tuple(2**63 + sum(map(mul, h, kn)) for h in normals)
@@ -224,8 +216,9 @@ def test_join_memo_belongs_to_its_tables(g4, g6, g7):
         h1, h2 = normals[:2]
         n = [rng.randint(-9, 9) for _ in range(g.slot_count)]
         queries += [(g, v) for v in [(0,) * g.slot_count, tuple(n),
-                                     tuple(_on(h1, n)),
-                                     tuple(_on(_on(h1, h2), _on(h1, n)))]]
+                                     on_hyperplane(h1, n),
+                                     on_hyperplane(on_hyperplane(h1, h2),
+                                                   on_hyperplane(h1, n))]]
     expected = {(g.name, n): rouquier_blocks(load_group(g.name), Specialization(n))
                 for g, n in queries}
     alternating = queries[0::4] + queries[1::4] + queries[2::4] + queries[3::4]
@@ -317,15 +310,14 @@ def test_every_flat_witness_takes_the_table_path(name, count):
 
 @pytest.mark.parametrize("path", ["tables", "schur"])
 @pytest.mark.parametrize("n", [(5, 5), (5, 5, 5, 5)])
-def test_wrong_length_exponents_are_rejected(g4, g7, path, n):
+def test_wrong_length_exponents_are_rejected(g4, g7_cut, path, n):
     # dot zips and truncates, so a short vector used to hit (1,-1,0) and a
     # long one every hyperplane; the Schur path is run on G7 cut to its
     # Schur characters, which has the full payload
     with pytest.raises(ValueError, match=f"^G4 needs 3 exponents, got {len(n)}$"):
         rouquier_blocks(g4, Specialization(n), path)
-    cut = g7._replace(characters=tuple(g7.schur_elements))
     with pytest.raises(ValueError, match=f"^G7 needs 8 exponents, got {len(n)}$"):
-        rouquier_blocks(cut, Specialization(n), path)
+        rouquier_blocks(g7_cut, Specialization(n), path)
 
 
 def test_no_hyperplane_blocks_keep_trivial_character_alone(g7):
@@ -442,16 +434,17 @@ def _heuristic_by_scan(g, p, normal=None):
     return Partition.generated_by(groups, len(g.characters))
 
 
-def _views_of_g7(g7):
-    """G7 as loaded, and as the tests cut, reorder or re-index it."""
-    cut = tuple(g7.schur_elements)
+def _views_of_g7(g7, g7_cut):
+    """G7 as loaded, and as the tests cut, reorder or re-index it, each with
+    its Characters, so "reversed" and "reversed Characters" are one view."""
+    def view(labels):
+        return g7._replace(characters=schur.Characters(labels))
     return {
         "loaded": g7,
-        "cut": g7._replace(characters=cut),
-        "reversed cut": g7._replace(characters=cut[::-1]),
-        "reversed": g7._replace(characters=tuple(reversed(g7.characters))),
-        "reversed Characters": g7._replace(
-            characters=schur.Characters(reversed(g7.characters))),
+        "cut": g7_cut,
+        "reversed cut": view(g7_cut.characters[::-1]),
+        "reversed": view(g7.characters[::-1]),
+        "reversed Characters": view(g7.characters[::-1]),
         "facts copy": g7._replace(schur_facts={
             c: f._replace(norm=0) for c, f in g7.schur_facts.items()}),
     }
@@ -459,11 +452,11 @@ def _views_of_g7(g7):
 
 @pytest.mark.parametrize("view", ["loaded", "cut", "reversed cut", "reversed",
                                   "reversed Characters", "facts copy"])
-def test_stored_indices_match_the_full_scan(g7, view):
+def test_stored_indices_match_the_full_scan(g7, g7_cut, view):
     """The label -> index map never serves a stale view: stored_schur,
     stored_facts and both heuristic calls on each view of G7 agree with
     the full scan over its characters."""
-    g = _views_of_g7(g7)[view]
+    g = _views_of_g7(g7, g7_cut)[view]
     facts = _scan_by_index(g.characters, g.schur_facts)
     assert g.stored_schur() == _scan_by_index(g.characters, g.schur_elements)
     assert g.stored_facts() == facts
@@ -484,14 +477,12 @@ def test_stored_indices_match_the_full_scan(g7, view):
 @pytest.mark.parametrize("name", ["G4", "G6", "G7"])
 def test_loaded_characters_carry_their_positions(name):
     """load stores the characters as a Characters, equal to its plain
-    tuple, whose positions number the labels from 1; Characters.of
-    returns it as it is."""
+    tuple, whose positions number the labels from 1."""
     characters = load_group(name).characters
     assert isinstance(characters, schur.Characters)
     assert characters == tuple(characters)
     assert characters.positions == {c: i for i, c
                                     in enumerate(tuple(characters), 1)}
-    assert schur.Characters.of(characters) is characters
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +569,7 @@ def test_aa_partition_matches_specialized_a_plus_A(g7):
         vectors = list(itertools.islice(_oracle_specs(g7, p, h), 20))
         assert len(vectors) == 20
         for n in vectors:
-            sums = {}
-            for i, w in weights.items():
-                sums.setdefault(dot(w, n), []).append(i)
-            got = Partition.generated_by(sums.values(), len(g7.characters))
+            got = group_by_weight(weights, n, len(g7.characters))
             expected = _aa_partition_by_specialization(g7, n)
             assert got == expected, (p, h, n)
             merged += len(expected.parts) < len(g7.characters)
@@ -654,14 +642,12 @@ def _one_hyperplane_by_meets(g, p, normal,
 
 def _index_grouping(g, n):
     """Characters grouped by <w, n>, w their weight in g's index."""
-    sums = {}
-    for i, f in g.stored_facts().items():
-        sums.setdefault(dot(f.weight, n), []).append(i)
-    return Partition.generated_by(sums.values(), len(g.characters))
+    weights = {i: f.weight for i, f in g.stored_facts().items()}
+    return group_by_weight(weights, n, len(g.characters))
 
 
 @pytest.mark.parametrize("name", ["G4", "G6", "G7", "G7 cut", "G7 stand-in"])
-def test_one_hyperplane_blocks_match_the_joined_meet_loops(name):
+def test_one_hyperplane_blocks_match_the_joined_meet_loops(name, g7_cut):
     """blocks_one_hyperplane, which lets the seed groups on h and off every
     hyperplane generate one partition, against the join of the two
     meet-loop partitions, at every essential normal (every stored one on
@@ -671,7 +657,7 @@ def test_one_hyperplane_blocks_match_the_joined_meet_loops(name):
     hyperplane at p = 2 and 3, 1 and 39 form a group."""
     g, grouping = load_group(name.split()[0]), _aa_partition_by_specialization
     if name.endswith("cut"):
-        g = g._replace(characters=tuple(g.schur_elements))
+        g = g7_cut
     if name.endswith("stand-in"):
         w = g.stored_facts()[1].weight
         g = g._replace(schur_facts={
@@ -717,12 +703,8 @@ def test_heuristic_jobs_read_the_loaded_index(monkeypatch):
         raise AssertionError("Schur fact recomputed after load")
 
     monkeypatch.setattr(CycInt, "norm", fail)
-    for name in ("essential_monomials", "aa_weight"):
-        original = getattr(schur, name)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("heckeblocks") and \
-                    vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, fail)
+    for original in (schur.essential_monomials, schur.aa_weight):
+        patch_everywhere(monkeypatch, original, fail)
     for key, expected in jobs.items():
         assert run_job(groups, key).as_lists() == expected, key
 
@@ -766,14 +748,8 @@ def _stand_in_weights(g7, other):
     label = g7.characters[39 - 1]
     facts = {**g7.schur_facts,
              label: g7.schur_facts[label]._replace(weight=weights[39])}
-
-    def grouping(g, n):
-        sums = {}
-        for i, v in weights.items():
-            sums.setdefault(dot(v, n), []).append(i)
-        return Partition.generated_by(sums.values(), len(g.characters))
-
-    return g7._replace(schur_facts=facts), grouping
+    return g7._replace(schur_facts=facts), \
+        lambda g, n: group_by_weight(weights, n, len(g.characters))
 
 
 def _shifted(d):

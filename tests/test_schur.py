@@ -28,7 +28,7 @@ from heckeblocks.schur import (
     specialize,
 )
 
-from checks import once
+from checks import on_hyperplane, once
 
 REPRESENTATIVES = ("phi{1,0}", "phi{2,9}'", "phi{3,6}")
 
@@ -392,9 +392,9 @@ def test_specialization_at_zero_recovers_group_order_over_degree(g7):
         assert a_and_A(g7, sp) == (Fraction(0), Fraction(0))
 
 
-def test_bad_primes_on_a_full_payload(g7):
+def test_bad_primes_on_a_full_payload(g7, g7_cut):
     # G7 cut down to the characters with stored Schur data has a full payload
-    g = g7._replace(characters=tuple(g7.schur_elements))
+    g = g7_cut
     assert g.has_full_schur and not g7.has_full_schur
     with pytest.raises(ValueError):
         bad_primes(g7, (0,) * 8)
@@ -413,17 +413,10 @@ def _oracle_bad_primes(g, n):
     return out
 
 
-def _vector_on(normal, rng):
-    """An integer vector orthogonal to the normal."""
-    r = [rng.randint(-4, 4) for _ in normal]
-    return tuple(dot(normal, normal) * x - dot(normal, r) * c
-                 for x, c in zip(r, normal))
-
-
-def test_bad_primes_read_off_the_index_agree_with_the_norms(g7):
+def test_bad_primes_read_off_the_index_agree_with_the_norms(g7_cut):
     """On G7 cut to its Schur characters, and on the cut with every xi set
     to 1 (facts rebuilt), where only the vanishing monomials add primes."""
-    cut = g7._replace(characters=tuple(g7.schur_elements))
+    cut = g7_cut
     elements = {c: s._replace(xi=CycInt.rational(1))
                 for c, s in cut.schur_elements.items()}
     unit = cut._replace(
@@ -434,7 +427,8 @@ def test_bad_primes_read_off_the_index_agree_with_the_norms(g7):
     vectors += [tuple(rng.randint(-5, 5) for _ in range(8)) for _ in range(50)]
     normals = sorted({h for f in cut.schur_facts.values()
                       for _, h in f.essential})
-    vectors += [_vector_on(h, rng) for h in normals]
+    vectors += [on_hyperplane(h, [rng.randint(-4, 4) for _ in h])
+                for h in normals]
     answers = set()
     for g in (cut, unit):
         for n in vectors:

@@ -26,7 +26,7 @@ from heckeblocks.schur import aa_weight, essential_monomials, essential_normals
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
 import cli_probes
-from checks import once
+from checks import once, patch_everywhere
 from cli_probes import MAIN, PIPES, REQUESTS, pipe, run_fresh
 from cli_runner import invoke
 from malformed_cases import LOCATIONS, MALFORMED, SHIPPED, matches, rewrite
@@ -465,10 +465,7 @@ def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
         return counted
 
     for name, original in originals.items():
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("heckeblocks") and \
-                    vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counting(name))
+        patch_everywhere(monkeypatch, original, counting(name))
     result = invoke(["rouquier-blocks", "G7", "--path", "schur",
                      "--display", "index", "--exponents", exponents])
     assert result.exit_code == 0, result.output
@@ -482,7 +479,8 @@ def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
     assert len(calls["essential_normals"]) == len(primes)
 
 
-def test_schur_index_agrees_with_recomputation(g7_schur_db, g4, g6, g7):
+def test_schur_index_agrees_with_recomputation(g7_schur_db, g4, g6, g7,
+                                               g7_cut):
     """Every indexed norm, weight and essential set of G4, G6, G7 and the
     cut G7 database equals its recomputation, and G7 cut by _replace reads
     the same entries, by label, as the cut database loaded fresh."""
@@ -500,12 +498,10 @@ def test_schur_index_agrees_with_recomputation(g7_schur_db, g4, g6, g7):
                 assert {h for q, h in facts.essential if q == p} == \
                     essential_monomials(s, p), (label, p)
     assert len(g7.schur_facts) == 3
-    by_replace = g7._replace(characters=tuple(g7.schur_elements))
     for p in (2, 3, 5):
-        assert blocks_no_hyperplane(by_replace, p) == \
-            blocks_no_hyperplane(cut, p)
+        assert blocks_no_hyperplane(g7_cut, p) == blocks_no_hyperplane(cut, p)
         for h in sorted(essential_normals(cut, [p])):
-            assert blocks_one_hyperplane(by_replace, p, Hyperplane(h)) == \
+            assert blocks_one_hyperplane(g7_cut, p, Hyperplane(h)) == \
                 blocks_one_hyperplane(cut, p, Hyperplane(h))
 
 
