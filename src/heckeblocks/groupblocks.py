@@ -12,6 +12,7 @@ central characters and the row permutations once; p_blocks reads them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .cyclo import CycInt, _units, check_prime, prime_handle, residue
@@ -34,7 +35,11 @@ class Partition(NamedTuple):
         return Partition.generated_by(parts, size)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def singletons(size: int) -> "Partition":
+        """The partition of 1..size into one-element parts, built once per
+        size and shared: every caller gets the same value, which is
+        immutable, a tuple of tuples."""
         return Partition(tuple((i,) for i in range(1, size + 1)))
 
     @staticmethod
@@ -43,7 +48,7 @@ class Partition(NamedTuple):
         indices lies in one part, by union-find.  Links point to smaller
         indices, so one pass over 1..size in increasing order reads each
         root off the parent's, already found.  No groups give the
-        singletons at once."""
+        shared singletons at once."""
         if not groups:
             return Partition.singletons(size)
         parent = list(range(size + 1))

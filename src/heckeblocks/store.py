@@ -58,13 +58,29 @@ def default_db_dir() -> Path:
     return Path(env) if env else _DATA_DIR
 
 
+def _list(value, key: str, items: str) -> list:
+    """value, which must be a JSON list: a string or an object would be read
+    item by item, letter by letter or key by key.  key names it in the
+    error, and items what it should list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} {value!r} is not a list of {items}")
+    return value
+
+
+def _ints(value, key: str) -> tuple[int, ...]:
+    return tuple(exact_int(c) for c in _list(value, key, "integers"))
+
+
 def _cycint(doc) -> CycInt:
     if type(doc) is int:
         return CycInt.rational(doc)
-    return CycInt(bounded_conductor(exact_int(doc["conductor"])), doc["coeffs"])
+    return CycInt(bounded_conductor(exact_int(doc["conductor"])),
+                  _list(doc["coeffs"], "coeffs", "integers"))
 
 
-def _root(doc) -> RootOfUnity:
+def _root(doc, key: str) -> RootOfUnity:
+    if not (isinstance(doc, list) and len(doc) == 2):
+        raise ValueError(f"{key} {doc!r} is not an [order, exponent] pair")
     return RootOfUnity.of(exact_int(doc[0]), exact_int(doc[1]))
 
 
@@ -86,9 +102,9 @@ def _labels(value, key: str) -> Characters:
 def _parse_factor(doc) -> SchurFactorX:
     return SchurFactorX(
         cyc_index=exact_int(doc["cyc"]),
-        exps_numerator=tuple(exact_int(c) for c in doc["num"]),
+        exps_numerator=_ints(doc["num"], "num"),
         exps_denominator=_positive("den", doc.get("den", 1)),
-        twist=_root(doc["twist"]) if "twist" in doc else RootOfUnity.one(),
+        twist=_root(doc["twist"], "twist") if "twist" in doc else RootOfUnity.one(),
     )
 
 
@@ -97,10 +113,11 @@ def _parse_link(doc, g: GroupDatum, report: list[str], where: str):
     g's, and the document names only the parent.  Each parameter_spec
     entry or induction row that is not a two-item list goes into report at
     its own location, and the link is then None."""
+    shapes = (("parameter_spec", "[kind, payload]"),
+              ("induction", "[child, parents]"))
     bad = [f"{where}.{key}[{j}]: {item!r} is not a {shape} pair"
-           for key, shape in (("parameter_spec", "[kind, payload]"),
-                              ("induction", "[child, parents]"))
-           for j, item in enumerate(doc[key])
+           for key, shape in shapes
+           for j, item in enumerate(_list(doc[key], key, f"{shape} pairs"))
            if not (isinstance(item, list) and len(item) == 2)]
     if bad:
         report.extend(bad)
@@ -111,7 +128,7 @@ def _parse_link(doc, g: GroupDatum, report: list[str], where: str):
         if kind == "slot" and 0 <= exact_int(payload) < g.slot_count:
             spec.append(("slot", payload))
         elif kind == "root":
-            spec.append(("root", _root(payload)))
+            spec.append(("root", _root(payload, "root")))
         else:
             raise ValueError(f"bad parameter_spec entry {entry!r}")
     if not isinstance(doc["parent"], str):
@@ -224,7 +241,9 @@ def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):
             report.append(f"{where}: normal {normal} has nonzero orbit sums")
         hp = Hyperplane(normal)
     blocks = Partition.of(
-        [[exact_int(i) for i in part] for part in tdoc["blocks"]], len(g.characters))
+        [_ints(part, f"blocks[{k}]")
+         for k, part in enumerate(_list(tdoc["blocks"], "blocks", "parts"))],
+        len(g.characters))
     primes, allowed = tdoc["primes"], g.primes
     if primes == []:
         raise ValueError("primes [] is empty; a table lists at least one prime")
@@ -239,10 +258,11 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
     """The table, built and checked by CharacterTable.of; None, with each
     violation in report, if it is malformed."""
     conductor = bounded_conductor(exact_int(tdoc["conductor"]))
-    class_sizes = tuple(exact_int(s) for s in tdoc["class_sizes"])
+    class_sizes = _ints(tdoc["class_sizes"], "class_sizes")
     values = tuple(_located(report, f"character_table.values[{i}]", _parse_row,
                             i, row, conductor, len(class_sizes))
-                   for i, row in enumerate(tdoc["values"]))
+                   for i, row in enumerate(_list(tdoc["values"], "values",
+                                                 "table rows")))
     labels = tdoc.get("class_orders")
     bad = []
     if any(s < 1 for s in class_sizes):
@@ -270,7 +290,7 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
 
 
 def _parse_row(i: int, row, conductor: int, width: int) -> tuple:
-    if len(row) != width:
+    if len(_list(row, f"character table row {i}", f"{width} entries")) != width:
         raise ValueError(f"character table row {i} does not have {width} entries")
     return tuple(_cycint(v).lift(conductor) for v in row)
 
@@ -287,11 +307,12 @@ def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
     if label not in g.characters.positions:
         raise ValueError(f"schur entry for unknown character {name}")
     factors = [_located(report, f"{where}.factors[{j}]", _parse_factor, f)
-               for j, f in enumerate(sdoc["factors"])]
+               for j, f in enumerate(_list(sdoc["factors"], "factors",
+                                           "Schur factors"))]
     if None in factors:
         return None
     element = normalize_x_to_v(g, label, _cycint(sdoc["coeff"]),
-                               tuple(exact_int(c) for c in sdoc["lead"]), factors,
+                               _ints(sdoc["lead"], "lead"), factors,
                                lead_den=_positive("lead_den",
                                                   sdoc.get("lead_den", 1)))
     report.extend(f"{where}: {msg}" for msg in validate(g, element))

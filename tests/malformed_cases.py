@@ -408,6 +408,54 @@ MALFORMED = {
         "g6.json", _set(*_LINK, "induction", 0, 1, value="phi{1,0}"),
         ["clifford_links[0]: induction[0] parents 'phi{1,0}' is not a list "
          "of character labels"]),
+    # each of these named a letter or an item it did not expect, or gave
+    # Python's own words: one line per letter of "ab", "row 0 does not have
+    # 7 entries" for the key "x", "string indices must be integers"
+    "induction a string": (
+        "g6.json", _set(*_LINK, "induction", value="ab"),
+        ["clifford_links[0]: induction 'ab' is not a list of [child, parents] "
+         "pairs"]),
+    "parameter_spec a string": (
+        "g6.json", _set(*_LINK, "parameter_spec", value="ab"),
+        ["clifford_links[0]: parameter_spec 'ab' is not a list of [kind, "
+         "payload] pairs"]),
+    "root payload a string": (
+        "g6.json", _set(*_LINK, "parameter_spec", 0, value=["root", "31"]),
+        ["clifford_links[0]: root '31' is not an [order, exponent] pair"]),
+    "table values an object": (
+        "g4.json", _set(*_VALUES, value={"x": [1]}),
+        ["character_table: values {'x': [1]} is not a list of table rows"]),
+    "table row a string": (
+        "g4.json", _set(*_VALUES, 0, value="1111111"),
+        ["character_table.values[0]: character table row 0 '1111111' is not "
+         "a list of 7 entries"]),
+    "table entry coeffs a string": (
+        "g4.json", _set(*_VALUES, 2, 3, value={"conductor": 3, "coeffs": "01"}),
+        ["character_table.values[2]: coeffs '01' is not a list of integers"]),
+    "class_sizes a string": (
+        "g4.json", _set("character_table", "class_sizes", value="1338"),
+        ["character_table: class_sizes '1338' is not a list of integers"]),
+    "schur factors an object": (
+        "g7.json", _set(*_PHI_1_0, "factors", value={"cyc": 1}),
+        ['schur_x["phi{1,0}"]: factors {\'cyc\': 1} is not a list of Schur '
+         "factors"]),
+    "schur lead a string": (
+        "g7.json", _set(*_PHI_1_0, "lead", value="10000000"),
+        ['schur_x["phi{1,0}"]: lead \'10000000\' is not a list of integers']),
+    "schur factor num a string": (
+        "g7.json", _set(*_PHI_1_0, "factors", 0, "num", value="1"),
+        ['schur_x["phi{1,0}"].factors[0]: num \'1\' is not a list of '
+         "integers"]),
+    "schur factor twist a string": (
+        "g7.json", _set(*_PHI_1_0, "factors", 0, "twist", value="31"),
+        ['schur_x["phi{1,0}"].factors[0]: twist \'31\' is not an [order, '
+         "exponent] pair"]),
+    "table blocks a string": (
+        "g4.json", _set("hyperplane_tables", 0, "blocks", value="12"),
+        ["hyperplane_tables[0]: blocks '12' is not a list of parts"]),
+    "table part a string": (
+        "g4.json", _set("hyperplane_tables", 0, "blocks", 0, value="1"),
+        ["hyperplane_tables[0]: blocks[0] '1' is not a list of integers"]),
     "hyperplane_tables an object": (
         "g4.json", _as_object("hyperplane_tables"),
         ["hyperplane_tables: the section is not a JSON list"]),

@@ -388,6 +388,18 @@ def test_heuristic_and_p_blocks_at_a_prime_not_dividing_the_order(
     assert p_blocks(g4.character_table, p) == Partition.singletons(7)
 
 
+def test_unmerged_answers_are_the_shared_singletons(g4, g7):
+    """A call that merges no characters returns the one singletons value
+    that Partition.singletons keeps per size, not a copy of it; the value
+    is a tuple of tuples, which test_value_types pins as immutable."""
+    shared = Partition.singletons(42)
+    assert Partition.singletons(42) is shared
+    assert blocks_no_hyperplane(g7, 5) is shared
+    assert blocks_one_hyperplane(
+        g7, 2, Hyperplane((1, -1, 0, 0, 0, 0, 0, 0))) is shared
+    assert p_blocks(g4.character_table, 5) is Partition.singletons(7)
+
+
 class _Unreadable:
     """A stand-in weight that fails wherever the heuristic would use it."""
 

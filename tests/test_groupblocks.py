@@ -1,11 +1,14 @@
 """Group-algebra p-blocks from character tables, checked against a
 from-scratch enumeration of the binary tetrahedral group, plus coset
-enumeration oracles for the shipped group orders and a pairwise-congruence
-oracle for the residue-keyed p_blocks."""
+enumeration oracles for the shipped group orders, a pairwise-congruence
+oracle for the residue-keyed p_blocks, and connected components by set
+merging for Partition.generated_by."""
 
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeblocks import groupblocks
 from heckeblocks.cyclo import CycInt, in_prime_ideal, prime_handle
@@ -462,3 +465,29 @@ def test_galois_close_agrees_with_the_joined_images():
         pi = Partition.of(parts, 5)
         assert galois_close(table, pi).as_lists() == expected
         assert galois_close(table, pi) == _oracle_galois_close(table, pi)
+
+
+# ---------------------------------------------------------------------------
+# generated_by against connected components found by merging sets
+# ---------------------------------------------------------------------------
+
+_GROUPS = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(1, n), max_size=5),
+                         max_size=6)))
+
+
+@given(_GROUPS)
+@settings(max_examples=300, deadline=None)
+def test_generated_by_gives_the_merged_components(case):
+    """Empty lists, empty and one-element groups, repeated indices and
+    overlapping groups: each group's sets merge into one, and the parts
+    come out sorted, ordered by least element."""
+    n, groups = case
+    components = [{i} for i in range(1, n + 1)]
+    for group in groups:
+        hit = [c for c in components if c & set(group)]
+        if hit:
+            components = [c for c in components if c not in hit]
+            components.append(set().union(*hit))
+    expected = tuple(tuple(sorted(c)) for c in sorted(components, key=min))
+    assert Partition.generated_by(groups, n).parts == expected
