@@ -1,27 +1,27 @@
 """JSON persistence and validation of the group database.
 
-One group per UTF-8 JSON file.  load checks each value where it parses it
-(exact ints, shapes, conductors up to MAX_CONDUCTOR, Schur values at v=1,
-partitions, links) and computes GroupDatum.schur_facts; the character
-table's own checks (integral central characters, rows permuted by Galois)
-run in CharacterTable.of, which builds it.  load also checks that every
-hyperplane table coarsens the baseline, each baseline part inside one of
-its parts, so the table path's answer, the join of the baseline with the
-hit tables, is the join of the hit tables alone.  verify_db adds the
-cross-file checks.  Every entry is checked, and one malformed entry never
-hides another: one StoreError reports each violation at its JSON location,
-e.g. schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
+One group per UTF-8 JSON file, checked in two stages.  One walk checks the
+document against _DOCUMENT, the format, whose objects are closed: an unknown
+key, a missing one and a value of another JSON type (a bool is no integer)
+are faults.  Then the parsers check, in the entries the walk passed, what
+the format cannot say: sizes, primes dividing |G|, conductors up to
+MAX_CONDUCTOR, orbit sums, partitions, every table coarsening the baseline
+(the table path joins the hit tables alone), Schur values at v=1, links and,
+in CharacterTable.of, the character table.  verify_db adds the cross-file
+checks.  One StoreError reports every violation at its JSON location, e.g.
+schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import reprlib
 from math import lcm
 from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
-from .cyclo import CycInt, RootOfUnity, bounded_conductor, exact_int
+from .cyclo import CycInt, RootOfUnity, bounded_conductor
 from .engine import Hyperplane, HyperplaneTable, StoredTables
 from .groupblocks import CharacterTable, Partition
 from .lattice import primitive_part
@@ -58,97 +58,116 @@ def default_db_dir() -> Path:
     return Path(env) if env else _DATA_DIR
 
 
-def _list(value, key: str, items: str) -> list:
-    """value, which must be a JSON list: a string or an object would be read
-    item by item, letter by letter or key by key.  key names it in the
-    error, and items what it should list."""
-    if not isinstance(value, list):
-        raise ValueError(f"{key} {value!r} is not a list of {items}")
-    return value
+class _OneOf(tuple):
+    """A union: a value matches the one of these schemas of its JSON type."""
 
 
-def _ints(value, key: str) -> tuple[int, ...]:
-    return tuple(exact_int(c) for c in _list(value, key, "integers"))
+# The database format, which _walk checks.  int, str and None are JSON leaves;
+# [s] is a list of s, (s, t) a list of exactly an s and a t; a dict is a closed
+# object, a key ending in "?" optional; {str: s} maps any string to an s.
+_INTS, _PAIR = [int], (int, int)  # a pair: a root of unity [order, exponent]
+_CYCINT = _OneOf((int, {"conductor": int, "coeffs": _INTS}))
+_DOCUMENT = {
+    "name": str, "field_conductor": int, "group_order": int,
+    "orbits": [(str, int)], "characters": [str],
+    "hyperplane_tables?": [{"normal?": _OneOf((None, _INTS)),
+                            "blocks": [_INTS], "primes": _INTS}],
+    "character_table?": {"conductor": int, "class_sizes": _INTS,
+                         "class_orders?": [str], "values": [[_CYCINT]]},
+    "schur_x?": {str: {"coeff": _CYCINT, "lead": _INTS, "lead_den?": int,
+                       "factors": [{"cyc": int, "num": _INTS, "den?": int,
+                                    "twist?": _PAIR}]}},
+    "clifford_links?": [{"parent": str, "cyclic_order": int, "parent_characters": [str],
+                         "parameter_spec": [(str, _OneOf((int, _PAIR)))],
+                         "induction": [(str, [str])]}],
+}
+_SECTIONS = ("hyperplane_tables", "character_table", "schur_x", "clifford_links")
+_JSON = {type(None): type(None), list: list, tuple: list, dict: dict}  # else int, str
+_NAMES = {int: "an integer", str: "a string", type(None): "null",
+          list: "a JSON list", dict: "a JSON object"}
+_SHOW = reprlib.Repr()
+_SHOW.maxlevel = 1  # a faulty value shows its own items, not theirs
+
+
+def _walk(schema, value, faults: list, at=()) -> None:
+    """Append (at, message) to faults for each node of value, parsed JSON,
+    that breaks schema; "".join(at) is the node's location, "" the header's.
+    Never raises."""
+    options = schema if type(schema) is _OneOf else (schema,)
+    kinds = [_JSON.get(type(s), s) for s in options]
+    if type(value) not in kinds:
+        names = " or ".join(_NAMES[k] for k in kinds)
+        faults.append((at, f"{_SHOW.repr(value)} is not {names}"))
+        return
+    schema = options[kinds.index(type(value))]
+    if type(schema) is tuple and len(value) != len(schema):
+        faults.append((at, f"{_SHOW.repr(value)} is not a JSON list of "
+                           f"{len(schema)} items"))
+    elif type(schema) in (list, tuple):
+        items = schema if type(schema) is tuple else schema * len(value)
+        for i, (item, v) in enumerate(zip(items, value)):
+            if type(v) is not item:  # an item of a leaf type matches
+                _walk(item, v, faults, at + (f"[{i}]",))
+    elif type(schema) is dict and str in schema:
+        for key, v in value.items():
+            _walk(schema[str], v, faults, at + (f'["{key}"]',))
+    elif type(schema) is dict:
+        keys = {key.rstrip("?"): item for key, item in schema.items()}
+        faults.extend((at, f"unknown key {_SHOW.repr(key)}")
+                      for key in value if key not in keys)
+        faults.extend((at, f"missing key {key!r}") for key in schema
+                      if not key.endswith("?") and key not in value)
+        for key, v in value.items():
+            if key in keys:  # a section at the top, else a header field
+                step = f".{key}" if at else key if key in _SECTIONS else f"header.{key}"
+                _walk(keys[key], v, faults, at + (step,))
 
 
 def _cycint(doc) -> CycInt:
-    if type(doc) is int:
-        return CycInt.rational(doc)
-    return CycInt(bounded_conductor(exact_int(doc["conductor"])),
-                  _list(doc["coeffs"], "coeffs", "integers"))
+    return CycInt.rational(doc) if type(doc) is int else \
+        CycInt(bounded_conductor(doc["conductor"]), doc["coeffs"])
 
 
-def _root(doc, key: str) -> RootOfUnity:
-    if not (isinstance(doc, list) and len(doc) == 2):
-        raise ValueError(f"{key} {doc!r} is not an [order, exponent] pair")
-    return RootOfUnity.of(exact_int(doc[0]), exact_int(doc[1]))
-
-
-def _positive(key: str, value) -> int:
-    """value, which must be a positive int; key names it in the error."""
-    if exact_int(value) < 1:
+def _positive(key: str, value: int) -> int:
+    """value, which must be positive; key names it in the error."""
+    if value < 1:
         raise ValueError(f"{key} {value} must be a positive integer")
     return value
 
 
-def _labels(value, key: str) -> Characters:
-    """The labels of value, a JSON list of strings that key names in the
-    error.  Every label list is read here: load builds each Characters."""
-    if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
-        raise ValueError(f"{key} {value!r} is not a list of character labels")
-    return Characters(CharLabel.parse(c) for c in value)
-
-
 def _parse_factor(doc) -> SchurFactorX:
-    return SchurFactorX(
-        cyc_index=exact_int(doc["cyc"]),
-        exps_numerator=_ints(doc["num"], "num"),
-        exps_denominator=_positive("den", doc.get("den", 1)),
-        twist=_root(doc["twist"], "twist") if "twist" in doc else RootOfUnity.one(),
-    )
+    return SchurFactorX(doc["cyc"], tuple(doc["num"]),
+                        _positive("den", doc.get("den", 1)),
+                        RootOfUnity.of(*doc.get("twist", (1, 0))))
 
 
-def _parse_link(doc, g: GroupDatum, report: list[str], where: str):
+def _parse_link(doc, g: GroupDatum):
     """A link stored in its child's file: the child and its characters are
-    g's, and the document names only the parent.  Each parameter_spec
-    entry or induction row that is not a two-item list goes into report at
-    its own location, and the link is then None."""
-    shapes = (("parameter_spec", "[kind, payload]"),
-              ("induction", "[child, parents]"))
-    bad = [f"{where}.{key}[{j}]: {item!r} is not a {shape} pair"
-           for key, shape in shapes
-           for j, item in enumerate(_list(doc[key], key, f"{shape} pairs"))
-           if not (isinstance(item, list) and len(item) == 2)]
-    if bad:
-        report.extend(bad)
-        return None
+    g's, and the document names only the parent.  A parameter_spec entry is
+    ["slot", j] for a slot j of g or ["root", [order, exponent]]."""
     spec = []
-    for entry in doc["parameter_spec"]:
-        kind, payload = entry
-        if kind == "slot" and 0 <= exact_int(payload) < g.slot_count:
+    for kind, payload in doc["parameter_spec"]:
+        if kind == "slot" and payload in range(g.slot_count):
             spec.append(("slot", payload))
-        elif kind == "root":
-            spec.append(("root", _root(payload, "root")))
+        elif kind == "root" and type(payload) is list:
+            spec.append(("root", RootOfUnity.of(*payload)))
         else:
-            raise ValueError(f"bad parameter_spec entry {entry!r}")
-    if not isinstance(doc["parent"], str):
-        raise TypeError("the link parent must be a group name")
+            raise ValueError(f"bad parameter_spec entry {[kind, payload]!r}")
     return CliffordLink.of(
         parent=doc["parent"],
         child=g.name,
-        cyclic_order=exact_int(doc["cyclic_order"]),
+        cyclic_order=doc["cyclic_order"],
         parameter_spec=tuple(spec),
-        parent_characters=_labels(doc["parent_characters"], "parent_characters"),
+        parent_characters=Characters(map(CharLabel.parse, doc["parent_characters"])),
         child_characters=g.characters,
-        induction=tuple(
-            (CharLabel.parse(child), _labels(parents, f"induction[{j}] parents"))
-            for j, (child, parents) in enumerate(doc["induction"])
-        ),
+        induction=tuple((CharLabel.parse(child),
+                         Characters(map(CharLabel.parse, parents)))
+                        for child, parents in doc["induction"]),
     )
 
 
-# What a malformed entry raises past the explicit checks: a missing key, a
-# value of the wrong type, a list too short, an unparsable or zero value.
+# What a parser may still raise past its checks: a list too short, an
+# unparsable label, a zero value.
 _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError,
               ArithmeticError)
 
@@ -159,20 +178,16 @@ def _located(report: list[str], where: str, parse, *args):
     try:
         return parse(*args)
     except _MALFORMED as exc:
-        message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        report.append(f"{where}: {message}")
+        report.append(f"{where}: {exc}")
 
 
 def _parse_header(doc) -> GroupDatum:
-    orbits = doc["orbits"]
-    if not all(isinstance(o, list) and len(o) == 2 for o in orbits):
-        raise ValueError(f"orbits {orbits!r} are not [letter, size] pairs")
     g = GroupDatum(
         name=doc["name"],
-        field_conductor=bounded_conductor(exact_int(doc["field_conductor"])),
+        field_conductor=bounded_conductor(doc["field_conductor"]),
         group_order=_positive("group_order", doc["group_order"]),
-        orbits=tuple((o[0], exact_int(o[1])) for o in orbits),
-        characters=_labels(doc["characters"], "characters"),
+        orbits=tuple(map(tuple, doc["orbits"])),
+        characters=Characters(map(CharLabel.parse, doc["characters"])),
     )
     if len(g.characters.positions) != len(g.characters):
         raise ValueError("character labels must be unique")
@@ -182,21 +197,18 @@ def _parse_header(doc) -> GroupDatum:
         raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
     # the slot twists zeta_(e_C)^j live in Z[zeta_lcm(e_C)]
     bounded_conductor(lcm(*(e for _, e in g.orbits)))
-    if not isinstance(g.name, str):
-        raise TypeError("the group name must be a string")
     names = [o for o, _ in g.orbits]
-    if not all(isinstance(o, str) and len(o) == 1 and o.isalpha()
-               for o in names) or len(set(names)) != len(names):
+    if not all(len(o) == 1 and o.isalpha() for o in names) \
+            or len(set(names)) != len(names):
         raise ValueError(f"orbit names {names} must be distinct single letters")
     g.primes  # raises unless |G| factors within the bound
     return g
 
 
-def _parse_tables(docs, g: GroupDatum, report: list[str]) -> tuple:
-    tables = []
-    for i, tdoc in enumerate(docs):
-        where = f"hyperplane_tables[{i}]"
-        tables.append(_located(report, where, _parse_table, tdoc, g, report, where))
+def _parse_tables(docs, g: GroupDatum, report: list[str], rejected) -> tuple:
+    tables = [None if where in rejected else _located(report, where, _parse_table, tdoc,
+                                                 g, report, where)
+              for i, tdoc in enumerate(docs) for where in [f"hyperplane_tables[{i}]"]]
     baselines = [i for i, t in enumerate(tables) if t and t.hyperplane is None]
     report.extend(f"hyperplane_tables[{i}]: duplicate no-hyperplane baseline table"
                   for i in baselines[1:])
@@ -230,8 +242,7 @@ def _split_part(baseline: Partition, blocks: Partition):
 def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):
     normal, hp = tdoc.get("normal"), None
     if normal is not None:
-        if not (isinstance(normal, list) and len(normal) == g.slot_count
-                and all(type(c) is int for c in normal)):
+        if len(normal) != g.slot_count:
             raise ValueError(f"normal {normal!r} is not a list of "
                              f"{g.slot_count} integers")
         normal = tuple(normal)
@@ -240,36 +251,31 @@ def _parse_table(tdoc, g: GroupDatum, report: list[str], where: str):
         if any(g.orbit_sums(normal)):
             report.append(f"{where}: normal {normal} has nonzero orbit sums")
         hp = Hyperplane(normal)
-    blocks = Partition.of(
-        [_ints(part, f"blocks[{k}]")
-         for k, part in enumerate(_list(tdoc["blocks"], "blocks", "parts"))],
-        len(g.characters))
+    blocks = Partition.of(tdoc["blocks"], len(g.characters))
     primes, allowed = tdoc["primes"], g.primes
-    if primes == []:
+    if not primes:
         raise ValueError("primes [] is empty; a table lists at least one prime")
-    if not isinstance(primes, list) or not all(
-            type(p) is int and p in allowed for p in primes):
+    if not all(p in allowed for p in primes):
         raise ValueError(f"primes {primes!r} are not primes "
                          f"dividing the group order {g.group_order}")
     return HyperplaneTable(hp, blocks, frozenset(primes))
 
 
-def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
+def _parse_character_table(tdoc, g: GroupDatum, report: list[str], rejected):
     """The table, built and checked by CharacterTable.of; None, with each
-    violation in report, if it is malformed."""
-    conductor = bounded_conductor(exact_int(tdoc["conductor"]))
-    class_sizes = _ints(tdoc["class_sizes"], "class_sizes")
+    violation in report, if it is malformed or the walk found a fault."""
+    if any(where.startswith("character_table.") for where in rejected):
+        return None
+    conductor = bounded_conductor(tdoc["conductor"])
+    class_sizes = tuple(tdoc["class_sizes"])
     values = tuple(_located(report, f"character_table.values[{i}]", _parse_row,
                             i, row, conductor, len(class_sizes))
-                   for i, row in enumerate(_list(tdoc["values"], "values",
-                                                 "table rows")))
+                   for i, row in enumerate(tdoc["values"]))
     labels = tdoc.get("class_orders")
     bad = []
     if any(s < 1 for s in class_sizes):
         bad.append(f"class sizes {list(class_sizes)} are not all positive")
-    if "class_orders" in tdoc and not (
-            isinstance(labels, list) and len(labels) == len(class_sizes)
-            and all(isinstance(s, str) for s in labels)):
+    if labels is not None and len(labels) != len(class_sizes):
         bad.append(f"class_orders {labels!r} is not a list of "
                    f"{len(class_sizes)} strings")
     if len(values) != len(g.characters):
@@ -290,14 +296,15 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str]):
 
 
 def _parse_row(i: int, row, conductor: int, width: int) -> tuple:
-    if len(_list(row, f"character table row {i}", f"{width} entries")) != width:
+    if len(row) != width:
         raise ValueError(f"character table row {i} does not have {width} entries")
     return tuple(_cycint(v).lift(conductor) for v in row)
 
 
-def _parse_schur_x(docs, g: GroupDatum, report: list[str]) -> dict:
+def _parse_schur_x(docs, g: GroupDatum, report: list[str], rejected) -> dict:
     elements = (_located(report, f'schur_x["{name}"]', _parse_schur,
-                         name, sdoc, g, report) for name, sdoc in docs.items())
+                         name, sdoc, g, report)
+                for name, sdoc in docs.items() if f'schur_x["{name}"]' not in rejected)
     return {s.char: s for s in elements if s is not None}
 
 
@@ -307,54 +314,53 @@ def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
     if label not in g.characters.positions:
         raise ValueError(f"schur entry for unknown character {name}")
     factors = [_located(report, f"{where}.factors[{j}]", _parse_factor, f)
-               for j, f in enumerate(_list(sdoc["factors"], "factors",
-                                           "Schur factors"))]
+               for j, f in enumerate(sdoc["factors"])]
     if None in factors:
         return None
     element = normalize_x_to_v(g, label, _cycint(sdoc["coeff"]),
-                               _ints(sdoc["lead"], "lead"), factors,
+                               tuple(sdoc["lead"]), factors,
                                lead_den=_positive("lead_den",
                                                   sdoc.get("lead_den", 1)))
     report.extend(f"{where}: {msg}" for msg in validate(g, element))
     return element
 
 
-def _parse_links(docs, g: GroupDatum, report: list[str]) -> tuple:
-    links = []
-    for i, ldoc in enumerate(docs):
-        where = f"clifford_links[{i}]"
-        links.append(_located(report, where, _parse_link, ldoc, g, report, where))
-    return tuple(links)
+def _parse_links(docs, g: GroupDatum, report: list[str], rejected) -> tuple:
+    return tuple(None if f"clifford_links[{i}]" in rejected else
+                 _located(report, f"clifford_links[{i}]", _parse_link, ldoc, g)
+                 for i, ldoc in enumerate(docs))
 
 
 def load(path) -> GroupDatum:
-    """The group datum stored at path.  Every entry is checked, the character
-    table as p_blocks needs it included; one malformed entry hides no other:
-    each is reported and skipped, and the scan goes on, which only a malformed
-    header ends.  File x.json holds group X, as load_group finds it: another
-    header name is reported too.  Raises StoreError with every violation."""
+    """The group datum stored at path, file x.json holding group X.  The walk
+    checks the document, then the parsers each entry it passed (the header,
+    each table, the character table as p_blocks needs it, each Schur element
+    and link).  A malformed entry is reported and skipped; only a malformed
+    header ends the scan.  StoreError lists every violation, the walk's first."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise StoreError(path, [f"cannot parse: {exc}"]) from exc
-    report: list[str] = []
+    faults = []
+    _walk(_DOCUMENT, doc, faults)
+    report = [f"{''.join(at) or 'header'}: {message}" for at, message in faults]
+    if any(not at or at[0] not in _SECTIONS for at, _ in faults):
+        raise StoreError(path, report)
+    rejected = {"".join(at[:2]) for at, _ in faults}  # the entries to skip
     g = _located(report, "header", _parse_header, doc)
     if g is not None and path.stem != g.name.lower():
         report.append(f"header: group {g.name} belongs in "
                       f"{g.name.lower()}.json, not {path.name}")
     sections = {}
-    for key, field, parse, kind in (
-            ("hyperplane_tables", "hyperplane_tables", _parse_tables, list),
-            ("character_table", "character_table", _parse_character_table, dict),
-            ("schur_x", "schur_elements", _parse_schur_x, dict),
-            ("clifford_links", "clifford_links", _parse_links, list)):
-        if g is not None and key in doc:
-            if isinstance(doc[key], kind):
-                sections[field] = _located(report, key, parse, doc[key], g, report)
-            else:
-                report.append(f"{key}: the section is not a JSON "
-                              + ("list" if kind is list else "object"))
+    for key, field, parse in (
+            ("hyperplane_tables", "hyperplane_tables", _parse_tables),
+            ("character_table", "character_table", _parse_character_table),
+            ("schur_x", "schur_elements", _parse_schur_x),
+            ("clifford_links", "clifford_links", _parse_links)):
+        if g is not None and key in doc and key not in rejected:
+            sections[field] = _located(report, key, parse, doc[key], g, report,
+                                       rejected)
     if report:
         raise StoreError(path, report)
     if "hyperplane_tables" in sections:

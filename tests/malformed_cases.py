@@ -1,10 +1,13 @@
 """The malformed-database cases: each mutates one shipped file, which once
 escaped store.load as a raw exception, loaded silently, or pins a load
 check, and lists every located line load reports for it.  Each must end in
-StoreError, and the command line in exit 5.  tests/test_store_cli.py loads
-the cases in process; run as a script, with the standard library alone,
-this module replays them against an installed console script and exits 1,
-naming each case that failed:
+StoreError, and the command line in exit 5.  sweep() generates the type
+faults from the format's schema: every JSON type a node does not take, every
+required key dropped, a misspelt key added to every object.  Each of those
+is one line at its node's location.  tests/test_store_cli.py loads the
+cases in process; run as a script, with the standard library alone, this
+module replays MALFORMED against an installed console script, then loads
+the sweep in process, and exits 1, naming each case that failed:
 
     python tests/malformed_cases.py /path/to/bin/heckeblocks
 """
@@ -18,6 +21,7 @@ import tempfile
 from pathlib import Path
 
 import heckeblocks
+from heckeblocks.store import _DOCUMENT, StoreError, _OneOf, load
 
 SHIPPED = Path(heckeblocks.__file__).parent / "data"
 
@@ -36,10 +40,10 @@ def rewrite(db_dir, name, mutate):
 
 def matches(lines, report):
     """Whether lines are the report, line by line.  A report line ending in
-    ": " pins the location only, where the message is Python's own words,
-    which vary with its version."""
+    a space pins the start only: "cannot parse: " the location, where the
+    message is Python's own words, which vary with its version."""
     return len(lines) == len(report) and all(
-        line.startswith(want) if want.endswith(": ") else line == want
+        line.startswith(want) if want.endswith(" ") else line == want
         for line, want in zip(lines, report))
 
 
@@ -62,6 +66,11 @@ def _drop(*keys):
 def _append(*keys, value):
     """Append value to the list at doc[keys[0]][keys[1]]..."""
     return lambda doc: _parent(doc, keys)[keys[-1]].append(value)
+
+
+def _rename(key, new):
+    """Rename the top-level key to new."""
+    return lambda doc: doc.__setitem__(new, doc.pop(key))
 
 
 def _as_object(key):
@@ -138,9 +147,10 @@ MALFORMED = {
         _set(*_TABLE_1, "blocks", value=[[1, 2], [2, 3, 4], [5, 6], [7]]),
         ["hyperplane_tables[1]: parts do not partition 1..7: "
          "[[1, 2], [2, 3, 4], [5, 6], [7]]"]),
-    # Python words this message differently across versions
-    "non-numeric table entry": ("g4.json", _set(*_VALUES, 1, 1, value="x"),
-                                ["character_table.values[1]: "]),
+    "non-numeric table entry": (
+        "g4.json", _set(*_VALUES, 1, 1, value="x"),
+        ["character_table.values[1][1]: 'x' is not an integer or a JSON "
+         "object"]),
     "table row one entry short": (
         "g4.json", _drop(*_VALUES, 1, 6),
         ["character_table.values[1]: character table row 1 does not have 7 "
@@ -174,14 +184,14 @@ MALFORMED = {
     # found by the mutation test in tests/test_store_cli.py
     "float conductor": (
         "g4.json", _set(*_VALUES, 4, 5, "conductor", value=1.5),
-        ["character_table.values[4]: 1.5 is not an integer"]),
+        ["character_table.values[4][5].conductor: 1.5 is not an integer"]),
     "empty induction row": (
         "g6.json", _set(*_LINK, "induction", 12, 1, value=[]),
         ["clifford_links[0]: induction row size 0 does not divide the "
          "cyclic order 3"]),
     "link parent not a name": (
         "g4.json", _set(*_LINK, "parent", value={}),
-        ["clifford_links[0]: the link parent must be a group name"]),
+        ["clifford_links[0].parent: {} is not a string"]),
     # verify-db's transport check once indexed the child's slots with it
     "link slot outside the child": (
         "g6.json", _set(*_LINK, "parameter_spec", 0, 1, value=99),
@@ -190,18 +200,16 @@ MALFORMED = {
     # key nor the shape it expected
     "induction row of three items": (
         "g6.json", _append(*_LINK, "induction", 0, value="junk"),
-        ["clifford_links[0].induction[0]: ['phi{1,0}', ['phi{1,0}', "
-         "\"phi{1,4}''\", \"phi{1,8}''\"], 'junk'] is not a [child, parents] "
-         "pair"]),
+        ["clifford_links[0].induction[0]: ['phi{1,0}', [...], 'junk'] is not "
+         "a JSON list of 2 items"]),
     "parameter_spec entry of three items": (
         "g6.json", _append(*_LINK, "parameter_spec", 0, value="junk"),
         ["clifford_links[0].parameter_spec[0]: ['slot', 0, 'junk'] is not a "
-         "[kind, payload] pair"]),
+         "JSON list of 2 items"]),
     "group name not a string": ("g7.json", _set("name", value={}),
-                                ["header: the group name must be a string"]),
-    "orbit name not a string": (
-        "g4.json", _set("orbits", value=[[7, 3]]),
-        ["header: orbit names [7] must be distinct single letters"]),
+                                ["header.name: {} is not a string"]),
+    "orbit name not a string": ("g4.json", _set("orbits", value=[[7, 3]]),
+                                ["header.orbits[0][0]: 7 is not a string"]),
     # slots render as <orbit name>_<j>: an orbit "cc" printed c_c1-c_c2=0,
     # and two orbits "a" printed a_1-a_2=0 for slots of different orbits
     "orbit name of two letters": (
@@ -219,12 +227,14 @@ MALFORMED = {
         "g6.json", _set(*_LINK, "cyclic_order", value=-3),
         ["clifford_links[0]: cyclic order -3 is not positive"]),
     # numbers must be ints: int() would truncate 24.9 to 24 and load
-    "fractional group order": ("g4.json", _set("group_order", value=24.9),
-                               ["header: 24.9 is not an integer"]),
+    "fractional group order": (
+        "g4.json", _set("group_order", value=24.9),
+        ["header.group_order: 24.9 is not an integer"]),
     "boolean orbit size": ("g4.json", _set("orbits", value=[["c", True]]),
-                           ["header: True is not an integer"]),
-    "float lead_den": ("g7.json", _set(*_PHI_1_0, "lead_den", value=1.0),
-                       ['schur_x["phi{1,0}"]: 1.0 is not an integer']),
+                           ["header.orbits[0][1]: True is not an integer"]),
+    "float lead_den": (
+        "g7.json", _set(*_PHI_1_0, "lead_den", value=1.0),
+        ['schur_x["phi{1,0}"].lead_den: 1.0 is not an integer']),
     # radical denominators: -1 and -2 ended in "order must be positive",
     # and 0 in "integer modulo by zero", naming neither the key nor the fault
     **{f"{key} {value}": ("g7.json", mutate, [f"{where}: {key} {value} must "
@@ -241,16 +251,17 @@ MALFORMED = {
     # the third entry was ignored, and the file verified ok
     "orbit entry of three items": (
         "g4.json", _set("orbits", value=[["c", 3, "junk"]]),
-        ["header: orbits [['c', 3, 'junk']] are not [letter, size] pairs"]),
+        ["header.orbits[0]: ['c', 3, 'junk'] is not a JSON list of 2 "
+         "items"]),
     # factorint's "n must be positive" named no key
     "group order zero": ("g4.json", _set("group_order", value=0),
                          ["header: group_order 0 must be a positive integer"]),
     "boolean block index": (
         "g4.json", _set("hyperplane_tables", 0, "blocks", 0, 0, value=True),
-        ["hyperplane_tables[0]: True is not an integer"]),
+        ["hyperplane_tables[0].blocks[0][0]: True is not an integer"]),
     "float block index": (
         "g4.json", _set("hyperplane_tables", 0, "blocks", 1, 0, value=2.0),
-        ["hyperplane_tables[0]: 2.0 is not an integer"]),
+        ["hyperplane_tables[0].blocks[1][0]: 2.0 is not an integer"]),
     # checks that run in store.load, not when a value is constructed
     "duplicate character label": (
         "g4.json", _set("characters", 1, value="phi{1,0}"),
@@ -347,15 +358,21 @@ MALFORMED = {
     **{name: ("g4.json", _set(*_TABLE_1, "primes", value=primes),
               [f"hyperplane_tables[1]: primes {primes!r} are not primes "
                "dividing the group order 24"])
-       for name, primes in [
-           ("table prime 4", [4]), ("table prime 5", [5]),
-           ("table prime true", [True]), ("table prime a string", [2, "3"]),
-           ("table primes a string", "23"), ("table primes an integer", 3)]},
+       for name, primes in [("table prime 4", [4]), ("table prime 5", [5])]},
+    **{name: ("g4.json", _set(*_TABLE_1, "primes", value=primes), [line])
+       for name, primes, line in [
+           ("table prime true", [True],
+            "hyperplane_tables[1].primes[0]: True is not an integer"),
+           ("table prime a string", [2, "3"],
+            "hyperplane_tables[1].primes[1]: '3' is not an integer"),
+           ("table primes a string", "23",
+            "hyperplane_tables[1].primes: '23' is not a JSON list"),
+           ("table primes an integer", 3,
+            "hyperplane_tables[1].primes: 3 is not a JSON list")]},
     # a string is a sequence: its 7 letters loaded as the 7 class labels
     "class_orders a string": (
         "g4.json", _set("character_table", "class_orders", value="abcdefg"),
-        ["character_table: class_orders 'abcdefg' is not a list of 7 "
-         "strings"]),
+        ["character_table.class_orders: 'abcdefg' is not a JSON list"]),
     # a table at no prime loaded and verified: essential-hyperplanes G4
     # --prime 0 listed its hyperplane, and no --prime p did
     "table without primes": ("g4.json", _drop(*_TABLE_1, "primes"),
@@ -381,12 +398,13 @@ MALFORMED = {
     "table splits a baseline block": (
         "g7.json", _split_baseline_block,
         ["hyperplane_tables[1]: blocks split baseline part [23, 33]"]),
-    # one malformed entry hides no other: each fault is one located line
+    # one malformed entry hides no other: each fault is one located line,
+    # the schema walk's before the semantic checks'
     "three faults in one file": (
         "g7.json", _three_faults,
-        ["hyperplane_tables[3]: 'x' is not an integer",
-         "hyperplane_tables[5]: normal [1, -1] is not a list of 8 integers",
-         'schur_x["phi{3,6}"].factors[4]: missing key \'cyc\'']),
+        ["hyperplane_tables[3].blocks[0][0]: 'x' is not an integer",
+         'schur_x["phi{3,6}"].factors[4]: missing key \'cyc\'',
+         "hyperplane_tables[5]: normal [1, -1] is not a list of 8 integers"]),
     # the table path printed c_1-c_2=0 and its blocks twice, and verify-db
     # said ok
     "repeated hyperplane table": (
@@ -397,75 +415,190 @@ MALFORMED = {
          "hyperplane_tables[1]"]),
     # a string or an object was read item by item: a label letter by
     # letter, a section by its keys
-    "characters a string": (
-        "g4.json", _set("characters", value="phi{1,0}"),
-        ["header: characters 'phi{1,0}' is not a list of character labels"]),
-    "parent_characters a string": (
-        "g6.json", _set(*_LINK, "parent_characters", value="phi{1,0}"),
-        ["clifford_links[0]: parent_characters 'phi{1,0}' is not a list of "
-         "character labels"]),
-    "induction parents a string": (
-        "g6.json", _set(*_LINK, "induction", 0, 1, value="phi{1,0}"),
-        ["clifford_links[0]: induction[0] parents 'phi{1,0}' is not a list "
-         "of character labels"]),
-    # each of these named a letter or an item it did not expect, or gave
-    # Python's own words: one line per letter of "ab", "row 0 does not have
-    # 7 entries" for the key "x", "string indices must be integers"
-    "induction a string": (
-        "g6.json", _set(*_LINK, "induction", value="ab"),
-        ["clifford_links[0]: induction 'ab' is not a list of [child, parents] "
-         "pairs"]),
-    "parameter_spec a string": (
-        "g6.json", _set(*_LINK, "parameter_spec", value="ab"),
-        ["clifford_links[0]: parameter_spec 'ab' is not a list of [kind, "
-         "payload] pairs"]),
-    "root payload a string": (
-        "g6.json", _set(*_LINK, "parameter_spec", 0, value=["root", "31"]),
-        ["clifford_links[0]: root '31' is not an [order, exponent] pair"]),
-    "table values an object": (
-        "g4.json", _set(*_VALUES, value={"x": [1]}),
-        ["character_table: values {'x': [1]} is not a list of table rows"]),
-    "table row a string": (
-        "g4.json", _set(*_VALUES, 0, value="1111111"),
-        ["character_table.values[0]: character table row 0 '1111111' is not "
-         "a list of 7 entries"]),
-    "table entry coeffs a string": (
-        "g4.json", _set(*_VALUES, 2, 3, value={"conductor": 3, "coeffs": "01"}),
-        ["character_table.values[2]: coeffs '01' is not a list of integers"]),
-    "class_sizes a string": (
-        "g4.json", _set("character_table", "class_sizes", value="1338"),
-        ["character_table: class_sizes '1338' is not a list of integers"]),
-    "schur factors an object": (
-        "g7.json", _set(*_PHI_1_0, "factors", value={"cyc": 1}),
-        ['schur_x["phi{1,0}"]: factors {\'cyc\': 1} is not a list of Schur '
-         "factors"]),
-    "schur lead a string": (
-        "g7.json", _set(*_PHI_1_0, "lead", value="10000000"),
-        ['schur_x["phi{1,0}"]: lead \'10000000\' is not a list of integers']),
-    "schur factor num a string": (
-        "g7.json", _set(*_PHI_1_0, "factors", 0, "num", value="1"),
-        ['schur_x["phi{1,0}"].factors[0]: num \'1\' is not a list of '
-         "integers"]),
-    "schur factor twist a string": (
-        "g7.json", _set(*_PHI_1_0, "factors", 0, "twist", value="31"),
-        ['schur_x["phi{1,0}"].factors[0]: twist \'31\' is not an [order, '
-         "exponent] pair"]),
-    "table blocks a string": (
-        "g4.json", _set("hyperplane_tables", 0, "blocks", value="12"),
-        ["hyperplane_tables[0]: blocks '12' is not a list of parts"]),
-    "table part a string": (
-        "g4.json", _set("hyperplane_tables", 0, "blocks", 0, value="1"),
-        ["hyperplane_tables[0]: blocks[0] '1' is not a list of integers"]),
+    **{name: (file, _set(*keys, value=value), [line])
+       for name, file, keys, value, line in [
+           ("characters a string", "g4.json", ("characters",), "phi{1,0}",
+            "header.characters: 'phi{1,0}' is not a JSON list"),
+           ("parent_characters a string", "g6.json",
+            (*_LINK, "parent_characters"), "phi{1,0}",
+            "clifford_links[0].parent_characters: 'phi{1,0}' is not a JSON "
+            "list"),
+           ("induction parents a string", "g6.json",
+            (*_LINK, "induction", 0, 1), "phi{1,0}",
+            "clifford_links[0].induction[0][1]: 'phi{1,0}' is not a JSON "
+            "list"),
+           # each of these named a letter or an item it did not expect, or
+           # gave Python's own words: one line per letter of "ab", "row 0
+           # does not have 7 entries" for the key "x", "string indices must
+           # be integers"
+           ("induction a string", "g6.json", (*_LINK, "induction"), "ab",
+            "clifford_links[0].induction: 'ab' is not a JSON list"),
+           ("parameter_spec a string", "g6.json", (*_LINK, "parameter_spec"),
+            "ab", "clifford_links[0].parameter_spec: 'ab' is not a JSON list"),
+           ("root payload a string", "g6.json",
+            (*_LINK, "parameter_spec", 0), ["root", "31"],
+            "clifford_links[0].parameter_spec[0][1]: '31' is not an integer "
+            "or a JSON list"),
+           ("table values an object", "g4.json", _VALUES, {"x": [1]},
+            "character_table.values: {'x': [...]} is not a JSON list"),
+           ("table row a string", "g4.json", (*_VALUES, 0), "1111111",
+            "character_table.values[0]: '1111111' is not a JSON list"),
+           ("table entry coeffs a string", "g4.json", (*_VALUES, 2, 3),
+            {"conductor": 3, "coeffs": "01"},
+            "character_table.values[2][3].coeffs: '01' is not a JSON list"),
+           ("class_sizes a string", "g4.json",
+            ("character_table", "class_sizes"), "1338",
+            "character_table.class_sizes: '1338' is not a JSON list"),
+           ("schur factors an object", "g7.json", (*_PHI_1_0, "factors"),
+            {"cyc": 1},
+            'schur_x["phi{1,0}"].factors: {\'cyc\': 1} is not a JSON list'),
+           ("schur lead a string", "g7.json", (*_PHI_1_0, "lead"), "10000000",
+            'schur_x["phi{1,0}"].lead: \'10000000\' is not a JSON list'),
+           ("schur factor num a string", "g7.json",
+            (*_PHI_1_0, "factors", 0, "num"), "1",
+            'schur_x["phi{1,0}"].factors[0].num: \'1\' is not a JSON list'),
+           ("schur factor twist a string", "g7.json",
+            (*_PHI_1_0, "factors", 0, "twist"), "31",
+            'schur_x["phi{1,0}"].factors[0].twist: \'31\' is not a JSON '
+            "list"),
+           ("table blocks a string", "g4.json",
+            ("hyperplane_tables", 0, "blocks"), "12",
+            "hyperplane_tables[0].blocks: '12' is not a JSON list"),
+           ("table part a string", "g4.json",
+            ("hyperplane_tables", 0, "blocks", 0), "1",
+            "hyperplane_tables[0].blocks[0]: '1' is not a JSON list"),
+           # each of these gave Python's words: "'str' object has no
+           # attribute 'get'", "list indices must be integers or slices"
+           ("table a string", "g4.json", _TABLE_1, "ab",
+            "hyperplane_tables[1]: 'ab' is not a JSON object"),
+           ("table entry a list", "g4.json", (*_VALUES, 2, 3), [3, 1],
+            "character_table.values[2][3]: [3, 1] is not an integer or a "
+            "JSON object"),
+           ("schur element a list", "g7.json", _PHI_1_0, [1],
+            'schur_x["phi{1,0}"]: [1] is not a JSON object'),
+           ("link a string", "g6.json", _LINK, "ab",
+            "clifford_links[0]: 'ab' is not a JSON object")]},
     "hyperplane_tables an object": (
         "g4.json", _as_object("hyperplane_tables"),
-        ["hyperplane_tables: the section is not a JSON list"]),
+        ["hyperplane_tables: {'0': {...}, '1': {...}, '2': {...}, '3': {...}, "
+         "...} is not a JSON list"]),
     "clifford_links an object": (
         "g4.json", _as_object("clifford_links"),
-        ["clifford_links: the section is not a JSON list"]),
+        ["clifford_links: {'0': {...}} is not a JSON list"]),
     "schur_x a list": (
         "g7.json", lambda doc: doc.update(schur_x=list(doc["schur_x"])),
-        ["schur_x: the section is not a JSON object"]),
+        ['schur_x: [\'phi{1,0}\', "phi{2,9}\'", \'phi{3,6}\'] is not a JSON '
+         "object"]),
+    # a misspelt key loaded, without the data it named, and verify-db said
+    # ok: every object is closed
+    "misspelt hyperplane_tables key": (
+        "g4.json", _rename("hyperplane_tables", "hyperplane_tabels"),
+        ["header: unknown key 'hyperplane_tabels'"]),
+    "misspelt clifford_links key": (
+        "g6.json", _rename("clifford_links", "clifford_link"),
+        ["header: unknown key 'clifford_link'"]),
+    "misspelt table key": (
+        "g7.json", _set(*_TABLE_1, "blokcs", value=[[1]]),
+        ["hyperplane_tables[1]: unknown key 'blokcs'"]),
 }
+
+
+# One value of each JSON type, as json.loads gives it.
+_SAMPLES = {"null": None, "bool": True, "int": 7, "float": 1.5,
+            "string": "ab", "list": [], "object": {}}
+_JSON_TYPES = {type(None): "null", bool: "bool", int: "int", float: "float",
+               str: "string", list: "list", dict: "object"}
+
+
+def _json_type(schema) -> str:
+    """The JSON type of a value that matches the schema node."""
+    if schema is None or schema in (int, str):
+        return _JSON_TYPES[type(schema) if schema is None else schema]
+    return "object" if type(schema) is dict else "list"
+
+
+def misspelt(key: str) -> str:
+    """key with its second and third letters swapped."""
+    return key[0] + key[2] + key[1] + key[3:]
+
+
+def _nodes(schema, parent, key=0, where="header", shape=()):
+    """(parent, key, location, shape, the JSON types it takes, schema) for
+    each node parent[key] of a shipped document, its lists and maps sampled
+    at the first and last item; the shape is its path with each sampled
+    index or map key read as 0, first, or -1, last."""
+    value = parent[key]
+    options = schema if type(schema) is _OneOf else (schema,)
+    schema = next(s for s in options
+                  if _json_type(s) == _JSON_TYPES[type(value)])
+    yield parent, key, where, shape, {_json_type(s) for s in options}, schema
+    children = []
+    if type(schema) is tuple:
+        children = [(i, f"[{i}]", i, item) for i, item in enumerate(schema)]
+    elif type(schema) is list and value:
+        children = [(i, f"[{i}]", -1 if i else 0, schema[0])
+                    for i in sorted({0, len(value) - 1})]
+    elif type(schema) is dict and str in schema:
+        keys = dict.fromkeys([*value][:1] + [*value][-1:])
+        children = [(k, f'["{k}"]', -1 if i else 0, schema[str])
+                    for i, k in enumerate(keys)]
+    elif type(schema) is dict:
+        children = [(k, f".{k}", k, schema.get(k, schema.get(f"{k}?")))
+                    for k in value]
+    for k, step, tag, item in children:
+        place = (where + step if shape
+                 else k if k in LOCATIONS else f"header.{k}")
+        yield from _nodes(item, value, k, place, shape + (tag,))
+
+
+def sweep():
+    """(name, file, document, line) for each generated type fault in the
+    nodes of the shipped files, each node shape once: a value of each JSON
+    type the node does not take, and for an object each required key
+    dropped and a misspelt key added.  line is the one line load must
+    report, for a value of another type its start.  The document is a
+    shipped one changed in place, and changed back for the next case."""
+    seen = set()
+    for path in sorted(SHIPPED.glob("*.json")):
+        box = [json.loads(path.read_text())]
+        for parent, key, where, shape, takes, schema in _nodes(_DOCUMENT, box):
+            if shape in seen:
+                continue
+            seen.add(shape)
+            node = parent[key]
+            cases = [(kind, sample, f"{where}: {sample!r} is not ")
+                     for kind, sample in _SAMPLES.items() if kind not in takes]
+            if type(schema) is dict and str not in schema:
+                cases += [(f"without {k}", {n: v for n, v in node.items()
+                                            if n != k},
+                           f"{where}: missing key {k!r}")
+                          for k in schema if not k.endswith("?")]
+                k = misspelt(next(iter(schema)).rstrip("?"))
+                cases.append((f"with {k}", {**node, k: 0},
+                              f"{where}: unknown key {k!r}"))
+            for what, replacement, line in cases:
+                parent[key] = replacement
+                yield f"{path.name} {where} {what}", path.name, box[0], line
+            parent[key] = node
+
+
+def sweep_faults() -> tuple[int, list[str]]:
+    """How many sweep() cases there are, and each that load did not reject
+    with its one line, with what load reported."""
+    count, faults = 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, file, doc, line in sweep():
+            count += 1
+            path = Path(tmp) / file
+            path.write_text(json.dumps(doc))
+            try:
+                load(path)
+                report = ["it loaded"]
+            except StoreError as err:
+                report = err.report
+            if not matches(report, [line]):
+                faults.append(f"{name}: {report}")
+    return count, faults
 
 
 def _replay(script, case):
@@ -509,7 +642,11 @@ def main(script):
             failed += 1
             print(f"FAIL {case}: " + "; ".join(faults))
     print(f"{len(MALFORMED) - failed} of {len(MALFORMED)} cases passed")
-    return int(failed > 0)
+    count, faults = sweep_faults()
+    for fault in faults:
+        print(f"FAIL sweep {fault}")
+    print(f"{count - len(faults)} of {count} sweep cases passed")
+    return int(failed > 0 or bool(faults))
 
 
 if __name__ == "__main__":

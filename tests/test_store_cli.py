@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckeblocks
+from heckeblocks import store
 from heckeblocks.cyclo import factorint
 from heckeblocks.engine import (
     Hyperplane,
@@ -29,7 +30,15 @@ import cli_probes
 from checks import once, patch_everywhere
 from cli_probes import MAIN, PIPES, REQUESTS, pipe, run_fresh
 from cli_runner import invoke
-from malformed_cases import LOCATIONS, MALFORMED, SHIPPED, matches, rewrite
+from malformed_cases import (
+    LOCATIONS,
+    MALFORMED,
+    SHIPPED,
+    matches,
+    misspelt,
+    rewrite,
+    sweep_faults,
+)
 
 # file name -> the shipped document
 _SHIPPED = {path.name: json.loads(path.read_text())
@@ -160,6 +169,33 @@ def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
     assert result.exit_code == 5
 
 
+def test_generated_type_faults_are_one_located_line():
+    """malformed_cases.sweep(): each wrong JSON type, dropped required key
+    and misspelt key, at every node a shipped file has."""
+    count, faults = sweep_faults()
+    assert count and not faults, faults[:10]
+
+
+def _schema_keys(schema):
+    """Every object key the database schema names."""
+    if isinstance(schema, dict):
+        for key, item in schema.items():
+            if key is not str:
+                yield key.rstrip("?")
+            yield from _schema_keys(item)
+    elif isinstance(schema, (list, tuple)):
+        for item in schema:
+            yield from _schema_keys(item)
+
+
+def test_readme_names_every_schema_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Database format")[1].split("\n## ")[0]
+    missing = {key for key in _schema_keys(store._DOCUMENT)
+               if f"`{key}`" not in section}
+    assert not missing, sorted(missing)
+
+
 def test_deeply_nested_document_ends_in_store_error(db_copy, monkeypatch):
     """200 000 nested lists, which json.dumps cannot write and so
     MALFORMED cannot hold: json.loads raised RecursionError, and the
@@ -195,16 +231,19 @@ _LOCATIONS = LOCATIONS + ("cannot parse",)
 
 @st.composite
 def _mutated_document(draw):
-    """A shipped document with one key dropped, one value replaced by one
-    of another type, or one list truncated, and whether an int was replaced
-    by a float, a string or a bool."""
+    """A shipped document with one key dropped or renamed, one value
+    replaced by one of another type, or one list truncated, and why it must
+    not load, if it must not: an int replaced by a float, a string or a
+    bool, or a key renamed."""
     name, path = draw(st.sampled_from(_TARGETS))
     doc = copy.deepcopy(_SHIPPED[name])
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     key, node = path[-1], parent[path[-1]]
-    kinds = ["drop", "retype"] + (["truncate"] if isinstance(node, list) and node else [])
+    kinds = ["drop", "retype"]
+    kinds += ["truncate"] if isinstance(node, list) and node else []
+    kinds += ["rename"] if isinstance(parent, dict) else []
     kind = draw(st.sampled_from(kinds))
     if kind == "drop":
         del parent[key]
@@ -212,17 +251,20 @@ def _mutated_document(draw):
         parent[key] = draw(st.sampled_from(
             [v for v in _OTHER_TYPES if type(v) is not type(node)]
             + ([float(node)] if type(node) is int else [])))
+    elif kind == "rename":
+        parent[misspelt(key)] = parent.pop(key)
     else:
         parent[key] = node[:draw(st.integers(0, len(node) - 1))]
-    retyped_int = kind == "retype" and type(node) is int and \
-        type(parent[key]) in (float, str, bool)
-    return name, doc, retyped_int
+    if kind == "retype" and type(node) is int and \
+            type(parent[key]) in (float, str, bool):
+        return name, doc, "a retyped int loaded"
+    return name, doc, "a renamed key loaded" if kind == "rename" else None
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True)
 @given(_mutated_document())
 def test_mutated_documents_load_or_raise_store_error(mutated):
-    name, doc, retyped_int = mutated
+    name, doc, must_fail = mutated
     with tempfile.TemporaryDirectory() as tmp:
         db = Path(tmp)
         for other, shipped in _SHIPPED.items():
@@ -234,8 +276,9 @@ def test_mutated_documents_load_or_raise_store_error(mutated):
             assert all(line.startswith(_LOCATIONS) for line in err.report), \
                 err.report
         else:
-            # every int is read exactly: 2.0, "2" and true are not 2 or 1
-            assert not retyped_int, "a retyped int loaded"
+            # every int is read exactly: 2.0, "2" and true are not 2 or 1;
+            # and every object is closed
+            assert must_fail is None, must_fail
         group = name.removesuffix(".json").upper()
         zeros = ",".join("0" * (8 if group == "G7" else 3))
         for args in (["verify-db"], ["all-blocks", group],
