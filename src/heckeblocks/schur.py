@@ -88,13 +88,14 @@ class CharLabel(NamedTuple):
 
     @staticmethod
     def parse(text: str) -> "CharLabel":
-        body = text.strip()
-        marks = len(body) - len(body.rstrip("'"))
-        body = body.rstrip("'")
-        if not (body.startswith("phi{") and body.endswith("}")):
-            raise ValueError(f"bad character label: {text!r}")
-        d, b = body[4:-1].split(",")
-        return CharLabel(int(d), int(b), marks)
+        """The label that renders as text; ValueError for any other text."""
+        body = text.rstrip("'")
+        d, _, b = body.removeprefix("phi{").removesuffix("}").partition(",")
+        if d.isdecimal() and b.isdecimal():
+            label = CharLabel(int(d), int(b), len(text) - len(body))
+            if label.render() == text:
+                return label
+        raise ValueError(f"bad character label: {text!r}")
 
     def __str__(self) -> str:
         return self.render()

@@ -21,7 +21,7 @@ from math import lcm
 from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
-from .cyclo import CycInt, RootOfUnity, bounded_conductor
+from .cyclo import CycInt, RootOfUnity, bounded_conductor, euler_phi
 from .engine import Hyperplane, HyperplaneTable, StoredTables
 from .groupblocks import CharacterTable, Partition
 from .lattice import primitive_part
@@ -124,8 +124,15 @@ def _walk(schema, value, faults: list, at=()) -> None:
 
 
 def _cycint(doc) -> CycInt:
-    return CycInt.rational(doc) if type(doc) is int else \
-        CycInt(bounded_conductor(doc["conductor"]), doc["coeffs"])
+    """An entry: an integer, or {conductor n, coeffs} listing phi(n) integers."""
+    if type(doc) is int:
+        return CycInt.rational(doc)
+    coeffs = doc["coeffs"]
+    value = CycInt(bounded_conductor(doc["conductor"]), coeffs)
+    if len(coeffs) != euler_phi(n := value.conductor):
+        raise ValueError(f"coeffs {_SHOW.repr(coeffs)} is not a list of "
+                         f"phi({n}) = {euler_phi(n)} integers")
+    return value
 
 
 def _positive(key: str, value: int) -> int:
@@ -166,8 +173,8 @@ def _parse_link(doc, g: GroupDatum):
     )
 
 
-# What a parser may still raise past its checks: a list too short, an
-# unparsable label, a zero value.
+# What a parser raises past the walk: ValueError for a semantic fault (a bad
+# label, coeffs not phi(n) long); the rest, a fault no check names yet.
 _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError,
               ArithmeticError)
 

@@ -158,6 +158,11 @@ def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
         load(path)
     assert time.monotonic() - start < 1.0
     assert matches(err.value.report, report), err.value.report
+    # a fault the schema walk alone reports is the sweep's, not a row's
+    faults = []
+    store._walk(store._DOCUMENT, json.loads(path.read_text()), faults)
+    assert report != [f"{''.join(at) or 'header'}: {message}"
+                      for at, message in faults], "a walk-only row"
     result = invoke(["verify-db", str(path)])
     assert result.exit_code == 5
     assert matches(result.stdout.splitlines(),
@@ -170,10 +175,14 @@ def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
 
 
 def test_generated_type_faults_are_one_located_line():
-    """malformed_cases.sweep(): each wrong JSON type, dropped required key
-    and misspelt key, at every node a shipped file has."""
-    count, faults = sweep_faults()
-    assert count and not faults, faults[:10]
+    """malformed_cases.sweep(): each wrong JSON type, dropped required key,
+    misspelt key, added optional key and wrong pair length, at every node
+    a shipped file has."""
+    names, faults = sweep_faults()
+    assert not faults, faults[:10]
+    for part in ["].conductor float", "].coeffs string", "] with lead_den ",
+                 " one item more", " one item fewer"]:
+        assert any(part in name for name in names), part
 
 
 def _schema_keys(schema):
