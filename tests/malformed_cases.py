@@ -69,6 +69,11 @@ def _drop(*keys):
     return lambda doc: _parent(doc, keys).__delitem__(keys[-1])
 
 
+def _rename(key, new):
+    """Rename the top-level key to new."""
+    return lambda doc: doc.__setitem__(new, doc.pop(key))
+
+
 def _factor(factor):
     """Append factor to phi{1,0}'s Schur factors in G7."""
     return lambda doc: doc["schur_x"]["phi{1,0}"]["factors"].append(factor)
@@ -348,6 +353,14 @@ MALFORMED = {
         ["hyperplane_tables[3].blocks[0][0]: 'x' is not an integer",
          'schur_x["phi{3,6}"].factors[4]: missing key \'cyc\'',
          "hyperplane_tables[5]: normal [1, -1] is not a list of 8 integers"]),
+    # a misspelt key loaded, without the data it named, and verify-db said
+    # ok: every object is closed
+    "misspelt hyperplane_tables key": (
+        "g4.json", _rename("hyperplane_tables", "hyperplane_tabels"),
+        ["header: unknown key 'hyperplane_tabels'"]),
+    "misspelt clifford_links key": (
+        "g6.json", _rename("clifford_links", "clifford_link"),
+        ["header: unknown key 'clifford_link'"]),
     # the table path printed c_1-c_2=0 and its blocks twice; verify-db said ok
     "repeated hyperplane table": (
         "g4.json", lambda doc: doc["hyperplane_tables"].append(
@@ -356,6 +369,10 @@ MALFORMED = {
          "hyperplane_tables[1]"]),
 }
 
+# The rows whose whole report is the schema walk's.  The sweep adds a
+# misspelt key beside the real one; these rename an optional section, whose
+# absence alone is legal, and pin the fault that once dropped its data.
+WALK_ROWS = {"misspelt hyperplane_tables key", "misspelt clifford_links key"}
 
 # One value of each JSON type, as json.loads gives it; a lax reader would
 # take 7.0, "7" and true for an integer.
