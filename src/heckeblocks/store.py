@@ -1,15 +1,15 @@
 """JSON persistence and validation of the group database.
 
 One group per UTF-8 JSON file, checked in two stages.  One walk checks the
-document against _DOCUMENT, the format, whose objects are closed: an unknown
-key, a missing one and a value of another JSON type (a bool is no integer)
-are faults.  Then the parsers check, in the entries the walk passed, what
-the format cannot say: sizes, primes dividing |G|, conductors up to
-MAX_CONDUCTOR, orbit sums, partitions, every table coarsening the baseline
-(the table path joins the hit tables alone), Schur values at v=1, links and,
-in CharacterTable.of, the character table.  verify_db adds the cross-file
-checks.  One StoreError reports every violation at its JSON location, e.g.
-schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
+document against _DOCUMENT, the format: an unknown key, a missing one, a
+value of another JSON type (a bool is no integer) and an integer out of its
+range are faults.  Then the parsers check, in the entries the walk passed,
+what the format cannot say: sizes, primes dividing |G|, derived conductors
+up to MAX_CONDUCTOR, orbit sums, partitions, every table coarsening the
+baseline (the table path joins the hit tables alone), Schur values at v=1,
+links and, in CharacterTable.of, the character table.  verify_db adds the
+cross-file checks.  One StoreError reports every violation at its JSON
+location, e.g. schur_x["phi{3,6}"].factors[4]: missing key 'cyc'.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import os
 import reprlib
-from math import lcm
+from math import inf, lcm
 from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
-from .cyclo import CycInt, RootOfUnity, bounded_conductor, euler_phi
+from .cyclo import MAX_CONDUCTOR, CycInt, RootOfUnity, bounded_conductor, euler_phi
 from .engine import Hyperplane, HyperplaneTable, StoredTables
 from .groupblocks import CharacterTable, Partition
 from .lattice import primitive_part
@@ -62,27 +62,29 @@ class _OneOf(tuple):
     """A union: a value matches the one of these schemas of its JSON type."""
 
 
-# The database format, which _walk checks.  int, str and None are JSON leaves;
-# [s] is a list of s, (s, t) a list of exactly an s and a t; a dict is a closed
-# object, a key ending in "?" optional; {str: s} maps any string to an s.
-_INTS, _PAIR = [int], (int, int)  # a pair: a root of unity [order, exponent]
-_CYCINT = _OneOf((int, {"conductor": int, "coeffs": _INTS}))
+# The database format, which _walk checks.  int, str and None are JSON leaves,
+# and a number n an integer from 1 to n; [s] is a list of s, (s, t) a list of
+# exactly an s and a t; a dict is a closed object, a key ending in "?"
+# optional; {str: s} maps any string to an s.
+_INTS, _ROOT = [int], (inf, int)  # a root of unity [order, exponent]
+_CYCINT = _OneOf((int, {"conductor": MAX_CONDUCTOR, "coeffs": _INTS}))
 _DOCUMENT = {
-    "name": str, "field_conductor": int, "group_order": int,
-    "orbits": [(str, int)], "characters": [str],
+    "name": str, "field_conductor": MAX_CONDUCTOR, "group_order": inf,
+    "orbits": [(str, inf)], "characters": [str],
     "hyperplane_tables?": [{"normal?": _OneOf((None, _INTS)),
                             "blocks": [_INTS], "primes": _INTS}],
-    "character_table?": {"conductor": int, "class_sizes": _INTS,
+    "character_table?": {"conductor": MAX_CONDUCTOR, "class_sizes": [inf],
                          "class_orders?": [str], "values": [[_CYCINT]]},
-    "schur_x?": {str: {"coeff": _CYCINT, "lead": _INTS, "lead_den?": int,
-                       "factors": [{"cyc": int, "num": _INTS, "den?": int,
-                                    "twist?": _PAIR}]}},
-    "clifford_links?": [{"parent": str, "cyclic_order": int, "parent_characters": [str],
-                         "parameter_spec": [(str, _OneOf((int, _PAIR)))],
+    "schur_x?": {str: {"coeff": _CYCINT, "lead": _INTS, "lead_den?": inf,
+                       "factors": [{"cyc": inf, "num": _INTS, "den?": inf,
+                                    "twist?": _ROOT}]}},
+    "clifford_links?": [{"parent": str, "cyclic_order": inf, "parent_characters": [str],
+                         "parameter_spec": [(str, _OneOf((int, _ROOT)))],
                          "induction": [(str, [str])]}],
 }
 _SECTIONS = ("hyperplane_tables", "character_table", "schur_x", "clifford_links")
-_JSON = {type(None): type(None), list: list, tuple: list, dict: dict}  # else int, str
+_JSON = {type(None): type(None), list: list, tuple: list, dict: dict,
+         int: int, float: int}  # a number n takes an int; int, str themselves
 _NAMES = {int: "an integer", str: "a string", type(None): "null",
           list: "a JSON list", dict: "a JSON object"}
 _SHOW = reprlib.Repr()
@@ -100,7 +102,10 @@ def _walk(schema, value, faults: list, at=()) -> None:
         faults.append((at, f"{_SHOW.repr(value)} is not {names}"))
         return
     schema = options[kinds.index(type(value))]
-    if type(schema) is tuple and len(value) != len(schema):
+    if type(schema) in (int, float) and not 0 < value <= schema:
+        wrong = "not a positive integer" if value < 1 else f"above {schema}"
+        faults.append((at, f"{_SHOW.repr(value)} is {wrong}"))
+    elif type(schema) is tuple and len(value) != len(schema):
         faults.append((at, f"{_SHOW.repr(value)} is not a JSON list of "
                            f"{len(schema)} items"))
     elif type(schema) in (list, tuple):
@@ -123,28 +128,28 @@ def _walk(schema, value, faults: list, at=()) -> None:
                 _walk(keys[key], v, faults, at + (step,))
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; ValueError if a key repeats, as json.loads keeps its last."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"repeated key {_SHOW.repr(key)}")
+    return doc
+
+
 def _cycint(doc) -> CycInt:
     """An entry: an integer, or {conductor n, coeffs} listing phi(n) integers."""
     if type(doc) is int:
         return CycInt.rational(doc)
-    coeffs = doc["coeffs"]
-    value = CycInt(bounded_conductor(doc["conductor"]), coeffs)
-    if len(coeffs) != euler_phi(n := value.conductor):
+    n, coeffs = doc["conductor"], doc["coeffs"]
+    if len(coeffs) != euler_phi(n):
         raise ValueError(f"coeffs {_SHOW.repr(coeffs)} is not a list of "
                          f"phi({n}) = {euler_phi(n)} integers")
-    return value
-
-
-def _positive(key: str, value: int) -> int:
-    """value, which must be positive; key names it in the error."""
-    if value < 1:
-        raise ValueError(f"{key} {value} must be a positive integer")
-    return value
+    return CycInt(n, coeffs)
 
 
 def _parse_factor(doc) -> SchurFactorX:
-    return SchurFactorX(doc["cyc"], tuple(doc["num"]),
-                        _positive("den", doc.get("den", 1)),
+    return SchurFactorX(doc["cyc"], tuple(doc["num"]), doc.get("den", 1),
                         RootOfUnity.of(*doc.get("twist", (1, 0))))
 
 
@@ -191,8 +196,8 @@ def _located(report: list[str], where: str, parse, *args):
 def _parse_header(doc) -> GroupDatum:
     g = GroupDatum(
         name=doc["name"],
-        field_conductor=bounded_conductor(doc["field_conductor"]),
-        group_order=_positive("group_order", doc["group_order"]),
+        field_conductor=doc["field_conductor"],
+        group_order=doc["group_order"],
         orbits=tuple(map(tuple, doc["orbits"])),
         characters=Characters(map(CharLabel.parse, doc["characters"])),
     )
@@ -200,8 +205,6 @@ def _parse_header(doc) -> GroupDatum:
         raise ValueError("character labels must be unique")
     if any(c.degree < 1 for c in g.characters):
         raise ValueError("character degrees must be at least 1")
-    if any(e < 1 for _, e in g.orbits):
-        raise ValueError(f"orbit sizes {g.orbits} must be at least 1")
     # the slot twists zeta_(e_C)^j live in Z[zeta_lcm(e_C)]
     bounded_conductor(lcm(*(e for _, e in g.orbits)))
     names = [o for o, _ in g.orbits]
@@ -273,15 +276,12 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str], rejected):
     violation in report, if it is malformed or the walk found a fault."""
     if any(where.startswith("character_table.") for where in rejected):
         return None
-    conductor = bounded_conductor(tdoc["conductor"])
-    class_sizes = tuple(tdoc["class_sizes"])
+    conductor, class_sizes = tdoc["conductor"], tuple(tdoc["class_sizes"])
     values = tuple(_located(report, f"character_table.values[{i}]", _parse_row,
-                            i, row, conductor, len(class_sizes))
+                            i, row, conductor, len(class_sizes), report)
                    for i, row in enumerate(tdoc["values"]))
     labels = tdoc.get("class_orders")
     bad = []
-    if any(s < 1 for s in class_sizes):
-        bad.append(f"class sizes {list(class_sizes)} are not all positive")
     if labels is not None and len(labels) != len(class_sizes):
         bad.append(f"class_orders {labels!r} is not a list of "
                    f"{len(class_sizes)} strings")
@@ -302,10 +302,13 @@ def _parse_character_table(tdoc, g: GroupDatum, report: list[str], rejected):
     report.extend(f"character_table: {msg}" for msg in bad)
 
 
-def _parse_row(i: int, row, conductor: int, width: int) -> tuple:
+def _parse_row(i: int, row, conductor: int, width: int, report: list[str]):
     if len(row) != width:
         raise ValueError(f"character table row {i} does not have {width} entries")
-    return tuple(_cycint(v).lift(conductor) for v in row)
+    entries = tuple(_located(report, f"character_table.values[{i}][{j}]",
+                             lambda: _cycint(v).lift(conductor))
+                    for j, v in enumerate(row))
+    return None if None in entries else entries
 
 
 def _parse_schur_x(docs, g: GroupDatum, report: list[str], rejected) -> dict:
@@ -316,18 +319,14 @@ def _parse_schur_x(docs, g: GroupDatum, report: list[str], rejected) -> dict:
 
 
 def _parse_schur(name: str, sdoc, g: GroupDatum, report: list[str]):
-    """The element, normalised and validated; None if a factor is malformed."""
+    """The element, normalised and validated."""
     where, label = f'schur_x["{name}"]', CharLabel.parse(name)
     if label not in g.characters.positions:
         raise ValueError(f"schur entry for unknown character {name}")
-    factors = [_located(report, f"{where}.factors[{j}]", _parse_factor, f)
-               for j, f in enumerate(sdoc["factors"])]
-    if None in factors:
-        return None
+    factors = [_parse_factor(f) for f in sdoc["factors"]]
     element = normalize_x_to_v(g, label, _cycint(sdoc["coeff"]),
                                tuple(sdoc["lead"]), factors,
-                               lead_den=_positive("lead_den",
-                                                  sdoc.get("lead_den", 1)))
+                               lead_den=sdoc.get("lead_den", 1))
     report.extend(f"{where}: {msg}" for msg in validate(g, element))
     return element
 
@@ -346,7 +345,7 @@ def load(path) -> GroupDatum:
     header ends the scan.  StoreError lists every violation, the walk's first."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_object)
     except (OSError, ValueError, RecursionError) as exc:
         raise StoreError(path, [f"cannot parse: {exc}"]) from exc
     faults = []

@@ -178,14 +178,36 @@ def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
 
 
 def test_generated_type_faults_are_one_located_line():
-    """malformed_cases.sweep(): each wrong JSON type, dropped required key,
-    misspelt key, added optional key and wrong pair length, at every node
-    a shipped file has."""
+    """malformed_cases.sweep(): each wrong JSON type, integer out of its
+    range, dropped required key, misspelt key, added optional key and wrong
+    pair length, at every node a shipped file has."""
     names, faults = sweep_faults()
     assert not faults, faults[:10]
     for part in ["].conductor float", "].coeffs string", "] with lead_den ",
-                 " one item more", " one item fewer"]:
+                 " one item more", " one item fewer", "] with lead_den 0",
+                 ".twist[0] 0", ".coeff.conductor 1001",
+                 "g4.json header.field_conductor 0",
+                 "g4.json character_table.conductor 0"]:
         assert any(part in name for name in names), part
+
+
+# The sweep gives each range 0 and its bound plus 1; these values lie
+# further out.  Both once escaped as other faults: a field conductor of -12 verified
+# ok, and a table conductor of -3 gave seven lines of Python's own words.
+@pytest.mark.parametrize("name, mutate, line", [
+    ("g6.json", lambda doc: doc.update(field_conductor=-12),
+     "header.field_conductor: -12 is not a positive integer"),
+    ("g4.json", lambda doc: doc["character_table"].update(conductor=-3),
+     "character_table.conductor: -3 is not a positive integer"),
+], ids=["field conductor -12", "table conductor -3"])
+def test_integer_far_below_its_range_is_one_located_line(db_copy, name,
+                                                         mutate, line):
+    path = rewrite(db_copy, name, mutate)
+    with pytest.raises(StoreError) as err:
+        load(path)
+    assert err.value.report == [line]
+    result = invoke(["verify-db", str(path)])
+    assert (result.exit_code, result.output) == (5, f"{path}: {line}\n")
 
 
 def _schema_keys(schema):
@@ -208,22 +230,52 @@ def test_readme_names_every_schema_key():
     assert not missing, sorted(missing)
 
 
-def test_deeply_nested_document_ends_in_store_error(db_copy, monkeypatch):
-    """200 000 nested lists, which json.dumps cannot write and so
-    MALFORMED cannot hold: json.loads raised RecursionError, and the
-    command line died with a traceback and exit 1."""
-    path = db_copy / "g4.json"
-    path.write_text("[" * 200_000 + "]" * 200_000)
+def _unparsable(db_copy, monkeypatch, path, line):
+    """path, written as JSON text that json.dumps cannot give and so
+    MALFORMED cannot hold, ends in the one line in process, and in fresh
+    interpreters in exit 5 without a traceback."""
     with pytest.raises(StoreError) as err:
         load(path)
-    assert matches(err.value.report, ["cannot parse: "]), err.value.report
+    assert matches(err.value.report, [line]), err.value.report
     monkeypatch.setenv("HECKE_DB", str(db_copy))
-    for args in (["verify-db"], ["all-blocks", "G4"]):
+    group = path.stem.upper()
+    for args in (["verify-db"], ["all-blocks", group]):
         run = run_fresh(MAIN, *args)
         assert run.returncode == 5, run.stderr
         assert "Traceback" not in run.stderr
         assert matches((run.stdout + run.stderr).splitlines(),
-                       [f"{path}: cannot parse: "]), run.stdout + run.stderr
+                       [f"{path}: {line}"]), run.stdout + run.stderr
+
+
+def test_deeply_nested_document_ends_in_store_error(db_copy, monkeypatch):
+    """200 000 nested lists: json.loads raised RecursionError, and the
+    command line died with a traceback and exit 1."""
+    path = db_copy / "g4.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    _unparsable(db_copy, monkeypatch, path, "cannot parse: ")
+
+
+def _repeat_phi_1_0(text):
+    """G7's text with phi{1,0}'s Schur element stated twice."""
+    element = json.dumps(_SHIPPED["g7.json"]["schur_x"]["phi{1,0}"])
+    return text.replace('"schur_x": {', f'"schur_x": {{"phi{{1,0}}": {element}, ')
+
+
+# json.loads kept the last of two equal keys: a G4 header that read
+# "group_order": 48, "group_order": 24 verified ok
+@pytest.mark.parametrize("name, repeat, key", [
+    ("g4.json", lambda text: text.replace(
+        '"group_order": 24', '"group_order": 48, "group_order": 24'),
+     "group_order"),
+    ("g7.json", _repeat_phi_1_0, "phi{1,0}"),
+], ids=["header key", "schur_x label"])
+def test_repeated_key_ends_in_store_error(db_copy, monkeypatch, name, repeat,
+                                          key):
+    path = db_copy / name
+    text = json.dumps(_SHIPPED[name])
+    path.write_text(repeat(text))
+    assert path.read_text() != text
+    _unparsable(db_copy, monkeypatch, path, f"cannot parse: repeated key {key!r}")
 
 
 def _node_paths(node, path=()):
