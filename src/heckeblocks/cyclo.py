@@ -433,9 +433,6 @@ class RootOfUnity(NamedTuple):
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity.of(self.order, -self.exponent)
 
-    def is_one(self) -> bool:
-        return self.order == 1
-
     def as_cycint(self) -> CycInt:
         return CycInt.zeta(self.order, self.exponent)
 

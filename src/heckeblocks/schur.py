@@ -115,12 +115,12 @@ class GroupDatum(NamedTuple):
     """Static data of one complex reflection group and its Hecke algebra.
 
     Immutable; store.load builds each one once, from the header and its
-    parsed sections, schur_facts included.  load stores the characters as
-    a Characters, whose positions map each label to its 1-based index;
-    schur_elements and schur_facts are keyed by CharLabel, so the index of
-    a stored entry is one lookup.  load stores the hyperplane tables as an
-    engine.StoredTables, whose memo caches derived joins only.  No query
-    rebuilds either index: a _replace(characters=...) view passes one.
+    parsed sections, schur_facts included; schur_elements and schur_facts
+    are keyed by CharLabel.  load stores the characters as a Characters,
+    whose positions map each label to its 1-based index, so no query
+    rebuilds that map: a _replace(characters=...) view passes its own.
+    load stores the hyperplane tables as an engine.StoredTables, whose
+    memo caches derived joins only.
     Slots are indexed by (orbit, j) pairs flattened in orbit order; each
     orbit is named by its own letter, and its slots display as that letter
     with subscripts 0 .. e_C - 1.  mu_order = |mu(K)|, for
@@ -156,16 +156,6 @@ class GroupDatum(NamedTuple):
             c in self.schur_elements for c in self.characters
         )
 
-    def stored_schur(self) -> dict[int, "SchurElement"]:
-        """1-based character index -> Schur element, for the characters
-        with stored Schur data, in stored order: a walk of the stored
-        labels through Characters.positions, not of every character."""
-        return _by_index(self.characters, self.schur_elements)
-
-    def stored_facts(self) -> dict[int, "SchurFacts"]:
-        """1-based character index -> SchurFacts, walked likewise."""
-        return _by_index(self.characters, self.schur_facts)
-
     def stored_tables(self) -> tuple:
         """The engine.StoredTables load built; raises ValueError when the
         datum has none."""
@@ -196,12 +186,6 @@ class GroupDatum(NamedTuple):
     def orbit_sums(self, v: IntVector) -> list[int]:
         """The sum of v's entries over the slots of each orbit."""
         return [sum(v[rng.start:rng.stop]) for rng in self.orbit_ranges()]
-
-
-def _by_index(characters: Characters, by_label: dict | None) -> dict:
-    """load rejects an entry for an unknown character, so each has an index."""
-    positions = characters.positions
-    return {positions[c]: v for c, v in (by_label or {}).items()}
 
 
 class SchurFactorX(NamedTuple):
@@ -448,7 +432,7 @@ def essential_normals(g: GroupDatum, primes) -> set[IntVector]:
     """Union of essential_monomials over the stored Schur elements at the
     given primes, read off g.schur_facts; characters without Schur data
     add nothing."""
-    return {normal for f in g.stored_facts().values()
+    return {normal for f in (g.schur_facts or {}).values()
             for p, normal in f.essential if p in primes}
 
 
@@ -528,14 +512,14 @@ def bad_primes(g: GroupDatum, n: IntVector) -> set[int]:
     p.  psi_chi is xi * prod Psi(1)^mult over the factors with <M, n> = 0;
     the norm is multiplicative, and N(Psi(1)) is a power of Phi_d(1), d the
     root order: p when d is a power of p, else 1.  So the primes are those
-    of the indexed N(xi) and each p of an indexed (p, M) with <M, n> = 0.
+    of each N(xi) and each p of a (p, M) with <M, n> = 0 in g.schur_facts.
     All of them occur at n = 0, where a validated psi_chi is |G| / chi(1),
     so only the primes of |G| are tested."""
     if not g.has_full_schur:
         raise ValueError(f"full Schur payload not stored for {g.name}")
     g.check_exponents(n)
     primes, out = g.primes, set()
-    for f in g.stored_facts().values():
+    for f in g.schur_facts.values():
         out.update(p for p in primes if f.norm % p == 0)
         out.update(p for p, m in f.essential if dot(m, n) == 0)
     return out

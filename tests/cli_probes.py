@@ -64,6 +64,7 @@ REQUESTS = {" ".join(args): (args, code) for args, code in [
     # G4 stores no Schur payload
     (["rouquier-blocks", "G4", "--path", "schur", "--exponents", "0,1,2"], 3),
     (["no-such-command"], 4),
+    (["rouquier-blocks", "G4"], 4),
 ]}
 
 # id -> args, {db} standing for a copy of the database whose g4.json is

@@ -210,3 +210,33 @@ def test_no_test_module_imports_another_modules_tests():
                           for alias in node.names
                           if alias.name.startswith("test_") or alias.name == "*"]
     assert found == []
+
+
+def _unused_imports(path):
+    """The names that path's module-level imports bind and that occur
+    nowhere else in it as a name, nor in its __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    bound = [(alias.asname or alias.name).partition(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names if alias.name != "*"]
+    return [name for name in bound if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """An import nothing reads costs a cold start its load and a reader a
+    false lead; heckeblocks/__init__.py only re-exports, so it is exempt."""
+    here = Path(__file__).parent
+    package = here.parent / "src" / "heckeblocks"
+    paths = sorted(here.glob("*.py")) + sorted(
+        path for path in package.glob("*.py") if path.name != "__init__.py")
+    found = [f"{path.name}: {name}" for path in paths
+             for name in _unused_imports(path)]
+    assert found == []

@@ -338,9 +338,9 @@ def test_norm_of_rationals_and_units():
 def test_root_of_unity_canonical_form():
     assert RootOfUnity.of(6, 2) == RootOfUnity.of(3, 1)
     assert RootOfUnity.of(4, 6) == RootOfUnity.of(2, 1)
-    assert RootOfUnity.of(5, 0).is_one()
+    assert RootOfUnity.of(5, 0) == RootOfUnity.one()
     r = RootOfUnity.of(12, 5)
-    assert (r * r.inverse()).is_one()
+    assert r * r.inverse() == RootOfUnity.one()
     assert r ** 12 == RootOfUnity.one()
 
 

@@ -120,11 +120,6 @@ def test_rouquier_from_tables_published_example(g4):
     assert [t.normal for t in hit] == [(0, 1, -1)]
 
 
-def test_rouquier_from_tables_group_algebra_limit(g4):
-    blocks = rouquier_from_tables(g4, Specialization((0, 0, 0)))
-    assert blocks.as_lists() == [[1, 2, 3, 4, 5, 6, 7]]
-
-
 def test_rouquier_from_tables_generic_point(g4):
     # off every essential hyperplane: the baseline (all singletons for G4)
     blocks = rouquier_from_tables(g4, Specialization((0, 1, 5)))
@@ -429,9 +424,9 @@ def test_heuristic_path_without_schur_payload_meets_group_blocks(
 
 def _scan_by_index(characters, by_label):
     """The full scan that Characters.positions replaced: index -> entry,
-    for every character with an entry in by_label."""
+    for every character with an entry in by_label (None: no entries)."""
     return {i: by_label[c] for i, c in enumerate(characters, 1)
-            if c in by_label}
+            if c in (by_label or {})}
 
 
 def _heuristic_by_scan(g, p, normal=None):
@@ -465,13 +460,11 @@ def _views_of_g7(g7, g7_cut):
 @pytest.mark.parametrize("view", ["loaded", "cut", "reversed cut", "reversed",
                                   "reversed Characters", "facts copy"])
 def test_stored_indices_match_the_full_scan(g7, g7_cut, view):
-    """The label -> index map never serves a stale view: stored_schur,
-    stored_facts and both heuristic calls on each view of G7 agree with
-    the full scan over its characters."""
+    """The label -> index map never serves a stale view: both heuristic
+    calls on each view of G7 agree with the full scan over its
+    characters."""
     g = _views_of_g7(g7, g7_cut)[view]
     facts = _scan_by_index(g.characters, g.schur_facts)
-    assert g.stored_schur() == _scan_by_index(g.characters, g.schur_elements)
-    assert g.stored_facts() == facts
     assert sorted(facts) == {"loaded": [1, 28, 39], "cut": [1, 2, 3],
                              "reversed cut": [1, 2, 3],
                              "reversed": [4, 15, 42],
@@ -545,7 +538,7 @@ def _aa_partition_by_specialization(g, n):
     """Characters grouped by equal a + A, read off the specialized Schur
     elements of every stored character."""
     sums = {}
-    for i, s in g.stored_schur().items():
+    for i, s in _scan_by_index(g.characters, g.schur_elements).items():
         a, big_a = a_and_A(g, specialize(g, s, n))
         sums.setdefault(a + big_a, []).append(i)
     return Partition.generated_by(sums.values(), len(g.characters))
@@ -572,7 +565,8 @@ def test_aa_partition_matches_specialized_a_plus_A(g7):
     """Grouping by dot(aa_weight(s), n) against grouping by a + A of the
     specialized elements, at the first 20 admissible vectors of every
     heuristic call on G7."""
-    weights = {i: aa_weight(s) for i, s in g7.stored_schur().items()}
+    weights = {i: aa_weight(s) for i, s
+               in _scan_by_index(g7.characters, g7.schur_elements).items()}
     searches = [(p, h) for p in (2, 3)
                 for h in [None, *sorted(essential_normals(g7, [p]))]]
     assert len(searches) == 2 + 13
@@ -595,9 +589,9 @@ def test_aa_partition_matches_specialized_a_plus_A(g7):
 
 def _keyed(g, p, seed, normal=None):
     """The partition that engine._seed_groups gives the seed characters,
-    with their weights read off g's index, every other character a
+    with their weights read off g's facts, every other character a
     singleton: the heuristic's result for one seed."""
-    facts = g.stored_facts()
+    facts = _scan_by_index(g.characters, g.schur_facts)
     groups = engine._seed_groups(g, p, {i: facts[i].weight for i in seed},
                                  normal)
     return Partition.generated_by(groups, len(g.characters))
@@ -645,7 +639,7 @@ def _one_hyperplane_by_meets(g, p, normal,
     does not divide |G|."""
     if g.group_order % p:
         return Partition.singletons(len(g.characters))
-    facts = g.stored_facts()
+    facts = _scan_by_index(g.characters, g.schur_facts)
     core = [i for i, f in facts.items() if (p, normal) in f.essential]
     heavy = [i for i, f in facts.items() if f.norm % p == 0]
     return join([_heuristic_by_meets(g, p, core, normal, grouping),
@@ -653,8 +647,9 @@ def _one_hyperplane_by_meets(g, p, normal,
 
 
 def _index_grouping(g, n):
-    """Characters grouped by <w, n>, w their weight in g's index."""
-    weights = {i: f.weight for i, f in g.stored_facts().items()}
+    """Characters grouped by <w, n>, w their weight in g's facts."""
+    weights = {i: f.weight for i, f
+               in _scan_by_index(g.characters, g.schur_facts).items()}
     return group_by_weight(weights, n, len(g.characters))
 
 
@@ -671,7 +666,7 @@ def test_one_hyperplane_blocks_match_the_joined_meet_loops(name, g7_cut):
     if name.endswith("cut"):
         g = g7_cut
     if name.endswith("stand-in"):
-        w = g.stored_facts()[1].weight
+        w = g.schur_facts[g.characters[0]].weight
         g = g._replace(schur_facts={
             label: f._replace(norm=0, weight=w if label == g.characters[38]
                               else f.weight)
@@ -752,10 +747,10 @@ D_BLIND = (0, 1, 0, 0, 0, 0, 0, 0)
 
 
 def _stand_in_weights(g7, other):
-    """G7 whose index keeps character 1's weight w and gives character 39
+    """G7 whose facts keep character 1's weight w and give character 39
     the weight other(w), with the grouping of characters 1 and 39 by a + A
     under those weights, for the meet-loop oracle."""
-    w = aa_weight(g7.stored_schur()[1])
+    w = aa_weight(g7.schur_elements[g7.characters[0]])
     weights = {1: w, 39: other(w)}
     label = g7.characters[39 - 1]
     facts = {**g7.schur_facts,

@@ -12,14 +12,12 @@ import pytest
 from heckeblocks.cyclo import CycInt, RootOfUnity, factorint
 from heckeblocks.lattice import dot
 from heckeblocks.schur import (
-    BadPrimeArgument,
     CharLabel,
     SchurDataError,
     SchurFactorX,
     a_and_A,
     aa_weight,
     bad_primes,
-    essential_hyperplanes,
     essential_monomials,
     generic_singleton,
     normalize_x_to_v,
@@ -288,29 +286,6 @@ def test_generic_singleton_rejects_the_zero_normal(g7):
     s = g7.schur_elements[CharLabel.parse("phi{1,0}")]
     with pytest.raises(ValueError):
         generic_singleton(g7, s, 2, (0,) * 8)
-
-
-# ---------------------------------------------------------------------------
-# essential_hyperplanes: table fallback and the bad-prime error
-# ---------------------------------------------------------------------------
-
-
-def test_essential_hyperplanes_from_tables(g4):
-    assert essential_hyperplanes(g4, 3) == [
-        (0, 1, -1), (1, -1, 0), (1, 0, -1),
-    ]
-    all_six = essential_hyperplanes(g4, 0)
-    assert set(all_six) == {
-        (0, 1, -1), (1, -1, 0), (1, 0, -1),
-        (2, -1, -1), (1, -2, 1), (1, 1, -2),
-    }
-    assert essential_hyperplanes(g4, 2) == all_six
-
-
-def test_bad_prime_raises_verbatim_message(g4):
-    with pytest.raises(BadPrimeArgument) as err:
-        essential_hyperplanes(g4, 5)
-    assert str(err.value) == "The number p should divide the order of the group"
 
 
 # ---------------------------------------------------------------------------
