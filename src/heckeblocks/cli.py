@@ -1,9 +1,17 @@
 """Command-line queries against the shipped (or HECKE_DB) group database: the
-commands parse and render, and main alone maps library errors to exit codes."""
+commands parse and render, and main alone maps library errors to exit codes.
+
+A process that calls main freezes its heap at exit, however main ends.  main
+registers gc.freeze with atexit, once per process; the interpreter runs
+atexit callbacks before its shutdown collections, which then skip every
+frozen object.  A process about to end needs nothing they would free.
+Importing this module freezes nothing."""
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import re
@@ -73,8 +81,12 @@ def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
     """Rouquier blocks of the cyclotomic specialization with the given
     exponents."""
     g = load_group(group)
+    tokens = exponents.split(",")
     try:
-        n = tuple(int(tok) for tok in exponents.split(","))
+        # int() alone also reads "1_0" as 10 and non-ASCII digits
+        if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", tok) for tok in tokens):
+            raise ValueError(exponents)
+        n = tuple(map(int, tokens))
     except ValueError:
         raise BadExponents(f"cannot parse exponents {exponents!r}") from None
     hit, blocks = rouquier_blocks(g, Specialization(n), which)
@@ -134,6 +146,8 @@ def _parser(prog: str) -> _Parser:
 
 def main(args=None, prog_name: str = "heckeblocks"):
     """Rouquier blocks of cyclotomic Hecke algebras from stored data."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     options = vars(_parser(prog_name).parse_args(args))
     try:
         options.pop("run")(**options)

@@ -3,10 +3,14 @@ one request under PROBE, which lists at exit the watched modules and the
 site-packages modules the request imported: both lists must be empty, and
 the request must exit with the row's code.  Each row of PIPES runs one
 request whose reader closed the output pipe before reading: it must exit 1
-and leave stderr empty.  tests/test_store_cli.py runs each row as a test;
-run as a script, with the standard library alone, this module replays every
-row against the package the running interpreter imports, and exits 1,
-naming each row that failed:
+and leave stderr empty.  Both run under FREEZE_CHECK, so each request must
+also leave the heap frozen when the interpreter finalises.  Each row of
+HEAP runs one program that must exit 0 with the row's stderr: a process
+that only imports the command line freezes nothing, and two requests in
+one process call gc.freeze once at exit.  tests/test_store_cli.py runs each
+row as a test; run as a script, with the standard library alone, this
+module replays every row against the package the running interpreter
+imports, and exits 1, naming each row that failed:
 
     python tests/cli_probes.py
 """
@@ -24,6 +28,19 @@ from malformed_cases import MALFORMED, SHIPPED, rewrite
 
 MAIN = "from heckeblocks.cli import main; main()"
 
+# Run before main: atexit runs its callbacks last in, first out, so this
+# one runs after the gc.freeze that main registers, and says on stderr when
+# it finds no more frozen than at start (CPython 3.12 starts with some).
+NOT_FROZEN = "heap not frozen at exit"
+FREEZE_CHECK = f"""\
+import atexit, gc, sys
+frozen_at_start = gc.get_freeze_count()
+def check_frozen():
+    if gc.get_freeze_count() <= frozen_at_start:
+        print({NOT_FROZEN!r}, file=sys.stderr)
+atexit.register(check_frozen)
+"""
+
 # Run as `python -S -c PROBE ARGS`: without the site module, whose .pth
 # files may import a watched module before the request does.  PYTHONPATH
 # holds the package's directory, then the site-packages directories, so a
@@ -31,8 +48,8 @@ MAIN = "from heckeblocks.cli import main; main()"
 # request needs none of the watched modules; sympy costs a cold start its
 # import time, and which stdlib modules import the others varies with the
 # Python version.
-PROBE = """\
-import atexit, os, sys
+PROBE = FREEZE_CHECK + """\
+import os
 before = set(sys.modules)
 def report():
     added = set(sys.modules) - before
@@ -67,6 +84,24 @@ REQUESTS = {" ".join(args): (args, code) for args, code in [
     (["rouquier-blocks", "G4"], 4),
 ]}
 
+# id -> (program, stderr).  The second counts the calls of gc.freeze at
+# exit, not atexit._ncallbacks(), which on Python 3.10 to 3.13 also counts
+# callbacks since unregistered.
+HEAP = {
+    "import only": (FREEZE_CHECK + "import heckeblocks.cli\n",
+                    NOT_FROZEN + "\n"),
+    "two requests in one process": ("""\
+import atexit, gc, sys
+calls = []
+atexit.register(lambda: print("gc.freeze calls:", len(calls), file=sys.stderr))
+freeze = gc.freeze
+gc.freeze = lambda: calls.append(freeze())
+from heckeblocks.cli import main
+main(["all-blocks", "G4"])
+main(["verify-db"])
+""", "gc.freeze calls: 1\n"),
+}
+
 # id -> args, {db} standing for a copy of the database whose g4.json is
 # corrupt.  With stdout block-buffered, all-blocks G4 meets the closed pipe
 # at main's flush, all-blocks G7 (8.5 kB) while printing, and verify-db on
@@ -98,12 +133,14 @@ def run_fresh(program, *args):
 
 def probe(case):
     """What went wrong when the request of REQUESTS[case] ran under PROBE:
-    an empty list when it exited with its code and imported no watched and
-    no site-packages module."""
+    an empty list when it exited with its code, imported no watched and no
+    site-packages module and left the heap frozen."""
     args, code = REQUESTS[case]
     run = run_fresh(PROBE, *args)
     faults = [] if run.returncode == code else \
         [f"exit {run.returncode}, not {code}: {run.stderr[-500:]}"]
+    if NOT_FROZEN in run.stderr:
+        faults.append(NOT_FROZEN)
     lists = run.stdout.splitlines()[-2:]
     if lists != ["[]", "[]"]:
         faults.append("watched, site-packages modules imported: "
@@ -113,14 +150,16 @@ def probe(case):
 
 def pipe(case):
     """What went wrong when the request of PIPES[case] wrote to a pipe its
-    reader had closed: an empty list when it exited 1 with stderr empty."""
+    reader had closed: an empty list when it exited 1 with stderr empty,
+    which FREEZE_CHECK's line would not leave."""
     name, mutate, _ = MALFORMED["normal with nonzero orbit sums"]
     with tempfile.TemporaryDirectory() as tmp:
         for path in SHIPPED.glob("*.json"):
             shutil.copy(path, tmp)
         rewrite(Path(tmp), name, mutate)
         args = [arg.format(db=tmp) for arg in PIPES[case]]
-        proc = subprocess.Popen([sys.executable, "-S", "-c", MAIN, *args],
+        proc = subprocess.Popen([sys.executable, "-S", "-c",
+                                 FREEZE_CHECK + MAIN, *args],
                                 env=_env(), stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE)
         proc.stdout.close()
@@ -131,9 +170,19 @@ def pipe(case):
     return faults + ([f"stderr {stderr[-500:]!r}"] if stderr else [])
 
 
+def heap(case):
+    """What went wrong when the program of HEAP[case] ran: an empty list when
+    it exited 0 with the row's stderr."""
+    program, stderr = HEAP[case]
+    run = run_fresh(program)
+    faults = [] if run.returncode == 0 else [f"exit {run.returncode}, not 0"]
+    return faults + ([] if run.stderr == stderr else
+                     [f"stderr {run.stderr[-500:]!r}, not {stderr!r}"])
+
+
 def main():
     rows = [(case, probe) for case in REQUESTS] + \
-        [(case, pipe) for case in PIPES]
+        [(case, pipe) for case in PIPES] + [(case, heap) for case in HEAP]
     failed = 0
     for case, check in rows:
         if faults := check(case):

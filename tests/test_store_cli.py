@@ -25,7 +25,8 @@ from heckeblocks.schur import aa_weight, essential_monomials, essential_normals
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
 from checks import once, patch_everywhere
-from cli_probes import MAIN, PIPES, REQUESTS, pipe, probe, run_fresh
+from cli_probes import (HEAP, MAIN, PIPES, REQUESTS, heap, pipe, probe,
+                        run_fresh)
 from cli_runner import invoke
 from malformed_cases import (
     LOCATIONS,
@@ -603,6 +604,11 @@ def test_table_splitting_a_baseline_block_is_one_located_line(db_copy):
      "no hyperplane tables stored for G4"),
     (["rouquier-blocks", "G4", "--exponents", "a,b,c"], None, 4,
      "cannot parse exponents 'a,b,c'"),
+    # int() alone reads these as (10, 2, 3) and (3, 1, 2)
+    (["rouquier-blocks", "G4", "--exponents", "1_0,2,3"], None, 4,
+     "cannot parse exponents '1_0,2,3'"),
+    (["rouquier-blocks", "G4", "--exponents", "\u0663,1,2"], None, 4,
+     "cannot parse exponents '\u0663,1,2'"),
     (["rouquier-blocks", "g4", "--exponents", "1,2"], None, 4,
      "G4 needs 3 exponents, got 2"),
     (["all-blocks", "G4"], ("g4.json", _unbalance_normal), 5,
@@ -616,7 +622,8 @@ def test_table_splitting_a_baseline_block_is_one_located_line(db_copy):
      "no database files in {db}/missing"),
 ], ids=["bad prime", "unknown group", "schur path on full G7",
         "no tables", "no tables, essential hyperplanes",
-        "unparsable exponents", "wrong arity", "corrupt file",
+        "unparsable exponents", "underscore in exponents",
+        "non-ASCII digit in exponents", "wrong arity", "corrupt file",
         "table splitting a baseline block", "empty database directory",
         "missing database directory"])
 def test_cli_exit_code_and_message(db_copy, monkeypatch, args, rewritten,
@@ -636,6 +643,11 @@ def test_cli_exit_code_and_message(db_copy, monkeypatch, args, rewritten,
 @pytest.mark.parametrize("case", PIPES)
 def test_cli_closed_output_pipe_exits_one_without_traceback(case):
     assert pipe(case) == []
+
+
+@pytest.mark.parametrize("case", HEAP)
+def test_cli_heap_frozen_at_exit_by_main_alone_once(case):
+    assert heap(case) == []
 
 
 def test_cli_verify_db_ok_and_corrupt():
