@@ -420,7 +420,8 @@ def _cross_check_links(groups: dict[str, tuple[Path, GroupDatum]]) -> list[str]:
 
 def verify_db(paths=None) -> tuple[bool, list[str]]:
     """Load each database file, which checks it, and cross-check the
-    Clifford links between the files that load.  Without paths, the files
+    Clifford links between the files that load.  A path named twice is read
+    once; a second file of one group is reported.  Without paths, the files
     of the database directory; FileNotFoundError when it holds none."""
     if not paths:
         base = default_db_dir()
@@ -429,12 +430,16 @@ def verify_db(paths=None) -> tuple[bool, list[str]]:
             raise FileNotFoundError(f"no database files in {base}")
     report: list[str] = []
     groups: dict[str, tuple[Path, GroupDatum]] = {}
-    for path in paths:
+    for path in dict.fromkeys(map(Path, paths)):
         try:
             g = load(path)
         except StoreError as exc:
             report.extend(f"{exc.path}: {msg}" for msg in exc.report)
             continue
-        groups[g.name] = (Path(path), g)
+        if g.name in groups:
+            report.append(f"{path}: header: group {g.name} is also in "
+                          f"{groups[g.name][0]}")
+            continue
+        groups[g.name] = (path, g)
     report.extend(_cross_check_links(groups))
     return not report, report

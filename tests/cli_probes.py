@@ -7,10 +7,11 @@ and leave stderr empty.  Both run under FREEZE_CHECK, so each request must
 also leave the heap frozen when the interpreter finalises.  Each row of
 HEAP runs one program that must exit 0 with the row's stderr: a process
 that only imports the command line freezes nothing, and two requests in
-one process call gc.freeze once at exit.  tests/test_store_cli.py runs each
-row as a test; run as a script, with the standard library alone, this
-module replays every row against the package the running interpreter
-imports, and exits 1, naming each row that failed:
+one process call gc.freeze once at exit.  Each row of IMPORTS imports one
+package module alone, which must load exactly the row's package modules.
+tests/test_store_cli.py runs each row as a test; run as a script, with the
+standard library alone, this module replays every row against the package
+the running interpreter imports, and exits 1, naming each row that failed:
 
     python tests/cli_probes.py
 """
@@ -102,6 +103,29 @@ main(["verify-db"])
 """, "gc.freeze calls: 1\n"),
 }
 
+# Run as `python -S -c IMPORT heckeblocks.MODULE`: prints the package
+# modules that importing that one module loaded.
+IMPORT = """\
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(sorted(name.partition(".")[2] for name in sys.modules
+             if name.startswith("heckeblocks.")))
+"""
+
+# module -> the package modules its import loads, itself included.  The
+# package's __init__ imports nothing, so a module loads only its own imports.
+_ENGINE = {"cyclo", "groupblocks", "lattice", "schur", "engine"}
+IMPORTS = {
+    "lattice": {"lattice"},
+    "cyclo": {"cyclo"},
+    "schur": {"cyclo", "lattice", "schur"},
+    "groupblocks": {"cyclo", "groupblocks"},
+    "engine": _ENGINE,
+    "clifford": _ENGINE | {"clifford"},
+    "store": _ENGINE | {"clifford", "store"},
+    "cli": _ENGINE | {"clifford", "store", "cli"},
+}
+
 # id -> args, {db} standing for a copy of the database whose g4.json is
 # corrupt.  With stdout block-buffered, all-blocks G4 meets the closed pipe
 # at main's flush, all-blocks G7 (8.5 kB) while printing, and verify-db on
@@ -180,9 +204,20 @@ def heap(case):
                      [f"stderr {run.stderr[-500:]!r}, not {stderr!r}"])
 
 
+def imports(case):
+    """What went wrong when heckeblocks.<case> was imported alone: an empty
+    list when it loaded exactly the package modules of IMPORTS[case]."""
+    run = run_fresh(IMPORT, f"heckeblocks.{case}")
+    if run.returncode != 0:
+        return [f"exit {run.returncode}, not 0: {run.stderr[-500:]}"]
+    loaded, want = run.stdout.strip(), str(sorted(IMPORTS[case]))
+    return [] if loaded == want else [f"loaded {loaded}, not {want}"]
+
+
 def main():
     rows = [(case, probe) for case in REQUESTS] + \
-        [(case, pipe) for case in PIPES] + [(case, heap) for case in HEAP]
+        [(case, pipe) for case in PIPES] + [(case, heap) for case in HEAP] + \
+        [(case, imports) for case in IMPORTS]
     failed = 0
     for case, check in rows:
         if faults := check(case):

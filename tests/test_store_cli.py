@@ -25,8 +25,8 @@ from heckeblocks.schur import aa_weight, essential_monomials, essential_normals
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
 from checks import once, patch_everywhere
-from cli_probes import (HEAP, MAIN, PIPES, REQUESTS, heap, pipe, probe,
-                        run_fresh)
+from cli_probes import (HEAP, IMPORTS, MAIN, PIPES, REQUESTS, heap, imports,
+                        pipe, probe, run_fresh)
 from cli_runner import invoke
 from malformed_cases import (
     LOCATIONS,
@@ -144,6 +144,23 @@ def test_corruption_transport_mismatch(db_copy, name, mutate, report):
     rewrite(db_copy, name, mutate)
     ok, lines = verify_db(sorted(db_copy.glob("*.json")))
     assert not ok and lines == [line.format(db=db_copy) for line in report]
+
+
+def test_a_group_in_two_files_is_one_located_line(db_copy):
+    """A clean G6 named after the corrupt one once replaced it, and verify-db
+    printed ok; a path named twice is read once."""
+    clean = db_copy / "b" / "g6.json"
+    clean.parent.mkdir()
+    shutil.copy(db_copy / "g6.json", clean)
+    rewrite(db_copy, "g6.json", _swap_g6_parts)
+    paths = [str(db_copy / name) for name in ("g4.json", "g6.json", "g7.json")]
+    result = invoke(["verify-db", *paths, paths[0], str(clean)])
+    assert (result.exit_code, result.stdout.splitlines()) == (5, [
+        f"{clean}: header: group G6 is also in {db_copy / 'g6.json'}",
+        f"{db_copy / 'g4.json'}: clifford_links[0]: G6->G4: {_DISAGREE} "
+        "(1, -1, 0)",
+        f"{db_copy / 'g6.json'}: clifford_links[0]: G7->G6: {_DISAGREE} "
+        "(0, 0, 1, -1, 0)"])
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -648,6 +665,11 @@ def test_cli_closed_output_pipe_exits_one_without_traceback(case):
 @pytest.mark.parametrize("case", HEAP)
 def test_cli_heap_frozen_at_exit_by_main_alone_once(case):
     assert heap(case) == []
+
+
+@pytest.mark.parametrize("case", IMPORTS)
+def test_module_loads_only_the_package_modules_it_imports(case):
+    assert imports(case) == []
 
 
 def test_cli_verify_db_ok_and_corrupt():
