@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from typing import NoReturn
 
 from .engine import Hyperplane, Specialization, rouquier_blocks
 from .groupblocks import Partition

@@ -9,13 +9,13 @@ Blocks and essential hyperplanes push down along the link.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cyclo import CycInt, RootOfUnity, cyclotomic_at_root
 from .engine import Hyperplane, HyperplaneTable
 from .groupblocks import Partition, join
 from .lattice import IntVector
-from .schur import CharLabel, Characters, SchurDataError, SchurFactorX
+from .schur import CharLabel, SchurDataError, SchurFactorX
 
 __all__ = [
     "CliffordLink",
@@ -24,20 +24,16 @@ __all__ = [
     "transport_schur_x",
 ]
 
-# parameter_spec entries: ("slot", child_slot_index) or ("root", RootOfUnity)
-SpecEntry = tuple
 
+class CliffordLink(namedtuple(
+        "CliffordLink", "parent child cyclic_order parameter_spec "
+        "parent_characters child_characters induction")):
+    """A descent link; of() checks it, the constructor does not.
+    parent, child: str; cyclic_order: int; parameter_spec: entries ("slot",
+    child_slot_index) or ("root", RootOfUnity); parent_characters and
+    child_characters: Characters; induction: rows (child label, parent labels)."""
 
-class CliffordLink(NamedTuple):
-    """A descent link; of() checks it, the constructor does not."""
-
-    parent: str
-    child: str
-    cyclic_order: int
-    parameter_spec: tuple[SpecEntry, ...]
-    parent_characters: Characters
-    child_characters: Characters
-    induction: tuple[tuple[CharLabel, tuple[CharLabel, ...]], ...]
+    __slots__ = ()
 
     @staticmethod
     def of(*args, **kwargs) -> "CliffordLink":

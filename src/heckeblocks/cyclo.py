@@ -20,13 +20,10 @@ by one F_p-linear map, a phi(N) x deg g matrix built once per handle.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:  # random loads only where it is used
-    import random
 
 __all__ = [
     "CycInt",
@@ -396,14 +393,13 @@ class CycInt:
         return f"CycInt({self.conductor}, {list(self.coeffs)})"
 
 
-class RootOfUnity(NamedTuple):
+class RootOfUnity(namedtuple("RootOfUnity", "order exponent")):
     """zeta_order^exponent in lowest terms: gcd(exponent, order) = 1.
 
     Built by of(), which reduces to that form; the constructor does not
-    check it."""
+    check it.  order: int; exponent: int."""
 
-    order: int
-    exponent: int
+    __slots__ = ()
 
     @staticmethod
     def of(order: int, exponent: int) -> "RootOfUnity":
@@ -449,16 +445,15 @@ def _orbit(m: int, d: int, e: int) -> tuple[int, ...]:
     return tuple(sorted({e * t % d for t in _orbit_multipliers(m, d)}))
 
 
-class KCyclotomic(NamedTuple):
+class KCyclotomic(namedtuple("KCyclotomic", "field_conductor root")):
     """Minimal polynomial over K = Q(zeta_m) of a root of unity of order >= 2.
 
     Represented by the field conductor and the root; the polynomial is
     Psi(T) = prod over the Galois orbit O of the root of (T - zeta_d^s).
     The root is normalised to the least exponent in its orbit.
-    """
+    field_conductor: int; root: RootOfUnity."""
 
-    field_conductor: int
-    root: RootOfUnity
+    __slots__ = ()
 
     @staticmethod
     def of(field_conductor: int, root: RootOfUnity) -> "KCyclotomic":
@@ -488,13 +483,14 @@ class KCyclotomic(NamedTuple):
         return CycInt._reduced(big, _reduce_mod_phi(acc, big)).descend(m)
 
 
-class PrimeIdealHandle(NamedTuple):
+class PrimeIdealHandle(namedtuple("PrimeIdealHandle",
+                                  "rational_prime conductor local_factor")):
     """One prime ideal of Z[zeta_N] over p, named by an irreducible factor
-    of Phi_N over the p-element field (lexicographically least)."""
+    of Phi_N over the p-element field (lexicographically least).
+    rational_prime: int; conductor: int; local_factor: tuple[int, ...],
+    ascending coefficients, monic, in [0, p)."""
 
-    rational_prime: int
-    conductor: int
-    local_factor: tuple[int, ...]  # ascending coefficients, monic, in [0, p)
+    __slots__ = ()
 
 
 # Random candidates tried for one equal-degree split before giving up; a

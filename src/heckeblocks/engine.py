@@ -18,8 +18,8 @@ join live in groupblocks and are re-exported here.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from .cyclo import check_prime
 from .groupblocks import Partition, join, meet, p_blocks
@@ -40,11 +40,11 @@ __all__ = [
     "blocks_one_hyperplane",
 ]
 
-class Hyperplane(NamedTuple):
+class Hyperplane(namedtuple("Hyperplane", "normal")):
     """An essential hyperplane, named by its primitive sign-canonical
-    normal vector."""
+    normal vector.  normal: IntVector."""
 
-    normal: IntVector
+    __slots__ = ()
 
     @staticmethod
     def of(vector: IntVector) -> "Hyperplane":
@@ -61,22 +61,24 @@ class Hyperplane(NamedTuple):
         return "".join(out) + "=0"
 
 
-class HyperplaneTable(NamedTuple):
+class HyperplaneTable(namedtuple("HyperplaneTable", "hyperplane blocks primes",
+                                 defaults=(frozenset(),))):
     """Stored Rouquier blocks for one essential hyperplane (hyperplane=None
     is the no-essential-hyperplane baseline), with the primes for which the
-    hyperplane is essential."""
+    hyperplane is essential.  hyperplane: Hyperplane | None; blocks:
+    Partition; primes: frozenset[int]."""
 
-    hyperplane: Hyperplane | None
-    blocks: Partition
-    primes: frozenset[int] = frozenset()
+    __slots__ = ()
 
     @property
     def normal(self) -> IntVector | None:
         return None if self.hyperplane is None else self.hyperplane.normal
 
 
-class Specialization(NamedTuple):
-    n: IntVector
+class Specialization(namedtuple("Specialization", "n")):
+    """n: IntVector."""
+
+    __slots__ = ()
 
 
 class StoredTables(tuple):

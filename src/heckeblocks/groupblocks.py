@@ -12,8 +12,8 @@ central characters and the row permutations once; p_blocks reads them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .cyclo import CycInt, _units, check_prime, prime_handle, residue
 
@@ -21,11 +21,12 @@ __all__ = ["CharacterTable", "Partition", "meet", "join", "central_character",
            "p_blocks", "galois_close"]
 
 
-class Partition(NamedTuple):
+class Partition(namedtuple("Partition", "parts")):
     """A set partition of the 1-based character index set, in canonical
-    form: each part sorted, parts ordered by least element."""
+    form: each part sorted, parts ordered by least element.
+    parts: tuple[tuple[int, ...], ...]."""
 
-    parts: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @staticmethod
     def of(parts, size: int) -> "Partition":
@@ -122,20 +123,20 @@ def join(ps: list[Partition]) -> Partition:
     )
 
 
-class CharacterTable(NamedTuple):
+class CharacterTable(namedtuple(
+        "CharacterTable", "conductor class_sizes values central_characters "
+        "row_permutations class_order_labels", defaults=(None,))):
     """Ordinary character table; rows follow GroupDatum.characters.
 
     Built by of(), which checks the table and computes, once: the CycInt
     central_characters[chi][c] = central_character(table, chi, c), and
     row_permutations: for each sigma in (Z/N)^x, in ascending order, the
-    1-based image of each row, so row i goes to row_permutations[k][i - 1]."""
+    1-based image of each row, so row i goes to row_permutations[k][i - 1].
+    conductor: int; values, central_characters: tuple[tuple[CycInt, ...], ...];
+    class_sizes and the rows of row_permutations: tuple[int, ...];
+    class_order_labels: tuple[str, ...] | None."""
 
-    conductor: int
-    class_sizes: tuple[int, ...]
-    values: tuple[tuple[CycInt, ...], ...]
-    central_characters: tuple[tuple[CycInt, ...], ...]
-    row_permutations: tuple[tuple[int, ...], ...]
-    class_order_labels: tuple[str, ...] | None = None
+    __slots__ = ()
 
     @staticmethod
     def of(conductor: int, class_sizes, values,

@@ -16,9 +16,9 @@ factor into K-irreducible pieces.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import (
     CycInt,
@@ -32,8 +32,6 @@ from .cyclo import (
 )
 from .lattice import IntVector, dot, primitive_part
 
-if TYPE_CHECKING:  # fractions loads only where a_and_A uses it
-    from fractions import Fraction
 __all__ = [
     "CharLabel",
     "Characters",
@@ -76,12 +74,12 @@ class BadExponents(ValueError):
     """Raised when an exponent vector does not have one entry per slot."""
 
 
-class CharLabel(NamedTuple):
-    """An irreducible character phi_{d,b}, disambiguated by 0-3 primes."""
+class CharLabel(namedtuple("CharLabel", "degree b_invariant prime_marks",
+                           defaults=(0,))):
+    """An irreducible character phi_{d,b}, disambiguated by 0-3 primes.
+    degree: int; b_invariant: int; prime_marks: int."""
 
-    degree: int
-    b_invariant: int
-    prime_marks: int = 0
+    __slots__ = ()
 
     def render(self) -> str:
         return f"phi{{{self.degree},{self.b_invariant}}}" + "'" * self.prime_marks
@@ -111,7 +109,10 @@ class Characters(tuple):
         return self
 
 
-class GroupDatum(NamedTuple):
+class GroupDatum(namedtuple(
+        "GroupDatum", "name field_conductor group_order orbits characters "
+        "schur_elements schur_facts character_table hyperplane_tables "
+        "clifford_links", defaults=(None, None, None, None, ()))):
     """Static data of one complex reflection group and its Hecke algebra.
 
     Immutable; store.load builds each one once, from the header and its
@@ -125,18 +126,13 @@ class GroupDatum(NamedTuple):
     orbit is named by its own letter, and its slots display as that letter
     with subscripts 0 .. e_C - 1.  mu_order = |mu(K)|, for
     K = Q(zeta_m) with m the field conductor, is derived, never stored.
-    """
+    name: str; field_conductor, group_order: int; orbits: tuple[tuple[str,
+    int], ...]; characters: Characters; schur_elements and schur_facts:
+    dicts CharLabel -> SchurElement and -> SchurFacts, or None;
+    character_table: groupblocks.CharacterTable | None; hyperplane_tables:
+    engine.StoredTables | None; clifford_links: tuple."""
 
-    name: str
-    field_conductor: int
-    group_order: int
-    orbits: tuple[tuple[str, int], ...]
-    characters: Characters
-    schur_elements: dict | None = None  # CharLabel -> SchurElement
-    schur_facts: dict | None = None  # CharLabel -> SchurFacts
-    character_table: object | None = None  # groupblocks.CharacterTable
-    hyperplane_tables: tuple | None = None  # engine.StoredTables
-    clifford_links: tuple = ()
+    __slots__ = ()
 
     @property
     def mu_order(self) -> int:
@@ -188,59 +184,59 @@ class GroupDatum(NamedTuple):
         return [sum(v[rng.start:rng.stop]) for rng in self.orbit_ranges()]
 
 
-class SchurFactorX(NamedTuple):
+class SchurFactorX(namedtuple(
+        "SchurFactorX", "cyc_index exps_numerator exps_denominator twist",
+        defaults=(1, RootOfUnity.one()))):
     """One printed factor Phi_n(monomial) in the parameters x_(C,j).
 
     The monomial is exps_numerator / exps_denominator; a denominator q > 1
     encodes radicals such as r = sqrt(...).  The branch of the radical is
-    fixed by an explicit root-of-unity twist (default +1)."""
+    fixed by an explicit root-of-unity twist (default +1).
+    cyc_index: int; exps_numerator: IntVector; exps_denominator: int;
+    twist: RootOfUnity."""
 
-    cyc_index: int
-    exps_numerator: IntVector
-    exps_denominator: int = 1
-    twist: RootOfUnity = RootOfUnity.one()
+    __slots__ = ()
 
 
-class SchurFactorV(NamedTuple):
+class SchurFactorV(namedtuple("SchurFactorV", "psi monomial mult",
+                              defaults=(1,))):
     """Psi(M)^mult with Psi K-cyclotomic and M a primitive monomial whose
-    exponents sum to zero over every orbit."""
+    exponents sum to zero over every orbit.
+    psi: KCyclotomic; monomial: IntVector; mult: int."""
 
-    psi: KCyclotomic
-    monomial: IntVector
-    mult: int = 1
-
-
-class SchurElement(NamedTuple):
-    char: CharLabel
-    xi: CycInt
-    lead: IntVector
-    factors: tuple[SchurFactorV, ...]
+    __slots__ = ()
 
 
-class SchurFacts(NamedTuple):
+class SchurElement(namedtuple("SchurElement", "char xi lead factors")):
+    """char: CharLabel; xi: CycInt; lead: IntVector; factors:
+    tuple[SchurFactorV, ...]."""
+
+    __slots__ = ()
+
+
+class SchurFacts(namedtuple("SchurFacts", "norm weight essential")):
     """What the Schur path reads of one element s: |N(xi)|, aa_weight(s),
     and the pairs (p, M), M in essential_monomials(s, p), for the primes p
     dividing |G|.  A validated s has no p-essential factor at other p:
-    s(1) = |G| / chi(1) would then have norm divisible by p."""
+    s(1) = |G| / chi(1) would then have norm divisible by p.
+    norm: int; weight: IntVector; essential: frozenset[tuple[int, IntVector]]."""
 
-    norm: int
-    weight: IntVector
-    essential: frozenset[tuple[int, IntVector]]
+    __slots__ = ()
 
 
-class SpecializedSchur(NamedTuple):
+class SpecializedSchur(namedtuple("SpecializedSchur",
+                                  "xi y_power terms constants")):
     """A Schur element after u_(C,j) -> y^(n_(C,j)): a Laurent polynomial
 
     psi_coeff * y^y_power * prod Psi_i(y^delta_i)^mult_i  with delta_i != 0,
 
     where psi_coeff = xi * prod Psi_k(1)^mult_k over the factors whose
     monomial vanishes at n; it is multiplied out only when read.
-    """
+    xi: CycInt; y_power: int; terms: tuple[tuple[KCyclotomic, int, int], ...],
+    (psi, delta, mult); constants: tuple[tuple[KCyclotomic, int], ...],
+    (psi, mult) with delta = 0."""
 
-    xi: CycInt
-    y_power: int
-    terms: tuple[tuple[KCyclotomic, int, int], ...]  # (psi, delta, mult)
-    constants: tuple[tuple[KCyclotomic, int], ...]  # (psi, mult), delta = 0
+    __slots__ = ()
 
     @property
     def psi_coeff(self) -> CycInt:

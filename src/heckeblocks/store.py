@@ -420,9 +420,10 @@ def _cross_check_links(groups: dict[str, tuple[Path, GroupDatum]]) -> list[str]:
 
 def verify_db(paths=None) -> tuple[bool, list[str]]:
     """Load each database file, which checks it, and cross-check the
-    Clifford links between the files that load.  A path named twice is read
-    once; a second file of one group is reported.  Without paths, the files
-    of the database directory; FileNotFoundError when it holds none."""
+    Clifford links between the files that load.  A file named twice is read
+    once, whatever its spelling; a second file of one group is reported.
+    Without paths, the files of the database directory; FileNotFoundError
+    when it holds none."""
     if not paths:
         base = default_db_dir()
         paths = sorted(base.glob("*.json"))
@@ -430,7 +431,11 @@ def verify_db(paths=None) -> tuple[bool, list[str]]:
             raise FileNotFoundError(f"no database files in {base}")
     report: list[str] = []
     groups: dict[str, tuple[Path, GroupDatum]] = {}
-    for path in dict.fromkeys(map(Path, paths)):
+    seen: set[Path] = set()
+    for path in map(Path, paths):
+        if (real := path.resolve()) in seen:
+            continue
+        seen.add(real)
         try:
             g = load(path)
         except StoreError as exc:

@@ -46,9 +46,9 @@ atexit.register(check_frozen)
 # files may import a watched module before the request does.  PYTHONPATH
 # holds the package's directory, then the site-packages directories, so a
 # request that imports sympy still finds it, and the probe sees it.  A
-# request needs none of the watched modules; sympy costs a cold start its
-# import time, and which stdlib modules import the others varies with the
-# Python version.
+# request needs none of the watched modules; sympy and typing cost a cold
+# start their import time, and which stdlib modules import the others
+# varies with the Python version.
 PROBE = FREEZE_CHECK + """\
 import os
 before = set(sys.modules)
@@ -57,7 +57,7 @@ def report():
     roots = tuple(path + os.sep for path in
                   os.environ["PYTHONPATH"].split(os.pathsep)[1:])
     print(sorted(added & {"sympy", "dataclasses", "inspect", "fractions",
-                          "decimal", "random"}))
+                          "decimal", "random", "typing"}))
     print(sorted(name for name in added
                  if name.partition(".")[0] != "heckeblocks"
                  and (getattr(sys.modules.get(name), "__file__", None)
@@ -117,6 +117,8 @@ print(sorted(name.partition(".")[2] for name in sys.modules
 _ENGINE = {"cyclo", "groupblocks", "lattice", "schur", "engine"}
 IMPORTS = {
     "lattice": {"lattice"},
+    # no command imports morphism: the cli row below lacks it
+    "morphism": {"lattice", "morphism"},
     "cyclo": {"cyclo"},
     "schur": {"cyclo", "lattice", "schur"},
     "groupblocks": {"cyclo", "groupblocks"},

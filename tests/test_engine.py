@@ -25,7 +25,8 @@ from heckeblocks.engine import (
     rouquier_from_tables,
 )
 from heckeblocks.groupblocks import Partition, p_blocks
-from heckeblocks.lattice import _kernel_basis, dot
+from heckeblocks.lattice import dot
+from heckeblocks.morphism import _kernel_basis
 from heckeblocks.schur import (
     SchurFacts,
     a_and_A,

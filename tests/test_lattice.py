@@ -10,7 +10,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeblocks.lattice import (
+from heckeblocks.lattice import primitive_part
+from heckeblocks.morphism import (
     LatticeMorphism,
     _kernel_basis,
     _section,
@@ -18,7 +19,6 @@ from heckeblocks.lattice import (
     bezout_cofactors,
     compose,
     decompose_specialization,
-    primitive_part,
     refactor_adapted,
 )
 

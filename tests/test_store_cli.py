@@ -163,6 +163,25 @@ def test_a_group_in_two_files_is_one_located_line(db_copy):
         "(0, 0, 1, -1, 0)"])
 
 
+@pytest.mark.parametrize("spelling, report", [
+    ("{db}/a/../g6.json", []),
+    ("{db}/link/g6.json", []),
+    ("{db}/b/g6.json", ["{db}/b/g6.json: header: group G6 is also in "
+                        "{db}/g6.json"]),
+], ids=["dot-dot", "symlinked directory", "second file"])
+def test_one_file_under_two_spellings_is_read_once(db_copy, spelling, report):
+    """a/../g6.json was read again and reported as a second file of G6."""
+    (db_copy / "a").mkdir()
+    (db_copy / "b").mkdir()
+    shutil.copy(db_copy / "g6.json", db_copy / "b")
+    (db_copy / "link").symlink_to(db_copy)
+    paths = [str(db_copy / name) for name in ("g4.json", "g6.json", "g7.json")]
+    result = invoke(["verify-db", *paths, spelling.format(db=db_copy)])
+    lines = [line.format(db=db_copy) for line in report]
+    assert (result.exit_code, result.stdout.splitlines()) == \
+        ((5, lines) if lines else (0, ["ok"]))
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_document_ends_in_store_error(db_copy, monkeypatch, case):
     """Also after a good load of the same file has filled the memos."""

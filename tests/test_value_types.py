@@ -1,12 +1,13 @@
-"""The value types: immutable, with dataclass-style reprs, hashable where
-every field is, and character labels ordered by their fields."""
+"""The value types: immutable, without an instance __dict__, with
+dataclass-style reprs, hashable where every field is, and character labels
+ordered by their fields."""
 
 import pytest
 
 from heckeblocks.cyclo import KCyclotomic, PrimeIdealHandle, RootOfUnity
 from heckeblocks.engine import Hyperplane, Specialization
 from heckeblocks.groupblocks import Partition
-from heckeblocks.lattice import associated_morphism
+from heckeblocks.morphism import associated_morphism
 from heckeblocks.schur import CharLabel, SchurFactorX, specialize
 from heckeblocks.store import load_group
 
@@ -33,6 +34,7 @@ def _values():
         "SchurFactorX": (SchurFactorX(2, (1, -1, 0)), "cyc_index"),
         "SchurFactorV": (s.factors[0], "psi"),
         "SchurElement": (s, "char"),
+        "SchurFacts": (g7.schur_facts[s.char], "norm"),
         "SpecializedSchur": (specialize(g7, s, (0,) * 8), "xi"),
         "CliffordLink": (g6.clifford_links[0], "parent"),
     }
@@ -41,7 +43,7 @@ def _values():
 _NAMES = ["CharLabel", "CharacterTable", "CliffordLink", "GroupDatum",
           "Hyperplane", "HyperplaneTable", "KCyclotomic", "LatticeMorphism",
           "Partition", "PrimeIdealHandle", "RootOfUnity", "SchurElement",
-          "SchurFactorV", "SchurFactorX", "SpecializedSchur",
+          "SchurFactorV", "SchurFactorX", "SchurFacts", "SpecializedSchur",
           "Specialization"]
 # Types with a field that cannot be hashed: a CycInt or a dict.
 _UNHASHABLE = {"CharacterTable", "GroupDatum", "SchurElement",
@@ -60,6 +62,9 @@ def test_value_types_are_immutable(twice, name):
     assert repr(value).startswith(f"{name}({field}=")
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
+    # fields are read-only descriptors, so only this catches a missing
+    # __slots__ = (), which lets any other attribute be set
+    assert not hasattr(value, "__dict__")
 
 
 @pytest.mark.parametrize("name", sorted(set(_NAMES) - _UNHASHABLE))
