@@ -50,9 +50,16 @@ class _Parser(argparse.ArgumentParser):
         self.add_argument("--help", action="help",
                           help="Show this message and exit.")
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_ARITY, f"{self.prog}: error: {message}\n")
+
+
+def _integer(text: str) -> int:
+    """text as an int: a sign, ASCII digits only (not "1_0"), space around."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def cli_essential_hyperplanes(group: str, prime: int):
@@ -80,13 +87,9 @@ def cli_rouquier_blocks(group: str, exponents: str, which: str, display: str):
     """Rouquier blocks of the cyclotomic specialization with the given
     exponents."""
     g = load_group(group)
-    tokens = exponents.split(",")
     try:
-        # int() alone also reads "1_0" as 10 and non-ASCII digits
-        if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", tok) for tok in tokens):
-            raise ValueError(exponents)
-        n = tuple(map(int, tokens))
-    except ValueError:
+        n = tuple(map(_integer, exponents.split(",")))
+    except argparse.ArgumentTypeError:
         raise BadExponents(f"cannot parse exponents {exponents!r}") from None
     hit, blocks = rouquier_blocks(g, Specialization(n), which)
     names = g.slot_names()
@@ -125,7 +128,7 @@ def _parser(prog: str) -> _Parser:
 
     sub = command("essential-hyperplanes", cli_essential_hyperplanes)
     sub.add_argument("group", metavar="GROUP")
-    sub.add_argument("--prime", "-p", type=int, default=0,
+    sub.add_argument("--prime", "-p", type=_integer, default=0,
                      help="0 lists the hyperplanes for every bad prime. "
                           "[default: %(default)s]")
     sub = command("all-blocks", cli_all_blocks)

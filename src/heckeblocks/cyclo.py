@@ -547,17 +547,16 @@ def _phi_factors_mod_p(p: int, n: int) -> list[tuple[int, ...]]:
     return factors
 
 
-def _split_candidate(g: list[int], m: int, f: int, p: int,
-                     rng: random.Random) -> list[int]:
+def _split_candidate(g: list[int], m: int, f: int, p: int, rng) -> list[int]:
     """A polynomial whose gcd with g is a proper factor of g with
     probability at least 4/9.
 
-    For a random a mod g, the trace t = a + a^p + ... + a^(p^(f-1)) is a
-    uniform element of GF(p) modulo each irreducible factor of g,
-    independently; the candidate is t for p = 2 and t^((p-1)/2) - 1 for
-    odd p.  Since g divides x^m - 1 and a has coefficients in GF(p), the
-    Frobenius power a^(p^i) is a(x^(p^i)), an exponent permutation mod
-    x^m - 1."""
+    For a random a mod g, drawn by rng, a random.Random, the trace
+    t = a + a^p + ... + a^(p^(f-1)) is a uniform element of GF(p) modulo
+    each irreducible factor of g, independently; the candidate is t for
+    p = 2 and t^((p-1)/2) - 1 for odd p.  Since g divides x^m - 1 and a has
+    coefficients in GF(p), the Frobenius power a^(p^i) is a(x^(p^i)), an
+    exponent permutation mod x^m - 1."""
     a = [rng.randrange(p) for _ in range(len(g) - 1)]
     trace = [0] * m
     step = 1

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from operator import mul
+from itertools import compress
+from operator import mul, not_
 
 from .cyclo import check_prime
 from .groupblocks import Partition, join, meet, p_blocks
@@ -50,7 +51,7 @@ class Hyperplane(namedtuple("Hyperplane", "normal")):
     def of(vector: IntVector) -> "Hyperplane":
         return Hyperplane(canonical_normal(vector))
 
-    def render(self, slot_names: list[str]) -> str:
+    def render(self, slot_names: tuple[str, ...]) -> str:
         out = []
         for name, c in zip(slot_names, self.normal):
             if c == 0:
@@ -87,15 +88,15 @@ class StoredTables(tuple):
 
     essential holds the K tables other than the baseline, in stored order.
     packed holds their normals h_k column-wise, one int per slot j:
-    P_j = sum_k h_k[j] * 2^(64k); offset is sum_k 2^63 * 2^(64k) and bound
-    is L = max_k |h_k|_1.  For n with L * max|n_j| < 2^63, each 64-bit
-    field of D = offset + sum_j n_j * P_j is then exactly
-    2^63 + <h_k, n>, with no carry between fields, so table k is hit
-    exactly when its field reads 2^63.  joins maps each hit set, the tuple
-    of hit hyperplanes, to the join of its blocks, and () to the baseline:
-    the Rouquier blocks depend on the hit set alone.  It holds at most one
-    entry per flat of the stored arrangement (a set of hyperplanes that
-    some vector lies on, and no other): 8, 61 and 305 for the shipped G4,
+    P_j = sum_k h_k[j] * 2^(64k); offset is sum_k 2^63 * 2^(64k) and limit
+    is (2^63 - 1) // L, L = max_k |h_k|_1.  For n with all |n_j| <= limit,
+    so L * max|n_j| < 2^63, each 64-bit field of D = offset + sum_j n_j * P_j
+    is exactly 2^63 + <h_k, n>, with no carry between fields, so table k is
+    hit exactly when its field of D XOR offset reads 0.  joins maps each hit
+    set, the tuple of hit hyperplanes, to the join of its blocks, and () to
+    the baseline: the Rouquier blocks depend on the hit set alone.  It holds
+    at most one entry per flat of the stored arrangement (a set of hyperplanes
+    that some vector lies on, and no other): 8, 61 and 305 for the shipped G4,
     G6 and G7.  It caches derived joins only, so the value never changes."""
 
     def __new__(cls, tables):
@@ -107,8 +108,8 @@ class StoredTables(tuple):
         self.offset = sum(1 << (s + 63) for s in shifts)
         self.packed = [sum(c << s for c, s in zip(column, shifts)) for column
                        in zip(*(t.normal for t in self.essential))]
-        self.bound = max((sum(map(abs, t.normal))
-                          for t in self.essential), default=0)
+        self.limit = (2**63 - 1) // max((sum(map(abs, t.normal))
+                                         for t in self.essential), default=1)
         self.joins = {(): t.blocks for t in self if t.hyperplane is None}
         return self
 
@@ -120,14 +121,13 @@ def hyperplanes_containing(
     specialization lies on, in stored order; never the baseline.  load
     checks that each table coarsens the baseline, so rouquier_blocks joins
     the blocks of these alone.  One packed product tests every table; a
-    vector past its 64-bit bound takes one exact dot per table."""
-    n = spec.n
-    if tables.bound * max(map(abs, n), default=0) >= 1 << 63:
-        return [t for t in tables.essential if dot(t.normal, n) == 0]
-    d = tables.offset + sum(map(mul, n, tables.packed))
-    fields = memoryview(d.to_bytes(8 * len(tables.essential),
-                                   sys.byteorder)).cast("Q")
-    return [t for t, f in zip(tables.essential, fields) if f == 1 << 63]
+    vector past its 64-bit limit takes one exact dot per table."""
+    n, limit, essential = spec.n, tables.limit, tables.essential
+    if n and not (-limit <= min(n) and max(n) <= limit):  # n is () without slots
+        return [t for t in essential if dot(t.normal, n) == 0]
+    d = sum(map(mul, n, tables.packed), tables.offset) ^ tables.offset
+    fields = memoryview(d.to_bytes(8 * len(essential), sys.byteorder)).cast("Q")
+    return list(compress(essential, map(not_, fields)))
 
 
 def rouquier_blocks(

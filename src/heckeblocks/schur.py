@@ -17,7 +17,8 @@ factor into K-irreducible pieces.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 
 from .cyclo import (
@@ -35,6 +36,7 @@ from .lattice import IntVector, dot, primitive_part
 __all__ = [
     "CharLabel",
     "Characters",
+    "Orbits",
     "GroupDatum",
     "SchurFactorX",
     "SchurFactorV",
@@ -109,6 +111,31 @@ class Characters(tuple):
         return self
 
 
+class Orbits(tuple):
+    """The (letter, e_C) pairs, equal to their plain tuple, with their slot
+    layout: slot_count and the conductor L = lcm(e_C) at once; slot_names,
+    ranges and twists, (L / e_C) * j per slot (C, j), on first read."""
+
+    def __new__(cls, orbits):
+        self = super().__new__(cls, orbits)
+        self.slot_count = sum(e for _, e in self)
+        self.conductor = lcm(*(e for _, e in self))
+        return self
+
+    @cached_property
+    def slot_names(self) -> tuple[str, ...]:
+        return tuple(f"{letter}{j}" for letter, e in self for j in range(e))
+
+    @cached_property
+    def ranges(self) -> tuple[range, ...]:
+        ends = list(accumulate((e for _, e in self), initial=0))
+        return tuple(map(range, ends, ends[1:]))
+
+    @cached_property
+    def twists(self) -> tuple[int, ...]:
+        return tuple(self.conductor // e * j for _, e in self for j in range(e))
+
+
 class GroupDatum(namedtuple(
         "GroupDatum", "name field_conductor group_order orbits characters "
         "schur_elements schur_facts character_table hyperplane_tables "
@@ -120,14 +147,14 @@ class GroupDatum(namedtuple(
     are keyed by CharLabel.  load stores the characters as a Characters,
     whose positions map each label to its 1-based index, so no query
     rebuilds that map: a _replace(characters=...) view passes its own.
-    load stores the hyperplane tables as an engine.StoredTables, whose
-    memo caches derived joins only.
-    Slots are indexed by (orbit, j) pairs flattened in orbit order; each
-    orbit is named by its own letter, and its slots display as that letter
-    with subscripts 0 .. e_C - 1.  mu_order = |mu(K)|, for
-    K = Q(zeta_m) with m the field conductor, is derived, never stored.
-    name: str; field_conductor, group_order: int; orbits: tuple[tuple[str,
-    int], ...]; characters: Characters; schur_elements and schur_facts:
+    load stores the hyperplane tables as an engine.StoredTables, whose memo
+    caches derived joins only, and the orbits as an Orbits, the slot layout
+    the slot methods read.  Slots are indexed by (orbit, j) pairs flattened
+    in orbit order; each orbit is named by its own letter, and its slots
+    display as that letter with subscripts 0 .. e_C - 1.  mu_order =
+    |mu(K)|, for K = Q(zeta_m) with m the field conductor, is derived.
+    name: str; field_conductor, group_order: int; orbits: Orbits of
+    (str, int) pairs; characters: Characters; schur_elements and schur_facts:
     dicts CharLabel -> SchurElement and -> SchurFacts, or None;
     character_table: groupblocks.CharacterTable | None; hyperplane_tables:
     engine.StoredTables | None; clifford_links: tuple."""
@@ -161,27 +188,23 @@ class GroupDatum(namedtuple(
 
     @property
     def slot_count(self) -> int:
-        return sum(e for _, e in self.orbits)
+        return self.orbits.slot_count
 
     def check_exponents(self, n: IntVector) -> None:
         """Raise BadExponents unless n has one exponent per slot."""
-        if len(n) != self.slot_count:
+        if len(n) != self.orbits.slot_count:
             raise BadExponents(f"{self.name} needs {self.slot_count} "
                                f"exponents, got {len(n)}")
 
-    def slot_names(self) -> list[str]:
-        return [f"{letter}{j}" for letter, e in self.orbits for j in range(e)]
+    def slot_names(self) -> tuple[str, ...]:
+        return self.orbits.slot_names
 
-    def orbit_ranges(self) -> list[range]:
-        out, start = [], 0
-        for _, e in self.orbits:
-            out.append(range(start, start + e))
-            start += e
-        return out
+    def orbit_ranges(self) -> tuple[range, ...]:
+        return self.orbits.ranges
 
     def orbit_sums(self, v: IntVector) -> list[int]:
         """The sum of v's entries over the slots of each orbit."""
-        return [sum(v[rng.start:rng.stop]) for rng in self.orbit_ranges()]
+        return [sum(v[rng.start:rng.stop]) for rng in self.orbits.ranges]
 
 
 class SchurFactorX(namedtuple(
@@ -272,9 +295,8 @@ def _slot_twist(g: GroupDatum, exps: IntVector, q: int) -> RootOfUnity:
     """The root-of-unity part of x^(exps/q), slot x_(C,j) carrying
     zeta_(e_C)^j raised to c/q on the database's branch, read no further
     than exps: zeta_(L*q)^(sum (L/e_C)*j*c), L the lcm of the orbit sizes."""
-    big = lcm(*(e for _, e in g.orbits))
-    slots = (big // e * j for _, e in g.orbits for j in range(e))
-    return RootOfUnity.of(big * q, sum(c * k for c, k in zip(exps, slots)))
+    return RootOfUnity.of(g.orbits.conductor * q,
+                          sum(c * k for c, k in zip(exps, g.orbits.twists)))
 
 
 def normalize_x_to_v(
@@ -461,9 +483,9 @@ def specialize(g: GroupDatum, s: SchurElement, n: IntVector) -> SpecializedSchur
     return SpecializedSchur(s.xi, y_power, tuple(terms), tuple(constants))
 
 
-def a_and_A(g: GroupDatum, sp: SpecializedSchur) -> tuple[Fraction, Fraction]:
+def a_and_A(g: GroupDatum, sp: SpecializedSchur) -> tuple:
     """Valuation and degree of the specialized element in the x-scale
-    (y = x^(1/mu)).
+    (y = x^(1/mu)), a pair of fractions.Fraction.
 
     Their sum is linear in the specialization: mu * (a + A) at n is
     <aa_weight(s), n>.  The Schur-path heuristic groups characters by that

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import reprlib
-from math import inf, lcm
+from math import inf
 from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
@@ -29,6 +29,7 @@ from .schur import (
     CharLabel,
     Characters,
     GroupDatum,
+    Orbits,
     SchurFactorX,
     normalize_x_to_v,
     schur_facts,
@@ -198,15 +199,15 @@ def _parse_header(doc) -> GroupDatum:
         name=doc["name"],
         field_conductor=doc["field_conductor"],
         group_order=doc["group_order"],
-        orbits=tuple(map(tuple, doc["orbits"])),
+        orbits=Orbits(map(tuple, doc["orbits"])),
         characters=Characters(map(CharLabel.parse, doc["characters"])),
     )
     if len(g.characters.positions) != len(g.characters):
         raise ValueError("character labels must be unique")
     if any(c.degree < 1 for c in g.characters):
         raise ValueError("character degrees must be at least 1")
-    # the slot twists zeta_(e_C)^j live in Z[zeta_lcm(e_C)]
-    bounded_conductor(lcm(*(e for _, e in g.orbits)))
+    # slot twists live in Z[zeta_lcm(e_C)]; checked before anything per slot
+    bounded_conductor(g.orbits.conductor)
     names = [o for o, _ in g.orbits]
     if not all(len(o) == 1 and o.isalpha() for o in names) \
             or len(set(names)) != len(names):

@@ -4,6 +4,7 @@ asserts a check of a criterion too, both call one cached check_* function
 of that module, so the check runs once per session."""
 
 import ast
+import builtins
 import time
 from pathlib import Path
 
@@ -239,4 +240,51 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = sorted(here.glob("*.py")) + sorted(package.glob("*.py"))
     found = [f"{path.name}: {name}" for path in paths
              for name in _unused_imports(path)]
+    assert found == []
+
+
+def _unbound_annotation_names(path):
+    """The names that path's annotations read first (n of n.attr, a quoted
+    annotation parsed) and that neither the module's top level nor the
+    builtins bind: under `from __future__ import annotations`, names that
+    typing.get_type_hints would fail on."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set(dir(builtins))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.append(node.returns)
+            annotations += [a.annotation for a in (
+                *args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg) if a is not None]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = []
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                node = ast.parse(node.value, mode="eval")
+                names += [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.Name):
+                names.append(node.id)
+    return sorted(set(names) - bound)
+
+
+def test_no_annotation_names_what_its_module_never_binds():
+    """An annotation is a claim a reader and typing.get_type_hints check;
+    one naming an unbound name misleads the one and fails the other."""
+    here = Path(__file__).parent
+    package = here.parent / "src" / "heckeblocks"
+    paths = sorted(here.glob("*.py")) + sorted(package.glob("*.py"))
+    found = [f"{path.name}: {name}" for path in paths
+             for name in _unbound_annotation_names(path)]
     assert found == []

@@ -289,15 +289,26 @@ def test_every_flat_witness_takes_the_table_path(name, count):
     the StoredTables docstring's bound."""
     g = load_group(name)
     tables = g.hyperplane_tables
+    bound = max(sum(map(abs, t.normal)) for t in tables if t.normal is not None)
     flats = _flats(g)
     assert len(flats) == count
     for w in flats.values():
-        for n in (w, tuple(x << 63 for x in w)):
+        scaled = tuple(x << 63 for x in w)
+        assert bound * max(map(abs, w)) < 2**63 <= bound * max(map(abs, scaled))
+        for n in (w, scaled):
             hit, expected = _table_path_oracle(g, n)
             assert rouquier_blocks(g, Specialization(n)) == (
                 [t.hyperplane for t in hit], expected), n
-        assert tables.bound * max(map(abs, n)) >= 2**63
     assert len(tables.joins) == count
+
+
+def test_a_datum_without_slots_hits_no_table(g4):
+    """With no orbits, and so no slot, the baseline is the only table;
+    the empty exponent vector hits nothing and gets the baseline."""
+    baseline, = (t for t in g4.hyperplane_tables if t.hyperplane is None)
+    g = g4._replace(orbits=schur.Orbits(()),
+                    hyperplane_tables=StoredTables([baseline]))
+    assert rouquier_blocks(g, Specialization(())) == ([], baseline.blocks)
 
 # ---------------------------------------------------------------------------
 # heuristic (Schur) path on the partial G7 payload

@@ -3,6 +3,7 @@ command-line surface with its exit-code contract."""
 
 import copy
 import json
+import random
 import shutil
 import tempfile
 import time
@@ -75,6 +76,28 @@ def test_mu_order_is_derived_from_the_field(name, mu):
     """|mu(K)| = lcm(2, m) for K = Q(zeta_m); no file stores it."""
     assert load_group(name).mu_order == mu
     assert "mu_order" not in _SHIPPED[f"{name.lower()}.json"]
+
+
+@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
+def test_slot_layout_matches_the_raw_header(name):
+    """The slot layout load builds once per datum gives the slot count,
+    names, orbit ranges and orbit sums that the raw header's orbits spell
+    out, and a _replace view reads the same layout.  Each orbit's slots are
+    found by their letter, which the header keeps distinct."""
+    g = load_group(name)
+    orbits = _SHIPPED[f"{name.lower()}.json"]["orbits"]
+    names = [letter + str(j) for letter, e in orbits for j in range(e)]
+    slots = [[k for k, slot in enumerate(names) if slot[0] == letter]
+             for letter, _ in orbits]
+    assert g.slot_count == len(names) == sum(e for _, e in orbits)
+    assert g.slot_names() == tuple(names)
+    assert [list(r) for r in g.orbit_ranges()] == slots
+    rng = random.Random(f"slot layout {name}")
+    for _ in range(20):
+        v = tuple(rng.randint(-9, 9) for _ in names)
+        assert g.orbit_sums(v) == [sum(v[k] for k in ks) for ks in slots]
+    view = g._replace(hyperplane_tables=None)
+    assert view.orbits is g.orbits and view.slot_names() is g.slot_names()
 
 
 def test_links_name_only_their_parent():
@@ -407,9 +430,12 @@ def test_cli_prime_outside_the_group_order_exits_two_quickly(prime):
     (["rouquier-blocks", "G4"],
      "the following arguments are required: --exponents"),
     (["essential-hyperplanes", "G4", "-p", "x"], "invalid int value: 'x'"),
+    (["essential-hyperplanes", "G4", "-p", "\u0663"],
+     "invalid int value: '\u0663'"),
+    (["essential-hyperplanes", "G4", "-p", "1_1"], "invalid int value: '1_1'"),
     (["no-such-command"], "invalid choice: 'no-such-command'"),
 ], ids=["bad display", "missing exponents", "non-integer prime",
-        "unknown command"])
+        "non-ASCII digit prime", "underscored prime", "unknown command"])
 def test_cli_usage_errors_exit_four(args, message):
     # the README gives 4 to malformed arguments and 2 to an invalid prime
     result = invoke(args)
