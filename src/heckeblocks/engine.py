@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from functools import lru_cache
 from itertools import compress
 from operator import mul, not_
 
@@ -52,14 +53,22 @@ class Hyperplane(namedtuple("Hyperplane", "normal")):
         return Hyperplane(canonical_normal(vector))
 
     def render(self, slot_names: tuple[str, ...]) -> str:
-        out = []
-        for name, c in zip(slot_names, self.normal):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if out else "")
-            mag = abs(c)
-            out.append(f"{sign}{'' if mag == 1 else mag}{name[0]}_{name[1:]}")
-        return "".join(out) + "=0"
+        """The equation, e.g. c_0-2c_1+c_2=0; a list of slot_names renders
+        the same.  Formatted once per (normal, slot names) pair, then read
+        from a memo of one entry per pair ever rendered, each from data."""
+        return _render_normal(self.normal, tuple(slot_names))
+
+
+@lru_cache(maxsize=None)
+def _render_normal(normal: IntVector, slot_names: tuple[str, ...]) -> str:
+    out = []
+    for name, c in zip(slot_names, normal):
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if out else "")
+        mag = abs(c)
+        out.append(f"{sign}{'' if mag == 1 else mag}{name[0]}_{name[1:]}")
+    return "".join(out) + "=0"
 
 
 class HyperplaneTable(namedtuple("HyperplaneTable", "hyperplane blocks primes",

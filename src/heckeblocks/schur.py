@@ -83,7 +83,11 @@ class CharLabel(namedtuple("CharLabel", "degree b_invariant prime_marks",
 
     __slots__ = ()
 
+    @lru_cache(maxsize=None)
     def render(self) -> str:
+        """phi{d,b} then the prime marks.  Formatted once per label, then
+        read from a memo of one entry per distinct label ever rendered: the
+        labels of the database files read."""
         return f"phi{{{self.degree},{self.b_invariant}}}" + "'" * self.prime_marks
 
     @staticmethod

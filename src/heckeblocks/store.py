@@ -64,14 +64,14 @@ class _OneOf(tuple):
 
 
 # The database format, which _walk checks.  int, str and None are JSON leaves,
-# and a number n an integer from 1 to n; [s] is a list of s, (s, t) a list of
-# exactly an s and a t; a dict is a closed object, a key ending in "?"
-# optional; {str: s} maps any string to an s.
+# and a number n an integer from 1 to n; [s] is a list of s, [s, ...] a
+# non-empty one, (s, t) a list of exactly an s and a t; a dict is a closed
+# object, a key ending in "?" optional; {str: s} maps any string to an s.
 _INTS, _ROOT = [int], (inf, int)  # a root of unity [order, exponent]
 _CYCINT = _OneOf((int, {"conductor": MAX_CONDUCTOR, "coeffs": _INTS}))
 _DOCUMENT = {
     "name": str, "field_conductor": MAX_CONDUCTOR, "group_order": inf,
-    "orbits": [(str, inf)], "characters": [str],
+    "orbits": [(str, inf), ...], "characters": [str],
     "hyperplane_tables?": [{"normal?": _OneOf((None, _INTS)),
                             "blocks": [_INTS], "primes": _INTS}],
     "character_table?": {"conductor": MAX_CONDUCTOR, "class_sizes": [inf],
@@ -109,8 +109,10 @@ def _walk(schema, value, faults: list, at=()) -> None:
     elif type(schema) is tuple and len(value) != len(schema):
         faults.append((at, f"{_SHOW.repr(value)} is not a JSON list of "
                            f"{len(schema)} items"))
+    elif type(schema) is list and schema[-1] is ... and not value:
+        faults.append((at, "[] is not a non-empty JSON list"))
     elif type(schema) in (list, tuple):
-        items = schema if type(schema) is tuple else schema * len(value)
+        items = schema if type(schema) is tuple else schema[:1] * len(value)
         for i, (item, v) in enumerate(zip(items, value)):
             if type(v) is not item:  # an item of a leaf type matches
                 _walk(item, v, faults, at + (f"[{i}]",))

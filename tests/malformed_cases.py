@@ -103,6 +103,13 @@ def _unit_past_the_bound(doc):
         {"cyc": 83, "num": [0, 0, 1, -1, 0, 0, 0, 0], "twist": [3, 1]})
 
 
+def _no_orbits(doc):
+    """G4 with no orbit, so no parameter, and without the tables and link
+    that would name a slot: only its baseline table is left."""
+    doc["orbits"] = []
+    del doc["hyperplane_tables"][1:], doc["clifford_links"]
+
+
 def _split_baseline_block(doc):
     """G7 whose c_1-c_2=0 table splits the baseline block [23, 33]."""
     blocks = doc["hyperplane_tables"][1]["blocks"]
@@ -183,6 +190,9 @@ MALFORMED = {
     "orbit name of two letters": (
         "g4.json", _set("orbits", 0, 0, value="cc"),
         ["header: orbit names ['cc'] must be distinct single letters"]),
+    # verify-db said ok, and rouquier-blocks could parse no exponent vector
+    "no orbits": ("g4.json", _no_orbits,
+                  ["header.orbits: [] is not a non-empty JSON list"]),
     "repeated orbit name": (
         "g7.json", _set("orbits", 1, 0, value="a"),
         ["header: orbit names ['a', 'a', 'c'] must be distinct single "
@@ -324,8 +334,11 @@ MALFORMED = {
 
 # The rows whose whole report is the schema walk's.  The sweep adds a
 # misspelt key beside the real one; these rename an optional section, whose
-# absence alone is legal, and pin the fault that once dropped its data.
-WALK_ROWS = {"misspelt hyperplane_tables key", "misspelt clifford_links key"}
+# absence alone is legal, and pin the fault that once dropped its data.  The
+# sweep gives no list an empty value; "no orbits" pins the one list that
+# must not be empty.
+WALK_ROWS = {"misspelt hyperplane_tables key", "misspelt clifford_links key",
+             "no orbits"}
 
 # One value of each JSON type, as json.loads gives it; a lax reader would
 # take 7.0, "7" and true for an integer.

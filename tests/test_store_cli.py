@@ -4,6 +4,7 @@ command-line surface with its exit-code contract."""
 import copy
 import json
 import random
+import shlex
 import shutil
 import tempfile
 import time
@@ -98,6 +99,41 @@ def test_slot_layout_matches_the_raw_header(name):
         assert g.orbit_sums(v) == [sum(v[k] for k in ks) for ks in slots]
     view = g._replace(hyperplane_tables=None)
     assert view.orbits is g.orbits and view.slot_names() is g.slot_names()
+
+
+def _equation(normal, orbits) -> str:
+    """The README's spelling of the hyperplane with this normal: for each
+    nonzero coefficient c at slot j of orbit C, the sign of c, then |c|
+    unless it is 1, then C_j; the leading + dropped, then =0."""
+    slots = [f"{letter}_{j}" for letter, e in orbits for j in range(e)]
+    terms = "".join(("-" if c < 0 else "+")
+                    + (str(abs(c)) if abs(c) != 1 else "") + slot
+                    for slot, c in zip(slots, normal) if c)
+    return terms.removeprefix("+") + "=0"
+
+
+@pytest.mark.parametrize("name", ["G4", "G6", "G7"])
+def test_labels_and_stored_hyperplanes_render_as_the_raw_file(name):
+    """Each label renders as the file spells it and each stored hyperplane
+    as _equation spells its raw normal; rendering again returns the same
+    str object, read from the memo, and a list of slot names renders as
+    their tuple does."""
+    doc = _SHIPPED[f"{name.lower()}.json"]
+    g = load_group(name)
+    assert [c.render() for c in g.characters] == doc["characters"]
+    assert all(c.render() is c.render() is str(c) for c in g.characters)
+    names = g.slot_names()
+    normals = [t.get("normal") for t in doc["hyperplane_tables"]]
+    assert len(normals) == len(g.hyperplane_tables)
+    for hyperplane, normal in zip((t.hyperplane for t in g.hyperplane_tables),
+                                  normals):
+        if normal is None:
+            assert hyperplane is None
+            continue
+        text = hyperplane.render(names)
+        assert text == _equation(normal, doc["orbits"])
+        assert hyperplane.render(names) is text
+        assert hyperplane.render(list(names)) is text
 
 
 def test_links_name_only_their_parent():
@@ -285,6 +321,32 @@ def test_readme_names_every_schema_key():
     missing = {key for key in _schema_keys(store._DOCUMENT)
                if f"`{key}`" not in section}
     assert not missing, sorted(missing)
+
+
+def _readme_examples():
+    """A pytest.param of (arguments, expected lines), named by the
+    arguments, for each `$ heckeblocks ...` example of README's "Command
+    line" block: the lines under it up to a blank line."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```text\n")[1]
+    for example in block.split("```")[0].strip().split("\n\n"):
+        command, *lines = example.splitlines()
+        args = command.removeprefix("$ heckeblocks ")
+        yield pytest.param(shlex.split(args), lines, id=args)
+
+
+@pytest.mark.parametrize("args, lines", _readme_examples())
+def test_readme_command_examples_print_what_the_readme_shows(monkeypatch,
+                                                             args, lines):
+    """Line by line on the shipped database; a ... line ends the example's
+    lines, which are then a prefix of the output."""
+    monkeypatch.delenv("HECKE_DB", raising=False)
+    result = invoke(args)
+    assert result.exit_code == 0 and result.stderr == "", result.output
+    printed = result.stdout.splitlines()
+    if lines[-1:] == ["..."]:
+        lines, printed = lines[:-1], printed[:len(lines) - 1]
+    assert printed == lines
 
 
 def _unparsable(db_copy, monkeypatch, path, line):
