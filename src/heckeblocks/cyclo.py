@@ -14,8 +14,8 @@ K = Q(zeta_m), stored as a Galois orbit of root exponents), handles for
 prime ideals P = (p, g(zeta_N)) of Z[zeta_N] above a rational prime, and the
 small integer number theory all of this needs (trial-division factorisation,
 primality, Euler's totient).  Everything is plain integer code; prime_handle
-factors Phi_N over GF(p) by equal-degree splitting, and residue reduces mod P
-by one F_p-linear map, a phi(N) x deg g matrix built once per handle.
+factors Phi_N over GF(p) by equal-degree splitting, and residues reduces a
+row mod P by one F_p-linear map, a phi(N) x deg g matrix built per handle.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "prime_handle",
     "in_prime_ideal",
     "residue",
+    "residues",
     "cyclotomic_at_root",
     "is_p_essential_factor",
     "MAX_CONDUCTOR",
@@ -620,17 +621,29 @@ def _residue_columns(h: PrimeIdealHandle) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*[r + [0] * (len(g) - 1 - len(r)) for r in images]))
 
 
+def residues(elements, h: PrimeIdealHandle) -> tuple[int, ...]:
+    """The images of a row of elements in the residue field of h's prime
+    P = (p, g), untrimmed and concatenated, deg g entries each: an element's
+    coefficients over the handle's conductor times _residue_columns(h), its
+    remainder by g over GF(p).  Rows of equal length have equal residues
+    exactly when they are congruent mod P entry by entry.  Each conductor
+    must divide the handle's."""
+    n, p, columns = h.conductor, h.rational_prime, _residue_columns(h)
+    out: list[int] = []
+    for a in elements:
+        if n % a.conductor:
+            raise ValueError("conductor of the element must divide the handle's")
+        coeffs = a.lift(n).coeffs
+        for column in columns:
+            out.append(sum(map(mul, coeffs, column)) % p)
+    return tuple(out)
+
+
 def residue(a: CycInt, h: PrimeIdealHandle) -> tuple[int, ...]:
-    """The image of a in the residue field of h's prime P = (p, g), g the
-    local factor: the remainder of a, written over the handle's conductor,
-    by g over GF(p), trimmed.  Reduction is Z-linear on the power basis, so
-    this is a's coefficients times _residue_columns(h).  a = b mod P exactly
-    when their residues are equal.  a's conductor must divide the handle's."""
-    a = a.lift(lcm(a.conductor, h.conductor))
-    if a.conductor != h.conductor:
-        raise ValueError("conductor of the element must divide the handle's")
-    return tuple(_trim([sum(map(mul, a.coeffs, column)) % h.rational_prime
-                        for column in _residue_columns(h)]))
+    """The image of a in the residue field of h's prime, trimmed: the
+    residues of the row (a,).  a = b mod P exactly when their residues are
+    equal."""
+    return tuple(_trim(list(residues((a,), h))))
 
 
 def in_prime_ideal(a: CycInt, h: PrimeIdealHandle) -> bool:

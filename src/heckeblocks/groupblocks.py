@@ -7,7 +7,8 @@ input; derived partitions come from Partition.by_key or generated_by.
 Two characters lie in the same p-block when their central characters agree
 modulo a prime ideal above p; it suffices to test one deterministic prime
 ideal and close the partition under Galois.  CharacterTable.of computes the
-central characters and the row permutations once; p_blocks reads them.
+central characters and the row permutations once; p_blocks reads them and
+reduces each character's row of central characters in one residues call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .cyclo import CycInt, _units, check_prime, prime_handle, residue
+from .cyclo import CycInt, _units, check_prime, prime_handle, residues
 
 __all__ = ["CharacterTable", "Partition", "meet", "join", "central_character",
            "p_blocks", "galois_close"]
@@ -210,13 +211,13 @@ def galois_close(t: CharacterTable, pi: Partition) -> Partition:
 def p_blocks(t: CharacterTable, p: int) -> Partition:
     """Blocks of the p-modular group algebra: the characters grouped by the
     residues (equal exactly when congruent mod P) of the central characters
-    that CharacterTable.of stored, at one prime ideal P above p, then closed
-    under Galois by galois_close, which reads the stored row permutations.
+    that CharacterTable.of stored, at one prime ideal P above p, one
+    residues call per character's row, then closed under Galois by
+    galois_close, which reads the stored row permutations.
     ValueError when p is not prime; singletons when p does not divide |G|."""
     check_prime(p)
     if t.group_order % p:
         return Partition.singletons(t.n_chars)
     handle = prime_handle(p, t.conductor)
     return galois_close(t, Partition.by_key([
-        tuple(residue(omega, handle) for omega in row)
-        for row in t.central_characters]))
+        residues(row, handle) for row in t.central_characters]))

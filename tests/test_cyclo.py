@@ -27,6 +27,7 @@ from heckeblocks.cyclo import (
     is_p_essential_factor,
     prime_handle,
     residue,
+    residues,
     _phi_coeffs,
     _phi_factors_mod_p,
 )
@@ -472,13 +473,16 @@ def test_residue_matches_sympy_remainder():
     coefficient polynomial by the local factor g.  An element of conductor
     d | N is sum c_i x^(i N/d) over Z[zeta_N], and g divides Phi_N mod p,
     so the remainder needs no reduction mod Phi_N first.  Seeded elements of
-    every divisor conductor, 1 included, and the conductor-1 handle."""
+    every divisor conductor, 1 included, and the conductor-1 handle.  Per
+    (p, N), the row of all those elements gives residues the remainders
+    concatenated, each padded to deg g."""
     x = Symbol("x")
     rng = random.Random("residue oracle")
     for p in (2, 3, 5, 7):
         for n in (1, 3, 4, 12, 15, 24, 36):
             h = prime_handle(p, n)
             g = Poly(h.local_factor[::-1], x, modulus=p)
+            row, concatenated = [], []
             for d in (d for d in range(1, n + 1) if n % d == 0):
                 for _ in range(6):
                     a = CycInt(d, [rng.randint(-99, 99)
@@ -491,6 +495,21 @@ def test_residue_matches_sympy_remainder():
                         expected.pop()
                     assert residue(a, h) == tuple(expected), (p, n, a)
                     assert in_prime_ideal(a, h) == (not expected), (p, n, a)
+                    row.append(a)
+                    concatenated += expected + [0] * (
+                        len(h.local_factor) - 1 - len(expected))
+            assert residues(row, h) == tuple(concatenated), (p, n)
+
+
+def test_residue_rejects_a_conductor_not_dividing_the_handles():
+    """The check names the handle, not lift's "multiple of the conductor",
+    for one element and for a row that holds one such element."""
+    h = prime_handle(2, 12)
+    message = "conductor of the element must divide the handle's"
+    with pytest.raises(ValueError, match=message):
+        residue(CycInt.zeta(5), h)
+    with pytest.raises(ValueError, match=message):
+        residues((CycInt.rational(1), CycInt.zeta(4), CycInt.zeta(5)), h)
 
 
 def test_conductor_one_handle_is_divisibility():

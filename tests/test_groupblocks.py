@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeblocks import groupblocks
+from heckeblocks import cyclo, groupblocks
 from heckeblocks.cyclo import CycInt, in_prime_ideal, prime_handle
 from heckeblocks.groupblocks import (
     CharacterTable,
@@ -21,7 +21,12 @@ from heckeblocks.groupblocks import (
     p_blocks,
 )
 
-from golden_jobs import load_golden
+from golden_jobs import (
+    CYCLIC_CASES,
+    cyclic_blocks,
+    cyclic_table,
+    load_golden,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,31 @@ def test_p_blocks_read_the_central_characters_stored_at_load(g4, monkeypatch):
     assert expected[3] == [[1, 2, 3], [4, 5, 6], [7]]
     for p, parts in expected.items():
         assert p_blocks(table, p).as_lists() == parts
+
+
+def test_p_blocks_reduce_each_row_in_one_residues_call(g4, monkeypatch):
+    """p_blocks reduces a character's row of central characters by
+    cyclo.residues, never element by element through cyclo.residue, and
+    gives the partitions the benchmark recorded."""
+    golden = load_golden()
+
+    def per_element(a, h):
+        raise AssertionError("p_blocks reduced one element at a time")
+
+    monkeypatch.setattr(cyclo, "residue", per_element)
+    monkeypatch.setattr(groupblocks, "residue", per_element, raising=False)
+    table = g4.character_table
+    expected = {2: golden["p_blocks/G4/2"], 3: golden["p_blocks/G4/3"],
+                5: Partition.singletons(7).as_lists()}
+    for p, parts in expected.items():
+        assert p_blocks(table, p).as_lists() == parts
+
+
+@pytest.mark.parametrize("n, p", CYCLIC_CASES)
+def test_cyclic_group_blocks_match_the_closed_form(n, p):
+    """C_n's central characters lie in Z[zeta_d] for every d | n, 1
+    included, so p_blocks lifts them to the table's conductor."""
+    assert p_blocks(cyclic_table(n), p).as_lists() == cyclic_blocks(n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +386,7 @@ def test_equal_rows_are_rejected():
 def test_missing_galois_image_is_rejected():
     """C5 with chi_1 at g^2 set to 1: sigma = 2 sends the changed row
     (1, z, 1, z^3, z^4) to (1, z^2, 1, z, z^3), which is no row."""
-    values = list(_cyclic_table(5).values)
+    values = list(cyclic_table(5).values)
     z, one = CycInt.zeta(5), CycInt.rational(1)
     values[1] = (one, z, one, z ** 3, z ** 4)
     with pytest.raises(ValueError, match="Galois image row not found"):
@@ -409,26 +439,10 @@ def _oracle_p_blocks(t, p):
     return _oracle_galois_close(t, rough)
 
 
-def _cyclic_table(n):
-    """The character table of the cyclic group of order n: chi_k(g^j) is
-    zeta_n^(jk), so sigma in (Z/n)^x sends row k to row sigma * k."""
-    return CharacterTable.of(
-        conductor=n, class_sizes=(1,) * n,
-        values=tuple(tuple(CycInt.zeta(n, j * k % n) for j in range(n))
-                     for k in range(n)))
-
-
-def _cyclic_three_table():
-    w = CycInt.zeta(3)
-    one = CycInt.rational(1)
-    return CharacterTable.of(conductor=3, class_sizes=(1, 1, 1), values=(
-        (one, one, one), (one, w, w * w), (one, w * w, w)))
-
-
 _HAND_BUILT = {
-    "cyclic-3": _cyclic_three_table,
-    "C5": lambda: _cyclic_table(5),
-    "C15": lambda: _cyclic_table(15),
+    "cyclic-3": lambda: cyclic_table(3),
+    "C5": lambda: cyclic_table(5),
+    "C15": lambda: cyclic_table(15),
 }
 
 
@@ -454,7 +468,7 @@ def test_stored_central_characters_match_central_character(g4, name):
 
 
 def test_galois_close_agrees_with_the_joined_images():
-    table = _cyclic_table(5)
+    table = cyclic_table(5)
     # row k goes to row sigma * k mod 5: {chi_1, chi_4} is an orbit of
     # sigma = 4 and meets {chi_2, chi_3} under sigma = 2
     for parts, expected in [
