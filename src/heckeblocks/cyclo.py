@@ -10,12 +10,13 @@ The norm is the product of the Galois conjugates.
 
 The module also provides roots of unity in exponent form, K-cyclotomic
 polynomials (minimal polynomials of roots of unity over a cyclotomic field
-K = Q(zeta_m), stored as a Galois orbit of root exponents), handles for
-prime ideals P = (p, g(zeta_N)) of Z[zeta_N] above a rational prime, and the
-small integer number theory all of this needs (trial-division factorisation,
-primality, Euler's totient).  Everything is plain integer code; prime_handle
-factors Phi_N over GF(p) by equal-degree splitting, and residues reduces a
-row mod P by one F_p-linear map, a phi(N) x deg g matrix built per handle.
+K = Q(zeta_m), stored as a Galois orbit of root exponents), handles (p, g)
+for prime ideals P = (p, g(zeta_N)) of Z[zeta_N], g the least irreducible
+factor of Phi_N mod p for every conductor, 1 included, and the small integer
+number theory all of this needs (trial-division factorisation, primality,
+Euler's totient).  Everything is plain integer code; prime_handle factors
+Phi_N over GF(p) by equal-degree splitting, and residues reduces a row mod P
+by one F_p-linear map, a phi(N) x deg g matrix built per handle.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "check_prime",
     "prime_handle",
     "in_prime_ideal",
-    "residue",
     "residues",
     "cyclotomic_at_root",
     "is_p_essential_factor",
@@ -501,12 +501,9 @@ _SPLIT_ATTEMPTS = 64
 
 @lru_cache(maxsize=None)
 def prime_handle(p: int, conductor: int) -> PrimeIdealHandle:
-    """Handle of a prime of Z[zeta_N] over p: the lexicographically least
-    of the monic irreducible factors of Phi_N over GF(p)."""
+    """Handle of the prime (p, g(zeta_N)) over p, conductor 1 included: g is
+    the lexicographically least monic irreducible factor of Phi_N mod p."""
     check_prime(p)
-    if conductor == 1:
-        # Degenerate convention: membership reduces to divisibility by p.
-        return PrimeIdealHandle(p, 1, (0, 1))
     return PrimeIdealHandle(p, conductor, min(_phi_factors_mod_p(p, conductor)))
 
 
@@ -639,16 +636,9 @@ def residues(elements, h: PrimeIdealHandle) -> tuple[int, ...]:
     return tuple(out)
 
 
-def residue(a: CycInt, h: PrimeIdealHandle) -> tuple[int, ...]:
-    """The image of a in the residue field of h's prime, trimmed: the
-    residues of the row (a,).  a = b mod P exactly when their residues are
-    equal."""
-    return tuple(_trim(list(residues((a,), h))))
-
-
 def in_prime_ideal(a: CycInt, h: PrimeIdealHandle) -> bool:
     """Whether a lies in the prime ideal of h: its residue is zero."""
-    return not residue(a, h)
+    return not any(residues((a,), h))
 
 
 def cyclotomic_at_root(n: int, root: RootOfUnity) -> CycInt:

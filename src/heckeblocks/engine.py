@@ -17,7 +17,6 @@ join live in groupblocks and are re-exported here.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
@@ -100,11 +99,12 @@ class StoredTables(tuple):
     P_j = sum_k h_k[j] * 2^(64k); offset is sum_k 2^63 * 2^(64k) and limit
     is (2^63 - 1) // L, L = max_k |h_k|_1.  For n with all |n_j| <= limit,
     so L * max|n_j| < 2^63, each 64-bit field of D = offset + sum_j n_j * P_j
-    is exactly 2^63 + <h_k, n>, with no carry between fields, so table k is
-    hit exactly when its field of D XOR offset reads 0.  joins maps each hit
-    set, the tuple of hit hyperplanes, to the join of its blocks, and () to
-    the baseline: the Rouquier blocks depend on the hit set alone.  It holds
-    at most one entry per flat of the stored arrangement (a set of hyperplanes
+    is exactly 2^63 + <h_k, n>, with no carry between fields, so table k is hit
+    exactly when its field of D XOR offset reads 0: little-endian bytes 8k to
+    8k+7 on every machine, all 0 in either byte order.  joins maps each hit
+    set, the tuple of hit hyperplanes, to the join of its blocks, and () to the
+    baseline: the Rouquier blocks depend on the hit set alone.  It holds at
+    most one entry per flat of the stored arrangement (a set of hyperplanes
     that some vector lies on, and no other): 8, 61 and 305 for the shipped G4,
     G6 and G7.  It caches derived joins only, so the value never changes."""
 
@@ -112,8 +112,6 @@ class StoredTables(tuple):
         self = super().__new__(cls, tables)
         self.essential = tuple(t for t in self if t.hyperplane is not None)
         shifts = range(0, 64 * len(self.essential), 64)
-        if sys.byteorder == "big":  # the first 8 bytes hold the top field
-            shifts = shifts[::-1]
         self.offset = sum(1 << (s + 63) for s in shifts)
         self.packed = [sum(c << s for c, s in zip(column, shifts)) for column
                        in zip(*(t.normal for t in self.essential))]
@@ -135,7 +133,7 @@ def hyperplanes_containing(
     if n and not (-limit <= min(n) and max(n) <= limit):  # n is () without slots
         return [t for t in essential if dot(t.normal, n) == 0]
     d = sum(map(mul, n, tables.packed), tables.offset) ^ tables.offset
-    fields = memoryview(d.to_bytes(8 * len(essential), sys.byteorder)).cast("Q")
+    fields = memoryview(d.to_bytes(8 * len(essential), "little")).cast("Q")
     return list(compress(essential, map(not_, fields)))
 
 

@@ -203,9 +203,6 @@ class GroupDatum(namedtuple(
     def slot_names(self) -> tuple[str, ...]:
         return self.orbits.slot_names
 
-    def orbit_ranges(self) -> tuple[range, ...]:
-        return self.orbits.ranges
-
     def orbit_sums(self, v: IntVector) -> list[int]:
         """The sum of v's entries over the slots of each orbit."""
         return [sum(v[rng.start:rng.stop]) for rng in self.orbits.ranges]

@@ -26,7 +26,6 @@ from heckeblocks.cyclo import (
     isprime,
     is_p_essential_factor,
     prime_handle,
-    residue,
     residues,
     _phi_coeffs,
     _phi_factors_mod_p,
@@ -420,8 +419,8 @@ def test_prime_handle_matches_sympy_factor_list():
     x = Symbol("x")
     own_seconds = 0.0
     for p in (2, 3, 5, 7, 11, 13):
-        # N = p^k and N divisible by p are in range (49 = 7^2)
-        for n in range(2, 50):
+        # N = 1, N = p^k and N divisible by p are in range (49 = 7^2)
+        for n in range(1, 50):
             phi = Poly(cyclotomic_poly(n, x), x, modulus=p)
             expected = sorted(
                 tuple(int(c) % p for c in fac.all_coeffs()[::-1])
@@ -439,6 +438,7 @@ def test_prime_handle_matches_sympy_factor_list():
                 m //= p
             order = next(f for f in range(1, m + 1) if (p ** f - 1) % m == 0)
             assert len(factor) - 1 == order, (p, n)
+        assert prime_handle(p, 1).local_factor == (p - 1, 1), p
     # the oracle itself takes about 1 s on the same pairs
     assert own_seconds < 0.5
 
@@ -462,10 +462,10 @@ def test_equal_residues_are_congruence(p, a, b):
     # conductor 12: 2 and 3 ramify, 5 splits into two primes of degree 2
     h = prime_handle(p, 12)
     a, b = CycInt(12, a), CycInt(12, b)
-    assert (residue(a, h) == residue(b, h)) == in_prime_ideal(a - b, h)
-    assert residue(a + b, h) == residue(
-        CycInt(12, list(residue(a, h)) or [0])
-        + CycInt(12, list(residue(b, h)) or [0]), h)
+    ra, rb = residues((a,), h), residues((b,), h)
+    assert (ra == rb) == in_prime_ideal(a - b, h)
+    assert residues((a + b,), h) == residues(
+        (CycInt(12, ra) + CycInt(12, rb),), h)
 
 
 def test_residue_matches_sympy_remainder():
@@ -473,9 +473,9 @@ def test_residue_matches_sympy_remainder():
     coefficient polynomial by the local factor g.  An element of conductor
     d | N is sum c_i x^(i N/d) over Z[zeta_N], and g divides Phi_N mod p,
     so the remainder needs no reduction mod Phi_N first.  Seeded elements of
-    every divisor conductor, 1 included, and the conductor-1 handle.  Per
-    (p, N), the row of all those elements gives residues the remainders
-    concatenated, each padded to deg g."""
+    every divisor conductor, 1 included, and the conductor-1 handle: the
+    residues of each alone are its remainder padded to deg g, and per (p, N)
+    the row of all those elements gives them concatenated."""
     x = Symbol("x")
     rng = random.Random("residue oracle")
     for p in (2, 3, 5, 7):
@@ -491,13 +491,12 @@ def test_residue_matches_sympy_remainder():
                                for i, c in enumerate(a.coeffs))
                     rem = Poly(poly, x, modulus=p).rem(g).all_coeffs()[::-1]
                     expected = [int(c) % p for c in rem]
-                    while expected and not expected[-1]:
-                        expected.pop()
-                    assert residue(a, h) == tuple(expected), (p, n, a)
-                    assert in_prime_ideal(a, h) == (not expected), (p, n, a)
+                    expected += [0] * (len(h.local_factor) - 1 - len(expected))
+                    assert residues((a,), h) == tuple(expected), (p, n, a)
+                    assert in_prime_ideal(a, h) == (not any(expected)), \
+                        (p, n, a)
                     row.append(a)
-                    concatenated += expected + [0] * (
-                        len(h.local_factor) - 1 - len(expected))
+                    concatenated += expected
             assert residues(row, h) == tuple(concatenated), (p, n)
 
 
@@ -507,7 +506,7 @@ def test_residue_rejects_a_conductor_not_dividing_the_handles():
     h = prime_handle(2, 12)
     message = "conductor of the element must divide the handle's"
     with pytest.raises(ValueError, match=message):
-        residue(CycInt.zeta(5), h)
+        in_prime_ideal(CycInt.zeta(5), h)
     with pytest.raises(ValueError, match=message):
         residues((CycInt.rational(1), CycInt.zeta(4), CycInt.zeta(5)), h)
 

@@ -3,7 +3,6 @@
 import itertools
 import random
 import struct
-import sys
 from operator import mul
 
 import pytest
@@ -145,15 +144,17 @@ def _table_path_oracle(g, n):
 
 
 @pytest.mark.parametrize("name", ["G4", "G6", "G7"])
-def test_table_path_matches_the_join_with_the_baseline(name, monkeypatch):
+def test_table_path_matches_the_join_with_the_baseline(name):
     """rouquier_blocks leaves the baseline out of the join, which store.load
     makes safe; on seeded vectors off every stored hyperplane, on exactly
     one and on two or more, it gives the hyperplanes and partition of the
     join with the baseline, and a lone hit table's own Partition.  k * n
     lies on the hyperplanes n lies on, so the multiples on both sides of
     the packed product's 64-bit bound L * max|n_j| < 2^63 are checked too.
-    Within the bound, the packed product laid out for either byte order
-    reads back, field by field, as 2^63 + <h_k, n>."""
+    Within the bound, the packed product's one layout, its little-endian
+    bytes, unpacks as <KQ to 2^63 + <h_k, n> field by field, and after the
+    XOR with offset its fields read as <Q and as >Q are zero at exactly the
+    hit tables."""
     g = load_group(name)
     rng = random.Random(f"table path {name}")
     normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
@@ -172,12 +173,8 @@ def test_table_path_matches_the_join_with_the_baseline(name, monkeypatch):
     # <h, sign(h)> = |h|_1: at the bound's edge, h's field is at its extreme
     vectors += [tuple((c > 0) - (c < 0) for c in h) for h in normals]
     bound = max(sum(map(abs, h)) for h in normals)
-    layouts = []
-    for order, fmt in (("big", ">"), ("little", "<")):
-        with monkeypatch.context() as patch:
-            patch.setattr(sys, "byteorder", order)
-            layouts.append((order, f"{fmt}{len(normals)}Q",
-                            StoredTables(g.hyperplane_tables)))
+    index, size = StoredTables(g.hyperplane_tables), 8 * len(normals)
+    layout = f"{len(normals)}Q"
     seen = set()
     for n in vectors:
         edge = (2**63 - 1) // (bound * max(map(abs, n)) or 1)
@@ -192,10 +189,13 @@ def test_table_path_matches_the_join_with_the_baseline(name, monkeypatch):
             if bound * max(map(abs, kn)) >= 2**63:
                 continue
             fields = tuple(2**63 + sum(map(mul, h, kn)) for h in normals)
-            for order, fmt, index in layouts:
-                d = index.offset + sum(map(mul, kn, index.packed))
-                assert struct.unpack(fmt, d.to_bytes(8 * len(normals), order)) \
-                    == fields, (order, kn)
+            d = index.offset + sum(map(mul, kn, index.packed))
+            raw = d.to_bytes(size, "little")
+            assert struct.unpack("<" + layout, raw) == fields, kn
+            raw = (d ^ index.offset).to_bytes(size, "little")
+            for order in "<>":
+                zero = [not f for f in struct.unpack(order + layout, raw)]
+                assert zero == [t in hit for t in index.essential], (order, kn)
         seen.add(min(len(hit), 2))
     assert seen == {0, 1, 2}
 

@@ -184,21 +184,24 @@ def test_p_blocks_read_the_central_characters_stored_at_load(g4, monkeypatch):
 
 
 def test_p_blocks_reduce_each_row_in_one_residues_call(g4, monkeypatch):
-    """p_blocks reduces a character's row of central characters by
-    cyclo.residues, never element by element through cyclo.residue, and
-    gives the partitions the benchmark recorded."""
+    """p_blocks reduces each character's whole row of central characters in
+    one cyclo.residues call, none when p does not divide |G|, and gives the
+    partitions the benchmark recorded."""
     golden = load_golden()
+    rows = []
 
-    def per_element(a, h):
-        raise AssertionError("p_blocks reduced one element at a time")
+    def counted(elements, h):
+        rows.append(tuple(elements))
+        return cyclo.residues(elements, h)
 
-    monkeypatch.setattr(cyclo, "residue", per_element)
-    monkeypatch.setattr(groupblocks, "residue", per_element, raising=False)
+    monkeypatch.setattr(groupblocks, "residues", counted)
     table = g4.character_table
     expected = {2: golden["p_blocks/G4/2"], 3: golden["p_blocks/G4/3"],
                 5: Partition.singletons(7).as_lists()}
     for p, parts in expected.items():
+        rows.clear()
         assert p_blocks(table, p).as_lists() == parts
+        assert rows == ([] if p == 5 else list(table.central_characters)), p
 
 
 @pytest.mark.parametrize("n, p", CYCLIC_CASES)

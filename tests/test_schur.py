@@ -145,7 +145,7 @@ def test_monomials_are_primitive_sign_canonical_zero_sum(g7):
             assert fac.psi.root.order >= 2
             assert gcd(*m) == 1, m
             assert next(c for c in m if c) > 0, m
-            for rng in g7.orbit_ranges():
+            for rng in g7.orbits.ranges:
                 assert sum(m[i] for i in rng) == 0
 
 

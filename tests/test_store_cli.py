@@ -92,7 +92,7 @@ def test_slot_layout_matches_the_raw_header(name):
              for letter, _ in orbits]
     assert g.slot_count == len(names) == sum(e for _, e in orbits)
     assert g.slot_names() == tuple(names)
-    assert [list(r) for r in g.orbit_ranges()] == slots
+    assert [list(r) for r in g.orbits.ranges] == slots
     rng = random.Random(f"slot layout {name}")
     for _ in range(20):
         v = tuple(rng.randint(-9, 9) for _ in names)
