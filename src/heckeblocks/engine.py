@@ -5,8 +5,8 @@ hyperplanes a specialization lies on; off every one it is the stored
 baseline (no essential hyperplane).  store.load checks that every table
 coarsens the baseline, so that join equals the join with the baseline,
 and wraps the tables in StoredTables, their query index: one packed
-integer product finds every hit hyperplane, and each hit set is joined
-once per datum.
+integer product gives a query's hit mask, which keys the Flat of the hit
+tables, their hyperplanes and their join, built once per datum.
 The Schur path re-derives those partitions from factorized Schur elements:
 the seed characters, chosen by coefficient divisibility or p-essentiality,
 that share a group p-block and an exact a + A weight class form groups,
@@ -19,27 +19,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import compress
-from operator import mul, not_
+from operator import mul
 
 from .cyclo import check_prime
 from .groupblocks import Partition, join, meet, p_blocks
 from .lattice import IntVector, dot
-from .schur import GroupDatum, bad_primes, canonical_normal, essential_normals
+from .schur import (BadExponents, GroupDatum, bad_primes, canonical_normal,
+                    essential_normals)
 
-__all__ = [
-    "Hyperplane",
-    "HyperplaneTable",
-    "Specialization",
-    "StoredTables",
-    "meet",
-    "join",
-    "hyperplanes_containing",
-    "rouquier_blocks",
-    "rouquier_from_tables",
-    "blocks_no_hyperplane",
-    "blocks_one_hyperplane",
-]
+__all__ = ["Hyperplane", "HyperplaneTable", "Specialization", "Flat",
+           "StoredTables", "meet", "join", "hyperplanes_containing",
+           "rouquier_blocks", "rouquier_from_tables", "blocks_no_hyperplane",
+           "blocks_one_hyperplane"]
 
 class Hyperplane(namedtuple("Hyperplane", "normal")):
     """An essential hyperplane, named by its primitive sign-canonical
@@ -90,51 +81,66 @@ class Specialization(namedtuple("Specialization", "n")):
     __slots__ = ()
 
 
+class Flat(tuple):
+    """The tables a vector hits, in stored order and never the baseline,
+    equal to their plain tuple: one per flat of the stored arrangement (a set
+    of hyperplanes that some vector lies on, and no other).  hyperplanes and
+    blocks hold their hyperplanes and join, the baseline's for no table."""
+
+    def __new__(cls, hit, blocks):
+        self = super().__new__(cls, hit)
+        self.hyperplanes, self.blocks = tuple(t.hyperplane for t in hit), blocks
+        return self
+
+
 class StoredTables(tuple):
     """A datum's hyperplane tables, equal to their plain tuple, with a query
-    index built once: store.load builds one per datum, which queries read.
-
-    essential holds the K tables other than the baseline, in stored order.
-    packed holds their normals h_k column-wise, one int per slot j:
-    P_j = sum_k h_k[j] * 2^(64k); offset is sum_k 2^63 * 2^(64k) and limit
-    is (2^63 - 1) // L, L = max_k |h_k|_1.  For n with all |n_j| <= limit,
-    so L * max|n_j| < 2^63, each 64-bit field of D = offset + sum_j n_j * P_j
-    is exactly 2^63 + <h_k, n>, with no carry between fields, so table k is hit
-    exactly when its field of D XOR offset reads 0: little-endian bytes 8k to
-    8k+7 on every machine, all 0 in either byte order.  joins maps each hit
-    set, the tuple of hit hyperplanes, to the join of its blocks, and () to the
-    baseline: the Rouquier blocks depend on the hit set alone.  It holds at
-    most one entry per flat of the stored arrangement (a set of hyperplanes
-    that some vector lies on, and no other): 8, 61 and 305 for the shipped G4,
-    G6 and G7.  It caches derived joins only, so the value never changes."""
+    index store.load builds once per datum.  essential holds the K tables
+    other than the baseline, in stored order; packed their normals doubled,
+    column-wise: P_j = sum_k 2 h_k[j] 2^(64k).  ones = sum_k 2^(64k),
+    offset = ones << 63 and limit = (2^62 - 1) // L, L = max_k |h_k|_1.
+    For all |n_j| <= limit, |<h_k, n>| < 2^62, so field k (64 bits) of
+    D = (offset + sum_j n_j P_j) ^ offset is 2<h_k, n> mod 2^64, with no
+    carry between fields: even, and 0 exactly on h_k.  The hit mask
+    (D - ones) & ~D & offset sets bit 64k + 63 exactly there: f - 1 has the
+    top bit f lacks only for f = 0, and the borrow out of a zero field turns
+    an even f > 0 into f - 2 >= 0.  flats maps each hit mask to its Flat (0
+    to the baseline's), so it holds at most one entry per flat: 8, 61 and
+    305 for the shipped G4, G6 and G7.  It caches derived values only."""
 
     def __new__(cls, tables):
         self = super().__new__(cls, tables)
         self.essential = tuple(t for t in self if t.hyperplane is not None)
         shifts = range(0, 64 * len(self.essential), 64)
-        self.offset = sum(1 << (s + 63) for s in shifts)
-        self.packed = [sum(c << s for c, s in zip(column, shifts)) for column
-                       in zip(*(t.normal for t in self.essential))]
-        self.limit = (2**63 - 1) // max((sum(map(abs, t.normal))
+        self.ones = sum(1 << s for s in shifts)
+        self.offset = self.ones << 63
+        self.packed = [sum(2 * c << s for c, s in zip(column, shifts)) for
+                       column in zip(*(t.normal for t in self.essential))]
+        self.limit = (2**62 - 1) // max((sum(map(abs, t.normal))
                                          for t in self.essential), default=1)
-        self.joins = {(): t.blocks for t in self if t.hyperplane is None}
+        self.flats = {0: Flat((), t.blocks) for t in self if t.hyperplane is None}
         return self
 
 
-def hyperplanes_containing(
-    tables: StoredTables, spec: Specialization
-) -> list[HyperplaneTable]:
-    """The tables of the StoredTables store.load built whose hyperplane the
-    specialization lies on, in stored order; never the baseline.  load
-    checks that each table coarsens the baseline, so rouquier_blocks joins
-    the blocks of these alone.  One packed product tests every table; a
-    vector past its 64-bit limit takes one exact dot per table."""
-    n, limit, essential = spec.n, tables.limit, tables.essential
+def hyperplanes_containing(tables: StoredTables, spec: Specialization) -> Flat:
+    """The Flat of the specialization's hit mask in the StoredTables
+    store.load built, shared by every vector on that flat.  A vector past
+    the limit builds the mask from one exact dot per table.  Raises
+    BadExponents when a table has a normal and n is not as long."""
+    n, packed, limit = spec.n, tables.packed, tables.limit
+    if packed and len(n) != len(packed):
+        raise BadExponents(f"needs {len(packed)} exponents, got {len(n)}")
     if n and not (-limit <= min(n) and max(n) <= limit):  # n is () without slots
-        return [t for t in essential if dot(t.normal, n) == 0]
-    d = sum(map(mul, n, tables.packed), tables.offset) ^ tables.offset
-    fields = memoryview(d.to_bytes(8 * len(essential), "little")).cast("Q")
-    return list(compress(essential, map(not_, fields)))
+        mask = sum(1 << 64 * k + 63 for k, t in enumerate(tables.essential)
+                   if dot(t.normal, n) == 0)
+    else:
+        d = sum(map(mul, n, packed), tables.offset) ^ tables.offset
+        mask = (d - tables.ones) & ~d & tables.offset
+    if (flat := tables.flats.get(mask)) is None:
+        hit = [t for k, t in enumerate(tables.essential)
+               if mask >> 64 * k + 63 & 1]
+        flat = tables.flats[mask] = Flat(hit, join([t.blocks for t in hit]))
+    return flat
 
 
 def rouquier_blocks(
@@ -143,24 +149,17 @@ def rouquier_blocks(
     """The essential hyperplanes the specialization lies on, and its
     Rouquier blocks, each computed once.
 
-    path "tables": the hyperplanes of the stored tables, and the join of
-    the baseline blocks with their blocks.  store.load checks that every
-    table coarsens the baseline, so that join is the baseline when no table
-    is hit, else the join of the hit tables alone (a lone hit table's own
-    Partition), computed once per hit set in StoredTables.joins.  path
-    "schur": the p-essential hyperplanes over the bad primes p of the
+    path "tables": those of the stored tables, and the join of the baseline
+    with their blocks, both held by the Flat hyperplanes_containing finds.
+    path "schur": the p-essential hyperplanes over the bad primes p of the
     specialization, and the join over those primes of the heuristic blocks
-    off every hyperplane and on each hit one.  Raises
-    ValueError when the path's data is not stored or spec has not one
-    exponent per slot (BadExponents)."""
+    off every hyperplane and on each hit one.  Raises ValueError when the
+    path's data is not stored or spec has not one exponent per slot
+    (BadExponents)."""
     g.check_exponents(spec.n)
     if path == "tables":
-        tables = g.stored_tables()
-        hit = hyperplanes_containing(tables, spec)
-        key = tuple(t.hyperplane for t in hit)
-        if (blocks := tables.joins.get(key)) is None:
-            blocks = tables.joins[key] = join([t.blocks for t in hit])
-        return list(key), blocks
+        flat = hyperplanes_containing(g.stored_tables(), spec)
+        return list(flat.hyperplanes), flat.blocks
     if path != "schur":
         raise ValueError(f"unknown path {path!r}")
     hit: set[IntVector] = set()

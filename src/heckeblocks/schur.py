@@ -152,7 +152,8 @@ class GroupDatum(namedtuple(
     whose positions map each label to its 1-based index, so no query
     rebuilds that map: a _replace(characters=...) view passes its own.
     load stores the hyperplane tables as an engine.StoredTables, whose memo
-    caches derived joins only, and the orbits as an Orbits, the slot layout
+    maps each hit mask to its engine.Flat, the hit tables and their join,
+    derived values only, and the orbits as an Orbits, the slot layout
     the slot methods read.  Slots are indexed by (orbit, j) pairs flattened
     in orbit order; each orbit is named by its own letter, and its slots
     display as that letter with subscripts 0 .. e_C - 1.  mu_order =

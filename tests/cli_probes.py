@@ -73,7 +73,8 @@ REQUESTS = {" ".join(args): (args, code) for args, code in [
     (["rouquier-blocks", "G4", "--path", "tables", "--exponents", "0,1,2"], 0),
     (["rouquier-blocks", "G4", "--exponents", "-1,0,1"], 0),
     (["rouquier-blocks", "G7", "--exponents", "1,2,3,4,5,6,7,8"], 0),
-    # on c_1-c_2 = 0, past the 64-bit bound of the packed hyperplane test
+    # on c_1-c_2 = 0 at 2^70, past the packed hit mask's bound
+    # L * max|n_j| < 2^62
     (["rouquier-blocks", "G7", "--exponents",
       "1,2,3,4,5,6,1180591620717411303424,1180591620717411303424"], 0),
     (["essential-hyperplanes", "G4", "-p", "0"], 0),

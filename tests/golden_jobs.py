@@ -3,27 +3,36 @@ names a job, a p_blocks, no-hyperplane or one-hyperplane heuristic run on a
 group at a prime (and, for the last, a hyperplane normal), and holds the
 partition it gave.  Beside them, CYCLIC_CASES: p_blocks on the character
 table of a cyclic group C_n, against the closed form of cyclic_blocks.
+And table_cases: table-path queries on each stored group, against a plain
+dot-product scan and the join of the hit tables with the baseline.
 The tests load the jobs and the cases in process; run as a script, with the
 standard library alone, this module replays every job against the
 installed package, each one-hyperplane job also with its normal doubled and
-negated (a normal is read up to a nonzero scalar), and every cyclic-table
-case, and exits 1, naming each job or case that failed:
+negated (a normal is read up to a nonzero scalar), every cyclic-table case
+and every table-path case, and exits 1, naming each job or case that failed:
 
     python tests/golden_jobs.py
 """
 
 import json
+import random
 import sys
+from operator import mul
 from pathlib import Path
 
 from heckeblocks.engine import (
     Hyperplane,
+    Specialization,
     blocks_no_hyperplane,
     blocks_one_hyperplane,
+    join,
+    rouquier_blocks,
 )
 from heckeblocks.cyclo import RootOfUnity
 from heckeblocks.groupblocks import CharacterTable, p_blocks
 from heckeblocks.store import load_group
+
+from checks import on_hyperplane
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_schur.json"
 
@@ -58,6 +67,56 @@ def cyclic_blocks(n, p):
     return [list(range(r + 1, n + 1, m)) for r in range(m)]
 
 
+# per stored group, TABLE_VECTORS seeded vectors on no stored hyperplane, as
+# many on exactly one and as many on two or more
+TABLE_GROUPS, TABLE_VECTORS = ("G4", "G6", "G7"), 5
+
+
+def table_cases(g):
+    """Seeded exponent vectors for g's table path: TABLE_VECTORS on 0, on 1
+    and on 2 or more stored hyperplanes, G4's (1, 0, 0), on c_1-c_2=0 alone
+    with a dot product of 1 on the next stored normal, and each vector's
+    multiples on both sides of the packed product's bound
+    L * max|n_j| < 2^62, L the largest |h|_1 of a stored normal.  Raises
+    AssertionError when the draws miss a class."""
+    normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
+    rng = random.Random(f"golden table path {g.name}")
+    by_hits = {0: [], 1: [], 2: []}
+    for _ in range(100 * TABLE_VECTORS):
+        n = tuple(rng.randint(-9, 9) for _ in range(g.slot_count))
+        k = rng.randrange(3)
+        if k:
+            h1, h2 = rng.sample(normals, 2)
+            n = on_hyperplane(h1, n)
+            if k == 2:  # on h1 and on the part of h2 orthogonal to h1
+                n = on_hyperplane(on_hyperplane(h1, h2), n)
+        hits = min(sum(sum(map(mul, h, n)) == 0 for h in normals), 2)
+        if any(n) and len(by_hits[hits]) < TABLE_VECTORS:
+            by_hits[hits].append(n)
+    assert all(len(v) == TABLE_VECTORS for v in by_hits.values()), g.name
+    vectors = [n for drawn in by_hits.values() for n in drawn]
+    if g.name == "G4":
+        vectors.append((1, 0, 0))
+    bound = max(sum(map(abs, h)) for h in normals)
+    cases = []
+    for n in vectors:
+        edge = (2**62 - 1) // (bound * max(map(abs, n)))
+        cases += [tuple(k * x for x in n) for k in (1, edge, -edge - 1)]
+    return cases
+
+
+def table_case_fails(g, n):
+    """Whether the table path's hyperplanes or blocks at n differ from the
+    stored tables' plain scan and the join of the hit ones with the
+    baseline."""
+    hit = [t for t in g.hyperplane_tables
+           if t.normal is not None and sum(map(mul, t.normal, n)) == 0]
+    baseline, = (t.blocks for t in g.hyperplane_tables if t.normal is None)
+    blocks = join([baseline] + [t.blocks for t in hit])
+    return rouquier_blocks(g, Specialization(n)) != (
+        [t.hyperplane for t in hit], blocks)
+
+
 def run_job(groups, key):
     """The partition of the job a key names, on the loaded groups."""
     kind, name, p, *normal = key.split("/")
@@ -90,10 +149,18 @@ def main():
     failed += [f"p_blocks/C{n}/{p}" for n, p in CYCLIC_CASES
                if p_blocks(cyclic_table(n), p).as_lists()
                != cyclic_blocks(n, p)]
+    cases = 0
+    for name in TABLE_GROUPS:
+        g = load_group(name)
+        for n in table_cases(g):
+            cases += 1
+            if table_case_fails(g, n):
+                failed.append(f"rouquier_blocks/{name}/{','.join(map(str, n))}")
     for job in failed:
         print(f"FAIL {job}")
-    print(f"{len(golden)} recorded jobs and {len(CYCLIC_CASES)} cyclic-table "
-          f"cases replayed, {len(failed)} runs failed")
+    print(f"{len(golden)} recorded jobs, {len(CYCLIC_CASES)} cyclic-table "
+          f"cases and {cases} table-path cases replayed, {len(failed)} runs "
+          f"failed")
     return int(bool(failed))
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import struct
 from operator import mul
 
 import pytest
@@ -27,6 +26,7 @@ from heckeblocks.groupblocks import Partition, p_blocks
 from heckeblocks.lattice import dot
 from heckeblocks.morphism import _kernel_basis
 from heckeblocks.schur import (
+    BadExponents,
     SchurFacts,
     a_and_A,
     aa_weight,
@@ -36,7 +36,13 @@ from heckeblocks.schur import (
 from heckeblocks.store import load_group
 
 from checks import group_by_weight, on_hyperplane, patch_everywhere
-from golden_jobs import load_golden, run_job
+from golden_jobs import (
+    TABLE_GROUPS,
+    load_golden,
+    run_job,
+    table_case_fails,
+    table_cases,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +156,19 @@ def test_table_path_matches_the_join_with_the_baseline(name):
     one and on two or more, it gives the hyperplanes and partition of the
     join with the baseline, and a lone hit table's own Partition.  k * n
     lies on the hyperplanes n lies on, so the multiples on both sides of
-    the packed product's 64-bit bound L * max|n_j| < 2^63 are checked too.
-    Within the bound, the packed product's one layout, its little-endian
-    bytes, unpacks as <KQ to 2^63 + <h_k, n> field by field, and after the
-    XOR with offset its fields read as <Q and as >Q are zero at exactly the
-    hit tables."""
+    the packed product's bound L * max|n_j| < 2^62 are checked too.  G4's
+    (1, 0, 0) lies on c_1-c_2=0 alone, and the next stored table's dot
+    product there is 1: packed undoubled, its field would read 1, which the
+    borrow out of the zero field below it turns into a hit.  On every
+    multiple the StoredTables memo keys the Flat the query returns by the
+    hit mask of the plain scan, and within the bound field k of the packed
+    product XOR offset is 2<h_k, n> mod 2^64."""
     g = load_group(name)
     rng = random.Random(f"table path {name}")
     normals = [t.normal for t in g.hyperplane_tables if t.normal is not None]
     vectors = [(0,) * g.slot_count]
     if name == "G4":
-        vectors += [(0, 1, 2), (5, 2, 2)]
+        vectors += [(0, 1, 2), (5, 2, 2), (1, 0, 0)]
     for _ in range(150):
         n = [rng.randint(-9, 9) for _ in range(g.slot_count)]
         k = rng.randrange(3)
@@ -173,11 +181,10 @@ def test_table_path_matches_the_join_with_the_baseline(name):
     # <h, sign(h)> = |h|_1: at the bound's edge, h's field is at its extreme
     vectors += [tuple((c > 0) - (c < 0) for c in h) for h in normals]
     bound = max(sum(map(abs, h)) for h in normals)
-    index, size = StoredTables(g.hyperplane_tables), 8 * len(normals)
-    layout = f"{len(normals)}Q"
+    index = StoredTables(g.hyperplane_tables)
     seen = set()
     for n in vectors:
-        edge = (2**63 - 1) // (bound * max(map(abs, n)) or 1)
+        edge = (2**62 - 1) // (bound * max(map(abs, n)) or 1)
         for k in (1, edge, -edge, edge + 1, 2**61 + 1, -(2**64 + 3), 2**200):
             kn = tuple(k * x for x in n)
             hit, expected = _table_path_oracle(g, kn)
@@ -186,22 +193,21 @@ def test_table_path_matches_the_join_with_the_baseline(name):
             assert blocks == expected, kn
             if len(hit) == 1:
                 assert blocks is hit[0].blocks, kn
-            if bound * max(map(abs, kn)) >= 2**63:
+            mask = sum(1 << 64 * i + 63 for i, t in enumerate(index.essential)
+                       if t in hit)
+            flat = hyperplanes_containing(index, Specialization(kn))
+            assert index.flats[mask] is flat and list(flat) == hit, kn
+            if bound * max(map(abs, kn)) >= 2**62:
                 continue
-            fields = tuple(2**63 + sum(map(mul, h, kn)) for h in normals)
-            d = index.offset + sum(map(mul, kn, index.packed))
-            raw = d.to_bytes(size, "little")
-            assert struct.unpack("<" + layout, raw) == fields, kn
-            raw = (d ^ index.offset).to_bytes(size, "little")
-            for order in "<>":
-                zero = [not f for f in struct.unpack(order + layout, raw)]
-                assert zero == [t in hit for t in index.essential], (order, kn)
+            d = sum(map(mul, kn, index.packed), index.offset) ^ index.offset
+            assert d == sum(2 * dot(h, kn) % 2**64 << 64 * i
+                            for i, h in enumerate(normals)), kn
         seen.add(min(len(hit), 2))
     assert seen == {0, 1, 2}
 
 
 def test_join_memo_belongs_to_its_tables(g4, g6, g7):
-    """The joins a datum memoizes never reach another datum: queries that
+    """The Flats a datum memoizes never reach another datum: queries that
     alternate between the groups, twice over, give the answers of a freshly
     loaded datum, and a copy whose table is coarsened answers from its own
     tables after the original has filled its memo."""
@@ -283,23 +289,43 @@ def _flats(g):
 def test_every_flat_witness_takes_the_table_path(name, count):
     """The table path's answer depends on the hit set alone, so the flats
     of the stored arrangement enumerate every answer: on each flat's
-    witness, and on the witness scaled past the packed product's 64-bit
-    bound, rouquier_blocks gives the plain scan's hyperplanes and join.
-    After every witness, a fresh datum's join memo holds one entry per flat,
-    the StoredTables docstring's bound."""
+    witness, and on the witness scaled past the packed product's bound
+    L * max|n_j| < 2^62, rouquier_blocks gives the plain scan's hyperplanes
+    and join.  After every witness, and again after every scaled one, a
+    fresh datum's memo holds one Flat per flat, the StoredTables
+    docstring's bound: the packed product and the exact dots key it alike."""
     g = load_group(name)
     tables = g.hyperplane_tables
     bound = max(sum(map(abs, t.normal)) for t in tables if t.normal is not None)
     flats = _flats(g)
     assert len(flats) == count
-    for w in flats.values():
-        scaled = tuple(x << 63 for x in w)
-        assert bound * max(map(abs, w)) < 2**63 <= bound * max(map(abs, scaled))
-        for n in (w, scaled):
+    for scale in (0, 63):
+        for w in flats.values():
+            n = tuple(x << scale for x in w)
+            assert (bound * max(map(abs, n)) < 2**62) == (scale == 0), n
             hit, expected = _table_path_oracle(g, n)
             assert rouquier_blocks(g, Specialization(n)) == (
                 [t.hyperplane for t in hit], expected), n
-    assert len(tables.joins) == count
+        assert len(tables.flats) == count
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_golden_table_cases_pass_in_process(name):
+    """The table-path cases tests/golden_jobs.py replays without pytest: on
+    every stored group, each gives the plain scan's hyperplanes and join."""
+    g = load_group(name)
+    cases = table_cases(g)
+    assert len(cases) >= 45
+    assert [n for n in cases if table_case_fails(g, n)] == []
+
+
+@pytest.mark.parametrize("n", [(0, 1), (), (0, 1, 2, 3)])
+def test_hit_test_rejects_a_vector_of_the_wrong_length(g4, n):
+    """hyperplanes_containing reads a vector as long as the stored normals
+    or raises BadExponents: a zip would truncate the product, so (0, 1)
+    would hit c_0-c_2=0 as (0, 1, 0) does, and () every table."""
+    with pytest.raises(BadExponents, match=f"^needs 3 exponents, got {len(n)}$"):
+        hyperplanes_containing(g4.hyperplane_tables, Specialization(n))
 
 
 def test_a_datum_without_slots_hits_no_table(g4):
