@@ -1,18 +1,17 @@
-"""The two Rouquier-block computation paths.
+"""Rouquier blocks read off hyperplane tables, stored or derived.
 
-The table path joins stored per-hyperplane block partitions for the
-hyperplanes a specialization lies on; off every one it is the stored
-baseline (no essential hyperplane).  store.load checks that every table
-coarsens the baseline, so that join equals the join with the baseline,
-and wraps the tables in StoredTables, their query index: one packed
-integer product gives a query's hit mask, which keys the Flat of the hit
-tables, their hyperplanes and their join, built once per datum.
-The Schur path re-derives those partitions from factorized Schur elements:
-the seed characters, chosen by coefficient divisibility or p-essentiality,
-that share a group p-block and an exact a + A weight class form groups,
-which generate the partition.
-rouquier_blocks answers a query along either path.  Partition, meet and
-join live in groupblocks and are re-exported here.
+A query joins the block partitions of the tables whose hyperplanes a
+specialization lies on; off every one it is the baseline (no essential
+hyperplane), which every table coarsens, so that join equals the join with
+the baseline.  StoredTables is the tables' query index: one packed integer
+product gives a query's hit mask, which keys the Flat of the hit tables,
+their hyperplanes and their join, built once per datum.  The tables are the
+file's, which store.load checks, or those derive_tables builds at load from
+a full Schur payload: the seed characters, chosen by coefficient
+divisibility or p-essentiality, that share a group p-block and an exact
+a + A weight class form groups, which generate each table's partition.
+rouquier_blocks reads either.  Partition, meet and join live in groupblocks
+and are re-exported here.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from operator import mul
 from .cyclo import check_prime
 from .groupblocks import Partition, join, meet, p_blocks
 from .lattice import IntVector, dot
-from .schur import (BadExponents, GroupDatum, bad_primes, canonical_normal,
-                    essential_normals)
+from .schur import BadExponents, GroupDatum, canonical_normal, essential_normals
 
 __all__ = ["Hyperplane", "HyperplaneTable", "Specialization", "Flat",
            "StoredTables", "meet", "join", "hyperplanes_containing",
-           "rouquier_blocks", "rouquier_from_tables", "blocks_no_hyperplane",
-           "blocks_one_hyperplane"]
+           "rouquier_blocks", "rouquier_from_tables", "derive_tables",
+           "blocks_no_hyperplane", "blocks_one_hyperplane"]
 
 class Hyperplane(namedtuple("Hyperplane", "normal")):
     """An essential hyperplane, named by its primitive sign-canonical
@@ -147,31 +145,22 @@ def rouquier_blocks(
     g: GroupDatum, spec: Specialization, path: str = "tables"
 ) -> tuple[list[Hyperplane], Partition]:
     """The essential hyperplanes the specialization lies on, and its
-    Rouquier blocks, each computed once.
-
-    path "tables": those of the stored tables, and the join of the baseline
-    with their blocks, both held by the Flat hyperplanes_containing finds.
-    path "schur": the p-essential hyperplanes over the bad primes p of the
-    specialization, and the join over those primes of the heuristic blocks
-    off every hyperplane and on each hit one.  Raises ValueError when the
-    path's data is not stored or spec has not one exponent per slot
-    (BadExponents)."""
+    Rouquier blocks: the hyperplanes and the join of the Flat that
+    hyperplanes_containing finds in the path's tables, the stored ones
+    ("tables") or those load derived from a full Schur payload ("schur").
+    Raises ValueError when the path's tables are not there or spec has not
+    one exponent per slot (BadExponents)."""
     g.check_exponents(spec.n)
     if path == "tables":
-        flat = hyperplanes_containing(g.stored_tables(), spec)
-        return list(flat.hyperplanes), flat.blocks
-    if path != "schur":
+        tables = g.stored_tables()
+    elif path == "schur":
+        tables = g.schur_tables
+        if tables is None:
+            raise ValueError(f"full Schur payload not stored for {g.name}")
+    else:
         raise ValueError(f"unknown path {path!r}")
-    hit: set[IntVector] = set()
-    groups: list = []
-    for p in sorted(bad_primes(g, spec.n)):
-        groups += _heuristic_groups(g, p)
-        for normal in sorted(essential_normals(g, [p])):
-            if dot(normal, spec.n) == 0:
-                hit.add(normal)
-                groups += _heuristic_groups(g, p, normal)
-    return ([Hyperplane(v) for v in sorted(hit)],
-            Partition.generated_by(groups, len(g.characters)))
+    flat = hyperplanes_containing(tables, spec)
+    return list(flat.hyperplanes), flat.blocks
 
 
 def rouquier_from_tables(g: GroupDatum, spec: Specialization) -> Partition:
@@ -181,7 +170,7 @@ def rouquier_from_tables(g: GroupDatum, spec: Specialization) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# heuristic path from Schur data
+# the heuristic: block tables from Schur data
 # ---------------------------------------------------------------------------
 
 
@@ -228,6 +217,26 @@ def _heuristic_groups(g: GroupDatum, p: int,
         positions[c]: f.weight for c, f in (g.schur_facts or {}).items()
         if ((p, normal) in f.essential if normal else f.norm % p == 0)},
         normal)
+
+
+def derive_tables(g: GroupDatum) -> StoredTables:
+    """The tables of a full Schur payload, which store.load builds once.
+    The baseline is generated by the seed groups off every hyperplane at
+    each prime of |G|; the table of each essential normal, in sorted order,
+    by those and its seed groups at each prime p it is p-essential for,
+    which are its primes.  So a query's join of the hit tables is generated
+    by the groups at every prime: a prime that divides no N(xi) and is
+    essential on no hit normal seeds none."""
+    size = len(g.characters)
+    essential = {p: essential_normals(g, [p]) for p in g.primes}
+    groups = [group for p in g.primes for group in _heuristic_groups(g, p)]
+    tables = [HyperplaneTable(None, Partition.generated_by(groups, size))]
+    for normal in sorted(set().union(*essential.values())):
+        primes = [p for p in g.primes if normal in essential[p]]
+        on = [group for p in primes for group in _heuristic_groups(g, p, normal)]
+        blocks = Partition.generated_by(groups + on, size)
+        tables.append(HyperplaneTable(Hyperplane(normal), blocks, frozenset(primes)))
+    return StoredTables(tables)
 
 
 def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:

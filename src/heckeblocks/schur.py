@@ -58,7 +58,6 @@ __all__ = [
     "a_and_A",
     "aa_weight",
     "schur_facts",
-    "bad_primes",
     "generic_singleton",
 ]
 
@@ -142,27 +141,31 @@ class Orbits(tuple):
 
 class GroupDatum(namedtuple(
         "GroupDatum", "name field_conductor group_order orbits characters "
-        "schur_elements schur_facts character_table hyperplane_tables "
-        "clifford_links", defaults=(None, None, None, None, ()))):
+        "schur_elements schur_facts schur_tables character_table "
+        "hyperplane_tables clifford_links",
+        defaults=(None, None, None, None, None, ()))):
     """Static data of one complex reflection group and its Hecke algebra.
 
     Immutable; store.load builds each one once, from the header and its
-    parsed sections, schur_facts included; schur_elements and schur_facts
-    are keyed by CharLabel.  load stores the characters as a Characters,
-    whose positions map each label to its 1-based index, so no query
-    rebuilds that map: a _replace(characters=...) view passes its own.
-    load stores the hyperplane tables as an engine.StoredTables, whose memo
-    maps each hit mask to its engine.Flat, the hit tables and their join,
-    derived values only, and the orbits as an Orbits, the slot layout
-    the slot methods read.  Slots are indexed by (orbit, j) pairs flattened
-    in orbit order; each orbit is named by its own letter, and its slots
-    display as that letter with subscripts 0 .. e_C - 1.  mu_order =
-    |mu(K)|, for K = Q(zeta_m) with m the field conductor, is derived.
+    parsed sections; schur_elements and schur_facts are keyed by CharLabel.
+    load derives, once per datum: the characters as a Characters, whose
+    positions map each label to its 1-based index; the orbits as an Orbits,
+    the slot layout the slot methods read; the hyperplane tables as an
+    engine.StoredTables, whose memo maps each hit mask to its engine.Flat;
+    schur_facts; and, for a full Schur payload only, schur_tables, the
+    StoredTables engine.derive_tables builds.  A _replace view keeps each of
+    them as load derived it: one with other characters passes its own
+    Characters, and keeps the loaded schur_tables.  Slots are indexed by
+    (orbit, j) pairs flattened in orbit order; each orbit is named by its
+    own letter, and its slots display as that letter with subscripts
+    0 .. e_C - 1.  mu_order = |mu(K)|, for K = Q(zeta_m) with m the field
+    conductor, is derived.
     name: str; field_conductor, group_order: int; orbits: Orbits of
     (str, int) pairs; characters: Characters; schur_elements and schur_facts:
     dicts CharLabel -> SchurElement and -> SchurFacts, or None;
-    character_table: groupblocks.CharacterTable | None; hyperplane_tables:
-    engine.StoredTables | None; clifford_links: tuple."""
+    schur_tables and hyperplane_tables: engine.StoredTables | None;
+    character_table: groupblocks.CharacterTable | None; clifford_links:
+    tuple."""
 
     __slots__ = ()
 
@@ -459,15 +462,14 @@ def essential_normals(g: GroupDatum, primes) -> set[IntVector]:
 def essential_hyperplanes(g: GroupDatum, p: int) -> list[IntVector]:
     """Normals of the p-essential hyperplanes, sorted (p = 0: every prime
     in g.primes).  Raises BadPrimeArgument unless p is 0 or in g.primes,
-    so no argument is factorised.  Reads the full Schur payload if stored,
-    else the hyperplane tables, whose normals load keeps distinct and
-    sign-canonical; raises ValueError when neither is stored."""
+    so no argument is factorised.  Reads the tables of the full Schur
+    payload if load derived them, else the stored hyperplane tables, whose
+    normals load keeps distinct and sign-canonical; raises ValueError when
+    neither is there."""
     if p != 0 and p not in g.primes:
         raise BadPrimeArgument("The number p should divide the order of the group")
-    primes = [p] if p else g.primes
-    if g.has_full_schur:
-        return sorted(essential_normals(g, primes))
-    return sorted(table.normal for table in g.stored_tables()
+    tables = g.stored_tables() if g.schur_tables is None else g.schur_tables
+    return sorted(table.normal for table in tables
                   if table.normal is not None and (p == 0 or p in table.primes))
 
 
@@ -525,24 +527,6 @@ def schur_facts(g: GroupDatum, s: SchurElement) -> SchurFacts:
     return SchurFacts(abs(s.xi.norm()), aa_weight(s), frozenset(
         (p, normal) for p in g.primes
         for normal in essential_monomials(s, p)))
-
-
-def bad_primes(g: GroupDatum, n: IntVector) -> set[int]:
-    """Primes p with some specialized coefficient psi_chi in a prime above
-    p.  psi_chi is xi * prod Psi(1)^mult over the factors with <M, n> = 0;
-    the norm is multiplicative, and N(Psi(1)) is a power of Phi_d(1), d the
-    root order: p when d is a power of p, else 1.  So the primes are those
-    of each N(xi) and each p of a (p, M) with <M, n> = 0 in g.schur_facts.
-    All of them occur at n = 0, where a validated psi_chi is |G| / chi(1),
-    so only the primes of |G| are tested."""
-    if not g.has_full_schur:
-        raise ValueError(f"full Schur payload not stored for {g.name}")
-    g.check_exponents(n)
-    primes, out = g.primes, set()
-    for f in g.schur_facts.values():
-        out.update(p for p in primes if f.norm % p == 0)
-        out.update(p for p, m in f.essential if dot(m, n) == 0)
-    return out
 
 
 def generic_singleton(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .clifford import CliffordLink, descend_hyperplanes
 from .cyclo import MAX_CONDUCTOR, CycInt, RootOfUnity, bounded_conductor, euler_phi
-from .engine import Hyperplane, HyperplaneTable, StoredTables
+from .engine import Hyperplane, HyperplaneTable, StoredTables, derive_tables
 from .groupblocks import CharacterTable, Partition
 from .lattice import primitive_part
 from .schur import (
@@ -345,7 +345,8 @@ def load(path) -> GroupDatum:
     checks the document, then the parsers each entry it passed (the header,
     each table, the character table as p_blocks needs it, each Schur element
     and link).  A malformed entry is reported and skipped; only a malformed
-    header ends the scan.  StoreError lists every violation, the walk's first."""
+    header ends the scan.  StoreError lists every violation, the walk's first.
+    A full Schur payload also gets schur_tables, which derive_tables builds."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_object)
@@ -377,7 +378,8 @@ def load(path) -> GroupDatum:
     if "schur_elements" in sections:
         sections["schur_facts"] = {
             label: schur_facts(g, s) for label, s in sections["schur_elements"].items()}
-    return g._replace(**sections)
+    g = g._replace(**sections)
+    return g._replace(schur_tables=derive_tables(g)) if g.has_full_schur else g
 
 
 def load_group(name: str) -> GroupDatum:

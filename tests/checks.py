@@ -1,10 +1,12 @@
 """Set-ups that several tests share, each written once."""
 
 import functools
+import json
 import sys
 from operator import mul
 
 from heckeblocks.groupblocks import Partition
+from malformed_cases import SHIPPED
 
 
 def once(check):
@@ -45,3 +47,15 @@ def on_hyperplane(h, v):
     """v moved onto h's hyperplane, in integers: |h|^2 v - <v, h> h."""
     hh, vh = sum(map(mul, h, h)), sum(map(mul, v, h))
     return tuple(hh * x - vh * c for x, c in zip(v, h))
+
+
+def write_g7_cut(directory):
+    """Write G7 cut down to its three characters with Schur data, a full
+    Schur payload with no hyperplane tables and no links, as
+    directory/g7.json, and return that path."""
+    doc = json.loads((SHIPPED / "g7.json").read_text())
+    doc["characters"] = list(doc["schur_x"])
+    del doc["hyperplane_tables"]
+    path = directory / "g7.json"
+    path.write_text(json.dumps(doc))
+    return path

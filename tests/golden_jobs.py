@@ -4,12 +4,17 @@ group at a prime (and, for the last, a hyperplane normal), and holds the
 partition it gave.  Beside them, CYCLIC_CASES: p_blocks on the character
 table of a cyclic group C_n, against the closed form of cyclic_blocks.
 And table_cases: table-path queries on each stored group, against a plain
-dot-product scan and the join of the hit tables with the baseline.
-The tests load the jobs and the cases in process; run as a script, with the
-standard library alone, this module replays every job against the
-installed package, each one-hyperplane job also with its normal doubled and
-negated (a normal is read up to a nonzero scalar), every cyclic-table case
-and every table-path case, and exits 1, naming each job or case that failed:
+dot-product scan and the join of the hit tables with the baseline.  And
+schur_cases: Schur-path queries on G7 cut to its Schur characters, a full
+payload, against a plain dot-product scan of its essential normals and the
+join over the primes of |G| of the no-hyperplane and hit one-hyperplane
+heuristic blocks.  The tests load the jobs and the cases in process; run as
+a script, with the standard library alone, this module replays every job
+against the installed package, each one-hyperplane job also with its
+normal doubled and negated (a normal is read up to a nonzero scalar),
+every cyclic-table case, every table-path case and, on the cut G7 written
+to a temporary directory, every Schur-path case, and exits 1, naming each
+job or case that failed:
 
     python tests/golden_jobs.py
 """
@@ -17,6 +22,7 @@ and every table-path case, and exits 1, naming each job or case that failed:
 import json
 import random
 import sys
+import tempfile
 from operator import mul
 from pathlib import Path
 
@@ -30,9 +36,10 @@ from heckeblocks.engine import (
 )
 from heckeblocks.cyclo import RootOfUnity
 from heckeblocks.groupblocks import CharacterTable, p_blocks
-from heckeblocks.store import load_group
+from heckeblocks.schur import essential_normals
+from heckeblocks.store import load, load_group
 
-from checks import on_hyperplane
+from checks import on_hyperplane, write_g7_cut
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_schur.json"
 
@@ -97,12 +104,54 @@ def table_cases(g):
     vectors = [n for drawn in by_hits.values() for n in drawn]
     if g.name == "G4":
         vectors.append((1, 0, 0))
+    return _past_the_bound(vectors, normals)
+
+
+def _past_the_bound(vectors, normals):
+    """Each vector with its multiples on both sides of the packed product's
+    bound L * max|n_j| < 2^62, L the largest |h|_1 of the normals."""
     bound = max(sum(map(abs, h)) for h in normals)
     cases = []
     for n in vectors:
         edge = (2**62 - 1) // (bound * max(map(abs, n)))
         cases += [tuple(k * x for x in n) for k in (1, edge, -edge - 1)]
     return cases
+
+
+# on a full Schur payload, SCHUR_VECTORS seeded generic vectors, and one
+# vector on each essential normal
+SCHUR_VECTORS = 10
+
+
+def schur_cases(g):
+    """Seeded exponent vectors for g's Schur path, g a full payload:
+    SCHUR_VECTORS generic ones and one on each essential normal, each with
+    its multiples on both sides of the packed product's bound."""
+    normals = sorted(essential_normals(g, g.primes))
+    rng = random.Random(f"golden schur path {g.name}")
+
+    def draw():
+        return tuple(rng.randint(-9, 9) for _ in range(g.slot_count))
+
+    vectors = [draw() for _ in range(SCHUR_VECTORS)]
+    vectors += [on_hyperplane(h, draw()) for h in normals]
+    return _past_the_bound([n for n in vectors if any(n)], normals)
+
+
+def schur_case_fails(g, n):
+    """Whether the Schur path's hyperplanes or blocks at n differ from the
+    essential normals n lies on, by plain dot products, and the join over
+    the primes p of |G| of blocks_no_hyperplane and blocks_one_hyperplane
+    on each p-essential normal hit."""
+    hit, parts = set(), []
+    for p in g.primes:
+        parts.append(blocks_no_hyperplane(g, p))
+        for h in essential_normals(g, [p]):
+            if sum(map(mul, h, n)) == 0:
+                hit.add(h)
+                parts.append(blocks_one_hyperplane(g, p, Hyperplane(h)))
+    return rouquier_blocks(g, Specialization(n), "schur") != (
+        [Hyperplane(h) for h in sorted(hit)], join(parts))
 
 
 def table_case_fails(g, n):
@@ -156,11 +205,16 @@ def main():
             cases += 1
             if table_case_fails(g, n):
                 failed.append(f"rouquier_blocks/{name}/{','.join(map(str, n))}")
+    with tempfile.TemporaryDirectory() as db:
+        cut = load(write_g7_cut(Path(db)))
+    schur = schur_cases(cut)
+    failed += [f"rouquier_blocks/schur/G7 cut/{','.join(map(str, n))}"
+               for n in schur if schur_case_fails(cut, n)]
     for job in failed:
         print(f"FAIL {job}")
     print(f"{len(golden)} recorded jobs, {len(CYCLIC_CASES)} cyclic-table "
-          f"cases and {cases} table-path cases replayed, {len(failed)} runs "
-          f"failed")
+          f"cases, {cases} table-path cases and {len(schur)} Schur-path cases "
+          f"replayed, {len(failed)} runs failed")
     return int(bool(failed))
 
 

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeblocks import engine, schur
-from heckeblocks.cyclo import CycInt
+from heckeblocks.cyclo import CycInt, factorint
 from heckeblocks.engine import (
     Hyperplane,
     Specialization,
     StoredTables,
     blocks_no_hyperplane,
     blocks_one_hyperplane,
+    derive_tables,
     hyperplanes_containing,
     join,
     meet,
@@ -31,6 +32,7 @@ from heckeblocks.schur import (
     a_and_A,
     aa_weight,
     essential_normals,
+    schur_facts,
     specialize,
 )
 from heckeblocks.store import load_group
@@ -40,6 +42,8 @@ from golden_jobs import (
     TABLE_GROUPS,
     load_golden,
     run_job,
+    schur_case_fails,
+    schur_cases,
     table_case_fails,
     table_cases,
 )
@@ -319,6 +323,17 @@ def test_golden_table_cases_pass_in_process(name):
     assert [n for n in cases if table_case_fails(g, n)] == []
 
 
+def test_golden_schur_cases_pass_in_process(g7_cut):
+    """The Schur-path cases tests/golden_jobs.py replays without pytest: on
+    the cut G7, each gives the plain scan's hyperplanes and the join of the
+    heuristic blocks, generic vectors and vectors on a hyperplane alike."""
+    cases = schur_cases(g7_cut)
+    assert len(cases) == 69
+    assert {min(1, len(rouquier_blocks(g7_cut, Specialization(n), "schur")[0]))
+            for n in cases} == {0, 1}
+    assert [n for n in cases if schur_case_fails(g7_cut, n)] == []
+
+
 @pytest.mark.parametrize("n", [(0, 1), (), (0, 1, 2, 3)])
 def test_hit_test_rejects_a_vector_of_the_wrong_length(g4, n):
     """hyperplanes_containing reads a vector as long as the stored normals
@@ -351,6 +366,105 @@ def test_wrong_length_exponents_are_rejected(g4, g7_cut, path, n):
         rouquier_blocks(g4, Specialization(n), path)
     with pytest.raises(ValueError, match=f"^G7 needs 8 exponents, got {len(n)}$"):
         rouquier_blocks(g7_cut, Specialization(n), path)
+
+
+def _oracle_bad_primes(g, n):
+    """The primes of the norm of every specialized coefficient psi_chi,
+    multiplied out and factorised."""
+    out = set()
+    for c in g.characters:
+        sp = specialize(g, g.schur_elements[c], n)
+        out |= set(factorint(abs(sp.psi_coeff.norm())))
+    return out
+
+
+def _per_query_route(g, n):
+    """The Schur path as it ran per query: the hyperplanes hit, found by
+    exact dot products among the p-essential normals of each prime p of
+    _oracle_bad_primes, and the partition generated by the seed groups at
+    each such p, off every hyperplane and on each hit one."""
+    hit, groups = set(), []
+    for p in sorted(_oracle_bad_primes(g, n)):
+        groups += engine._heuristic_groups(g, p)
+        for normal in essential_normals(g, [p]):
+            if dot(normal, n) == 0:
+                hit.add(normal)
+                groups += engine._heuristic_groups(g, p, normal)
+    return ([Hyperplane(h) for h in sorted(hit)],
+            Partition.generated_by(groups, len(g.characters)))
+
+
+def _schur_path_vectors(g, rng):
+    """n = 0, 100 generic vectors, two on each essential normal and two on
+    each pair of them, and each of those scaled by 2^70, past the packed
+    product's bound."""
+    normals = sorted(essential_normals(g, g.primes))
+
+    def draw():
+        return tuple(rng.randint(-5, 5) for _ in range(g.slot_count))
+
+    vectors = [(0,) * g.slot_count] + [draw() for _ in range(100)]
+    for _ in range(2):
+        vectors += [on_hyperplane(h, draw()) for h in normals]
+        vectors += [on_hyperplane(on_hyperplane(h1, h2), on_hyperplane(h1, draw()))
+                    for h1, h2 in itertools.combinations(normals, 2)]
+    return vectors + [tuple(x << 70 for x in n) for n in vectors]
+
+
+def _schur_payload(g7_cut, payload):
+    """G7 cut to its Schur characters; the cut with every xi set to 1,
+    where only the vanishing monomials add primes; or a stand-in with every
+    xi set to 3 and phi{3,6}'s element set to phi{1,0}'s, so that off every
+    hyperplane at p = 3 the two share a group.  The last two rebuild their
+    facts and tables."""
+    if payload == "cut":
+        return g7_cut
+    first, _, last = g7_cut.characters
+    xi = CycInt.rational(1 if payload == "xi = 1" else 3)
+    elements = {c: s._replace(xi=xi) for c, s in g7_cut.schur_elements.items()}
+    if payload == "stand-in":
+        elements[last] = elements[first]._replace(char=last)
+    g = g7_cut._replace(
+        schur_elements=elements,
+        schur_facts={c: schur_facts(g7_cut, s) for c, s in elements.items()})
+    return g._replace(schur_tables=derive_tables(g))
+
+
+@pytest.mark.parametrize("payload", ["cut", "xi = 1", "stand-in"])
+def test_schur_path_answers_as_the_per_query_route(g7_cut, payload):
+    """rouquier_blocks on the tables load derived against the per-query
+    route they replaced, at every vector of _schur_path_vectors."""
+    g = _schur_payload(g7_cut, payload)
+    vectors = _schur_path_vectors(g, random.Random(f"schur path {payload}"))
+    assert max(max(map(abs, n)) for n in vectors) > g.schur_tables.limit
+    answers = set()
+    for n in vectors:
+        hit, blocks = rouquier_blocks(g, Specialization(n), "schur")
+        assert (hit, blocks) == _per_query_route(g, n), n
+        answers.add(blocks)
+    assert len(answers) > 1
+
+
+@pytest.mark.parametrize("payload", ["xi = 1", "stand-in"])
+def test_a_prime_outside_the_bad_primes_adds_no_group(g7_cut, payload):
+    """A prime of |G| outside _oracle_bad_primes seeds no group off every
+    hyperplane and is essential on no hyperplane hit, so derive_tables,
+    which reads every prime of |G|, adds nothing the per-query route,
+    which read the bad primes alone, did not.  (On the cut itself some
+    N(xi) is divisible by 2 and some by 3, so both primes are always bad.)"""
+    g = _schur_payload(g7_cut, payload)
+    reached = set()
+    for n in _schur_path_vectors(g, random.Random(f"schur path {payload}")):
+        bad = _oracle_bad_primes(g, n)
+        reached.add(frozenset(bad))
+        for p in set(g.primes) - bad:
+            assert engine._heuristic_groups(g, p) == [], (p, n)
+            assert all(dot(h, n) for h in essential_normals(g, [p])), (p, n)
+    # the xi = 1 variant reaches the monomial branch: no prime at a generic
+    # vector, each prime alone on some normal, both at n = 0
+    assert reached == {"xi = 1": {frozenset(), frozenset({2}), frozenset({3}),
+                                  frozenset({2, 3})},
+                       "stand-in": {frozenset({3}), frozenset({2, 3})}}[payload]
 
 
 def test_no_hyperplane_blocks_keep_trivial_character_alone(g7):
@@ -713,7 +827,7 @@ def test_one_hyperplane_blocks_match_the_joined_meet_loops(name, g7_cut):
         assert engine._heuristic_groups(g, 2) == [[1, 39]]
         assert engine._heuristic_groups(g, 3) == [[1, 39]]
     normals = essential_normals(g, [2, 3]) | {
-        t.normal for t in g.stored_tables() if t.hyperplane is not None}
+        t.normal for t in g.hyperplane_tables or () if t.hyperplane is not None}
     assert normals
     for p in (2, 3, 5):
         for h in sorted(normals):

@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 import pytest
 
-from heckeblocks.cyclo import CycInt, RootOfUnity, factorint
+from heckeblocks.cyclo import CycInt, RootOfUnity
 from heckeblocks.lattice import dot
 from heckeblocks.schur import (
     CharLabel,
@@ -17,16 +17,14 @@ from heckeblocks.schur import (
     SchurFactorX,
     a_and_A,
     aa_weight,
-    bad_primes,
     essential_monomials,
     generic_singleton,
     normalize_x_to_v,
-    schur_facts,
     sign_canonical,
     specialize,
 )
 
-from checks import on_hyperplane, once
+from checks import once
 
 REPRESENTATIVES = ("phi{1,0}", "phi{2,9}'", "phi{3,6}")
 
@@ -365,56 +363,6 @@ def test_specialization_at_zero_recovers_group_order_over_degree(g7):
         assert sp.terms == ()
         assert sp.psi_coeff == CycInt.rational(g7.group_order // s.char.degree)
         assert a_and_A(g7, sp) == (Fraction(0), Fraction(0))
-
-
-def test_bad_primes_on_a_full_payload(g7, g7_cut):
-    # G7 cut down to the characters with stored Schur data has a full payload
-    g = g7_cut
-    assert g.has_full_schur and not g7.has_full_schur
-    with pytest.raises(ValueError):
-        bad_primes(g7, (0,) * 8)
-    # at n = 0 the coefficients are |G| / chi(1) = 144, 72, 48
-    assert bad_primes(g, (0,) * 8) == {2, 3}
-    assert bad_primes(g, (2, -1, 1, 0, -1, 3, -2, -1)) <= {2, 3}
-
-
-def _oracle_bad_primes(g, n):
-    """The primes of the norm of every specialized coefficient psi_chi,
-    multiplied out and factorised."""
-    out = set()
-    for c in g.characters:
-        sp = specialize(g, g.schur_elements[c], n)
-        out |= set(factorint(abs(sp.psi_coeff.norm())))
-    return out
-
-
-def test_bad_primes_read_off_the_index_agree_with_the_norms(g7_cut):
-    """On G7 cut to its Schur characters, and on the cut with every xi set
-    to 1 (facts rebuilt), where only the vanishing monomials add primes."""
-    cut = g7_cut
-    elements = {c: s._replace(xi=CycInt.rational(1))
-                for c, s in cut.schur_elements.items()}
-    unit = cut._replace(
-        schur_elements=elements,
-        schur_facts={c: schur_facts(cut, s) for c, s in elements.items()})
-    rng = random.Random(13)
-    vectors = [(0,) * 8]
-    vectors += [tuple(rng.randint(-5, 5) for _ in range(8)) for _ in range(50)]
-    normals = sorted({h for f in cut.schur_facts.values()
-                      for _, h in f.essential})
-    vectors += [on_hyperplane(h, [rng.randint(-4, 4) for _ in h])
-                for h in normals]
-    answers = set()
-    for g in (cut, unit):
-        for n in vectors:
-            expected = _oracle_bad_primes(g, n)
-            assert bad_primes(g, n) == expected, n
-            if g is unit:
-                answers.add(frozenset(expected))
-    # the unit variant reaches the monomial branch: no prime at a generic
-    # vector, each prime alone on some normal, both at n = 0
-    assert {frozenset(), frozenset({2}), frozenset({3}),
-            frozenset({2, 3})} <= answers
 
 
 # ---------------------------------------------------------------------------

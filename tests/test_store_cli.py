@@ -15,18 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import heckeblocks
-from heckeblocks import store
+from heckeblocks import engine, store
 from heckeblocks.cyclo import factorint
 from heckeblocks.engine import (
     Hyperplane,
     blocks_no_hyperplane,
     blocks_one_hyperplane,
 )
-from heckeblocks.schur import aa_weight, essential_monomials, essential_normals
+from heckeblocks.schur import (Characters, aa_weight, essential_monomials,
+                               essential_normals)
 from heckeblocks.store import StoreError, default_db_dir, load, load_group, verify_db
 
-from checks import once, patch_everywhere
+from checks import once, patch_everywhere, write_g7_cut
 from cli_probes import (HEAP, IMPORTS, MAIN, PIPES, REQUESTS, heap, imports,
                         pipe, probe, run_fresh)
 from cli_runner import invoke
@@ -602,12 +602,9 @@ def test_cli_exponents_may_start_with_a_minus(exponents):
 
 @pytest.fixture()
 def g7_schur_db(tmp_path):
-    """G7 cut down to its three characters with Schur data: a full Schur
-    payload, no hyperplane tables and no links."""
-    doc = copy.deepcopy(_SHIPPED["g7.json"])
-    doc["characters"] = list(doc["schur_x"])
-    del doc["hyperplane_tables"]
-    (tmp_path / "g7.json").write_text(json.dumps(doc))
+    """A database of G7 cut down to its three characters with Schur data:
+    a full Schur payload, no hyperplane tables and no links."""
+    write_g7_cut(tmp_path)
     return tmp_path
 
 
@@ -629,43 +626,39 @@ _G7_SCHUR_HIT_AT_ZERO = (
 ])
 def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
                                    expected):
+    """Loading derives the tables once; the query reads them through one
+    hyperplanes_containing call and runs no heuristic."""
     monkeypatch.setenv("HECKE_DB", str(g7_schur_db))
-    originals = {
-        "_heuristic_groups": heckeblocks.engine._heuristic_groups,
-        "essential_normals": heckeblocks.schur.essential_normals,
-        "bad_primes": heckeblocks.schur.bad_primes,
-    }
-    calls = {name: [] for name in originals}
+    calls = {"derive_tables": 0, "hyperplanes_containing": 0}
+    derive, scan = engine.derive_tables, engine.hyperplanes_containing
 
-    def counting(name):
-        def counted(*args):
-            result = originals[name](*args)
-            calls[name].append((args[1:], result))
-            return result
-        return counted
+    def no_heuristic(*args):
+        raise AssertionError("a query ran the heuristic")
 
-    for name, original in originals.items():
-        patch_everywhere(monkeypatch, original, counting(name))
+    def deriving(g):
+        calls["derive_tables"] += 1
+        tables = derive(g)
+        monkeypatch.setattr(engine, "_heuristic_groups", no_heuristic)
+        return tables
+
+    def scanning(tables, spec):
+        calls["hyperplanes_containing"] += 1
+        return scan(tables, spec)
+
+    patch_everywhere(monkeypatch, derive, deriving)
+    patch_everywhere(monkeypatch, scan, scanning)
     result = invoke(["rouquier-blocks", "G7", "--path", "schur",
                      "--display", "index", "--exponents", exponents])
     assert result.exit_code == 0, result.output
     assert result.output.splitlines() == expected
-    # the bad primes once per query, the seed groups off every hyperplane
-    # once per prime
-    [(_, primes)] = calls["bad_primes"]
-    assert [args for args, _ in calls["_heuristic_groups"]
-            if len(args) == 1] == [(p,) for p in sorted(primes)]
-    # the p-essential normals once per prime, to find the hyperplanes hit
-    assert len(calls["essential_normals"]) == len(primes)
+    assert calls == {"derive_tables": 1, "hyperplanes_containing": 1}
 
 
-def test_schur_index_agrees_with_recomputation(g7_schur_db, g4, g6, g7,
-                                               g7_cut):
+def test_schur_index_agrees_with_recomputation(g4, g6, g7, g7_cut):
     """Every indexed norm, weight and essential set of G4, G6, G7 and the
     cut G7 database equals its recomputation, and G7 cut by _replace reads
     the same entries, by label, as the cut database loaded fresh."""
-    cut = load(g7_schur_db / "g7.json")
-    for g in (g4, g6, g7, cut):
+    for g in (g4, g6, g7, g7_cut):
         elements = g.schur_elements or {}
         assert set(g.schur_facts or {}) == set(elements)
         primes = set(factorint(g.group_order))
@@ -678,11 +671,12 @@ def test_schur_index_agrees_with_recomputation(g7_schur_db, g4, g6, g7,
                 assert {h for q, h in facts.essential if q == p} == \
                     essential_monomials(s, p), (label, p)
     assert len(g7.schur_facts) == 3
+    view = g7._replace(characters=Characters(g7.schur_elements))
     for p in (2, 3, 5):
-        assert blocks_no_hyperplane(g7_cut, p) == blocks_no_hyperplane(cut, p)
-        for h in sorted(essential_normals(cut, [p])):
-            assert blocks_one_hyperplane(g7_cut, p, Hyperplane(h)) == \
-                blocks_one_hyperplane(cut, p, Hyperplane(h))
+        assert blocks_no_hyperplane(view, p) == blocks_no_hyperplane(g7_cut, p)
+        for h in sorted(essential_normals(g7_cut, [p])):
+            assert blocks_one_hyperplane(view, p, Hyperplane(h)) == \
+                blocks_one_hyperplane(g7_cut, p, Hyperplane(h))
 
 
 def _drop_tables(doc):
