@@ -72,10 +72,12 @@ def cli_essential_hyperplanes(group: str, prime: int):
 
 
 def cli_all_blocks(group: str, display: str):
-    """Print the stored block partition for every essential hyperplane."""
+    """Print the block partition for every essential hyperplane: the stored
+    tables, or those derived from a full Schur payload if none are stored."""
     g = load_group(group)
     names = g.slot_names()
-    for table in g.stored_tables():
+    derived = g.hyperplane_tables is None and g.schur_tables is not None
+    for table in g.schur_tables if derived else g.stored_tables():
         if table.hyperplane is None:
             print("No essential hyperplane")
         else:

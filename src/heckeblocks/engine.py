@@ -9,7 +9,9 @@ their hyperplanes and their join, built once per datum.  The tables are the
 file's, which store.load checks, or those derive_tables builds at load from
 a full Schur payload: the seed characters, chosen by coefficient
 divisibility or p-essentiality, that share a group p-block and an exact
-a + A weight class form groups, which generate each table's partition.
+a + A key form groups, which generate each table's partition.  The key is
+the a + A weight off every hyperplane and, on one, the weight reduced along
+its normal, which SchurFacts.of stores at load.
 rouquier_blocks reads either.  Partition, meet and join live in groupblocks
 and are re-exported here.
 """
@@ -174,49 +176,43 @@ def rouquier_from_tables(g: GroupDatum, spec: Specialization) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _seed_groups(g: GroupDatum, p: int, seed: dict[int, IntVector],
-                 normal: IntVector | None = None) -> list[list[int]]:
+def _seed_groups(g: GroupDatum, p: int,
+                 keys: dict[int, IntVector]) -> list[list[int]]:
     """Steps 2-3 of the heuristic: the groups of two or more seed
-    characters (seed maps each to its weight) that share a key, which
-    decides their p-block and a + A at every admissible specialization:
-    off every essential hyperplane, or on the one with normal h only.
-
-    mu * (a + A) at n is <w, n>, w = aa_weight.  The admissible vectors
-    are the integer points of Q^m, or of h's hyperplane, off finitely many
-    other hyperplanes, so they span it: two characters agree at all of
-    them exactly when w_i - w_j = 0, or lies in Q * h.  So a character's
-    key is its p-block number (0 with no character table) and w, on h's
-    hyperplane reduced to h[k] * w - w[k] * h (k the first index with
-    h[k] != 0), which is linear in w with kernel Q * h."""
-    if len(seed) < 2:
+    characters (keys maps each to its a + A key) that share their p-block
+    number (0 with no character table) and key, which decides their p-block
+    and a + A at every admissible specialization.  Off every essential
+    hyperplane the key is the weight w itself; on one it is w reduced along
+    the normal, which SchurFacts.of computed at load."""
+    if len(keys) < 2:
         return []
-    block = dict.fromkeys(seed, 0)
+    block = dict.fromkeys(keys, 0)
     if g.character_table is not None:
         for b, part in enumerate(p_blocks(g.character_table, p).parts):
             block.update((i, b) for i in part if i in block)
     groups: dict = {}
-    for i, w in seed.items():
-        if normal is not None:
-            hk, wk = next((c, x) for c, x in zip(normal, w) if c)
-            w = tuple(hk * x - wk * c for x, c in zip(w, normal))
-        groups.setdefault((block[i], w), []).append(i)
+    for i, key in keys.items():
+        groups.setdefault((block[i], key), []).append(i)
     return [group for group in groups.values() if len(group) > 1]
 
 
 def _heuristic_groups(g: GroupDatum, p: int,
                       normal: IntVector | None = None) -> list[list[int]]:
     """The seed groups off every essential hyperplane (seed: N(xi) divisible
-    by p) or on a primitive sign-canonical normal's (seed: it is p-essential).
-    The seed walks the stored facts, not every character, and reads each
-    index off Characters.positions.  Two calls' groups generate the join of
-    their two partitions."""
+    by p, key: its weight) or on a primitive sign-canonical normal's (seed:
+    it is p-essential, key: the fact's stored key at (p, normal)).  The seed
+    walks the stored facts, not every character, and reads each index off
+    Characters.positions.  Two calls' groups generate the join of their two
+    partitions."""
     if g.group_order % p:
         return []
-    positions = g.characters.positions
-    return _seed_groups(g, p, {
-        positions[c]: f.weight for c, f in (g.schur_facts or {}).items()
-        if ((p, normal) in f.essential if normal else f.norm % p == 0)},
-        normal)
+    positions, facts = g.characters.positions, (g.schur_facts or {}).items()
+    if normal:
+        pair = (p, normal)
+        return _seed_groups(g, p, {positions[c]: f.essential[pair]
+                                   for c, f in facts if pair in f.essential})
+    return _seed_groups(g, p, {positions[c]: f.weight
+                               for c, f in facts if f.norm % p == 0})
 
 
 def derive_tables(g: GroupDatum) -> StoredTables:
@@ -246,8 +242,9 @@ def blocks_no_hyperplane(g: GroupDatum, p: int) -> Partition:
     when p does not divide |G|).  So the result is no guaranteed coarsening
     of the true blocks: on G7, whose payload covers 3 of 42 characters, it
     is 42 singletons, finer than the stored 29-part baseline; only the
-    stored tables are authoritative.  The norms, weights and essential
-    monomials are g.schur_facts, which store.load computes once per datum."""
+    stored tables are authoritative.  The norms, weights and keys on the
+    essential normals are g.schur_facts, which store.load computes once
+    per datum."""
     check_prime(p)
     return Partition.generated_by(_heuristic_groups(g, p), len(g.characters))
 

@@ -243,13 +243,27 @@ class SchurElement(namedtuple("SchurElement", "char xi lead factors")):
 
 
 class SchurFacts(namedtuple("SchurFacts", "norm weight essential")):
-    """What the Schur path reads of one element s: |N(xi)|, aa_weight(s),
-    and the pairs (p, M), M in essential_monomials(s, p), for the primes p
-    dividing |G|.  A validated s has no p-essential factor at other p:
-    s(1) = |G| / chi(1) would then have norm divisible by p.
-    norm: int; weight: IntVector; essential: frozenset[tuple[int, IntVector]]."""
+    """What the Schur path reads of one element s: |N(xi)|, w = aa_weight(s),
+    and, for each pair (p, M), M in essential_monomials(s, p), p dividing
+    |G|, w's key on M's hyperplane, which of computes once.  A validated s
+    has no p-essential factor at other p: s(1) = |G| / chi(1) would then
+    have norm divisible by p.  Iteration and membership run over the pairs.
+    norm: int; weight: IntVector; essential: dict (p, M) -> IntVector."""
 
     __slots__ = ()
+
+    @staticmethod
+    def of(norm: int, weight: IntVector, pairs) -> "SchurFacts":
+        """The facts with weight w and its key at each pair (p, M).
+        mu * (a + A) at n is <w, n>.  The admissible vectors on M's
+        hyperplane are its integer points off finitely many other
+        hyperplanes, so they span it: two characters agree at all of them
+        exactly when w - w' lies in Q * M.  So the key is M[k] * w - w[k] * M
+        (k the first index with M[k] != 0), linear in w with kernel Q * M."""
+        def key(normal):
+            mk, wk = next((c, x) for c, x in zip(normal, weight) if c)
+            return tuple(mk * x - wk * c for x, c in zip(weight, normal))
+        return SchurFacts(norm, weight, {pair: key(pair[1]) for pair in pairs})
 
 
 class SpecializedSchur(namedtuple("SpecializedSchur",
@@ -523,10 +537,10 @@ def aa_weight(s: SchurElement) -> IntVector:
 
 
 def schur_facts(g: GroupDatum, s: SchurElement) -> SchurFacts:
-    """The SchurFacts of s; store.load computes them once per element."""
-    return SchurFacts(abs(s.xi.norm()), aa_weight(s), frozenset(
-        (p, normal) for p in g.primes
-        for normal in essential_monomials(s, p)))
+    """The SchurFacts of s, with the key of its weight on each essential
+    normal; store.load computes them once per element."""
+    return SchurFacts.of(abs(s.xi.norm()), aa_weight(s), (
+        (p, normal) for p in g.primes for normal in essential_monomials(s, p)))
 
 
 def generic_singleton(

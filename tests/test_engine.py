@@ -551,7 +551,7 @@ class _Unreadable:
     """A stand-in weight that fails wherever the heuristic would use it."""
 
     def __hash__(self):
-        raise AssertionError("weight read for a seed of fewer than two")
+        raise AssertionError("weight read where the heuristic needs none")
 
     __iter__ = __hash__
 
@@ -567,11 +567,69 @@ def test_heuristic_path_without_schur_payload_meets_group_blocks(
         raise AssertionError("computed for a seed of fewer than two")
 
     monkeypatch.setattr(engine, "p_blocks", fail)
-    unread = SchurFacts(0, _Unreadable(), frozenset())
+    unread = SchurFacts(0, _Unreadable(), {})
     one_seed = g4._replace(schur_facts={g4.characters[0]: unread})
     for g in (g4, one_seed):
         for p in (2, 3):
             assert blocks_no_hyperplane(g, p) == Partition.singletons(7)
+
+
+def test_one_hyperplane_blocks_read_no_weight_on_the_hyperplane(g7):
+    """On a hyperplane the heuristic keys its seeds by the keys stored at
+    load: G7 whose facts keep their keys but carry a weight that fails when
+    used, and norm 1, so that no seed lies off every hyperplane, gives
+    G7's blocks with the norms alone changed, at every essential normal;
+    6 of those calls have two or more seeds."""
+    norm_one = {c: f._replace(norm=1) for c, f in g7.schur_facts.items()}
+    unread = {c: f._replace(weight=_Unreadable()) for c, f in norm_one.items()}
+    seeded = 0
+    for p in (2, 3):
+        for h in sorted(essential_normals(g7, [p])):
+            seeded += sum((p, h) in f.essential for f in norm_one.values()) > 1
+            assert blocks_one_hyperplane(
+                g7._replace(schur_facts=unread), p, Hyperplane(h)) == \
+                blocks_one_hyperplane(
+                    g7._replace(schur_facts=norm_one), p, Hyperplane(h)), (p, h)
+    assert seeded == 6
+
+
+def _parallel(d, m):
+    """Whether d is a rational multiple of m != 0: every 2x2 minor of the
+    pair vanishes."""
+    return all(d[i] * m[j] == d[j] * m[i]
+               for i, j in itertools.combinations(range(len(m)), 2))
+
+
+@pytest.mark.parametrize("name", ["G7", "G7 cut"])
+def test_stored_keys_agree_exactly_on_multiples_of_the_normal(
+        name, g7, g7_cut):
+    """The keys load stores: each fact of G7 and of the cut G7 is the one
+    SchurFacts.of builds from its norm, weight and pairs, and at each
+    (p, M) two keys are equal exactly when w - w' is a rational multiple
+    of M.  The weights compared are those of the facts with the pair and,
+    built through SchurFacts.of, w + 3M, w - 2M and w plus each unit
+    vector; the stored characters 1, 28 and 39 share a key on some M."""
+    g = g7 if name == "G7" else g7_cut
+    facts = list(g.schur_facts.values())
+    shared = 0
+    for f in facts:
+        assert SchurFacts.of(f.norm, f.weight, f.essential) == f
+    for pair in {pair for f in facts for pair in f.essential}:
+        m = pair[1]
+        stored = [(f.weight, f.essential[pair]) for f in facts
+                  if pair in f.essential]
+        shared += len({key for _, key in stored}) < len(stored)
+        shifts = [tuple(k * c for c in m) for k in (3, -2)] + [
+            tuple(int(i == j) for i in range(len(m))) for j in range(len(m))]
+        keyed = list(stored)
+        for w, _ in stored:
+            for d in shifts:
+                v = tuple(map(sum, zip(w, d)))
+                keyed.append((v, SchurFacts.of(0, v, [pair]).essential[pair]))
+        for (w, key), (v, other) in itertools.combinations(keyed, 2):
+            difference = tuple(x - y for x, y in zip(w, v))
+            assert (key == other) == _parallel(difference, m), (pair, w, v)
+    assert shared
 
 
 def _scan_by_index(characters, by_label):
@@ -581,16 +639,30 @@ def _scan_by_index(characters, by_label):
             if c in (by_label or {})}
 
 
+def _scan_seed(g, p, normal=None):
+    """The seed of a heuristic call read off the full scan of g's facts:
+    the p-essential characters on the normal, if given, else those whose
+    N(xi) p divides."""
+    return [i for i, f in _scan_by_index(g.characters, g.schur_facts).items()
+            if ((p, normal) in f.essential if normal else f.norm % p == 0)]
+
+
 def _heuristic_by_scan(g, p, normal=None):
     """blocks_no_hyperplane (blocks_one_hyperplane with a normal), its
-    seeds and normals read off the full scan of g's facts."""
+    seeds read off the full scan of g's facts and grouped here by group
+    p-block and weight w, on the normal h's hyperplane by on_hyperplane(h,
+    w): the stored key's kernel Q * h, by another map."""
     facts = _scan_by_index(g.characters, g.schur_facts)
-    groups = []
+    block = {} if g.character_table is None else {
+        i: b for b, part in enumerate(p_blocks(g.character_table, p).parts)
+        for i in part}
+    groups = {}
     for h in ([normal] if normal else []) + [None]:
-        seed = {i: f.weight for i, f in facts.items()
-                if ((p, h) in f.essential if h else f.norm % p == 0)}
-        groups += engine._seed_groups(g, p, seed, h)
-    return Partition.generated_by(groups, len(g.characters))
+        for i in _scan_seed(g, p, h):
+            w = facts[i].weight
+            key = on_hyperplane(h, w) if h else w
+            groups.setdefault((h, block.get(i), key), []).append(i)
+    return Partition.generated_by(list(groups.values()), len(g.characters))
 
 
 def _views_of_g7(g7, g7_cut):
@@ -741,31 +813,43 @@ def test_aa_partition_matches_specialized_a_plus_A(g7):
 
 def _keyed(g, p, seed, normal=None):
     """The partition that engine._seed_groups gives the seed characters,
-    with their weights read off g's facts, every other character a
-    singleton: the heuristic's result for one seed."""
+    with their keys read off g's facts (the weight, or the stored key on
+    the normal), every other character a singleton: the heuristic's result
+    for one seed."""
     facts = _scan_by_index(g.characters, g.schur_facts)
-    groups = engine._seed_groups(g, p, {i: facts[i].weight for i in seed},
-                                 normal)
+    groups = engine._seed_groups(g, p, {
+        i: facts[i].essential[p, normal] if normal else facts[i].weight
+        for i in seed})
     return Partition.generated_by(groups, len(g.characters))
 
 
-def _groups_by_meets(g, p, seed, normal=None):
-    """engine._seed_groups' answer read off the meet loop: the oracle's
-    parts of two or more characters."""
-    oracle = _heuristic_by_meets(g, p, list(seed), normal)
+def _heuristic_groups_by_meets(g, p, normal=None):
+    """engine._heuristic_groups read off the meet loop: the oracle's parts
+    of two or more characters, its seed read off the full scan of g's
+    facts; no groups when p does not divide |G|."""
+    if g.group_order % p:
+        return []
+    oracle = _heuristic_by_meets(g, p, _scan_seed(g, p, normal), normal)
     return [list(part) for part in oracle.parts if len(part) > 1]
 
 
 def _heuristic_calls(g, monkeypatch):
     """(p, seed, normal) of every _seed_groups call made by the
-    no-hyperplane and one-hyperplane jobs at p = 2, 3 and 5."""
-    calls, real = [], engine._seed_groups
+    no-hyperplane and one-hyperplane jobs at p = 2, 3 and 5, the normal
+    that of the _heuristic_groups call that made it."""
+    calls, normals = [], []
+    real_groups, real_seed = engine._heuristic_groups, engine._seed_groups
 
-    def record(g, p, seed, normal=None):
-        calls.append((p, list(seed), normal))
-        return real(g, p, seed, normal)
+    def groups(g, p, normal=None):
+        normals.append(normal)
+        return real_groups(g, p, normal)
+
+    def record(g, p, keys):
+        calls.append((p, list(keys), normals[-1]))
+        return real_seed(g, p, keys)
 
     with monkeypatch.context() as m:
+        m.setattr(engine, "_heuristic_groups", groups)
         m.setattr(engine, "_seed_groups", record)
         for p in (2, 3, 5):
             blocks_no_hyperplane(g, p)
@@ -820,8 +904,8 @@ def test_one_hyperplane_blocks_match_the_joined_meet_loops(name, g7_cut):
     if name.endswith("stand-in"):
         w = g.schur_facts[g.characters[0]].weight
         g = g._replace(schur_facts={
-            label: f._replace(norm=0, weight=w if label == g.characters[38]
-                              else f.weight)
+            label: SchurFacts.of(0, w if label == g.characters[38]
+                                 else f.weight, f.essential)
             for label, f in g.schur_facts.items()})
         grouping = _index_grouping
         assert engine._heuristic_groups(g, 2) == [[1, 39]]
@@ -844,7 +928,8 @@ def test_golden_jobs_match_the_meet_loop(monkeypatch):
     for key, expected in golden.items():
         assert run_job(groups, key).as_lists() == expected, key
         with monkeypatch.context() as m:
-            m.setattr(engine, "_seed_groups", _groups_by_meets)
+            m.setattr(engine, "_heuristic_groups",
+                      _heuristic_groups_by_meets)
             assert run_job(groups, key).as_lists() == expected, key
 
 
@@ -905,8 +990,9 @@ def _stand_in_weights(g7, other):
     w = aa_weight(g7.schur_elements[g7.characters[0]])
     weights = {1: w, 39: other(w)}
     label = g7.characters[39 - 1]
+    f = g7.schur_facts[label]
     facts = {**g7.schur_facts,
-             label: g7.schur_facts[label]._replace(weight=weights[39])}
+             label: SchurFacts.of(f.norm, weights[39], f.essential)}
     return g7._replace(schur_facts=facts), \
         lambda g, n: group_by_weight(weights, n, len(g.characters))
 

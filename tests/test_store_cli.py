@@ -654,6 +654,25 @@ def test_cli_schur_path_end_to_end(g7_schur_db, monkeypatch, exponents,
     assert calls == {"derive_tables": 1, "hyperplanes_containing": 1}
 
 
+def test_cli_all_blocks_prints_the_derived_tables(g7_schur_db, g7_cut,
+                                                  monkeypatch):
+    """all-blocks on a file with a full Schur payload and no stored tables
+    prints the tables load derived: the baseline, then the 13 derived
+    hyperplanes, in the order essential-hyperplanes lists them, each with
+    its partition."""
+    monkeypatch.setenv("HECKE_DB", str(g7_schur_db))
+    result = invoke(["all-blocks", "G7", "--display", "index"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 2 * (1 + 13)
+    assert lines[:2] == ["No essential hyperplane", "[[1],[2],[3]]"]
+    listed = invoke(["essential-hyperplanes", "G7"])
+    assert listed.exit_code == 0, listed.output
+    assert lines[2::2] == listed.output.splitlines()
+    assert lines[1::2] == [json.dumps(t.blocks.as_lists(), separators=(",", ":"))
+                           for t in g7_cut.schur_tables]
+
+
 def test_schur_index_agrees_with_recomputation(g4, g6, g7, g7_cut):
     """Every indexed norm, weight and essential set of G4, G6, G7 and the
     cut G7 database equals its recomputation, and G7 cut by _replace reads

@@ -46,7 +46,7 @@ _NAMES = ["CharLabel", "CharacterTable", "CliffordLink", "GroupDatum",
           "SchurFactorV", "SchurFactorX", "SchurFacts", "SpecializedSchur",
           "Specialization"]
 # Types with a field that cannot be hashed: a CycInt or a dict.
-_UNHASHABLE = {"CharacterTable", "GroupDatum", "SchurElement",
+_UNHASHABLE = {"CharacterTable", "GroupDatum", "SchurElement", "SchurFacts",
                "SpecializedSchur"}
 
 
